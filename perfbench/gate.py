@@ -100,3 +100,27 @@ def check_results(
             f"query {query_text!r}: search returned {[r.url for r in got]}, "
             f"scan_oracle {[r.url for r in want]}",
         )
+
+
+# The pipeline stage each per-layer self time is checked against. A stage's
+# wall time is the benchmark's own clock around the call that runs it, so a
+# self time summed over crawl worker threads, or one the span arithmetic got
+# wrong, cannot pass unnoticed.
+STAGE_OF_SELF_TIME = {
+    "crawler.extract_links": "crawl",
+    "indexer.build_index": "index",
+    "indexer.index_summaries": "index",
+}
+
+
+def check_self_times(
+    workload: str, totals: dict[str, dict[str, float]], stage_wall_s: dict[str, float]
+) -> None:
+    for span, stage in STAGE_OF_SELF_TIME.items():
+        self_s = totals[span]["self_s"]
+        if not 0.0 <= self_s <= stage_wall_s[stage]:
+            raise GateFailure(
+                workload, "self_time_within_stage",
+                f"{span} self {self_s:.4f} s outside 0..{stage} stage "
+                f"{stage_wall_s[stage]:.4f} s",
+            )

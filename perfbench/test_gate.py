@@ -5,6 +5,7 @@ Run from the repository root: python3 -m pytest -q perfbench
 
 from __future__ import annotations
 
+import gc
 import json
 import sys
 import time
@@ -26,9 +27,10 @@ from gate import (  # noqa: E402
     check_index_bytes,
     check_manifest,
     check_results,
+    check_self_times,
     check_url_file,
 )
-from speed import NOMINAL_PROBE_S, at_reference, factor  # noqa: E402
+from speed import NOMINAL_PROBE_S, SpeedSampler, at_reference, factor, probe  # noqa: E402
 from tracing import Tracer  # noqa: E402
 from workloads import TOP_K, WORKLOADS  # noqa: E402
 
@@ -130,3 +132,50 @@ def test_speed_scales_only_cpu_time():
     assert scale == pytest.approx(0.5)
     assert at_reference((3.0, 1.0), scale) == pytest.approx(2.0 + 0.5)  # sleep kept, CPU halved
     assert at_reference((1.0, 1.2), scale) == pytest.approx(0.6)  # CPU of two threads > wall
+    # Probes taken during the call count as much as the two at its ends.
+    assert factor(NOMINAL_PROBE_S, NOMINAL_PROBE_S, [NOMINAL_PROBE_S * 4]) == pytest.approx(0.5)
+
+
+def test_speed_sampler_probes_every_n_fetches_and_returns_their_time():
+    class Inner:
+        def fetch(self, url, max_body_bytes, issued_at_ms=None):
+            return url
+
+    sampler = SpeedSampler(Inner(), every=3)
+    assert [sampler.fetch(i, 0) for i in range(7)] == list(range(7))
+    took, samples = sampler.take((10.0, 8.0))
+    assert len(samples) == 2
+    assert took[0] < 10.0
+    assert 8.0 - took[1] == pytest.approx(sum(samples), rel=0.2)  # the probes' CPU time
+    assert sampler.take((1.0, 1.0)) == ((1.0, 1.0), [])
+
+
+def test_self_time_check_rejects_time_beyond_its_stage():
+    tracer = Tracer("t")
+    crawl_start = time.perf_counter()
+    # extract_links on two crawl threads at once: 2 x 0.6 s of self time
+    # inside a 1 s crawl stage.
+    for _ in range(2):
+        tracer._append("crawler.extract_links", crawl_start, crawl_start + 0.6, -1)
+    tracer._append("indexer.build_index", crawl_start, crawl_start + 0.5, -1)
+    tracer._append("indexer.index_summaries", crawl_start + 0.1, crawl_start + 0.2, 2)
+    totals = tracer.totals()
+    check_self_times("tiny", totals, {"crawl": 1.5, "index": 0.5})
+    with pytest.raises(GateFailure, match="self_time_within_stage") as info:
+        check_self_times("tiny", totals, {"crawl": 1.0, "index": 0.5})
+    assert "crawler.extract_links" in str(info.value)
+    with pytest.raises(GateFailure, match="indexer.build_index"):
+        check_self_times("tiny", totals, {"crawl": 1.5, "index": 0.3})
+
+
+def test_probe_leaves_collector_state_alone():
+    gc.collect()
+    collections = [s["collections"] for s in gc.get_stats()]
+    young = gc.get_count()[0]
+    probe()
+    left_over = gc.get_count()[0] - young  # read before anything else allocates
+    assert gc.isenabled()
+    assert [s["collections"] for s in gc.get_stats()] == collections
+    # Far below the young-generation threshold, so no collection is brought
+    # forward into the next timed call.
+    assert left_over < gc.get_threshold()[0] // 4

@@ -29,6 +29,7 @@ from onto_seeker.netfetch import FetchError
 COUNTERS = (
     "netfetch.fetch.bytes",
     "netfetch.fetch_errors",
+    "netfetch.gate_wait.s",
     "netfetch.gate_granted.s",
     "crawler.pages_fetched",
     "crawler.links_out",
@@ -101,10 +102,6 @@ class Tracer:
         self.ends[sid] = time.perf_counter()
         self._stack().pop()
 
-    def add_span(self, name: str, start: float, end: float) -> None:
-        """Record an interval that no single call covers (the politeness wait)."""
-        self._append(name, start, end, self._parent())
-
     def add(self, name: str, value: float) -> None:
         with self._lock:
             self.counters[name] += value
@@ -136,11 +133,14 @@ class Tracer:
 
         @functools.wraps(func)
         def acquire_slot(gate, host, now_ms=None):
-            # The wait a fetch pays runs from here to the transport call:
-            # the slot reservation plus the sleep the caller does.
-            tracer._local.gate_started = time.perf_counter()
+            # The gate costs a fetch the slot reservation itself (a lock the
+            # crawl workers share) plus the wait it grants, which the caller
+            # sleeps off before the transport call.
+            start = time.perf_counter()
             wait_ms = func(gate, host, now_ms)
+            reserve_s = time.perf_counter() - start
             tracer.add("netfetch.gate_granted.s", wait_ms / 1000.0)
+            tracer.add("netfetch.gate_wait.s", reserve_s + wait_ms / 1000.0)
             return wait_ms
 
         return acquire_slot
@@ -298,10 +298,6 @@ class TracingTransport:
 
     def fetch(self, url, max_body_bytes, issued_at_ms=None):
         tracer = self.tracer
-        gate_started = getattr(tracer._local, "gate_started", None)
-        if gate_started is not None:
-            tracer._local.gate_started = None
-            tracer.add_span("netfetch.gate_wait", gate_started, time.perf_counter())
         sid = tracer.begin("netfetch.fetch")
         try:
             resp = self.inner.fetch(url, max_body_bytes, issued_at_ms=issued_at_ms)

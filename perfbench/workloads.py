@@ -127,10 +127,15 @@ def _words(rng: random.Random, count: int, camel: bool) -> str:
     return "".join(w.capitalize() for w in words) if camel else " ".join(words)
 
 
-# Pool composition per 100 queries. Exact counts, not draws, so the share
-# of each kind (and so the latency percentiles) does not move with the seed;
-# the seed picks only the words. At scale 3 the one-word kinds stay within
-# the 24-word vocabulary.
+# Pool composition per 100 queries. The kinds are the query forms the
+# program documents: one or more vocabulary words ("sensor", "sensor
+# network"), a class name as written (camelCase, which the exact-match
+# guarantee covers) and --match-all. The shares are a fixed choice with no
+# traffic behind them; nothing in the repo gives query frequencies.
+# query_p50_ms and query_p95_ms depend on them, so broad and narrow queries
+# are also reported on their own. Exact counts, not draws, so the share of
+# each kind does not move with the seed; the seed picks only the words. At
+# scale 3 the one-word kinds stay within the 24-word vocabulary.
 _BROAD_KINDS = (  # (word count, camelCase, match_all, count)
     (1, False, False, 6),
     (2, False, False, 16),
@@ -158,7 +163,8 @@ def numeric_tokens(summaries) -> list[str]:
 
 def query_pool(seed: int, numbers: list[str]) -> list[QuerySpec]:
     """One pass of the query stream: 60% broad (a fifth of them match_all),
-    25% narrow (one numeric token from ``numbers``), 15% misses. Broad
+    25% narrow (one numeric token from ``numbers``), 15% misses; the shares
+    are chosen, not measured (see ``_BROAD_KINDS``). Broad
     queries and misses are distinct; narrow ones repeat when the site has
     fewer distinct numbers than narrow slots."""
     rng = random.Random(f"query-pool-{seed}")
