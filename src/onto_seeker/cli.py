@@ -201,7 +201,6 @@ def cmd_index(args) -> int:
     limits = IndexLimits(
         max_ontology_bytes=args.max_bytes,
         politeness_ms=args.politeness_ms,
-        timeout_s=args.timeout_s,
     )
     transport = _make_transport(args, _default_host_from_urls(urls_path))
     try:

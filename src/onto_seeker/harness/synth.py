@@ -80,12 +80,6 @@ class GroundTruth:
     def ontologies_up_to_depth(self, depth: int) -> set[str]:
         return {url for url, d in self.ontology_depths.items() if d <= depth}
 
-    def ontology_depth_counts(self) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for d in self.ontology_depths.values():
-            counts[d] = counts.get(d, 0) + 1
-        return dict(sorted(counts.items()))
-
 
 @dataclass
 class _Page:

@@ -79,7 +79,6 @@ class VersionMismatch(OntoSeekerError):
 class IndexLimits:
     max_ontology_bytes: int = 3 * 1024 * 1024  # the "more than 3 Mb" cutoff, as MiB
     politeness_ms: int = 300
-    timeout_s: float = 20.0
 
     def __post_init__(self):
         if self.max_ontology_bytes <= 0:
@@ -313,7 +312,9 @@ def read_index(index_dir: str | Path) -> Index:
         data = json.loads((directory / MANIFEST_FILE).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise CorruptIndex(f"manifest.json unreadable: {exc}") from exc
-    if not isinstance(data, dict) or data.get("format_version") != FORMAT_VERSION:
+    if not isinstance(data, dict):
+        raise CorruptIndex(f"manifest.json is not a JSON object: {type(data).__name__}")
+    if data.get("format_version") != FORMAT_VERSION:
         raise VersionMismatch(
             f"index format {data.get('format_version')!r}, reader supports {FORMAT_VERSION}"
         )

@@ -4,10 +4,14 @@ Scoring: sum over matched (token, field) postings of w(field) * (1 + ln tf),
 with weights class=3, property=2, relation=1. Matching is exact on tokens, so
 a keyword equal to any class/property/relation name always hits the documents
 that declare it. Ties are broken by URL so output is totally ordered.
+
+Every matching document is scored, but results (with their matched-token
+sets) are built only for the top_k documents that are returned.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -65,37 +69,52 @@ def search(index: Index, query: Query, top_k: int, match_all: bool = False) -> l
     """Rank documents matching any query token (all tokens with match_all).
 
     Results are sorted by score descending, then URL ascending, and capped at
-    top_k. Accumulation order is token-major then field-major, which keeps
-    scores bit-identical with the brute-force scan oracle.
+    top_k. Every matching document is scored; the top_k winners are picked
+    from the scores alone, and a second pass over the same posting lists
+    collects matched tokens for those winners only. Accumulation order is
+    token-major then field-major, which keeps scores bit-identical with the
+    brute-force scan oracle.
     """
     if not query.tokens:
         raise EmptyQuery("query has no tokens")
     if top_k < 1:
         raise ValueError("top_k must be >= 1")
+    table = index.postings_by_token_field
     scores: dict[int, float] = {}
-    matched: dict[int, dict[str, set[str]]] = {}
-    token_hits: dict[int, set[str]] = {}
+    with_all_tokens: set[int] | None = None
     for token in query.tokens:
+        token_docs: set[int] = set()
         for field_name in FIELDS:
-            for posting in index.postings_by_token_field.get((token, field_name), ()):
+            postings = table.get((token, field_name), ())
+            for posting in postings:
                 scores[posting.doc_id] = scores.get(posting.doc_id, 0.0) + _contribution(
                     field_name, posting.tf
                 )
-                matched.setdefault(posting.doc_id, {}).setdefault(field_name, set()).add(token)
-                token_hits.setdefault(posting.doc_id, set()).add(token)
-    results = []
-    for doc_id, score in scores.items():
-        if match_all and token_hits[doc_id] != set(query.tokens):
-            continue
-        results.append(
-            QueryResult(
-                url=index.docs[doc_id].url,
-                score=score,
-                matched={f: frozenset(toks) for f, toks in matched[doc_id].items()},
-            )
+            if match_all:
+                token_docs.update(posting.doc_id for posting in postings)
+        if match_all:
+            with_all_tokens = token_docs if with_all_tokens is None else with_all_tokens & token_docs
+
+    docs = index.docs
+    winners = heapq.nsmallest(
+        top_k,
+        scores if with_all_tokens is None else with_all_tokens,
+        key=lambda doc_id: (-scores[doc_id], docs[doc_id].url),
+    )
+    matched: dict[int, dict[str, set[str]]] = {doc_id: {} for doc_id in winners}
+    for token in query.tokens:
+        for field_name in FIELDS:
+            for posting in table.get((token, field_name), ()):
+                if posting.doc_id in matched:
+                    matched[posting.doc_id].setdefault(field_name, set()).add(token)
+    return [
+        QueryResult(
+            url=docs[doc_id].url,
+            score=scores[doc_id],
+            matched={f: frozenset(toks) for f, toks in matched[doc_id].items()},
         )
-    results.sort(key=lambda r: (-r.score, r.url))
-    return results[:top_k]
+        for doc_id in winners
+    ]
 
 
 @dataclass(frozen=True)

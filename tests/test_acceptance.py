@@ -237,10 +237,7 @@ def test_criterion_08_oracle_equivalence():
             via_index = search(index, query, top_k=top_k)
             via_scan = scan_oracle(summaries, query, top_k=top_k)
             queries += 1
-            assert [r.url for r in via_index] == [r.url for r in via_scan]
-            for a, b in zip(via_index, via_scan):
-                assert abs(a.score - b.score) <= 1e-9
-                assert a.matched == b.matched
+            assert via_index == via_scan  # same URLs, bitwise-equal scores, same matched
     elapsed = time.monotonic() - started
     assert corpora == 100 and queries == 5000
     assert elapsed < 60.0

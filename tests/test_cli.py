@@ -192,6 +192,12 @@ class TestCmdQuery:
         postings.write_text("\n".join(reversed(lines)) + "\n")
         assert main(["query", "--index-dir", str(idx), "--query", "anchor"]) == 2
 
+    def test_non_object_manifest_rejected(self, tmp_path, capsys):
+        idx = _build_index(tmp_path, capsys)
+        (idx / "manifest.json").write_text("[]")
+        assert main(["query", "--index-dir", str(idx), "--query", "anchor"]) == 2
+        assert "not a JSON object" in capsys.readouterr().err
+
     def test_machine_format_appends_detail(self, tmp_path, capsys):
         idx = _build_index(tmp_path, capsys)
         main(["query", "--index-dir", str(idx), "--query", "Anchor", "--format", "tsv"])

@@ -267,6 +267,14 @@ class TestWriteReadRoundTrip:
         with pytest.raises(VersionMismatch):
             read_index(tmp_path / "idx")
 
+    def test_non_object_manifest_rejected(self, tmp_path):
+        index = make_index([_summary("http://h.test/a.owl", classes={"A"})])
+        write_index(tmp_path / "idx", index.docs, index.postings, index.manifest)
+        (tmp_path / "idx" / "manifest.json").write_text("[1, 2]")
+        with pytest.raises(CorruptIndex) as err:
+            read_index(tmp_path / "idx")
+        assert "not a JSON object" in str(err.value)
+
     def test_missing_file(self, tmp_path):
         index = make_index([_summary("http://h.test/a.owl", classes={"A"})])
         write_index(tmp_path / "idx", index.docs, index.postings, index.manifest)

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import make_index
+from onto_seeker.harness import scan_oracle
 from onto_seeker.query import (
     EmptyQuery,
     UnknownUrl,
@@ -214,12 +215,21 @@ class TestFormatResults:
         st.sampled_from(["Person", "hasPart", "AgentOf", "Robot", "partner", "Wheel"]),
         min_size=1,
         max_size=4,
-    )
+    ),
+    st.data(),
+    st.booleans(),
 )
-def test_search_never_exceeds_top_k(words):
+def test_search_never_exceeds_top_k(words, data, match_all):
+    # Single-class corpora tie on score, so some cut-offs split a tied group
+    # and the URL tie-break decides which documents make the top k.
     summaries = [
         _summary(f"http://h.test/o{i}.owl", classes={w}) for i, w in enumerate(words)
     ]
     index = make_index(summaries)
-    results = search(index, parse_query(" ".join(words)), top_k=2)
-    assert len(results) <= 2
+    query = parse_query(" ".join(words))
+    n = len(summaries)
+    top_k = data.draw(st.integers(min_value=1, max_value=n + 1), label="top_k")
+    results = search(index, query, top_k=top_k, match_all=match_all)
+    assert len(results) <= top_k
+    assert results == search(index, query, top_k=n, match_all=match_all)[:top_k]
+    assert results == scan_oracle(summaries, query, top_k=top_k, match_all=match_all)
