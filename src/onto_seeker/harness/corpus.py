@@ -101,7 +101,10 @@ class CorpusTransport:
                 if self.sleep_latency:
                     time.sleep(entry.latency_ms / 1000.0)
             if 300 <= entry.status < 400 and entry.location is not None:
-                current = normalize_url(current, entry.location)
+                try:
+                    current = normalize_url(current, entry.location)
+                except OntoSeekerError as exc:
+                    raise ConnectionFailed(f"{key}: unusable redirect target: {exc}") from exc
                 continue
             limit = max_body_bytes if self.truncate_oversize else max_body_bytes + 1
             body = entry.body[:limit]

@@ -85,7 +85,7 @@ class IndexLimits:
             raise ValueError("max_ontology_bytes must be > 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DocRecord:
     doc_id: int
     url: str
@@ -95,7 +95,7 @@ class DocRecord:
     relation_count: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Posting:
     token: str
     field: str
@@ -301,8 +301,22 @@ def _corrupt(check: bool, message: str) -> None:
 
 
 def read_index(index_dir: str | Path) -> Index:
-    """Load and validate an index directory; raises MissingFile, CorruptIndex
-    (naming the violated invariant), or VersionMismatch."""
+    """Load and validate an index directory.
+
+    Raises MissingFile when one of the three files is absent, VersionMismatch
+    when ``format_version`` is not FORMAT_VERSION, and CorruptIndex naming the
+    file, the 1-based line where there is one, and the violated invariant:
+
+    - manifest.json is a JSON object with every field, skip reason and weight;
+    - docs.tsv rows have 6 columns and integer numbers, doc ids are dense and
+      ascending from 0, no count is negative and every doc has a term;
+    - postings.tsv rows have 4 columns, a known field and integer doc_id and
+      tf, tf >= 1, doc_id names a row of docs.tsv, and rows are strictly
+      sorted by token, field rank, doc id;
+    - the manifest's doc and posting counts match the files, the accounting
+      identity doc_count + skips == input lines holds, and every doc has at
+      least one posting.
+    """
     directory = Path(index_dir)
     for name in (MANIFEST_FILE, DOCS_FILE, POSTINGS_FILE):
         if not (directory / name).is_file():
@@ -331,57 +345,66 @@ def read_index(index_dir: str | Path) -> Index:
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptIndex(f"manifest.json missing or malformed field: {exc}") from exc
 
+    # The row loops below run once per line of a large file, so each check is
+    # inlined and formats its message only when it fails.
     docs: list[DocRecord] = []
-    for lineno, line in enumerate(_read_tsv_lines(directory / DOCS_FILE)):
+    for lineno, line in enumerate(_read_tsv_lines(directory / DOCS_FILE), 1):
         parts = line.split("\t")
-        _corrupt(len(parts) == 6, f"docs.tsv line {lineno + 1}: expected 6 columns")
+        if len(parts) != 6:
+            raise CorruptIndex(f"docs.tsv line {lineno}: expected 6 columns")
+        doc_text, url, size_text, class_text, property_text, relation_text = parts
         try:
-            doc = DocRecord(
-                doc_id=int(parts[0]),
-                url=parts[1],
-                byte_size=int(parts[2]),
-                class_count=int(parts[3]),
-                property_count=int(parts[4]),
-                relation_count=int(parts[5]),
+            doc_id = int(doc_text)
+            byte_size = int(size_text)
+            class_count = int(class_text)
+            property_count = int(property_text)
+            relation_count = int(relation_text)
+        except ValueError as exc:
+            raise CorruptIndex(f"docs.tsv line {lineno}: {exc}") from exc
+        if doc_id != lineno - 1:
+            raise CorruptIndex(
+                f"docs.tsv line {lineno}: doc ids must be dense and ascending from 0"
             )
-        except ValueError as exc:
-            raise CorruptIndex(f"docs.tsv line {lineno + 1}: {exc}") from exc
-        _corrupt(doc.doc_id == lineno, "doc ids must be dense and ascending from 0")
-        _corrupt(
-            doc.class_count >= 0 and doc.property_count >= 0 and doc.relation_count >= 0,
-            f"docs.tsv line {lineno + 1}: negative count",
+        if class_count < 0 or property_count < 0 or relation_count < 0:
+            raise CorruptIndex(f"docs.tsv line {lineno}: negative count")
+        if class_count + property_count + relation_count <= 0:
+            raise CorruptIndex(f"docs.tsv line {lineno}: document with no terms")
+        docs.append(
+            DocRecord(doc_id, url, byte_size, class_count, property_count, relation_count)
         )
-        _corrupt(
-            doc.class_count + doc.property_count + doc.relation_count > 0,
-            f"docs.tsv line {lineno + 1}: document with no terms",
-        )
-        docs.append(doc)
 
+    doc_total = len(docs)
     postings: list[Posting] = []
-    prev_key: tuple[str, int, int] | None = None
+    # Below every real key: field ranks start at 0.
+    prev_key: tuple[str, int, int] = ("", -1, -1)
     with_postings: set[int] = set()
-    for lineno, line in enumerate(_read_tsv_lines(directory / POSTINGS_FILE)):
+    for lineno, line in enumerate(_read_tsv_lines(directory / POSTINGS_FILE), 1):
         parts = line.split("\t")
-        _corrupt(len(parts) == 4, f"postings.tsv line {lineno + 1}: expected 4 columns")
-        token, field_name = parts[0], parts[1]
-        _corrupt(field_name in FIELD_RANK, f"postings.tsv line {lineno + 1}: unknown field")
+        if len(parts) != 4:
+            raise CorruptIndex(f"postings.tsv line {lineno}: expected 4 columns")
+        token, field_name, doc_text, tf_text = parts
+        rank = FIELD_RANK.get(field_name)
+        if rank is None:
+            raise CorruptIndex(f"postings.tsv line {lineno}: unknown field")
         try:
-            posting = Posting(token=token, field=field_name, doc_id=int(parts[2]), tf=int(parts[3]))
+            doc_id = int(doc_text)
+            tf = int(tf_text)
         except ValueError as exc:
-            raise CorruptIndex(f"postings.tsv line {lineno + 1}: {exc}") from exc
-        _corrupt(posting.tf >= 1, f"postings.tsv line {lineno + 1}: tf must be >= 1")
-        _corrupt(
-            0 <= posting.doc_id < len(docs),
-            f"postings.tsv line {lineno + 1}: doc_id {posting.doc_id} not in docs.tsv",
-        )
-        key = (token, FIELD_RANK[field_name], posting.doc_id)
-        _corrupt(
-            prev_key is None or prev_key < key,
-            f"postings.tsv line {lineno + 1}: rows not strictly sorted by token/field/doc",
-        )
+            raise CorruptIndex(f"postings.tsv line {lineno}: {exc}") from exc
+        if tf < 1:
+            raise CorruptIndex(f"postings.tsv line {lineno}: tf must be >= 1")
+        if not 0 <= doc_id < doc_total:
+            raise CorruptIndex(
+                f"postings.tsv line {lineno}: doc_id {doc_id} not in docs.tsv"
+            )
+        key = (token, rank, doc_id)
+        if not prev_key < key:
+            raise CorruptIndex(
+                f"postings.tsv line {lineno}: rows not strictly sorted by token/field/doc"
+            )
         prev_key = key
-        with_postings.add(posting.doc_id)
-        postings.append(posting)
+        with_postings.add(doc_id)
+        postings.append(Posting(token, field_name, doc_id, tf))
 
     _corrupt(manifest.doc_count == len(docs), "manifest doc_count does not match docs.tsv")
     _corrupt(

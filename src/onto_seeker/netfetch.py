@@ -103,7 +103,10 @@ def normalize_url(base: Url, href: str) -> Url:
     Raises UnsupportedScheme for non-http(s) targets (mailto:, javascript:,
     ftp:, data:, ...) and MalformedUrl for anything urlsplit cannot stomach.
     """
-    joined = urljoin(str(base), href.strip())
+    try:
+        joined = urljoin(str(base), href.strip())
+    except ValueError as exc:
+        raise MalformedUrl(f"unjoinable href {href!r}: {exc}") from None
     return Url.parse(joined)
 
 
@@ -230,11 +233,14 @@ class LiveTransport:
             limit = max_body_bytes if self.truncate_oversize else max_body_bytes + 1
             chunks: list[bytes] = []
             got = 0
-            for chunk in resp.iter_content(chunk_size=65536):
-                chunks.append(chunk)
-                got += len(chunk)
-                if got >= limit:
-                    break
+            try:
+                for chunk in resp.iter_content(chunk_size=65536):
+                    chunks.append(chunk)
+                    got += len(chunk)
+                    if got >= limit:
+                        break
+            except requests.RequestException as exc:
+                raise ConnectionFailed(f"{url}: body read failed: {exc}") from exc
             body = b"".join(chunks)[:limit]
             if not self.truncate_oversize and len(body) > max_body_bytes:
                 raise BodyTooLarge(f"{url}: body exceeds {max_body_bytes} bytes")

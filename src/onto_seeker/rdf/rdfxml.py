@@ -4,8 +4,9 @@ Supported: an rdf:RDF root, rdf:Description and typed node elements,
 rdf:about / rdf:ID / rdf:nodeID / rdf:resource, nested node elements,
 literal property values with rdf:datatype and xml:lang, xml:base, and
 namespace prefixes. Everything else (parseType, containers, reification,
-property attributes) raises UnsupportedConstruct so the caller can count
-the document as unparseable instead of silently dropping statements.
+property attributes, node elements nested more than MAX_NODE_DEPTH deep)
+raises UnsupportedConstruct so the caller can count the document as
+unparseable instead of silently dropping statements.
 """
 
 from __future__ import annotations
@@ -30,6 +31,11 @@ _CONTAINER_TAGS = {f"{{{RDF_NS}}}{n}" for n in ("Bag", "Seq", "Alt", "List", "li
 _REIFICATION_TAGS = {
     f"{{{RDF_NS}}}{n}" for n in ("Statement", "subject", "predicate", "object")
 }
+
+# Node elements nested inside property elements are walked recursively, two
+# frames per level; the cap keeps a hostile document well inside Python's
+# default recursion limit, far deeper than any real ontology nests.
+MAX_NODE_DEPTH = 128
 
 
 class XmlMalformed(RdfParseError):
@@ -63,7 +69,11 @@ class _Parser:
         self.blank_counter += 1
         return f"_:genid{self.blank_counter}"
 
-    def node_element(self, el: ET.Element, base: str, lang: str | None) -> str:
+    def node_element(self, el: ET.Element, base: str, lang: str | None, depth: int) -> str:
+        if depth > MAX_NODE_DEPTH:
+            raise UnsupportedConstruct(
+                f"node elements nested more than {MAX_NODE_DEPTH} deep", _expand(el.tag)
+            )
         base = resolve_iri(base, el.get(_XML_BASE, ""))
         lang = el.get(_XML_LANG, lang)
         _check_unsupported_tag(el.tag)
@@ -91,13 +101,13 @@ class _Parser:
         if el.tag != _RDF_DESCRIPTION:
             self.triples.append(Triple(subject, RDF_NS + "type", _expand(el.tag)))
         for child in el:
-            self.property_element(child, subject, base, lang)
+            self.property_element(child, subject, base, lang, depth)
         if el.text and el.text.strip():
             raise XmlMalformed(f"unexpected text content in node element {_expand(el.tag)}")
         return subject
 
     def property_element(
-        self, el: ET.Element, subject: str, base: str, lang: str | None
+        self, el: ET.Element, subject: str, base: str, lang: str | None, depth: int
     ) -> None:
         base = resolve_iri(base, el.get(_XML_BASE, ""))
         lang = el.get(_XML_LANG, lang)
@@ -127,7 +137,7 @@ class _Parser:
                 raise XmlMalformed(f"more than one node element inside property {predicate}")
             if el.text and el.text.strip():
                 raise XmlMalformed(f"mixed text and element content in property {predicate}")
-            obj = self.node_element(children[0], base, lang)
+            obj = self.node_element(children[0], base, lang, depth + 1)
             self.triples.append(Triple(subject, predicate, obj))
         else:
             text = el.text or ""
@@ -152,5 +162,5 @@ def parse_rdf_xml(body: bytes, base: str) -> list[Triple]:
     doc_base = resolve_iri(base, root.get(_XML_BASE, ""))
     lang = root.get(_XML_LANG)
     for child in root:
-        parser.node_element(child, doc_base, lang)
+        parser.node_element(child, doc_base, lang, 1)
     return parser.triples

@@ -152,6 +152,18 @@ EXPECTED_SIXTEEN_SKIPS = {
 }
 
 
+def nested_rdf_xml(depth: int) -> bytes:
+    """RDF/XML with ``depth`` node elements, each the value of a property of
+    the one above; the innermost is owl:Class ``#Leaf``."""
+    opening = "<rdf:Description><ex:p>" * (depth - 1)
+    closing = "</ex:p></rdf:Description>" * (depth - 1)
+    return (
+        '<rdf:RDF xmlns:rdf="http://www.w3.org/1999/02/22-rdf-syntax-ns#" '
+        'xmlns:owl="http://www.w3.org/2002/07/owl#" xmlns:ex="http://x/o.owl#">'
+        f'{opening}<owl:Class rdf:about="#Leaf"/>{closing}</rdf:RDF>'
+    ).encode()
+
+
 def make_index(summaries: list[OntologySummary], created_at: str = "fixed") -> Index:
     """In-memory index straight from summaries (no fetch pipeline)."""
     docs, postings = index_summaries(summaries)

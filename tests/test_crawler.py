@@ -97,6 +97,10 @@ class TestExtractLinks:
         html = b'<a href="/ok.html"><td></p><a href="broken'
         assert [u.path for u in extract_links(html, BASE)] == ["/ok.html"]
 
+    def test_unjoinable_href_skipped(self):
+        links = extract_links(b'<a href="http://[::1">v6</a><a href="/ok.html">ok</a>', BASE)
+        assert [str(u) for u in links] == ["http://a.example/ok.html"]
+
     def test_href_without_value_skipped(self):
         assert extract_links(b"<a href>x</a>", BASE) == []
 
@@ -222,6 +226,21 @@ class TestCrawl:
         report = crawl(config, CorpusTransport(corpus))
         assert report.pages_fetched == 2
         assert report.errors == 1
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_redirect_off_the_web_is_a_counted_error(self, tmp_path, workers):
+        corpus = Corpus()
+        corpus.add("http://h.test/", _page('<a href="/moved.html">m</a><a href="/p1.html">1</a>'))
+        corpus.add(
+            "http://h.test/moved.html",
+            CorpusEntry(301, None, b"", location="ftp://files.test/o.owl"),
+        )
+        corpus.add("http://h.test/p1.html", _page('<a href="/deep.owl">o</a>'))
+        config = _config(tmp_path, ["http://h.test/"], worker_count=workers)
+        report = crawl(config, CorpusTransport(corpus))
+        assert report.errors == 1
+        assert report.pages_fetched == 3
+        assert (tmp_path / "urls.txt").read_text() == "http://h.test/deep.owl\n"
 
     def test_output_dir_missing(self, tmp_path):
         config = _config(tmp_path, ["http://h.test/"], output_path=str(tmp_path / "no" / "urls.txt"))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -10,11 +11,13 @@ from conftest import (
     EXPECTED_SIXTEEN_SKIPS,
     GOOD_FIXTURE_SUMMARIES,
     make_index,
+    nested_rdf_xml,
     sixteen_line_fixture,
 )
 from onto_seeker.harness import Corpus, CorpusEntry, CorpusTransport
 from onto_seeker.indexer import (
     CorruptIndex,
+    DocRecord,
     FIELD_RANK,
     IndexLimits,
     InputUnreadable,
@@ -136,6 +139,21 @@ class TestBuildIndex:
             path, CorpusTransport(corpus), IndexLimits(politeness_ms=0), tmp_path / "idx"
         )
         assert manifest.skip_counts["parse_error"] == 1
+
+    def test_deeply_nested_rdf_xml_counts_as_parse_error(self, tmp_path):
+        corpus = Corpus()
+        for name, depth in (("deep", 1500), ("flat", 2)):
+            corpus.add(
+                f"http://h.test/{name}.owl",
+                CorpusEntry(200, "application/rdf+xml", nested_rdf_xml(depth)),
+            )
+        path = _write_lines(tmp_path, ["http://h.test/deep.owl", "http://h.test/flat.owl"])
+        manifest = build_index(
+            path, CorpusTransport(corpus), IndexLimits(politeness_ms=0), tmp_path / "idx"
+        )
+        assert manifest.skip_counts["parse_error"] == 1
+        assert manifest.doc_count == 1
+        assert [doc.url for doc in read_index(tmp_path / "idx").docs] == ["http://h.test/flat.owl"]
 
     def test_missing_input(self, tmp_path):
         with pytest.raises(InputUnreadable):
@@ -305,6 +323,117 @@ class TestWriteReadRoundTrip:
         index = make_index([])
         report_lines = render_skip_report(index.manifest).splitlines()
         assert [line.split("\t")[0] for line in report_lines] == list(SKIP_REASONS)
+
+
+def _edit_line_2(lines: list[str], column: int, value: str | None) -> list[str]:
+    """``lines`` with one column of line 2 replaced, or dropped when value is None."""
+    row = lines[1].split("\t")
+    if value is None:
+        del row[column]
+    else:
+        row[column] = value
+    return [lines[0], "\t".join(row), *lines[2:]]
+
+
+# Each case corrupts line 2 of one file of a valid two-doc index; the reader
+# must name the file, that line and the invariant the row breaks.
+_ROW_CORRUPTIONS = [
+    pytest.param(
+        "postings.tsv", lambda ls: _edit_line_2(ls, 3, None), "expected 4 columns",
+        id="postings-3-columns",
+    ),
+    pytest.param(
+        "postings.tsv", lambda ls: _edit_line_2(ls, 1, "label"), "unknown field",
+        id="postings-unknown-field",
+    ),
+    pytest.param(
+        "postings.tsv", lambda ls: _edit_line_2(ls, 2, "x"), "invalid literal for int()",
+        id="postings-non-integer-doc-id",
+    ),
+    pytest.param(
+        "postings.tsv", lambda ls: _edit_line_2(ls, 3, "0"), "tf must be >= 1",
+        id="postings-tf-zero",
+    ),
+    pytest.param(
+        "postings.tsv", lambda ls: _edit_line_2(ls, 2, "7"), "doc_id 7 not in docs.tsv",
+        id="postings-doc-id-out-of-range",
+    ),
+    pytest.param(
+        "postings.tsv", lambda ls: [ls[0], ls[0], *ls[2:]], "not strictly sorted",
+        id="postings-duplicate-row",
+    ),
+    pytest.param(
+        "postings.tsv", lambda ls: [ls[1], ls[0], *ls[2:]], "not strictly sorted",
+        id="postings-reversed-rows",
+    ),
+    pytest.param(
+        "docs.tsv", lambda ls: _edit_line_2(ls, 5, None), "expected 6 columns",
+        id="docs-5-columns",
+    ),
+    pytest.param(
+        "docs.tsv", lambda ls: _edit_line_2(ls, 2, "big"), "invalid literal for int()",
+        id="docs-non-integer-byte-size",
+    ),
+    pytest.param(
+        "docs.tsv", lambda ls: _edit_line_2(ls, 0, "5"), "dense and ascending from 0",
+        id="docs-non-dense-id",
+    ),
+    pytest.param(
+        "docs.tsv", lambda ls: _edit_line_2(ls, 3, "-1"), "negative count",
+        id="docs-negative-count",
+    ),
+    pytest.param(
+        "docs.tsv", lambda ls: _edit_line_2(ls, 4, "0"), "document with no terms",
+        id="docs-all-zero-counts",
+    ),
+]
+
+
+class TestReadIndexRowChecks:
+    @pytest.mark.parametrize("file_name, corrupt, invariant", _ROW_CORRUPTIONS)
+    def test_corrupt_row_names_file_line_and_invariant(
+        self, tmp_path, file_name, corrupt, invariant
+    ):
+        summaries = [
+            _summary("http://h.test/a.owl", classes={"Person"}, relations={"knows"}),
+            _summary("http://h.test/b.owl", properties={"hasPart"}),
+        ]
+        index = make_index(summaries)
+        write_index(tmp_path / "idx", index.docs, index.postings, index.manifest)
+        path = tmp_path / "idx" / file_name
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert len(lines) >= 2
+        path.write_text("".join(line + "\n" for line in corrupt(lines)), encoding="utf-8")
+        with pytest.raises(CorruptIndex) as err:
+            read_index(tmp_path / "idx")
+        message = str(err.value)
+        assert f"{file_name} line 2:" in message
+        assert invariant in message
+
+
+class TestRecordContracts:
+    def test_records_frozen_and_slotted(self):
+        posting = Posting(token="person", field="class", doc_id=0, tf=1)
+        doc = DocRecord(
+            doc_id=0,
+            url="http://h.test/a.owl",
+            byte_size=10,
+            class_count=1,
+            property_count=0,
+            relation_count=0,
+        )
+        for record, name in ((posting, "tf"), (doc, "byte_size")):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, name, 2)
+            assert not hasattr(record, "__dict__")
+
+    def test_posting_hashable_and_equal_by_value(self):
+        a = Posting(token="person", field="class", doc_id=0, tf=1)
+        b = Posting("person", "class", 0, 1)
+        assert a == b and a is not b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert a != Posting("person", "class", 0, 2)
 
 
 @st.composite

@@ -3,6 +3,7 @@ from __future__ import annotations
 import threading
 
 import pytest
+import requests
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -70,6 +71,11 @@ class TestNormalizeUrl:
     def test_absolute_href_with_fragment(self):
         url = normalize_url(Url.parse("http://a.example/"), "http://b.example/o.rdf#Person")
         assert str(url) == "http://b.example/o.rdf"
+
+    @pytest.mark.parametrize("href", ["http://[::1", "//[", "http://[x]/"])
+    def test_unjoinable_href_is_malformed(self, href):
+        with pytest.raises(MalformedUrl):
+            normalize_url(BASE, href)
 
     def test_mailto_rejected(self):
         with pytest.raises(UnsupportedScheme):
@@ -233,6 +239,14 @@ class TestCorpusFetch:
         assert str(resp.final_url) == "http://g.test/c"
         assert resp.body == b"end"
 
+    @pytest.mark.parametrize("location", ["ftp://files.test/o.owl", "http://[::1"])
+    def test_unusable_redirect_target_is_connection_failed(self, location):
+        corpus = Corpus()
+        corpus.add("http://h.test/a", CorpusEntry(301, None, b"", location=location))
+        transport = CorpusTransport(corpus)
+        with pytest.raises(ConnectionFailed):
+            transport.fetch(Url.parse("http://h.test/a"), max_body_bytes=1024)
+
     def test_redirect_loop_raises_after_five(self):
         corpus = Corpus()
         corpus.add("http://h.test/a", CorpusEntry(301, None, b"", location="/b"))
@@ -258,6 +272,14 @@ class _FakeResponse:
 
     def __exit__(self, *exc):
         return False
+
+
+class _BrokenBodyResponse(_FakeResponse):
+    """Sends one chunk, then the connection drops mid-body."""
+
+    def iter_content(self, chunk_size):
+        yield self._body[:chunk_size]
+        raise requests.exceptions.ChunkedEncodingError("connection broken mid-chunk")
 
 
 class _FakeSession:
@@ -301,3 +323,12 @@ class TestLiveTransport:
         assert resp.content_type == "text/html"
         assert len(resp.body) == 10
         assert str(resp.final_url) == "http://h.test/p"
+
+    def test_failed_body_read_is_connection_failed(self):
+        from onto_seeker.netfetch import LiveTransport
+
+        session = _FakeSession(_BrokenBodyResponse("http://h.test/p", b"x" * 100, "text/html"))
+        transport = LiveTransport(session=session)
+        with pytest.raises(ConnectionFailed) as err:
+            transport.fetch(Url.parse("http://h.test/p"), max_body_bytes=1024)
+        assert isinstance(err.value.__cause__, requests.exceptions.ChunkedEncodingError)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from conftest import nested_rdf_xml
 from onto_seeker.rdf import (
     OWL_NS,
     RDF_NS,
@@ -11,6 +12,7 @@ from onto_seeker.rdf import (
     XmlMalformed,
     parse_rdf_xml,
 )
+from onto_seeker.rdf.rdfxml import MAX_NODE_DEPTH
 
 BASE = "http://x/o.owl"
 RDF_DECL = 'xmlns:rdf="http://www.w3.org/1999/02/22-rdf-syntax-ns#"'
@@ -181,3 +183,14 @@ class TestParseRdfXml:
         )
         predicates = [t.predicate for t in parse_rdf_xml(body, BASE)]
         assert predicates == ["http://x/o.owl#first", "http://x/o.owl#second"]
+
+    def test_nesting_at_the_cap_parses(self):
+        triples = parse_rdf_xml(nested_rdf_xml(MAX_NODE_DEPTH), BASE)
+        assert len(triples) == MAX_NODE_DEPTH
+        assert Triple("http://x/o.owl#Leaf", RDF_NS + "type", OWL_NS + "Class") in triples
+
+    @pytest.mark.parametrize("depth", [MAX_NODE_DEPTH + 1, 1500])
+    def test_nesting_past_the_cap_unsupported(self, depth):
+        with pytest.raises(UnsupportedConstruct) as err:
+            parse_rdf_xml(nested_rdf_xml(depth), BASE)
+        assert f"nested more than {MAX_NODE_DEPTH} deep" in str(err.value)
