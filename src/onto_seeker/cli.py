@@ -13,7 +13,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .crawler import AllSeedsInvalid, CrawlConfig, OutputUnwritable, crawl
+from .crawler import DEFAULT_MAX_BODY_BYTES, AllSeedsInvalid, CrawlConfig, OutputUnwritable, crawl
 from .errors import OntoSeekerError
 from .harness import (
     CorpusTransport,
@@ -34,9 +34,10 @@ from .indexer import (
     InputUnreadable,
     build_index,
     read_index,
+    read_url_lines,
     render_skip_report,
 )
-from .netfetch import LiveTransport, Url
+from .netfetch import DEFAULT_POLITENESS_MS, DEFAULT_TIMEOUT_S, LiveTransport, Url
 from .query import EmptyQuery, explain, format_explain, format_results, parse_query, search
 
 DEFAULT_SEED_URL = "http://www.ontologyportal.org"
@@ -60,6 +61,14 @@ def _eprint(message: str) -> None:
     print(message, file=sys.stderr)
 
 
+def _checked(make, *args, **kwargs):
+    """Call ``make``; the ValueError it raises for a bad flag value is a usage error."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
+
+
 def _add_transport_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_mutually_exclusive_group()
     group.add_argument("--live", action="store_true", help="fetch from the real web")
@@ -68,7 +77,8 @@ def _add_transport_flags(parser: argparse.ArgumentParser) -> None:
         "--corpus-host",
         help="host the plain corpus directory answers for (default: first seed's host)",
     )
-    parser.add_argument("--timeout-s", type=float, default=20.0, help="live fetch timeout")
+    parser.add_argument("--timeout-s", type=float, default=DEFAULT_TIMEOUT_S,
+                        help="live fetch timeout")
 
 
 def _make_transport(args, default_host: str):
@@ -95,10 +105,10 @@ def _add_crawl_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-depth", type=int, default=-1, help="-1 means unlimited")
     parser.add_argument("--max-pages", type=int, required=True, help="fetch budget")
     parser.add_argument("--workers", type=int, default=1)
-    parser.add_argument("--politeness-ms", type=int, default=300)
+    parser.add_argument("--politeness-ms", type=int, default=DEFAULT_POLITENESS_MS)
     parser.add_argument("--global-politeness", action="store_true",
                         help="apply the politeness gap across all hosts, not per host")
-    parser.add_argument("--max-body-bytes", type=int, default=4 * 1024 * 1024)
+    parser.add_argument("--max-body-bytes", type=int, default=DEFAULT_MAX_BODY_BYTES)
     parser.add_argument("--out", default="urls.txt", help="ontology URL list file")
 
 
@@ -106,7 +116,7 @@ def _add_index_flags(parser: argparse.ArgumentParser, urls: bool = True) -> None
     if urls:
         parser.add_argument("--urls", default="urls.txt", help="URL list from the crawl stage")
     parser.add_argument("--index-dir", required=True)
-    parser.add_argument("--max-bytes", type=int, default=3 * 1024 * 1024,
+    parser.add_argument("--max-bytes", type=int, default=IndexLimits.max_ontology_bytes,
                         help="skip ontologies larger than this")
     parser.add_argument("--created-at", help="fixed manifest timestamp (for reproducible builds)")
 
@@ -161,19 +171,17 @@ def _parse_matrix(raw: str) -> list[tuple[int, int]]:
 
 def cmd_crawl(args) -> int:
     seeds = _parse_seeds(args)
-    try:
-        config = CrawlConfig(
-            seed_urls=tuple(seeds),
-            max_pages=args.max_pages,
-            max_depth=args.max_depth,
-            worker_count=args.workers,
-            politeness_ms=args.politeness_ms,
-            max_body_bytes=args.max_body_bytes,
-            output_path=args.out,
-            per_host_politeness=not args.global_politeness,
-        )
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+    config = _checked(
+        CrawlConfig,
+        seed_urls=tuple(seeds),
+        max_pages=args.max_pages,
+        max_depth=args.max_depth,
+        worker_count=args.workers,
+        politeness_ms=args.politeness_ms,
+        max_body_bytes=args.max_body_bytes,
+        output_path=args.out,
+        per_host_politeness=not args.global_politeness,
+    )
     transport = _make_transport(args, seeds[0].host)
     try:
         report = crawl(config, transport)
@@ -198,12 +206,11 @@ def cmd_index(args) -> int:
             f"(onto-seeker crawl writes it)"
         )
         return EXIT_INPUT
-    limits = IndexLimits(
-        max_ontology_bytes=args.max_bytes,
-        politeness_ms=args.politeness_ms,
+    limits = _checked(
+        IndexLimits, max_ontology_bytes=args.max_bytes, politeness_ms=args.politeness_ms
     )
-    transport = _make_transport(args, _default_host_from_urls(urls_path))
     try:
+        transport = _make_transport(args, _default_host_from_urls(urls_path))
         manifest = build_index(
             urls_path, transport, limits, args.index_dir, created_at=args.created_at
         )
@@ -222,7 +229,7 @@ def cmd_index(args) -> int:
 
 
 def _default_host_from_urls(urls_path: Path) -> str:
-    for line in urls_path.read_text(encoding="utf-8").splitlines():
+    for line in read_url_lines(urls_path):
         line = line.strip()
         if line and line != "null":
             try:
@@ -246,7 +253,7 @@ def cmd_query(args) -> int:
     except EmptyQuery as exc:
         _eprint(f"unusable query: {exc}")
         return EXIT_USAGE
-    results = search(index, query, top_k=args.top_k, match_all=args.match_all)
+    results = _checked(search, index, query, top_k=args.top_k, match_all=args.match_all)
     lines = format_results(results, machine=args.format == "tsv")
     if lines:
         print("\n".join(lines))
@@ -314,7 +321,7 @@ def build_parser() -> _Parser:
 
     p_index = sub.add_parser("index", help="fetch listed ontologies and build the index")
     _add_index_flags(p_index)
-    p_index.add_argument("--politeness-ms", type=int, default=300)
+    p_index.add_argument("--politeness-ms", type=int, default=DEFAULT_POLITENESS_MS)
     _add_transport_flags(p_index)
     p_index.set_defaults(func=cmd_index)
 

@@ -8,7 +8,6 @@ spent on HTML pages only.
 from __future__ import annotations
 
 import threading
-import time
 from collections import deque
 from dataclasses import dataclass, field
 from html.parser import HTMLParser
@@ -16,20 +15,23 @@ from pathlib import Path
 
 from .errors import OntoSeekerError
 from .netfetch import (
+    DEFAULT_POLITENESS_MS,
     FetchError,
     PolitenessGate,
     Transport,
     Url,
     monotonic_ms,
     normalize_url,
+    polite_fetch,
 )
+from .rdf.model import RDF_XML_MEDIA_TYPES, TURTLE_MEDIA_TYPES
 
 ONTOLOGY_CANDIDATE = "ontology-candidate"
 HTML_PAGE = "html-page"
 OTHER = "other"
 
 ONTOLOGY_EXTENSIONS = (".rdf", ".owl")
-RDF_MEDIA_TYPES = frozenset({"application/rdf+xml", "text/turtle", "application/x-turtle"})
+RDF_MEDIA_TYPES = RDF_XML_MEDIA_TYPES | TURTLE_MEDIA_TYPES
 HTML_MEDIA_TYPES = frozenset({"text/html", "application/xhtml+xml"})
 HTML_EXTENSIONS = (".html", ".htm")
 
@@ -50,7 +52,7 @@ class CrawlConfig:
     max_pages: int
     max_depth: int = -1
     worker_count: int = 1
-    politeness_ms: int = 300
+    politeness_ms: int = DEFAULT_POLITENESS_MS
     max_body_bytes: int = DEFAULT_MAX_BODY_BYTES
     output_path: str = "urls.txt"
     per_host_politeness: bool = True
@@ -241,16 +243,9 @@ def _worker(state: _CrawlState) -> None:
 
 
 def _process(state: _CrawlState, entry: FrontierEntry) -> None:
-    cfg = state.config
     key = str(entry.url)
-    now = monotonic_ms()
-    wait = state.gate.acquire_slot(entry.url.host, now)
-    if wait > 0:
-        time.sleep(wait / 1000.0)
     try:
-        resp = state.transport.fetch(
-            entry.url, cfg.max_body_bytes, issued_at_ms=now + wait
-        )
+        resp = polite_fetch(state.transport, state.gate, entry.url, state.config.max_body_bytes)
     except FetchError:
         with state.cond:
             state.errors += 1

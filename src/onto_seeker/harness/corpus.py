@@ -9,7 +9,7 @@ from pathlib import Path
 
 from ..errors import OntoSeekerError
 from ..netfetch import (
-    BodyTooLarge,
+    MAX_REDIRECTS,
     ConnectionFailed,
     FetchResponse,
     Timeout,
@@ -77,9 +77,8 @@ class CorpusTransport:
     """Replays a Corpus; optionally sleeps per-entry latency so multi-worker
     crawls exhibit real overlap."""
 
-    def __init__(self, corpus: Corpus, truncate_oversize: bool = True, sleep_latency: bool = True):
+    def __init__(self, corpus: Corpus, sleep_latency: bool = True):
         self.corpus = corpus
-        self.truncate_oversize = truncate_oversize
         self.sleep_latency = sleep_latency
 
     def fetch(
@@ -87,8 +86,7 @@ class CorpusTransport:
     ) -> FetchResponse:
         issue_ms = issued_at_ms if issued_at_ms is not None else monotonic_ms()
         current = url
-        elapsed = 0
-        for _hop in range(6):
+        for _hop in range(MAX_REDIRECTS + 1):
             key = str(current)
             self.corpus.log_request(key, issue_ms)
             entry = self.corpus.entries.get(key)
@@ -96,26 +94,19 @@ class CorpusTransport:
                 raise ConnectionFailed(f"{key}: not in corpus")
             if entry.hang:
                 raise Timeout(key)
-            if entry.latency_ms > 0:
-                elapsed += entry.latency_ms
-                if self.sleep_latency:
-                    time.sleep(entry.latency_ms / 1000.0)
+            if entry.latency_ms > 0 and self.sleep_latency:
+                time.sleep(entry.latency_ms / 1000.0)
             if 300 <= entry.status < 400 and entry.location is not None:
                 try:
                     current = normalize_url(current, entry.location)
                 except OntoSeekerError as exc:
                     raise ConnectionFailed(f"{key}: unusable redirect target: {exc}") from exc
                 continue
-            limit = max_body_bytes if self.truncate_oversize else max_body_bytes + 1
-            body = entry.body[:limit]
-            if not self.truncate_oversize and len(body) > max_body_bytes:
-                raise BodyTooLarge(f"{key}: body exceeds {max_body_bytes} bytes")
             return FetchResponse(
                 final_url=current,
                 status=entry.status,
                 content_type=entry.content_type,
-                body=body,
-                elapsed_ms=elapsed,
+                body=entry.body[:max_body_bytes],
             )
         raise TooManyRedirects(str(url))
 

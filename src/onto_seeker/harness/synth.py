@@ -21,7 +21,7 @@ from ..rdf.model import (
     Triple,
     XSD_NS,
 )
-from .corpus import Corpus, CorpusEntry
+from .corpus import Corpus, CorpusEntry, PathUnreadable
 
 SITE_FILE = "site.json"
 GROUND_TRUTH_FILE = "ground_truth.json"
@@ -456,21 +456,24 @@ def load_site_dir(site_dir: str | Path) -> tuple[Corpus, str]:
     site_path = Path(site_dir) / SITE_FILE
     if not site_path.is_file():
         raise SpecInvalid(f"{site_dir} has no {SITE_FILE}; not a generated site directory")
-    site = json.loads(site_path.read_text("utf-8"))
     corpus = Corpus()
-    latency = int(site.get("latency_ms", 0))
-    for url_key, meta in site["entries"].items():
-        body = (Path(site_dir) / meta["file"]).read_bytes()
-        corpus.add(
-            url_key,
-            CorpusEntry(
-                status=int(meta["status"]),
-                content_type=meta["content_type"],
-                body=body,
-                latency_ms=latency,
-            ),
-        )
-    return corpus, site["root_url"]
+    try:
+        site = json.loads(site_path.read_text("utf-8"))
+        latency = int(site.get("latency_ms", 0))
+        for url_key, meta in site["entries"].items():
+            body = (Path(site_dir) / meta["file"]).read_bytes()
+            corpus.add(
+                url_key,
+                CorpusEntry(
+                    status=int(meta["status"]),
+                    content_type=meta["content_type"],
+                    body=body,
+                    latency_ms=latency,
+                ),
+            )
+        return corpus, site["root_url"]
+    except (OSError, ValueError, LookupError, TypeError, AttributeError) as exc:
+        raise PathUnreadable(f"{site_path}: cannot load the site: {exc!r}") from exc
 
 
 def load_ground_truth(site_dir: str | Path) -> GroundTruth:

@@ -16,6 +16,7 @@ from pathlib import Path
 
 from .errors import OntoSeekerError
 from .netfetch import (
+    DEFAULT_POLITENESS_MS,
     FetchError,
     PolitenessGate,
     Transport,
@@ -78,11 +79,13 @@ class VersionMismatch(OntoSeekerError):
 @dataclass(frozen=True)
 class IndexLimits:
     max_ontology_bytes: int = 3 * 1024 * 1024  # the "more than 3 Mb" cutoff, as MiB
-    politeness_ms: int = 300
+    politeness_ms: int = DEFAULT_POLITENESS_MS
 
     def __post_init__(self):
         if self.max_ontology_bytes <= 0:
             raise ValueError("max_ontology_bytes must be > 0")
+        if self.politeness_ms < 0:
+            raise ValueError("politeness_ms must be >= 0")
 
 
 @dataclass(frozen=True, slots=True)
@@ -188,6 +191,14 @@ def index_summaries(summaries: list[OntologySummary]) -> tuple[list[DocRecord], 
     return docs, postings
 
 
+def read_url_lines(url_list_path: str | Path) -> list[str]:
+    """The URL list's lines; InputUnreadable if it is not readable UTF-8 text."""
+    try:
+        return Path(url_list_path).read_text(encoding="utf-8").splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputUnreadable(f"{url_list_path}: {exc}") from exc
+
+
 def build_index(
     url_list_path: str | Path,
     transport: Transport,
@@ -197,11 +208,7 @@ def build_index(
 ) -> IndexManifest:
     """Fetch every URL in the crawler's list, apply the skip rules, and
     persist the index directory. Lines are processed in file order."""
-    try:
-        raw = Path(url_list_path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise InputUnreadable(f"{url_list_path}: {exc}") from exc
-    lines = raw.splitlines()
+    lines = read_url_lines(url_list_path)
 
     gate = PolitenessGate(limits.politeness_ms)
     skip_counts = {reason: 0 for reason in SKIP_REASONS}

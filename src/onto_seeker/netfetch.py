@@ -25,6 +25,10 @@ SUPPORTED_SCHEMES = frozenset(DEFAULT_PORTS)
 
 _HOST_CHARS = frozenset("abcdefghijklmnopqrstuvwxyz0123456789._-")
 
+DEFAULT_POLITENESS_MS = 300
+DEFAULT_TIMEOUT_S = 20.0
+MAX_REDIRECTS = 5
+
 
 class UnsupportedScheme(OntoSeekerError):
     pass
@@ -47,10 +51,6 @@ class ConnectionFailed(FetchError):
 
 
 class TooManyRedirects(FetchError):
-    pass
-
-
-class BodyTooLarge(FetchError):
     pass
 
 
@@ -116,10 +116,12 @@ class FetchResponse:
     status: int
     content_type: str | None
     body: bytes
-    elapsed_ms: int
 
 
 class Transport(Protocol):
+    """Follows at most MAX_REDIRECTS redirects, returns the first ``max_body_bytes``
+    bytes of the body, and raises every transport failure as a FetchError."""
+
     def fetch(
         self, url: Url, max_body_bytes: int, issued_at_ms: float | None = None
     ) -> FetchResponse: ...
@@ -200,17 +202,15 @@ class LiveTransport:
 
     def __init__(
         self,
-        timeout_s: float = 20.0,
-        truncate_oversize: bool = True,
+        timeout_s: float = DEFAULT_TIMEOUT_S,
         user_agent: str | None = None,
         session: requests.Session | None = None,
     ):
         self.timeout_s = timeout_s
-        self.truncate_oversize = truncate_oversize
         if session is None:
             session = requests.Session()
             session.cookies.set_policy(_RejectAllCookies())
-        session.max_redirects = 5
+        session.max_redirects = MAX_REDIRECTS
         ua = user_agent or os.environ.get("ONTO_SEEKER_UA") or f"onto-seeker/{__version__}"
         session.headers["User-Agent"] = ua
         self._session = session
@@ -218,7 +218,6 @@ class LiveTransport:
     def fetch(
         self, url: Url, max_body_bytes: int, issued_at_ms: float | None = None
     ) -> FetchResponse:
-        start = monotonic_ms()
         try:
             resp = self._session.get(
                 str(url), timeout=self.timeout_s, stream=True, allow_redirects=True
@@ -230,20 +229,14 @@ class LiveTransport:
         except requests.RequestException as exc:
             raise ConnectionFailed(f"{url}: {exc}") from exc
         with resp:
-            limit = max_body_bytes if self.truncate_oversize else max_body_bytes + 1
-            chunks: list[bytes] = []
-            got = 0
+            body = bytearray()
             try:
                 for chunk in resp.iter_content(chunk_size=65536):
-                    chunks.append(chunk)
-                    got += len(chunk)
-                    if got >= limit:
+                    body += chunk
+                    if len(body) >= max_body_bytes:
                         break
             except requests.RequestException as exc:
                 raise ConnectionFailed(f"{url}: body read failed: {exc}") from exc
-            body = b"".join(chunks)[:limit]
-            if not self.truncate_oversize and len(body) > max_body_bytes:
-                raise BodyTooLarge(f"{url}: body exceeds {max_body_bytes} bytes")
             try:
                 final_url = Url.parse(resp.url)
             except OntoSeekerError as exc:
@@ -252,6 +245,5 @@ class LiveTransport:
                 final_url=final_url,
                 status=resp.status_code,
                 content_type=_strip_media_type(resp.headers.get("Content-Type")),
-                body=body,
-                elapsed_ms=int(monotonic_ms() - start),
+                body=bytes(body[:max_body_bytes]),
             )

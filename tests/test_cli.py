@@ -3,10 +3,18 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import pytest
+
 from onto_seeker.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SITE1 = FIXTURES / "site1"
+
+
+def _assert_error_exit(captured, code, expected):
+    assert code == expected
+    assert "Traceback" not in captured.err
+    assert captured.err.strip()
 
 
 def _crawl_site1(tmp_path, capsys, *extra):
@@ -91,6 +99,21 @@ class TestCmdCrawl:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "site_json", ["[1]", "{}", '{"entries": {"http://h.test/": 5}}', "{"]
+    )
+    def test_malformed_site_json_is_input_error(self, tmp_path, capsys, site_json):
+        site = tmp_path / "site"
+        site.mkdir()
+        (site / "site.json").write_text(site_json)
+        code = main(
+            ["crawl", "--corpus-dir", str(site), "--max-pages", "5",
+             "--out", str(tmp_path / "urls.txt")]
+        )
+        captured = capsys.readouterr()
+        _assert_error_exit(captured, code, 2)
+        assert str(site / "site.json") in captured.err
+
 
 class TestCmdIndex:
     def test_missing_urls_names_crawl(self, tmp_path, capsys):
@@ -143,6 +166,32 @@ class TestCmdIndex:
         assert lines["doc_count"] == "0"
         assert lines["oversize"] == "2"
 
+    @pytest.mark.parametrize(
+        "flags", [["--max-bytes", "0"], ["--politeness-ms", "-1"]], ids=["max-bytes", "politeness"]
+    )
+    def test_bad_numeric_flag_is_usage_error(self, tmp_path, capsys, flags):
+        _code, out, _ = _crawl_site1(tmp_path, capsys)
+        code = main(
+            ["index", "--urls", str(out), "--index-dir", str(tmp_path / "idx"),
+             "--corpus-dir", str(SITE1), *flags]
+        )
+        captured = capsys.readouterr()
+        _assert_error_exit(captured, code, 1)
+        assert captured.err.startswith("error: ")
+        assert not (tmp_path / "idx").exists()
+
+    def test_non_utf8_url_list_is_input_error(self, tmp_path, capsys):
+        urls = tmp_path / "urls.txt"
+        urls.write_bytes(b"\xff\xfeh\x00t\x00t\x00p\x00\n")
+        code = main(
+            ["index", "--urls", str(urls), "--index-dir", str(tmp_path / "idx"),
+             "--corpus-dir", str(SITE1), "--politeness-ms", "0"]
+        )
+        captured = capsys.readouterr()
+        _assert_error_exit(captured, code, 2)
+        assert "cannot read URL list" in captured.err
+        assert not (tmp_path / "idx").exists()
+
 
 def _build_index(tmp_path, capsys) -> Path:
     _code, out, _ = _crawl_site1(tmp_path, capsys)
@@ -179,6 +228,14 @@ class TestCmdQuery:
     def test_empty_query_usage_error(self, tmp_path, capsys):
         idx = _build_index(tmp_path, capsys)
         assert main(["query", "--index-dir", str(idx), "--query", "  _ "]) == 1
+
+    def test_zero_top_k_is_usage_error(self, tmp_path, capsys):
+        idx = _build_index(tmp_path, capsys)
+        code = main(["query", "--index-dir", str(idx), "--query", "Anchor", "--top-k", "0"])
+        captured = capsys.readouterr()
+        _assert_error_exit(captured, code, 1)
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
 
     def test_missing_index_names_index_command(self, tmp_path, capsys):
         code = main(["query", "--index-dir", str(tmp_path / "noidx"), "--query", "x"])

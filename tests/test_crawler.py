@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import tempfile
+from pathlib import Path
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from onto_seeker.crawler import (
@@ -17,8 +20,17 @@ from onto_seeker.crawler import (
     extract_links,
     write_url_list,
 )
-from onto_seeker.harness import Corpus, CorpusEntry, CorpusTransport
-from onto_seeker.netfetch import Url
+from onto_seeker.harness import (
+    Corpus,
+    CorpusEntry,
+    CorpusTransport,
+    SiteSpec,
+    make_synthetic_site,
+)
+from onto_seeker.indexer import IndexLimits, build_index
+from onto_seeker.netfetch import ConnectionFailed, Url
+from onto_seeker.rdf import UNSUPPORTED, detect_syntax
+from onto_seeker.rdf.model import RDF_XML_MEDIA_TYPES, TURTLE_MEDIA_TYPES
 
 BASE = Url.parse("http://a.example/")
 
@@ -64,6 +76,12 @@ class TestClassifyUrl:
 
     def test_extension_of_final_segment_only(self):
         assert classify_url(Url.parse("http://a.example/x.owl/readme.txt")) == OTHER
+
+    @pytest.mark.parametrize("media_type", sorted(RDF_XML_MEDIA_TYPES | TURTLE_MEDIA_TYPES))
+    def test_every_parseable_media_type_is_a_candidate(self, media_type):
+        # A page served with a type the indexer can parse is recorded, not scanned.
+        assert detect_syntax(b"", media_type) != UNSUPPORTED
+        assert classify_url(Url.parse("http://a.example/x"), media_type) == ONTOLOGY_CANDIDATE
 
 
 class TestExtractLinks:
@@ -320,3 +338,45 @@ class TestCrawlReport:
         report = crawl(config, CorpusTransport(_two_level_corpus()))
         table = report.human_table()
         assert "pages_fetched" in table and "ontologies_found" in table
+
+
+class _FlakyTransport:
+    """Raises ConnectionFailed for the URLs in ``failing``; serves the rest."""
+
+    def __init__(self, inner, failing: set[str]):
+        self.inner = inner
+        self.failing = failing
+
+    def fetch(self, url, max_body_bytes, issued_at_ms=None):
+        if str(url) in self.failing:
+            raise ConnectionFailed(f"{url}: injected failure")
+        return self.inner.fetch(url, max_body_bytes, issued_at_ms=issued_at_ms)
+
+
+@pytest.fixture(scope="module")
+def small_site():
+    return make_synthetic_site(SiteSpec(seed=5, page_count=40, ontology_count=10, host_count=2))
+
+
+class TestFailureContainment:
+    @settings(max_examples=25)
+    @given(data=st.data())
+    def test_random_fetch_failures_are_counted_not_fatal(self, small_site, data):
+        corpus, truth = small_site
+        failing = data.draw(
+            st.sets(st.sampled_from(sorted(set(corpus.entries) - {truth.root_url})))
+        )
+        workers = data.draw(st.sampled_from([1, 2]))
+        transport = _FlakyTransport(CorpusTransport(corpus, sleep_latency=False), failing)
+        with tempfile.TemporaryDirectory() as tmp:
+            config = _config(Path(tmp), [truth.root_url], worker_count=workers)
+            report = crawl(config, transport)
+            lines = Path(config.output_path).read_text().splitlines()
+            manifest = build_index(
+                config.output_path, transport, IndexLimits(politeness_ms=0), Path(tmp) / "idx"
+            )
+        assert report.errors <= len(failing)
+        assert set(lines) <= truth.reachable_ontology_urls
+        assert manifest.input_line_count == len(lines)
+        assert manifest.doc_count + sum(manifest.skip_counts.values()) == len(lines)
+        assert manifest.skip_counts["fetch_error"] >= len(failing & set(lines))

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from onto_seeker.harness import Corpus, CorpusEntry, CorpusTransport
 from onto_seeker.netfetch import (
-    BodyTooLarge,
     ConnectionFailed,
     MalformedUrl,
     PolitenessGate,
@@ -215,13 +214,6 @@ class TestCorpusFetch:
         transport = _corpus_with("http://h.test/p", CorpusEntry(200, "text/html", b"x" * 100))
         resp = transport.fetch(Url.parse("http://h.test/p"), max_body_bytes=10)
         assert len(resp.body) == 10
-
-    def test_body_too_large_when_truncation_disabled(self):
-        corpus = Corpus()
-        corpus.add("http://h.test/p", CorpusEntry(200, "text/html", b"x" * 100))
-        transport = CorpusTransport(corpus, truncate_oversize=False)
-        with pytest.raises(BodyTooLarge):
-            transport.fetch(Url.parse("http://h.test/p"), max_body_bytes=10)
 
     @given(st.binary(max_size=64), st.integers(1, 32))
     def test_body_never_exceeds_limit(self, body, limit):
