@@ -38,7 +38,8 @@ from .indexer import (
     render_skip_report,
 )
 from .netfetch import DEFAULT_POLITENESS_MS, DEFAULT_TIMEOUT_S, LiveTransport, Url
-from .query import EmptyQuery, explain, format_explain, format_results, parse_query, search
+from .query import EmptyQuery, Query, check_top_k, explain, format_explain, format_results
+from .query import parse_query, search
 
 DEFAULT_SEED_URL = "http://www.ontologyportal.org"
 
@@ -169,6 +170,21 @@ def _parse_matrix(raw: str) -> list[tuple[int, int]]:
     return cells
 
 
+def _index_limits(args) -> IndexLimits:
+    return _checked(
+        IndexLimits, max_ontology_bytes=args.max_bytes, politeness_ms=args.politeness_ms
+    )
+
+
+def _parsed_query(args) -> Query:
+    """Parse --query after checking --top-k; either failing is a usage error."""
+    _checked(check_top_k, args.top_k)
+    try:
+        return parse_query(args.query)
+    except EmptyQuery as exc:
+        raise _UsageError(f"unusable query: {exc}") from exc
+
+
 def cmd_crawl(args) -> int:
     seeds = _parse_seeds(args)
     config = _checked(
@@ -206,9 +222,7 @@ def cmd_index(args) -> int:
             f"(onto-seeker crawl writes it)"
         )
         return EXIT_INPUT
-    limits = _checked(
-        IndexLimits, max_ontology_bytes=args.max_bytes, politeness_ms=args.politeness_ms
-    )
+    limits = _index_limits(args)
     try:
         transport = _make_transport(args, _default_host_from_urls(urls_path))
         manifest = build_index(
@@ -248,12 +262,8 @@ def cmd_query(args) -> int:
             f"run the index command first (onto-seeker index)"
         )
         return EXIT_INPUT
-    try:
-        query = parse_query(args.query)
-    except EmptyQuery as exc:
-        _eprint(f"unusable query: {exc}")
-        return EXIT_USAGE
-    results = _checked(search, index, query, top_k=args.top_k, match_all=args.match_all)
+    query = _parsed_query(args)
+    results = search(index, query, top_k=args.top_k, match_all=args.match_all)
     lines = format_results(results, machine=args.format == "tsv")
     if lines:
         print("\n".join(lines))
@@ -264,6 +274,10 @@ def cmd_query(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
+    # A bad index or query flag is rejected before the crawl spends its budget.
+    _index_limits(args)
+    if args.query is not None:
+        _parsed_query(args)
     code = cmd_crawl(args)
     if code != EXIT_OK:
         return code

@@ -3,15 +3,22 @@
 Ontology candidates (``.rdf``/``.owl`` links) are recorded without being
 fetched; the indexer downloads them later. The fetch budget is therefore
 spent on HTML pages only.
+
+Pages are fetched in breadth-first order. Pool threads only fetch; the crawl
+thread scans each page as its fetch finishes but admits the links it found in
+the order the fetches were issued, so the URL file does not depend on the
+worker count. At most ``LOOKAHEAD_PER_WORKER * worker_count`` pages are
+issued and not yet admitted.
 """
 
 from __future__ import annotations
 
-import threading
 from collections import deque
-from dataclasses import dataclass, field
+from concurrent.futures import Future, ThreadPoolExecutor
+from dataclasses import dataclass
 from html.parser import HTMLParser
 from pathlib import Path
+from queue import SimpleQueue
 
 from .errors import OntoSeekerError
 from .netfetch import (
@@ -36,6 +43,11 @@ HTML_MEDIA_TYPES = frozenset({"text/html", "application/xhtml+xml"})
 HTML_EXTENSIONS = (".html", ".htm")
 
 DEFAULT_MAX_BODY_BYTES = 4 * 1024 * 1024
+
+# Pages the crawl may issue per worker beyond the oldest one not yet admitted.
+# Links are admitted in issue order, so one slow page holds back admission;
+# this much lookahead keeps the other workers fetching meanwhile.
+LOOKAHEAD_PER_WORKER = 32
 
 
 class OutputUnwritable(OntoSeekerError):
@@ -68,12 +80,6 @@ class CrawlConfig:
             raise ValueError("worker_count must be >= 1")
         if self.politeness_ms < 0:
             raise ValueError("politeness_ms must be >= 0")
-
-
-@dataclass(frozen=True)
-class FrontierEntry:
-    url: Url
-    depth: int
 
 
 @dataclass
@@ -179,100 +185,20 @@ def write_url_list(urls: set[Url] | frozenset[Url], path: str | Path) -> int:
     return len(lines)
 
 
-@dataclass
-class _CrawlState:
-    config: CrawlConfig
-    transport: Transport
-    gate: PolitenessGate
-    cond: threading.Condition = field(default_factory=threading.Condition)
-    frontier: deque[FrontierEntry] = field(default_factory=deque)
-    seen: set[str] = field(default_factory=set)
-    found: dict[str, Url] = field(default_factory=dict)
-    issued: int = 0
-    active: int = 0
-    stop: bool = False
-    errors: int = 0
-    status_histogram: dict[int, int] = field(default_factory=dict)
-    seed_keys: set[str] = field(default_factory=set)
-    seeds_ok: set[str] = field(default_factory=set)
-    seeds_failed: set[str] = field(default_factory=set)
-
-    def admit(self, url: Url, depth: int) -> None:
-        """Route a discovered URL: record candidates, enqueue pages. Caller holds cond."""
-        key = str(url)
-        if key in self.seen:
-            return
-        self.seen.add(key)
-        kind = classify_url(url)
-        if kind == ONTOLOGY_CANDIDATE:
-            self.found[key] = url
-            if key in self.seed_keys:
-                self.seeds_ok.add(key)
-        elif kind == HTML_PAGE:
-            cfg = self.config
-            if cfg.max_depth == -1 or depth <= cfg.max_depth:
-                self.frontier.append(FrontierEntry(url, depth))
-            elif key in self.seed_keys:
-                self.seeds_failed.add(key)
-        elif key in self.seed_keys:
-            self.seeds_failed.add(key)
-
-
-def _worker(state: _CrawlState) -> None:
-    cfg = state.config
-    while True:
-        with state.cond:
-            while not state.frontier and state.active > 0 and not state.stop:
-                state.cond.wait()
-            if state.stop or not state.frontier:
-                state.cond.notify_all()
-                return
-            if state.issued >= cfg.max_pages:
-                state.stop = True
-                state.cond.notify_all()
-                return
-            entry = state.frontier.popleft()
-            state.issued += 1
-            state.active += 1
-        try:
-            _process(state, entry)
-        finally:
-            with state.cond:
-                state.active -= 1
-                state.cond.notify_all()
-
-
-def _process(state: _CrawlState, entry: FrontierEntry) -> None:
-    key = str(entry.url)
+def _scan(fetched: Future) -> tuple[int | None, Url | None, list[Url]]:
+    """(status or None on a transport error, ontology URL, page links); drops the body."""
     try:
-        resp = polite_fetch(state.transport, state.gate, entry.url, state.config.max_body_bytes)
+        resp = fetched.result()
     except FetchError:
-        with state.cond:
-            state.errors += 1
-            if key in state.seed_keys:
-                state.seeds_failed.add(key)
-        return
-    with state.cond:
-        state.status_histogram[resp.status] = state.status_histogram.get(resp.status, 0) + 1
-        if key in state.seed_keys:
-            state.seeds_ok.add(key)
-    if resp.status != 200:
-        return
-    kind = classify_url(resp.final_url, resp.content_type)
-    if kind == ONTOLOGY_CANDIDATE:
-        # Fetched as a presumed page but served with an RDF media type.
-        with state.cond:
-            final_key = str(resp.final_url)
-            state.seen.add(final_key)
-            state.found[final_key] = resp.final_url
-        return
-    if kind != HTML_PAGE:
-        return
-    children = extract_links(resp.body, resp.final_url)
-    with state.cond:
-        for child in children:
-            state.admit(child, entry.depth + 1)
-        state.cond.notify_all()
+        return None, None, []
+    if resp.status == 200:
+        kind = classify_url(resp.final_url, resp.content_type)
+        if kind == ONTOLOGY_CANDIDATE:
+            # Fetched as a presumed page but served with an RDF media type.
+            return resp.status, resp.final_url, []
+        if kind == HTML_PAGE:
+            return resp.status, None, extract_links(resp.body, resp.final_url)
+    return resp.status, None, []
 
 
 def crawl(config: CrawlConfig, transport: Transport) -> CrawlReport:
@@ -287,36 +213,83 @@ def crawl(config: CrawlConfig, transport: Transport) -> CrawlReport:
         raise OutputUnwritable(f"{config.output_path}: parent directory missing")
 
     gate = PolitenessGate(config.politeness_ms, per_host=config.per_host_politeness)
-    state = _CrawlState(config=config, transport=transport, gate=gate)
+    frontier: deque[tuple[Url, int]] = deque()  # (url, depth)
+    seen: set[str] = set()
+    found: dict[str, Url] = {}
+    seed_keys = {str(seed) for seed in config.seed_urls}
+    seeds_ok: set[str] = set()
+    seeds_failed: set[str] = set()
+    status_histogram: dict[int, int] = {}
+    issued = errors = 0
+
+    def admit(url: Url, depth: int) -> None:
+        """Route a discovered URL: record candidates, enqueue pages."""
+        key = str(url)
+        if key in seen:
+            return
+        seen.add(key)
+        kind = classify_url(url)
+        if kind == ONTOLOGY_CANDIDATE:
+            found[key] = url
+            if key in seed_keys:
+                seeds_ok.add(key)
+        elif kind == HTML_PAGE and (config.max_depth == -1 or depth <= config.max_depth):
+            frontier.append((url, depth))
+        elif key in seed_keys:
+            seeds_failed.add(key)
+
     started = monotonic_ms()
-    with state.cond:
-        for seed in config.seed_urls:
-            state.seed_keys.add(str(seed))
-        for seed in config.seed_urls:
-            state.admit(seed, 0)
-    if config.worker_count == 1:
-        _worker(state)
-    else:
-        threads = [
-            threading.Thread(target=_worker, args=(state,), name=f"crawl-{i}")
-            for i in range(config.worker_count)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+    for seed in config.seed_urls:
+        admit(seed, 0)
+    window = LOOKAHEAD_PER_WORKER * config.worker_count
+    in_flight: deque[tuple[Url, int, Future]] = deque()  # in issue order
+    scanned: dict[Future, tuple[int | None, Url | None, list[Url]]] = {}
+    finished: SimpleQueue[Future] = SimpleQueue()
+    pool = ThreadPoolExecutor(config.worker_count)
+    try:
+        while True:
+            while frontier and issued < config.max_pages and len(in_flight) < window:
+                url, depth = frontier.popleft()
+                issued += 1
+                future = pool.submit(polite_fetch, transport, gate, url, config.max_body_bytes)
+                future.add_done_callback(finished.put)
+                in_flight.append((url, depth, future))
+            if not in_flight:
+                break
+            # Scan whichever fetch finished first; admit links in issue order.
+            done = finished.get()
+            scanned[done] = _scan(done)
+            while in_flight and in_flight[0][2] in scanned:
+                url, depth, future = in_flight.popleft()
+                status, ontology, links = scanned.pop(future)
+                key = str(url)
+                if status is None:
+                    errors += 1
+                    if key in seed_keys:
+                        seeds_failed.add(key)
+                    continue
+                status_histogram[status] = status_histogram.get(status, 0) + 1
+                if key in seed_keys:
+                    seeds_ok.add(key)
+                if ontology is not None:
+                    seen.add(str(ontology))
+                    found[str(ontology)] = ontology
+                for child in links:
+                    admit(child, depth + 1)
+    finally:
+        pool.shutdown(cancel_futures=True)
     elapsed = int(monotonic_ms() - started)
 
-    if not state.seeds_ok and state.seeds_failed == state.seed_keys:
+    if not seeds_ok and seeds_failed == seed_keys:
         raise AllSeedsInvalid("no seed could be classified or fetched")
 
-    found = set(state.found.values())
-    write_url_list(found, config.output_path)
+    urls = set(found.values())
+    write_url_list(urls, config.output_path)
     return CrawlReport(
-        pages_fetched=state.issued,
-        ontologies_found=len(found),
+        pages_fetched=issued,
+        ontologies_found=len(urls),
         elapsed_ms=elapsed,
-        status_histogram=dict(sorted(state.status_histogram.items())),
-        errors=state.errors,
+        status_histogram=dict(sorted(status_histogram.items())),
+        errors=errors,
         config_echo=config,
     )

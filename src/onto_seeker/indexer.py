@@ -8,7 +8,9 @@ input order so doc ids and the on-disk bytes are reproducible.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import cached_property
@@ -283,22 +285,32 @@ def write_index(
     postings: list[Posting],
     manifest: IndexManifest,
 ) -> None:
-    """Write manifest.json, docs.tsv, and postings.tsv (UTF-8, LF, TAB-separated)."""
+    """Write manifest.json, docs.tsv, and postings.tsv (UTF-8, LF, TAB-separated).
+
+    All three go to temporary siblings first, so a failed write of the files keeps
+    the old index; the manifest is replaced last.
+    """
     directory = Path(index_dir)
+    temps = {name: directory / f"{name}.tmp" for name in (DOCS_FILE, POSTINGS_FILE, MANIFEST_FILE)}
     try:
         directory.mkdir(parents=True, exist_ok=True)
-        with open(directory / MANIFEST_FILE, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(manifest.to_json())
-        with open(directory / DOCS_FILE, "w", encoding="utf-8", newline="\n") as fh:
+        with open(temps[DOCS_FILE], "w", encoding="utf-8", newline="\n") as fh:
             for doc in docs:
                 fh.write(
                     f"{doc.doc_id}\t{doc.url}\t{doc.byte_size}\t"
                     f"{doc.class_count}\t{doc.property_count}\t{doc.relation_count}\n"
                 )
-        with open(directory / POSTINGS_FILE, "w", encoding="utf-8", newline="\n") as fh:
+        with open(temps[POSTINGS_FILE], "w", encoding="utf-8", newline="\n") as fh:
             for posting in postings:
                 fh.write(f"{posting.token}\t{posting.field}\t{posting.doc_id}\t{posting.tf}\n")
+        with open(temps[MANIFEST_FILE], "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(manifest.to_json())
+        for name, temp in temps.items():
+            os.replace(temp, directory / name)
     except OSError as exc:
+        for temp in temps.values():
+            with contextlib.suppress(OSError):
+                temp.unlink()
         raise IndexDirUnwritable(f"{index_dir}: {exc}") from exc
 
 

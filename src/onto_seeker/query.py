@@ -65,6 +65,11 @@ def _contribution(field_name: str, tf: int) -> float:
     return FIELD_WEIGHTS[field_name] * (1.0 + math.log(tf))
 
 
+def check_top_k(top_k: int) -> None:
+    if top_k < 1:
+        raise ValueError("top_k must be >= 1")
+
+
 def search(index: Index, query: Query, top_k: int, match_all: bool = False) -> list[QueryResult]:
     """Rank documents matching any query token (all tokens with match_all).
 
@@ -77,8 +82,7 @@ def search(index: Index, query: Query, top_k: int, match_all: bool = False) -> l
     """
     if not query.tokens:
         raise EmptyQuery("query has no tokens")
-    if top_k < 1:
-        raise ValueError("top_k must be >= 1")
+    check_top_k(top_k)
     table = index.postings_by_token_field
     scores: dict[int, float] = {}
     with_all_tokens: set[int] | None = None

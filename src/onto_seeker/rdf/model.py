@@ -73,10 +73,6 @@ class Triple:
     object: str | Literal
 
 
-def is_blank(node: str | Literal) -> bool:
-    return isinstance(node, str) and node.startswith("_:")
-
-
 def is_iri(node: str | Literal) -> bool:
     return isinstance(node, str) and not node.startswith("_:")
 

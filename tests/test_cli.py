@@ -321,6 +321,35 @@ class TestCmdPipeline:
         assert (tmp_path / "idx" / "manifest.json").is_file()
 
 
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--max-bytes", "0"], "error: "),
+            (["--query", "Anchor", "--top-k", "0"], "error: "),
+            (["--query", " "], "unusable query"),
+        ],
+        ids=["max-bytes", "top-k", "blank-query"],
+    )
+    def test_bad_later_stage_flag_stops_before_crawl(self, tmp_path, capsys, flags, message):
+        code = main(
+            [
+                "pipeline",
+                "--corpus-dir", str(SITE1),
+                "--seed-url", "http://fixture.test/",
+                "--max-pages", "50",
+                "--politeness-ms", "0",
+                "--out", str(tmp_path / "urls.txt"),
+                "--index-dir", str(tmp_path / "idx"),
+                *flags,
+            ]
+        )
+        captured = capsys.readouterr()
+        _assert_error_exit(captured, code, 1)
+        assert message in captured.err
+        assert not (tmp_path / "urls.txt").exists()
+        assert not (tmp_path / "idx").exists()
+
+
 class TestCmdGenCorpus:
     def test_writes_site_and_ground_truth(self, tmp_path, capsys):
         code = main(

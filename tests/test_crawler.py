@@ -298,6 +298,50 @@ class TestCrawl:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_worker_count_does_not_change_what_a_budget_finds(self, tmp_path):
+        # The slow branch is issued first, so its links must be admitted first even
+        # when the fast branch's child could be fetched sooner.
+        corpus = Corpus()
+        corpus.add("http://h.test/", _page('<a href="/a.html">a</a><a href="/b.html">b</a>'))
+        corpus.add(
+            "http://h.test/a.html",
+            CorpusEntry(200, "text/html", b'<a href="/a1.html">a1</a>', latency_ms=60),
+        )
+        corpus.add("http://h.test/b.html", _page('<a href="/b1.html">b1</a>'))
+        corpus.add("http://h.test/a1.html", _page('<a href="/a1.owl">o</a>'))
+        corpus.add("http://h.test/b1.html", _page('<a href="/b1.owl">o</a>'))
+        runs = []
+        for workers in (1, 2, 4):
+            corpus.request_log.clear()
+            out = tmp_path / f"urls-w{workers}.txt"
+            config = _config(
+                tmp_path, ["http://h.test/"], max_pages=4, worker_count=workers, output_path=str(out)
+            )
+            report = crawl(config, CorpusTransport(corpus))
+            counts = (report.pages_fetched, report.ontologies_found, report.errors)
+            requested = {url for url, _issued_at in corpus.request_log}
+            runs.append((out.read_text(), counts, report.status_histogram, requested))
+        assert runs[0][0] == "http://h.test/a1.owl\n"
+        assert runs[1] == runs[0]
+        assert runs[2] == runs[0]
+
+    def test_slow_page_does_not_hold_back_the_other_workers(self, tmp_path):
+        # The slow page is issued first and admitted first, but the pages
+        # issued after it are fetched while it is still on the wire.
+        fast = [f"/f{i}.html" for i in range(20)]
+        corpus = Corpus()
+        links = "".join(f'<a href="{path}">x</a>' for path in ["/slow.html", *fast])
+        corpus.add("http://h.test/", _page(links))
+        corpus.add("http://h.test/slow.html", CorpusEntry(200, "text/html", b"", latency_ms=400))
+        for path in fast:
+            corpus.add(f"http://h.test{path}", _page(""))
+        config = _config(tmp_path, ["http://h.test/"], worker_count=2)
+        report = crawl(config, CorpusTransport(corpus))
+        assert report.pages_fetched == 22
+        issued = dict(corpus.request_log)
+        slow_done_ms = issued["http://h.test/slow.html"] + 400
+        assert all(issued[f"http://h.test{path}"] < slow_done_ms for path in fast)
+
     def test_every_output_line_classifies_as_candidate(self, tmp_path, site42):
         _spec, (corpus, _gt) = site42
         config = _config(tmp_path, ["http://host0.example/"], max_pages=500)
@@ -366,15 +410,19 @@ class TestFailureContainment:
         failing = data.draw(
             st.sets(st.sampled_from(sorted(set(corpus.entries) - {truth.root_url})))
         )
-        workers = data.draw(st.sampled_from([1, 2]))
         transport = _FlakyTransport(CorpusTransport(corpus, sleep_latency=False), failing)
         with tempfile.TemporaryDirectory() as tmp:
-            config = _config(Path(tmp), [truth.root_url], worker_count=workers)
-            report = crawl(config, transport)
-            lines = Path(config.output_path).read_text().splitlines()
+            runs = []
+            for workers in (1, 2):
+                config = _config(Path(tmp), [truth.root_url], worker_count=workers)
+                report = crawl(config, transport)
+                lines = Path(config.output_path).read_text().splitlines()
+                counts = (report.pages_fetched, report.ontologies_found, report.errors)
+                runs.append((counts, report.status_histogram, lines))
             manifest = build_index(
                 config.output_path, transport, IndexLimits(politeness_ms=0), Path(tmp) / "idx"
             )
+        assert runs[1] == runs[0]  # the worker count changes nothing
         assert report.errors <= len(failing)
         assert set(lines) <= truth.reachable_ontology_urls
         assert manifest.input_line_count == len(lines)

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import builtins
 import dataclasses
+import errno
 import json
 
 import pytest
@@ -14,11 +16,13 @@ from conftest import (
     nested_rdf_xml,
     sixteen_line_fixture,
 )
+from onto_seeker import indexer
 from onto_seeker.harness import Corpus, CorpusEntry, CorpusTransport
 from onto_seeker.indexer import (
     CorruptIndex,
     DocRecord,
     FIELD_RANK,
+    IndexDirUnwritable,
     IndexLimits,
     InputUnreadable,
     MissingFile,
@@ -257,6 +261,50 @@ class TestWriteReadRoundTrip:
     def test_exactly_three_files(self, tmp_path):
         index = make_index([_summary("http://h.test/a.owl", classes={"A"})])
         write_index(tmp_path / "idx", index.docs, index.postings, index.manifest)
+        assert sorted(p.name for p in (tmp_path / "idx").iterdir()) == [
+            "docs.tsv",
+            "manifest.json",
+            "postings.tsv",
+        ]
+
+    def test_failed_rewrite_keeps_previous_index(self, tmp_path, monkeypatch):
+        first = make_index([_summary("http://h.test/a.owl", classes={"Person"})])
+        write_index(tmp_path / "idx", first.docs, first.postings, first.manifest)
+
+        class _DiskFullAfterOneWrite:
+            def __init__(self, fh):
+                self.fh = fh
+                self.writes = 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self.fh.close()
+
+            def write(self, text):
+                if self.writes:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                self.writes += 1
+                return self.fh.write(text)
+
+        def open_failing_in_postings(path, *args, **kwargs):
+            fh = builtins.open(path, *args, **kwargs)
+            return _DiskFullAfterOneWrite(fh) if "postings" in str(path) else fh
+
+        monkeypatch.setattr(indexer, "open", open_failing_in_postings, raising=False)
+        second = make_index(
+            [_summary("http://h.test/b.owl", classes={"Vessel", "Cargo"}, relations={"carries"})]
+        )
+        with pytest.raises(IndexDirUnwritable):
+            write_index(tmp_path / "idx", second.docs, second.postings, second.manifest)
+        monkeypatch.undo()
+        loaded = read_index(tmp_path / "idx")
+        assert (loaded.docs, loaded.postings, loaded.manifest) == (
+            first.docs,
+            first.postings,
+            first.manifest,
+        )
         assert sorted(p.name for p in (tmp_path / "idx").iterdir()) == [
             "docs.tsv",
             "manifest.json",
