@@ -154,6 +154,15 @@ class _LinkScanner(HTMLParser):
                 self.raw_refs.append(value)
                 return
 
+    def parse_marked_section(self, i, report=1):
+        # html.parser raises AssertionError on a "<![" with an unknown or
+        # missing keyword (e.g. "<![CDAT["); browsers read it as a bogus
+        # comment that ends at the next ">", and so does this scan.
+        try:
+            return super().parse_marked_section(i, report)
+        except AssertionError:
+            return self.parse_bogus_comment(i, report)
+
 
 def extract_links(html: bytes, base: Url) -> list[Url]:
     """Return normalized link targets in document order, de-duplicated.

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 import random
+from bisect import bisect_left
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from xml.sax.saxutils import escape, quoteattr
@@ -317,19 +318,24 @@ def make_synthetic_site(spec: SiteSpec) -> tuple[Corpus, GroundTruth]:
     hosts = [f"host{i}.example" for i in range(spec.host_count)]
 
     pages: list[_Page] = [_Page(url=f"http://{hosts[0]}/", host=hosts[0], path="/", depth=0)]
+    # Page indices in page order: `shallow` holds the pages above max_link_depth,
+    # `open_` those of them with fewer than `branching` children. A parent is
+    # drawn from `open_`, or from `shallow` once `open_` is empty.
+    shallow = [0]
+    open_ = [0]
     for i in range(1, spec.page_count):
-        eligible = [
-            p for p in pages
-            if p.depth < spec.max_link_depth and len(p.child_pages) < spec.branching
-        ]
-        if not eligible:
-            eligible = [p for p in pages if p.depth < spec.max_link_depth]
-        parent = rng.choice(eligible)
+        parent_no = rng.choice(open_ or shallow)
+        parent = pages[parent_no]
         host = rng.choice(hosts)
         path = f"/p{i}.html" if rng.random() < 0.8 else f"/docs/{i}"
         page = _Page(url=f"http://{host}{path}", host=host, path=path, depth=parent.depth + 1)
         parent.child_pages.append(page.url)
         pages.append(page)
+        if len(parent.child_pages) == spec.branching:
+            del open_[bisect_left(open_, parent_no)]
+        if page.depth < spec.max_link_depth:
+            shallow.append(i)
+            open_.append(i)
 
     onto_urls: list[str] = []
     onto_linker_depths: dict[str, list[int]] = {}

@@ -66,7 +66,9 @@ class Url:
 
     @classmethod
     def parse(cls, raw: str) -> "Url":
-        raw = raw.strip()
+        # Strip after dropping the fragment, so no whitespace that stood before
+        # a '#' ends the URL and str() of the result parses back to it.
+        raw = raw.split("#", 1)[0].strip()
         try:
             parts = urlsplit(raw)
         except ValueError as exc:
@@ -88,7 +90,7 @@ class Url:
         path = parts.path or "/"
         if not path.startswith("/"):
             raise MalformedUrl(f"non-rooted path in {raw!r}")
-        query = parts.query if "?" in raw.split("#", 1)[0] else None
+        query = parts.query if "?" in raw else None
         return cls(scheme=scheme, host=host, port=port, path=path, query=query)
 
     def __str__(self) -> str:
@@ -203,7 +205,6 @@ class LiveTransport:
     def __init__(
         self,
         timeout_s: float = DEFAULT_TIMEOUT_S,
-        user_agent: str | None = None,
         session: requests.Session | None = None,
     ):
         self.timeout_s = timeout_s
@@ -211,7 +212,7 @@ class LiveTransport:
             session = requests.Session()
             session.cookies.set_policy(_RejectAllCookies())
         session.max_redirects = MAX_REDIRECTS
-        ua = user_agent or os.environ.get("ONTO_SEEKER_UA") or f"onto-seeker/{__version__}"
+        ua = os.environ.get("ONTO_SEEKER_UA") or f"onto-seeker/{__version__}"
         session.headers["User-Agent"] = ua
         self._session = session
 

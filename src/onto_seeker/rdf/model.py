@@ -51,6 +51,10 @@ class RdfParseError(OntoSeekerError):
     """Base for all parse failures; a document yields triples or one of these."""
 
 
+class InvalidIri(RdfParseError):
+    """An IRI that cannot be resolved against its base (e.g. ``http://[x``)."""
+
+
 class UnsupportedConstruct(RdfParseError):
     """Input is in a supported syntax but uses a construct outside the subset."""
 
@@ -87,13 +91,22 @@ class OntologySummary:
     byte_size: int = 0
 
     def is_empty(self) -> bool:
-        return not (self.classes or self.properties or self.relations)
+        """True when no term yields a search token (e.g. only a class named
+        "_"), so the index would hold no posting for the document."""
+        return not any(
+            tokenize(term)
+            for terms in (self.classes, self.properties, self.relations)
+            for term in terms
+        )
 
 
 def resolve_iri(base: str, ref: str) -> str:
     """urljoin that keeps a bare trailing '#' (urljoin drops empty fragments,
     which would corrupt namespace IRIs like ...rdf-syntax-ns#)."""
-    out = urljoin(base, ref)
+    try:
+        out = urljoin(base, ref)
+    except ValueError as exc:
+        raise InvalidIri(f"cannot resolve {ref!r} against {base!r}: {exc}") from None
     if ref.endswith("#") and not out.endswith("#"):
         out += "#"
     return out
@@ -111,9 +124,10 @@ def local_name(iri: str) -> str:
 def tokenize(term: str) -> list[str]:
     """Split a local name into lowercase search tokens.
 
-    Splits at '_', '-', '.', camelCase transitions (acronym runs stay whole:
-    "HTTPServer" gives "http"/"server", "ISBN10" gives "isbn"/"10"), and
-    letter/digit boundaries. Empty fragments are dropped; order is kept.
+    Splits at '_', '-', '.', whitespace (the index's TSV files cannot hold a
+    TAB or a line break in a token), camelCase transitions (acronym runs stay
+    whole: "HTTPServer" gives "http"/"server", "ISBN10" gives "isbn"/"10"),
+    and letter/digit boundaries. Empty fragments are dropped; order is kept.
     """
     tokens: list[str] = []
     buf: list[str] = []
@@ -124,7 +138,7 @@ def tokenize(term: str) -> list[str]:
             buf.clear()
 
     for i, ch in enumerate(term):
-        if ch in "._-":
+        if ch in "._-" or ch.isspace():
             flush()
             continue
         if buf:
@@ -153,12 +167,7 @@ def namespace_of(iri: str) -> str:
     return iri[: len(iri) - len(name)]
 
 
-def extract_summary(
-    triples: list[Triple],
-    url: str,
-    byte_size: int,
-    reserved_namespaces: frozenset[str] = RESERVED_NAMESPACES,
-) -> OntologySummary:
+def extract_summary(triples: list[Triple], url: str, byte_size: int) -> OntologySummary:
     """Distill one document's triples into class/property/relation term sets.
 
     Relations are the local names of non-reserved predicates actually used,
@@ -174,7 +183,7 @@ def extract_summary(
                 classes.add(local_name(t.subject))
             elif t.object in PROPERTY_TYPES:
                 properties.add(local_name(t.subject))
-        if namespace_of(t.predicate) not in reserved_namespaces:
+        if namespace_of(t.predicate) not in RESERVED_NAMESPACES:
             relations.add(local_name(t.predicate))
         if t.predicate in SCHEMA_AXIOMS and is_iri(t.object):
             relations.add(local_name(t.object))

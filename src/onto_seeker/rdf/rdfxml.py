@@ -60,10 +60,9 @@ def _check_unsupported_tag(tag: str) -> None:
 
 
 class _Parser:
-    def __init__(self, base: str):
+    def __init__(self):
         self.triples: list[Triple] = []
         self.blank_counter = 0
-        self.doc_base = base
 
     def fresh_blank(self) -> str:
         self.blank_counter += 1
@@ -156,9 +155,13 @@ def parse_rdf_xml(body: bytes, base: str) -> list[Triple]:
     except ET.ParseError as exc:
         line, column = exc.position
         raise XmlMalformed(f"line {line}, column {column}: {exc}") from None
+    except (LookupError, ValueError) as exc:
+        # The XML declaration names an encoding expat cannot read: unknown,
+        # multi-byte (e.g. Shift_JIS) or not a text codec.
+        raise XmlMalformed(f"unreadable encoding: {exc}") from None
     if root.tag != _RDF_RDF:
         raise UnsupportedConstruct("document root is not rdf:RDF", str(root.tag))
-    parser = _Parser(base)
+    parser = _Parser()
     doc_base = resolve_iri(base, root.get(_XML_BASE, ""))
     lang = root.get(_XML_LANG)
     for child in root:

@@ -31,8 +31,7 @@ class UndefinedPrefix(RdfParseError):
 class _Token:
     kind: str  # IRIREF PNAME BLANK STRING NUMBER WORD DIRECTIVE LANGTAG DTYPE PUNCT EOF
     value: str
-    line: int
-    col: int
+    pos: int  # offset of the token's first character
     extra: str = ""
 
 
@@ -42,130 +41,115 @@ _PNAME = re.compile(r"((?:[^\W\d][\w.\-]*)?):([\w.\-%]*)")
 _WORD = re.compile(r"[^\W\d][\w\-]*")
 _BLANK = re.compile(r"_:[\w.\-]*")
 _LANG = re.compile(r"[A-Za-z]+(?:-[A-Za-z0-9]+)*")
+# Both stop at the first character that cannot continue the token; the
+# character after the match (closing delimiter, newline or none) decides.
+_IRIREF = re.compile(r"<([^>\n\r]*)")
+_STRING = re.compile(
+    r'"[^"\\\n\r]*(?:\\[\s\S][^"\\\n\r]*)*' r"|'[^'\\\n\r]*(?:\\[\s\S][^'\\\n\r]*)*"
+)
+_IRI_ILLEGAL = re.compile(r'[\x00-\x20"{}|^`]')
 _STRING_ESCAPES = {
     "t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f",
     '"': '"', "'": "'", "\\": "\\",
 }
 
 
-class _Lexer:
-    def __init__(self, text: str):
+class _Parser:
+    def __init__(self, text: str, base: str):
         self.text = text
         self.pos = 0
-        self.line = 1
-        self.col = 1
+        self.base = base
+        self.prefixes: dict[str, str] = {}
+        self.triples: list[Triple] = []
+        self._peeked: _Token | None = None
 
-    def _advance(self, count: int) -> None:
-        chunk = self.text[self.pos : self.pos + count]
-        newlines = chunk.count("\n")
-        if newlines:
-            self.line += newlines
-            self.col = count - chunk.rfind("\n")
-        else:
-            self.col += count
-        self.pos += count
+    def where(self, pos: int) -> tuple[int, int]:
+        """1-based line and column of offset ``pos``; only built for errors."""
+        return self.text.count("\n", 0, pos) + 1, pos - self.text.rfind("\n", 0, pos)
 
-    def error(self, message: str) -> TurtleSyntaxError:
-        return TurtleSyntaxError(message, self.line, self.col)
+    def error(self, message: str, pos: int) -> TurtleSyntaxError:
+        return TurtleSyntaxError(message, *self.where(pos))
 
     def next_token(self) -> _Token:
-        ws = _WS.match(self.text, self.pos)
+        text = self.text
+        ws = _WS.match(text, self.pos)
         if ws:
-            self._advance(ws.end() - self.pos)
-        if self.pos >= len(self.text):
-            return _Token("EOF", "", self.line, self.col)
-        line, col = self.line, self.col
-        ch = self.text[self.pos]
+            self.pos = ws.end()
+        start = self.pos
+        if start >= len(text):
+            return _Token("EOF", "", start)
+        ch = text[start]
 
         if ch == "<":
-            return self._iriref(line, col)
+            m = _IRIREF.match(text, start)
+            end = m.end()
+            if end >= len(text):
+                raise self.error("unterminated IRI", start)
+            if text[end] != ">":
+                raise self.error("newline inside IRI", start)
+            raw = m.group(1)
+            if _IRI_ILLEGAL.search(raw):
+                raise self.error(f"illegal character in IRI <{raw}>", start)
+            self.pos = end + 1
+            return _Token("IRIREF", self._unescape(raw, start, iri=True), start)
         if ch in "\"'":
-            if self.text[self.pos : self.pos + 3] in ('"""', "'''"):
-                raise UnsupportedConstruct("multi-line string", f"line {line}")
-            return self._string(ch, line, col)
+            if text[start : start + 3] in ('"""', "'''"):
+                raise UnsupportedConstruct("multi-line string", f"line {self.where(start)[0]}")
+            end = _STRING.match(text, start).end()
+            if end < len(text) and text[end] in "\n\r":
+                raise self.error("newline inside string literal", start)
+            if end >= len(text) or text[end] != ch:
+                raise self.error("unterminated string literal", start)
+            self.pos = end + 1
+            return _Token("STRING", self._unescape(text[start + 1 : end], start), start)
         if ch == "@":
-            self._advance(1)
-            word = _LANG.match(self.text, self.pos)
+            self.pos += 1
+            word = _LANG.match(text, self.pos)
             if not word:
-                raise self.error("expected directive or language tag after '@'")
+                raise self.error("expected directive or language tag after '@'", self.pos)
             value = word.group(0)
-            self._advance(len(value))
+            self.pos = word.end()
             if value in ("prefix", "base"):
-                return _Token("DIRECTIVE", "@" + value, line, col)
-            return _Token("LANGTAG", value, line, col)
+                return _Token("DIRECTIVE", "@" + value, start)
+            return _Token("LANGTAG", value, start)
         if ch == "^":
-            if self.text[self.pos : self.pos + 2] == "^^":
-                self._advance(2)
-                return _Token("DTYPE", "^^", line, col)
-            raise self.error("lone '^' (expected '^^')")
+            if text[start : start + 2] == "^^":
+                self.pos += 2
+                return _Token("DTYPE", "^^", start)
+            raise self.error("lone '^' (expected '^^')", start)
         if ch in "([":
             construct = "collection" if ch == "(" else "anonymous blank node"
+            line, col = self.where(start)
             raise UnsupportedConstruct(construct, f"line {line}, column {col}")
         if ch in ")]":
-            raise self.error(f"unbalanced {ch!r}")
-        if ch == "_" and self.text[self.pos : self.pos + 2] == "_:":
-            m = _BLANK.match(self.text, self.pos)
-            label = m.group(0).rstrip(".")
+            raise self.error(f"unbalanced {ch!r}", start)
+        if ch == "_" and text[start : start + 2] == "_:":
+            label = _BLANK.match(text, start).group(0).rstrip(".")
             if label == "_:":
-                raise self.error("blank node label missing")
-            self._advance(len(label))
-            return _Token("BLANK", label, line, col)
-        num = _NUMBER.match(self.text, self.pos)
+                raise self.error("blank node label missing", start)
+            self.pos += len(label)
+            return _Token("BLANK", label, start)
+        num = _NUMBER.match(text, start)
         if num and (ch.isdigit() or (ch in "+-." and len(num.group(0)) > 1)):
-            self._advance(len(num.group(0)))
-            return _Token("NUMBER", num.group(0), line, col)
+            self.pos = num.end()
+            return _Token("NUMBER", num.group(0), start)
         if ch in ".;,":
-            self._advance(1)
-            return _Token("PUNCT", ch, line, col)
-        pname = _PNAME.match(self.text, self.pos)
+            self.pos += 1
+            return _Token("PUNCT", ch, start)
+        pname = _PNAME.match(text, start)
         if pname:
             local = pname.group(2)
             trimmed = len(local) - len(local.rstrip("."))
             local = local[: len(local) - trimmed] if trimmed else local
-            consumed = pname.end() - self.pos - trimmed
-            self._advance(consumed)
-            return _Token("PNAME", pname.group(1), line, col, extra=local)
-        word = _WORD.match(self.text, self.pos)
+            self.pos = pname.end() - trimmed
+            return _Token("PNAME", pname.group(1), start, extra=local)
+        word = _WORD.match(text, start)
         if word:
-            self._advance(len(word.group(0)))
-            return _Token("WORD", word.group(0), line, col)
-        raise self.error(f"unexpected character {ch!r}")
+            self.pos = word.end()
+            return _Token("WORD", word.group(0), start)
+        raise self.error(f"unexpected character {ch!r}", start)
 
-    def _iriref(self, line: int, col: int) -> _Token:
-        end = self.pos + 1
-        text = self.text
-        while end < len(text) and text[end] != ">":
-            if text[end] in "\n\r":
-                raise TurtleSyntaxError("newline inside IRI", line, col)
-            end += 1
-        if end >= len(text):
-            raise TurtleSyntaxError("unterminated IRI", line, col)
-        raw = text[self.pos + 1 : end]
-        if any(c in raw for c in ' "{}|^`') or any(ord(c) < 0x20 for c in raw):
-            raise TurtleSyntaxError(f"illegal character in IRI <{raw}>", line, col)
-        self._advance(end + 1 - self.pos)
-        return _Token("IRIREF", self._unescape(raw, line, col, iri=True), line, col)
-
-    def _string(self, quote: str, line: int, col: int) -> _Token:
-        text = self.text
-        end = self.pos + 1
-        while end < len(text):
-            c = text[end]
-            if c == "\\":
-                end += 2
-                continue
-            if c == quote:
-                break
-            if c in "\n\r":
-                raise TurtleSyntaxError("newline inside string literal", line, col)
-            end += 1
-        if end >= len(text):
-            raise TurtleSyntaxError("unterminated string literal", line, col)
-        raw = text[self.pos + 1 : end]
-        self._advance(end + 1 - self.pos)
-        return _Token("STRING", self._unescape(raw, line, col), line, col)
-
-    def _unescape(self, raw: str, line: int, col: int, iri: bool = False) -> str:
+    def _unescape(self, raw: str, pos: int, iri: bool = False) -> str:
         if "\\" not in raw:
             return raw
         out: list[str] = []
@@ -177,37 +161,30 @@ class _Lexer:
                 i += 1
                 continue
             if i + 1 >= len(raw):
-                raise TurtleSyntaxError("dangling backslash", line, col)
+                raise self.error("dangling backslash", pos)
             esc = raw[i + 1]
             if esc in ("u", "U"):
                 width = 4 if esc == "u" else 8
                 digits = raw[i + 2 : i + 2 + width]
                 if len(digits) != width:
-                    raise TurtleSyntaxError(f"bad \\{esc} escape", line, col)
+                    raise self.error(f"bad \\{esc} escape", pos)
                 try:
-                    out.append(chr(int(digits, 16)))
+                    char = chr(int(digits, 16))
+                    char.encode("utf-8")  # a surrogate has no UTF-8 form to index
                 except ValueError:
-                    raise TurtleSyntaxError(f"bad \\{esc} escape", line, col) from None
+                    raise self.error(f"bad \\{esc} escape", pos) from None
+                out.append(char)
                 i += 2 + width
             elif not iri and esc in _STRING_ESCAPES:
                 out.append(_STRING_ESCAPES[esc])
                 i += 2
             else:
-                raise TurtleSyntaxError(f"unknown escape \\{esc}", line, col)
+                raise self.error(f"unknown escape \\{esc}", pos)
         return "".join(out)
-
-
-class _Parser:
-    def __init__(self, text: str, base: str):
-        self.lexer = _Lexer(text)
-        self.base = base
-        self.prefixes: dict[str, str] = {}
-        self.triples: list[Triple] = []
-        self._peeked: _Token | None = None
 
     def peek(self) -> _Token:
         if self._peeked is None:
-            self._peeked = self.lexer.next_token()
+            self._peeked = self.next_token()
         return self._peeked
 
     def take(self) -> _Token:
@@ -218,9 +195,7 @@ class _Parser:
     def expect_punct(self, symbol: str) -> None:
         tok = self.take()
         if tok.kind != "PUNCT" or tok.value != symbol:
-            raise TurtleSyntaxError(
-                f"expected {symbol!r}, found {tok.value or tok.kind!r}", tok.line, tok.col
-            )
+            raise self.error(f"expected {symbol!r}, found {tok.value or tok.kind!r}", tok.pos)
 
     def parse(self) -> list[Triple]:
         while True:
@@ -240,17 +215,15 @@ class _Parser:
         if which == "@prefix":
             name = self.take()
             if name.kind != "PNAME" or name.extra:
-                raise TurtleSyntaxError(
-                    "expected 'prefix:' in prefix declaration", name.line, name.col
-                )
+                raise self.error("expected 'prefix:' in prefix declaration", name.pos)
             target = self.take()
             if target.kind != "IRIREF":
-                raise TurtleSyntaxError("expected IRI in prefix declaration", target.line, target.col)
+                raise self.error("expected IRI in prefix declaration", target.pos)
             self.prefixes[name.value] = resolve_iri(self.base, target.value)
         else:
             target = self.take()
             if target.kind != "IRIREF":
-                raise TurtleSyntaxError("expected IRI in base declaration", target.line, target.col)
+                raise self.error("expected IRI in base declaration", target.pos)
             self.base = resolve_iri(self.base, target.value)
         if trailing_dot:
             self.expect_punct(".")
@@ -280,9 +253,7 @@ class _Parser:
                 continue
             if tok.kind == "PUNCT" and tok.value == ".":
                 return
-            raise TurtleSyntaxError(
-                f"expected ';', ',' or '.', found {tok.value or tok.kind!r}", tok.line, tok.col
-            )
+            raise self.error(f"expected ';', ',' or '.', found {tok.value or tok.kind!r}", tok.pos)
 
     def verb(self) -> str:
         tok = self.peek()
@@ -297,11 +268,9 @@ class _Parser:
             return resolve_iri(self.base, tok.value)
         if tok.kind == "PNAME":
             if tok.value not in self.prefixes:
-                raise UndefinedPrefix(tok.value, tok.line, tok.col)
+                raise UndefinedPrefix(tok.value, *self.where(tok.pos))
             return self.prefixes[tok.value] + tok.extra
-        raise TurtleSyntaxError(
-            f"expected IRI as {position}, found {tok.value or tok.kind!r}", tok.line, tok.col
-        )
+        raise self.error(f"expected IRI as {position}, found {tok.value or tok.kind!r}", tok.pos)
 
     def term(self, position: str) -> str | Literal:
         tok = self.peek()
@@ -317,9 +286,7 @@ class _Parser:
             if tok.kind == "NUMBER":
                 self.take()
                 return Literal(tok.value)
-        raise TurtleSyntaxError(
-            f"expected {position}, found {tok.value or tok.kind!r}", tok.line, tok.col
-        )
+        raise self.error(f"expected {position}, found {tok.value or tok.kind!r}", tok.pos)
 
     def literal_tail(self, lexical: str) -> Literal:
         tok = self.peek()

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
 
 from onto_seeker.harness import Corpus, CorpusEntry, SiteSpec, make_synthetic_site
 from onto_seeker.indexer import (
@@ -162,6 +163,28 @@ def nested_rdf_xml(depth: int) -> bytes:
         'xmlns:owl="http://www.w3.org/2002/07/owl#" xmlns:ex="http://x/o.owl#">'
         f'{opening}<owl:Class rdf:about="#Leaf"/>{closing}</rdf:RDF>'
     ).encode()
+
+
+# Bytes that carry syntax in Turtle or RDF/XML, so mutants reach the parsers'
+# error paths more often than uniformly random bytes do.
+_SYNTAX_BYTES = b'<>"\'\\:[]()#.;,@^_=/&! \n\tuU0'
+
+
+@st.composite
+def mutants(draw, seed: bytes) -> bytes:
+    """``seed`` after 1-5 single-byte inserts, replacements or deletions."""
+    body = bytearray(seed)
+    for _ in range(draw(st.integers(1, 5))):
+        pos = draw(st.integers(0, len(body) - 1))
+        byte = draw(st.sampled_from(_SYNTAX_BYTES) | st.integers(0, 255))
+        op = draw(st.sampled_from(("insert", "replace", "delete")))
+        if op == "insert":
+            body.insert(pos, byte)
+        elif op == "replace":
+            body[pos] = byte
+        else:
+            del body[pos]
+    return bytes(body)
 
 
 def make_index(summaries: list[OntologySummary], created_at: str = "fixed") -> Index:

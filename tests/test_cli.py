@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -113,6 +116,28 @@ class TestCmdCrawl:
         captured = capsys.readouterr()
         _assert_error_exit(captured, code, 2)
         assert str(site / "site.json") in captured.err
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_malformed_marked_section_does_not_abort_the_crawl(self, tmp_path, workers):
+        site = tmp_path / "site"
+        site.mkdir()
+        (site / "index.html").write_text('<a href="p1.html">1</a><a href="p2.html">2</a>')
+        (site / "p1.html").write_text('<![CDAT[ x ]]><a href="later.owl">o</a>')
+        (site / "p2.html").write_text("<p>end</p>")
+        out = tmp_path / "urls.txt"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "onto_seeker.cli", "crawl", "--corpus-dir", str(site),
+             "--seed-url", "http://fixture.test/", "--max-pages", "10", "--workers", workers,
+             "--politeness-ms", "0", "--out", str(out), "--format", "tsv"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=60,
+        )
+        assert "Traceback" not in done.stderr
+        assert done.returncode == 0
+        report = dict(line.split("\t", 1) for line in done.stdout.splitlines())
+        assert (report["pages_fetched"], report["errors"]) == ("3", "0")
+        assert out.read_text() == "http://fixture.test/later.owl\n"
 
 
 class TestCmdIndex:

@@ -122,6 +122,27 @@ class TestExtractLinks:
     def test_href_without_value_skipped(self):
         assert extract_links(b"<a href>x</a>", BASE) == []
 
+    @pytest.mark.parametrize("section", ["<![CDAT[ x ]]>", "<![ x ]]>"])
+    def test_malformed_marked_section_reads_as_a_comment(self, section):
+        html = f'<a href="/a.html">a</a>{section}<a href="/later.owl">o</a>'.encode()
+        assert [u.path for u in extract_links(html, BASE)] == ["/a.html", "/later.owl"]
+
+    @given(
+        st.lists(
+            st.sampled_from(
+                ["<![", "CDATA[", "CDAT[", "if", "]]>", "]>", "<!", "<!--", "-->", "<a href=",
+                 '"/x.owl"', "'", ">", "<", "/", "&amp;", "&#", " ", "\n"]
+            )
+            | st.text(max_size=4),
+            max_size=30,
+        ).map(lambda parts: "".join(parts).encode())
+        | st.binary(max_size=300)
+    )
+    def test_markup_fragments_give_a_list_of_urls(self, html):
+        links = extract_links(html, BASE)
+        assert isinstance(links, list)
+        assert all(isinstance(url, Url) for url in links)
+
     @given(st.binary(max_size=300))
     def test_never_raises_on_garbage(self, blob):
         result = extract_links(blob, BASE)
@@ -244,6 +265,19 @@ class TestCrawl:
         report = crawl(config, CorpusTransport(corpus))
         assert report.pages_fetched == 2
         assert report.errors == 1
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_malformed_marked_section_page_is_fetched_and_scanned(self, tmp_path, workers):
+        corpus = Corpus()
+        corpus.add("http://h.test/", _page('<a href="/p1.html">1</a><a href="/p2.html">2</a>'))
+        corpus.add("http://h.test/p1.html", _page('<![CDAT[ x ]]><a href="/later.owl">o</a>'))
+        corpus.add("http://h.test/p2.html", _page("<p>end</p>"))
+        config = _config(tmp_path, ["http://h.test/"], worker_count=workers)
+        report = crawl(config, CorpusTransport(corpus))
+        assert report.pages_fetched == 3
+        assert report.errors == 0
+        assert report.status_histogram == {200: 3}
+        assert (tmp_path / "urls.txt").read_text() == "http://h.test/later.owl\n"
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_redirect_off_the_web_is_a_counted_error(self, tmp_path, workers):

@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import hashlib
+import importlib
+import json
 import re
+from pathlib import Path
 from urllib.parse import urljoin
 
 import pytest
 
 from conftest import make_index
+from onto_seeker import crawler, indexer, query
 from onto_seeker.crawler import CrawlConfig, crawl
 from onto_seeker.harness import (
     Corpus,
@@ -84,6 +89,27 @@ class TestMakeSyntheticSite:
             assert corpus_b.entries[key].body == entry.body
             assert corpus_b.entries[key].content_type == entry.content_type
         assert gt_a.reachable_ontology_urls == gt_b.reachable_ontology_urls
+
+    @pytest.mark.parametrize(
+        "spec, digest",
+        [
+            # branching runs out: 15 pages fit above depth 3 at branching 2
+            (SiteSpec(seed=7, page_count=600, ontology_count=60, max_link_depth=3, branching=2),
+             "3ffa516e4e1fff43378769167b7027de30b02b17007ee1a3e3f54945005939e9"),
+            (SiteSpec(seed=9, page_count=50, ontology_count=10, max_link_depth=1, branching=1),
+             "221d6459ced8eaa531e089021085cdd964622de7ee7112dd4bac12fee474fa57"),
+            (SiteSpec(seed=42, page_count=120, ontology_count=15, host_count=2),
+             "ee542f9a47a2f1de863b082130a168450ed9921ad97c09522f1aa518d45b599d"),
+            (SiteSpec(seed=3, page_count=400, ontology_count=80, max_link_depth=6, branching=4,
+                      host_count=3, latency_ms=2),
+             "b61a1ff7dbffb41c809879da7f4577c47557ecf1c1d1ebd599d86f7411933303"),
+        ],
+    )
+    def test_generated_site_is_pinned(self, spec, digest):
+        corpus, truth = make_synthetic_site(spec)
+        h = hashlib.sha256(repr(sorted(corpus.entries.items())).encode())
+        h.update(json.dumps([truth.page_depths, truth.ontology_depths], sort_keys=True).encode())
+        assert h.hexdigest() == digest
 
     def test_different_seed_differs(self):
         a, _ = make_synthetic_site(SiteSpec(seed=1, page_count=30, ontology_count=5))
@@ -304,3 +330,16 @@ class TestPolitenessModes:
         gaps = [b - a for a, b in zip(times, times[1:])]
         assert len(times) == 3
         assert all(gap >= 25 for gap in gaps)
+
+
+class TestPerfbenchTracer:
+    def test_installs_on_every_call_site_and_restores_them(self, monkeypatch):
+        # perfbench/tracing.py patches src/ call sites by name; a refactor that
+        # drops one would otherwise break `perfbench/run.py --trace 1` unseen.
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        tracing = importlib.import_module("tracing")
+        sites = [(crawler, "extract_links"), (indexer, "parse_turtle"), (query, "search")]
+        before = [getattr(owner, name) for owner, name in sites]
+        with tracing.Tracer("t").installed():
+            assert all(getattr(o, n) is not f for (o, n), f in zip(sites, before))
+        assert all(getattr(o, n) is f for (o, n), f in zip(sites, before))

@@ -17,7 +17,7 @@ from conftest import (
     sixteen_line_fixture,
 )
 from onto_seeker import indexer
-from onto_seeker.harness import Corpus, CorpusEntry, CorpusTransport
+from onto_seeker.harness import Corpus, CorpusEntry, CorpusTransport, scan_oracle
 from onto_seeker.indexer import (
     CorruptIndex,
     DocRecord,
@@ -35,7 +35,8 @@ from onto_seeker.indexer import (
     render_skip_report,
     write_index,
 )
-from onto_seeker.rdf import OntologySummary, tokenize
+from onto_seeker.query import EmptyQuery, parse_query, search
+from onto_seeker.rdf import OWL_NS, RDF_NS, OntologySummary, tokenize
 
 
 def _write_lines(tmp_path, lines):
@@ -158,6 +159,56 @@ class TestBuildIndex:
         assert manifest.skip_counts["parse_error"] == 1
         assert manifest.doc_count == 1
         assert [doc.url for doc in read_index(tmp_path / "idx").docs] == ["http://h.test/flat.owl"]
+
+    @pytest.mark.parametrize(
+        "content_type, body",
+        [
+            ("text/turtle", b"<http://h/a> <http://h/p> <http://[x> ."),
+            (
+                "application/rdf+xml",
+                f'<rdf:RDF xmlns:rdf="{RDF_NS}"><rdf:Description rdf:about="http://[x"/>'
+                "</rdf:RDF>".encode(),
+            ),
+            (
+                "application/rdf+xml",
+                f'<?xml version="1.0" encoding="shift_jis"?><rdf:RDF xmlns:rdf="{RDF_NS}"/>'.encode(),
+            ),
+            ("text/turtle", f"<http://h/a\\uD800> a <{OWL_NS}Class> .".encode()),
+        ],
+        ids=["turtle-unjoinable-iri", "rdfxml-unjoinable-iri", "xml-multibyte-encoding",
+             "turtle-surrogate-escape"],
+    )
+    def test_bad_document_counts_as_parse_error_and_the_build_goes_on(
+        self, tmp_path, content_type, body
+    ):
+        good = f"<http://h.test/o#Person> a <{OWL_NS}Class> .".encode()
+        corpus = Corpus()
+        corpus.add("http://h.test/bad.owl", CorpusEntry(200, content_type, body))
+        corpus.add("http://h.test/good.ttl", CorpusEntry(200, "text/turtle", good))
+        path = _write_lines(tmp_path, ["http://h.test/bad.owl", "http://h.test/good.ttl"])
+        manifest = build_index(
+            path, CorpusTransport(corpus), IndexLimits(politeness_ms=0), tmp_path / "idx"
+        )
+        assert manifest.skip_counts["parse_error"] == 1
+        assert manifest.doc_count == 1
+
+    def test_terms_with_line_breaks_or_no_tokens_keep_the_index_readable(self, tmp_path):
+        docs = {
+            # U+2028 is a line break to str.splitlines, which reads the TSV files
+            "http://h.test/sep.ttl": f"<http://h.test/o#Line\\u2028Break> a <{OWL_NS}Class> .",
+            "http://h.test/none.ttl": f"<http://h.test/o#_> a <{OWL_NS}Class> .",
+        }
+        corpus = Corpus()
+        for url, text in docs.items():
+            corpus.add(url, CorpusEntry(200, "text/turtle", text.encode()))
+        path = _write_lines(tmp_path, list(docs))
+        manifest = build_index(
+            path, CorpusTransport(corpus), IndexLimits(politeness_ms=0), tmp_path / "idx"
+        )
+        assert manifest.doc_count == 1
+        assert manifest.skip_counts["empty_ontology"] == 1
+        index = read_index(tmp_path / "idx")
+        assert [(p.token, p.doc_id) for p in index.postings] == [("break", 0), ("line", 0)]
 
     def test_missing_input(self, tmp_path):
         with pytest.raises(InputUnreadable):
@@ -482,6 +533,48 @@ class TestRecordContracts:
         assert hash(a) == hash(b)
         assert len({a, b}) == 1
         assert a != Posting("person", "class", 0, 2)
+
+
+# Terms mixing separators, whitespace that str.split or str.splitlines
+# reads as a break (TAB, LF, CR, VT, FF, FS, NEL, LINE SEPARATOR), and
+# non-BMP characters, with any other character now and then. No surrogates:
+# neither parser yields one (the index files are UTF-8).
+_UNICODE_TERMS = st.text(
+    alphabet=st.sampled_from("aZ9_-. \t\n\r\x0b\x0c\x1c\x85\u2028\u00e9\U0001F600\U00010400")
+    | st.characters(codec="utf-8"),
+    min_size=1,
+    max_size=12,
+)
+
+
+class TestUnicodeTermsContract:
+    @given(st.lists(st.tuples(*[st.frozensets(_UNICODE_TERMS, max_size=4)] * 3), max_size=6),
+           st.data())
+    def test_round_trip_and_search_equal_the_oracle(self, tmp_path_factory, fields, data):
+        summaries = [
+            OntologySummary(f"http://h.test/o{i}.owl", *terms, triple_count=1, byte_size=10)
+            for i, terms in enumerate(fields)
+        ]
+        # build_index skips these as empty_ontology before they reach the index
+        summaries = [summary for summary in summaries if not summary.is_empty()]
+        index = make_index(summaries)
+        idx_dir = tmp_path_factory.mktemp("unicode") / "idx"
+        write_index(idx_dir, index.docs, index.postings, index.manifest)
+        loaded = read_index(idx_dir)
+        assert loaded.docs == index.docs
+        assert loaded.postings == index.postings
+
+        known = sorted({term for terms in fields for field in terms for term in field})
+        words = data.draw(st.lists(st.sampled_from(known) if known else _UNICODE_TERMS,
+                                   min_size=1, max_size=3))
+        try:
+            query = parse_query(" ".join(words))
+        except EmptyQuery:
+            return
+        for match_all in (False, True):
+            assert search(loaded, query, top_k=5, match_all=match_all) == scan_oracle(
+                summaries, query, top_k=5, match_all=match_all
+            )
 
 
 @st.composite

@@ -92,6 +92,12 @@ class TestNormalizeUrl:
     def test_whitespace_stripped(self):
         assert str(normalize_url(BASE, "  q.html \n")) == "http://a.example/dir/q.html"
 
+    @pytest.mark.parametrize("href", ["0\x0c#0", "q.html?a=1 #top", "q.html\u3000#x"])
+    def test_whitespace_before_fragment_dropped(self, href):
+        url = normalize_url(BASE, href)
+        assert str(url) == str(url).strip()
+        assert normalize_url(BASE, str(url)) == url
+
     @given(st.text(max_size=40))
     def test_idempotent_on_arbitrary_hrefs(self, href):
         try:

@@ -111,6 +111,11 @@ class TestTokenize:
             assert token == token.lower()
             assert not set(token) & set("._-")
 
+    def test_whitespace_and_line_breaks_split(self):
+        # no token may carry a TAB or a line break into the index's TSV files
+        term = "Line\u2028Break\tTab Space\x85Next\x0cFeed"
+        assert tokenize(term) == ["line", "break", "tab", "space", "next", "feed"]
+
     @given(st.text(alphabet="abcXYZ019._-", max_size=24))
     def test_retokenizing_a_token_is_identity(self, term):
         for token in tokenize(term):
@@ -157,6 +162,12 @@ class TestExtractSummary:
         assert summary.is_empty()
         assert summary.triple_count == 0
 
+    def test_terms_without_tokens_count_as_empty(self):
+        triples = [_typed("_", OWL_NS + "Class"), Triple(NS + "x", NS + "-", NS + "y")]
+        summary = extract_summary(triples, NS[:-1], byte_size=1)
+        assert summary.classes == {"_"}
+        assert summary.is_empty()
+
     def test_property_type_variants(self):
         triples = [
             _typed("p1", OWL_NS + "ObjectProperty"),
@@ -197,17 +208,6 @@ class TestExtractSummary:
         summary = extract_summary(triples, NS[:-1], byte_size=1)
         assert summary.classes == frozenset()
         assert summary.relations == {"uses"}  # predicate usage still counts
-
-    def test_custom_reserved_namespaces(self):
-        extra = frozenset({NS})
-        triples = [Triple(NS + "x", NS + "internal", NS + "y")]
-        assert extract_summary(triples, NS[:-1], 1).relations == {"internal"}
-        from onto_seeker.rdf.model import RESERVED_NAMESPACES
-
-        summary = extract_summary(
-            triples, NS[:-1], 1, reserved_namespaces=RESERVED_NAMESPACES | extra
-        )
-        assert summary.relations == frozenset()
 
     def test_literals_never_contribute(self):
         triples = [Triple(NS + "x", NS + "note", Literal("CamelCasedWords"))]

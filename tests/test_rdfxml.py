@@ -1,12 +1,16 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import nested_rdf_xml
+from conftest import FIXTURES, mutants, nested_rdf_xml
 from onto_seeker.rdf import (
     OWL_NS,
     RDF_NS,
+    InvalidIri,
     Literal,
+    RdfParseError,
     Triple,
     UnsupportedConstruct,
     XmlMalformed,
@@ -194,3 +198,31 @@ class TestParseRdfXml:
         with pytest.raises(UnsupportedConstruct) as err:
             parse_rdf_xml(nested_rdf_xml(depth), BASE)
         assert f"nested more than {MAX_NODE_DEPTH} deep" in str(err.value)
+
+    def test_unjoinable_about_is_a_parse_error(self):
+        with pytest.raises(InvalidIri):
+            parse_rdf_xml(_doc('<owl:Class rdf:about="http://[x"/>'), BASE)
+
+    @pytest.mark.parametrize("encoding", ["bogus", "shift_jis", "rot13"])
+    def test_unreadable_declared_encoding_malformed(self, encoding):
+        body = f'<?xml version="1.0" encoding="{encoding}"?>'.encode() + _doc("")
+        with pytest.raises(XmlMalformed):
+            parse_rdf_xml(body, BASE)
+
+
+def _assert_triples_or_parse_error(body: bytes) -> None:
+    try:
+        triples = parse_rdf_xml(body, BASE)
+    except RdfParseError:
+        return
+    assert all(isinstance(t, Triple) for t in triples)
+
+
+class TestParseContract:
+    @given(st.binary(max_size=300) | st.text(max_size=300).map(str.encode))
+    def test_arbitrary_bytes(self, body):
+        _assert_triples_or_parse_error(body)
+
+    @given(mutants((FIXTURES / "uni8.rdf").read_bytes()))
+    def test_mutants_of_a_valid_document(self, body):
+        _assert_triples_or_parse_error(body)

@@ -1,10 +1,15 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from conftest import FIXTURES, mutants
 from onto_seeker.rdf import (
     RDF_NS,
+    InvalidIri,
     Literal,
+    RdfParseError,
     Triple,
     TurtleSyntaxError,
     UndefinedPrefix,
@@ -112,6 +117,37 @@ class TestParseTurtle:
         assert err.value.line == 2
         assert err.value.col > 0
 
+    @pytest.mark.parametrize(
+        "text, error, message",
+        [
+            ("<a> <p> <o> .\n  ex:A <p> <o> .", UndefinedPrefix,
+             "line 2, column 3: undefined prefix 'ex:'"),
+            ("<a> <p>\n\t@ .", TurtleSyntaxError,
+             "line 2, column 3: expected directive or language tag after '@'"),
+            ('<a> <p> <o> .\r\n<b> <p> "x\n" .', TurtleSyntaxError,
+             "line 2, column 9: newline inside string literal"),
+            ("# c\n\n<a> <p> <o>", TurtleSyntaxError,
+             "line 3, column 12: expected ';', ',' or '.', found 'EOF'"),
+            ("<a> <p>\n  ( ) .", UnsupportedConstruct,
+             "unsupported construct: collection (line 2, column 3)"),
+            ("<a>\n<p> '''x''' .", UnsupportedConstruct,
+             "unsupported construct: multi-line string (line 2)"),
+        ],
+    )
+    def test_error_names_line_and_column(self, text, error, message):
+        with pytest.raises(error) as err:
+            _parse(text)
+        assert str(err.value) == message
+
+    def test_unjoinable_iri_is_a_parse_error(self):
+        with pytest.raises(InvalidIri):
+            _parse("<http://h/a> <http://h/p> <http://[x> .")
+
+    def test_surrogate_escape_rejected(self):
+        # A lone surrogate cannot be written to the UTF-8 index files.
+        with pytest.raises(TurtleSyntaxError, match=r"bad \\u escape"):
+            _parse(r"<http://h/a\uD800> <http://h/p> <http://h/o> .")
+
     def test_unterminated_string(self):
         with pytest.raises(TurtleSyntaxError):
             _parse('<a> <p> "oops .')
@@ -154,3 +190,21 @@ class TestParseTurtle:
     def test_keyword_a_invalid_as_subject(self):
         with pytest.raises(TurtleSyntaxError):
             _parse("a <p> <o> .")
+
+
+def _assert_triples_or_parse_error(body: bytes) -> None:
+    try:
+        triples = parse_turtle(body, BASE)
+    except RdfParseError:
+        return
+    assert all(isinstance(t, Triple) for t in triples)
+
+
+class TestParseContract:
+    @given(st.binary(max_size=300) | st.text(max_size=300).map(str.encode))
+    def test_arbitrary_bytes(self, body):
+        _assert_triples_or_parse_error(body)
+
+    @given(mutants((FIXTURES / "uni8.ttl").read_bytes()))
+    def test_mutants_of_a_valid_document(self, body):
+        _assert_triples_or_parse_error(body)
