@@ -10,6 +10,7 @@ index directory.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -47,6 +48,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INPUT = 2
 EXIT_RUNTIME = 3
+EXIT_BROKEN_PIPE = 141  # what a shell reports for a process ended by SIGPIPE
 
 
 class _UsageError(Exception):
@@ -380,7 +382,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # meet a closed stdout here, not in the exit flush
+        return code
     except _UsageError as exc:
         _eprint(f"error: {exc}")
         return EXIT_USAGE
@@ -390,6 +394,10 @@ def main(argv: list[str] | None = None) -> int:
     except OntoSeekerError as exc:
         _eprint(f"error: {exc}")
         return EXIT_RUNTIME
+    except BrokenPipeError:
+        # stdout's reader left early (`| head -1`): the rest goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

@@ -2,8 +2,9 @@
 
 The index directory holds exactly three files: ``manifest.json`` (counts and
 skip accounting), ``docs.tsv`` (one row per indexed document), and
-``postings.tsv`` (token/field/doc/tf rows, sorted). Builds are sequential in
-input order so doc ids and the on-disk bytes are reproducible.
+``postings.tsv`` (one ``Posting`` row per line, sorted). Builds are sequential
+in input order so doc ids and the on-disk bytes are reproducible. The reader
+loads the rows into one ``PostingList`` (doc ids, tfs) per (token, field).
 """
 
 from __future__ import annotations
@@ -11,7 +12,8 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from functools import cached_property
 from pathlib import Path
@@ -119,37 +121,37 @@ class IndexManifest:
     field_weights: dict[str, float]
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "format_version": self.format_version,
-                "created_at": self.created_at,
-                "doc_count": self.doc_count,
-                "posting_count": self.posting_count,
-                "input_line_count": self.input_line_count,
-                "skip_counts": self.skip_counts,
-                "field_weights": self.field_weights,
-            },
-            sort_keys=True,
-            indent=2,
-        ) + "\n"
+        return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
+
+
+DocTf = namedtuple("DocTf", "doc_id tf")
+
+
+@dataclass(slots=True)
+class PostingList:
+    """The postings of one (token, field) key: ascending doc ids and their tfs."""
+
+    doc_ids: list[int]
+    tfs: list[int]
+
+    def __len__(self) -> int:
+        return len(self.doc_ids)
+
+    def __iter__(self):  # (doc_id, tf) items, as perfbench/tracing.py reads them
+        return map(DocTf, self.doc_ids, self.tfs)
 
 
 @dataclass
 class Index:
     docs: list[DocRecord]
-    postings: list[Posting]
+    posting_lists: dict[tuple[str, str], PostingList]
     manifest: IndexManifest
 
+    # Kept for perfbench/tracing.py, which wraps this property's .func by name
+    # and counts through len() and .doc_id; ROADMAP item 5 retires the patching.
     @cached_property
-    def doc_by_url(self) -> dict[str, DocRecord]:
-        return {doc.url: doc for doc in self.docs}
-
-    @cached_property
-    def postings_by_token_field(self) -> dict[tuple[str, str], list[Posting]]:
-        table: dict[tuple[str, str], list[Posting]] = {}
-        for posting in self.postings:
-            table.setdefault((posting.token, posting.field), []).append(posting)
-        return table
+    def postings_by_token_field(self) -> dict[tuple[str, str], PostingList]:
+        return self.posting_lists
 
 
 def now_utc_iso() -> str:
@@ -165,21 +167,11 @@ def index_summaries(summaries: list[OntologySummary]) -> tuple[list[DocRecord], 
     docs: list[DocRecord] = []
     tf_table: dict[tuple[str, str, int], int] = {}
     for doc_id, summary in enumerate(summaries):
+        field_terms = (summary.classes, summary.properties, summary.relations)
         docs.append(
-            DocRecord(
-                doc_id=doc_id,
-                url=str(summary.url),
-                byte_size=summary.byte_size,
-                class_count=len(summary.classes),
-                property_count=len(summary.properties),
-                relation_count=len(summary.relations),
-            )
+            DocRecord(doc_id, str(summary.url), summary.byte_size, *map(len, field_terms))
         )
-        for field_name, terms in (
-            ("class", summary.classes),
-            ("property", summary.properties),
-            ("relation", summary.relations),
-        ):
+        for field_name, terms in zip(FIELDS, field_terms):
             for term in terms:
                 for token in set(tokenize(term)):
                     key = (token, field_name, doc_id)
@@ -320,7 +312,7 @@ def _corrupt(check: bool, message: str) -> None:
 
 
 def read_index(index_dir: str | Path) -> Index:
-    """Load and validate an index directory.
+    """Load and validate an index directory, one ``PostingList`` per key.
 
     Raises MissingFile when one of the three files is absent, VersionMismatch
     when ``format_version`` is not FORMAT_VERSION, and CorruptIndex naming the
@@ -329,9 +321,10 @@ def read_index(index_dir: str | Path) -> Index:
     - manifest.json is a JSON object with every field, skip reason and weight;
     - docs.tsv rows have 6 columns and integer numbers, doc ids are dense and
       ascending from 0, no count is negative and every doc has a term;
-    - postings.tsv rows have 4 columns, a known field and integer doc_id and
-      tf, tf >= 1, doc_id names a row of docs.tsv, and rows are strictly
-      sorted by token, field rank, doc id;
+    - postings.tsv rows have 4 columns, integer doc_id and tf, tf >= 1 and a
+      doc_id that names a row of docs.tsv; within a key each doc id is above
+      the one before it, and a row starting a new key has a known field and
+      sorts after the previous key by token, field rank;
     - the manifest's doc and posting counts match the files, the accounting
       identity doc_count + skips == input lines holds, and every doc has at
       least one posting.
@@ -371,13 +364,11 @@ def read_index(index_dir: str | Path) -> Index:
         parts = line.split("\t")
         if len(parts) != 6:
             raise CorruptIndex(f"docs.tsv line {lineno}: expected 6 columns")
-        doc_text, url, size_text, class_text, property_text, relation_text = parts
+        doc_text, url, *count_texts = parts
         try:
-            doc_id = int(doc_text)
-            byte_size = int(size_text)
-            class_count = int(class_text)
-            property_count = int(property_text)
-            relation_count = int(relation_text)
+            doc_id, byte_size, class_count, property_count, relation_count = map(
+                int, (doc_text, *count_texts)
+            )
         except ValueError as exc:
             raise CorruptIndex(f"docs.tsv line {lineno}: {exc}") from exc
         if doc_id != lineno - 1:
@@ -393,18 +384,17 @@ def read_index(index_dir: str | Path) -> Index:
         )
 
     doc_total = len(docs)
-    postings: list[Posting] = []
-    # Below every real key: field ranks start at 0.
-    prev_key: tuple[str, int, int] = ("", -1, -1)
-    with_postings: set[int] = set()
-    for lineno, line in enumerate(_read_tsv_lines(directory / POSTINGS_FILE), 1):
+    posting_lists: dict[tuple[str, str], PostingList] = {}
+    has_posting = bytearray(doc_total)
+    # The current key; no row's field equals None, so the first row opens a key
+    # and is checked against ("", -1), below every real key.
+    key_token, key_field, key_rank, prev_doc = "", None, -1, -1
+    rows = _read_tsv_lines(directory / POSTINGS_FILE)
+    for lineno, line in enumerate(rows, 1):
         parts = line.split("\t")
         if len(parts) != 4:
             raise CorruptIndex(f"postings.tsv line {lineno}: expected 4 columns")
         token, field_name, doc_text, tf_text = parts
-        rank = FIELD_RANK.get(field_name)
-        if rank is None:
-            raise CorruptIndex(f"postings.tsv line {lineno}: unknown field")
         try:
             doc_id = int(doc_text)
             tf = int(tf_text)
@@ -416,29 +406,37 @@ def read_index(index_dir: str | Path) -> Index:
             raise CorruptIndex(
                 f"postings.tsv line {lineno}: doc_id {doc_id} not in docs.tsv"
             )
-        key = (token, rank, doc_id)
-        if not prev_key < key:
+        if token == key_token and field_name == key_field:
+            in_order = doc_id > prev_doc
+        else:
+            rank = FIELD_RANK.get(field_name)
+            if rank is None:
+                raise CorruptIndex(f"postings.tsv line {lineno}: unknown field")
+            in_order = (key_token, key_rank) < (token, rank)
+            key_token, key_field, key_rank = token, field_name, rank
+            posting_list = posting_lists[token, field_name] = PostingList([], [])
+            add_doc = posting_list.doc_ids.append
+            add_tf = posting_list.tfs.append
+        if not in_order:
             raise CorruptIndex(
                 f"postings.tsv line {lineno}: rows not strictly sorted by token/field/doc"
             )
-        prev_key = key
-        with_postings.add(doc_id)
-        postings.append(Posting(token, field_name, doc_id, tf))
+        prev_doc = doc_id
+        has_posting[doc_id] = 1
+        add_doc(doc_id)
+        add_tf(tf)
 
     _corrupt(manifest.doc_count == len(docs), "manifest doc_count does not match docs.tsv")
     _corrupt(
-        manifest.posting_count == len(postings),
+        manifest.posting_count == len(rows),
         "manifest posting_count does not match postings.tsv",
     )
     _corrupt(
         manifest.doc_count + sum(manifest.skip_counts.values()) == manifest.input_line_count,
         "manifest accounting identity doc_count + skips == input lines violated",
     )
-    _corrupt(
-        with_postings == {doc.doc_id for doc in docs},
-        "every indexed document must have at least one posting",
-    )
-    return Index(docs=docs, postings=postings, manifest=manifest)
+    _corrupt(0 not in has_posting, "every indexed document must have at least one posting")
+    return Index(docs=docs, posting_lists=posting_lists, manifest=manifest)
 
 
 def _read_tsv_lines(path: Path) -> list[str]:

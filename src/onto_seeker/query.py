@@ -13,11 +13,14 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import OntoSeekerError
-from .indexer import FIELDS, FIELD_WEIGHTS, Index
+from .indexer import FIELDS, FIELD_WEIGHTS, Index, PostingList
 from .rdf import tokenize
+
+_NO_POSTINGS = PostingList([], [])
 
 
 class EmptyQuery(OntoSeekerError):
@@ -61,10 +64,6 @@ def parse_query(raw: str) -> Query:
     return Query(raw=raw, tokens=tuple(tokens))
 
 
-def _contribution(field_name: str, tf: int) -> float:
-    return FIELD_WEIGHTS[field_name] * (1.0 + math.log(tf))
-
-
 def check_top_k(top_k: int) -> None:
     if top_k < 1:
         raise ValueError("top_k must be >= 1")
@@ -83,19 +82,18 @@ def search(index: Index, query: Query, top_k: int, match_all: bool = False) -> l
     if not query.tokens:
         raise EmptyQuery("query has no tokens")
     check_top_k(top_k)
-    table = index.postings_by_token_field
+    table = index.posting_lists
     scores: dict[int, float] = {}
     with_all_tokens: set[int] | None = None
     for token in query.tokens:
         token_docs: set[int] = set()
         for field_name in FIELDS:
-            postings = table.get((token, field_name), ())
-            for posting in postings:
-                scores[posting.doc_id] = scores.get(posting.doc_id, 0.0) + _contribution(
-                    field_name, posting.tf
-                )
+            posting_list = table.get((token, field_name), _NO_POSTINGS)
+            w = FIELD_WEIGHTS[field_name]
+            for doc_id, tf in zip(posting_list.doc_ids, posting_list.tfs):
+                scores[doc_id] = scores.get(doc_id, 0.0) + w * (1.0 + math.log(tf))
             if match_all:
-                token_docs.update(posting.doc_id for posting in postings)
+                token_docs.update(posting_list.doc_ids)
         if match_all:
             with_all_tokens = token_docs if with_all_tokens is None else with_all_tokens & token_docs
 
@@ -108,9 +106,9 @@ def search(index: Index, query: Query, top_k: int, match_all: bool = False) -> l
     matched: dict[int, dict[str, set[str]]] = {doc_id: {} for doc_id in winners}
     for token in query.tokens:
         for field_name in FIELDS:
-            for posting in table.get((token, field_name), ()):
-                if posting.doc_id in matched:
-                    matched[posting.doc_id].setdefault(field_name, set()).add(token)
+            for doc_id in table.get((token, field_name), _NO_POSTINGS).doc_ids:
+                if doc_id in matched:
+                    matched[doc_id].setdefault(field_name, set()).add(token)
     return [
         QueryResult(
             url=docs[doc_id].url,
@@ -132,22 +130,18 @@ class ScoreContribution:
 def explain(index: Index, query: Query, url: str) -> list[ScoreContribution]:
     """Per-(token, field) contributions for one document; they sum to the
     exact score search() assigns it."""
-    doc = index.doc_by_url.get(url)
+    doc = next((doc for doc in index.docs if doc.url == url), None)
     if doc is None:
         raise UnknownUrl(url)
     contributions = []
     for token in query.tokens:
         for field_name in FIELDS:
-            for posting in index.postings_by_token_field.get((token, field_name), ()):
-                if posting.doc_id == doc.doc_id:
-                    contributions.append(
-                        ScoreContribution(
-                            token=token,
-                            field=field_name,
-                            tf=posting.tf,
-                            contribution=_contribution(field_name, posting.tf),
-                        )
-                    )
+            posting_list = index.posting_lists.get((token, field_name), _NO_POSTINGS)
+            at = bisect_left(posting_list.doc_ids, doc.doc_id)
+            if at < len(posting_list) and posting_list.doc_ids[at] == doc.doc_id:
+                tf = posting_list.tfs[at]
+                contribution = FIELD_WEIGHTS[field_name] * (1.0 + math.log(tf))
+                contributions.append(ScoreContribution(token, field_name, tf, contribution))
     return contributions
 
 

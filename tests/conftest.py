@@ -10,8 +10,11 @@ from onto_seeker.harness import Corpus, CorpusEntry, SiteSpec, make_synthetic_si
 from onto_seeker.indexer import (
     FIELD_WEIGHTS,
     FORMAT_VERSION,
+    DocRecord,
     Index,
     IndexManifest,
+    Posting,
+    PostingList,
     SKIP_REASONS,
     index_summaries,
 )
@@ -187,8 +190,11 @@ def mutants(draw, seed: bytes) -> bytes:
     return bytes(body)
 
 
-def make_index(summaries: list[OntologySummary], created_at: str = "fixed") -> Index:
-    """In-memory index straight from summaries (no fetch pipeline)."""
+def build_parts(
+    summaries: list[OntologySummary], created_at: str = "fixed"
+) -> tuple[list[DocRecord], list[Posting], IndexManifest]:
+    """What build_index writes for ``summaries`` (no fetch pipeline): the
+    arguments of write_index after its folder."""
     docs, postings = index_summaries(summaries)
     manifest = IndexManifest(
         format_version=FORMAT_VERSION,
@@ -199,7 +205,33 @@ def make_index(summaries: list[OntologySummary], created_at: str = "fixed") -> I
         skip_counts={reason: 0 for reason in SKIP_REASONS},
         field_weights=dict(FIELD_WEIGHTS),
     )
-    return Index(docs=docs, postings=postings, manifest=manifest)
+    return docs, postings, manifest
+
+
+def group_postings(postings: list[Posting]) -> dict[tuple[str, str], PostingList]:
+    """Sorted build-side rows grouped per (token, field) key, as read_index
+    loads them."""
+    table: dict[tuple[str, str], PostingList] = {}
+    for posting in postings:
+        posting_list = table.setdefault((posting.token, posting.field), PostingList([], []))
+        posting_list.doc_ids.append(posting.doc_id)
+        posting_list.tfs.append(posting.tf)
+    return table
+
+
+def posting_rows(index: Index) -> list[Posting]:
+    """An index's per-key lists flattened back into rows, in key order."""
+    return [
+        Posting(token, field_name, doc_id, tf)
+        for (token, field_name), posting_list in index.posting_lists.items()
+        for doc_id, tf in zip(posting_list.doc_ids, posting_list.tfs)
+    ]
+
+
+def make_index(summaries: list[OntologySummary], created_at: str = "fixed") -> Index:
+    """In-memory index straight from summaries (no fetch pipeline)."""
+    docs, postings, manifest = build_parts(summaries, created_at)
+    return Index(docs=docs, posting_lists=group_postings(postings), manifest=manifest)
 
 
 def canonical_triples(triples: list[Triple]) -> frozenset[Triple]:

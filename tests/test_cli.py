@@ -8,7 +8,10 @@ from pathlib import Path
 
 import pytest
 
+from conftest import build_parts
 from onto_seeker.cli import main
+from onto_seeker.indexer import read_index, write_index
+from onto_seeker.rdf import OntologySummary
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SITE1 = FIXTURES / "site1"
@@ -292,6 +295,55 @@ class TestCmdQuery:
         main(["query", "--index-dir", str(idx), "--query", "Anchor"])
         after = {f.name: f.read_bytes() for f in idx.iterdir()}
         assert before == after
+
+
+def _run_with_early_closing_reader(args: list[str], lines_read: int) -> tuple[list[str], int, str]:
+    """Run the CLI in a child process whose stdout reader closes after
+    ``lines_read`` lines; returns those lines, the exit code and stderr."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "onto_seeker.cli", *args],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    lines = [proc.stdout.readline() for _ in range(lines_read)]
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    return lines, proc.wait(timeout=60), err
+
+
+class TestClosedStdout:
+    def test_query_output_cut_after_the_first_line(self, tmp_path):
+        # 5,000 result lines are more than a pipe holds, so the child is
+        # still writing when the reader goes away.
+        summaries = [
+            OntologySummary(f"http://h.test/o{i}.owl", frozenset({"Person"}), frozenset(),
+                            frozenset(), triple_count=1, byte_size=10)
+            for i in range(5000)
+        ]
+        write_index(tmp_path / "idx", *build_parts(summaries))
+        lines, code, err = _run_with_early_closing_reader(
+            ["query", "--index-dir", str(tmp_path / "idx"), "--query", "person",
+             "--top-k", "5000"],
+            lines_read=1,
+        )
+        assert lines == ["1\t3.000000\thttp://h.test/o0.owl\n"]
+        assert (code, err) == (141, "")
+
+    def test_index_report_to_a_closed_reader(self, tmp_path, capsys):
+        # The report is a few hundred bytes, all written in one flush, so a
+        # reader that waited for its first line would get every line; this
+        # reader closes before the child writes anything.
+        _code, urls, _ = _crawl_site1(tmp_path, capsys)
+        _lines, code, err = _run_with_early_closing_reader(
+            ["index", "--urls", str(urls), "--index-dir", str(tmp_path / "idx"),
+             "--corpus-dir", str(SITE1), "--politeness-ms", "0"],
+            lines_read=0,
+        )
+        assert (code, err) == (141, "")
+        assert read_index(tmp_path / "idx").manifest.doc_count > 0
 
 
 class TestCmdPipeline:

@@ -9,7 +9,7 @@ from urllib.parse import urljoin
 
 import pytest
 
-from conftest import make_index
+from conftest import build_parts, make_index
 from onto_seeker import crawler, indexer, query
 from onto_seeker.crawler import CrawlConfig, crawl
 from onto_seeker.harness import (
@@ -29,6 +29,7 @@ from onto_seeker.harness import (
     serialize_rdf_xml,
     serialize_turtle,
 )
+from onto_seeker.indexer import FIELDS
 from onto_seeker.netfetch import Url
 from onto_seeker.query import EmptyQuery, Query, parse_query, search
 from onto_seeker.rdf import (
@@ -343,3 +344,30 @@ class TestPerfbenchTracer:
         with tracing.Tracer("t").installed():
             assert all(getattr(o, n) is not f for (o, n), f in zip(sites, before))
         assert all(getattr(o, n) is f for (o, n), f in zip(sites, before))
+
+    def test_search_counters_equal_the_per_key_lists(self, monkeypatch, tmp_path):
+        # The traced search counts through Index.postings_by_token_field: a
+        # change to the loaded index must keep these counters right.
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        tracing = importlib.import_module("tracing")
+        summaries = [
+            _summary("http://h.test/a.owl", {"Person", "PartOfPerson"}, {"hasPart"}),
+            _summary("http://h.test/b.owl", {"Vessel"}, {"hasPerson"}, {"part"}),
+        ]
+        indexer.write_index(tmp_path / "idx", *build_parts(summaries))
+        tracer = tracing.Tracer("t")
+        with tracer.installed():
+            index = indexer.read_index(tmp_path / "idx")
+            q = query.parse_query("person part")
+            query.search(index, q, top_k=5)
+        lists = [
+            index.posting_lists[token, field_name]
+            for token in q.tokens
+            for field_name in FIELDS
+            if (token, field_name) in index.posting_lists
+        ]
+        scanned = sum(len(posting_list.doc_ids) for posting_list in lists)
+        scored = len({doc_id for posting_list in lists for doc_id in posting_list.doc_ids})
+        assert (scanned, scored) == (5, 2)
+        assert tracer.counters["query.postings_scanned"] == scanned
+        assert tracer.counters["query.docs_scored"] == scored

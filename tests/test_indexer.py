@@ -4,6 +4,8 @@ import builtins
 import dataclasses
 import errno
 import json
+import random
+import string
 
 import pytest
 from hypothesis import given
@@ -12,8 +14,11 @@ from hypothesis import strategies as st
 from conftest import (
     EXPECTED_SIXTEEN_SKIPS,
     GOOD_FIXTURE_SUMMARIES,
+    build_parts,
+    group_postings,
     make_index,
     nested_rdf_xml,
+    posting_rows,
     sixteen_line_fixture,
 )
 from onto_seeker import indexer
@@ -112,7 +117,7 @@ class TestBuildIndex:
         assert manifest.doc_count == 0
         assert manifest.input_line_count == 0
         index = read_index(tmp_path / "idx")
-        assert index.docs == [] and index.postings == []
+        assert index.docs == [] and index.posting_lists == {}
 
     def test_unparseable_line_counts_as_fetch_error(self, tmp_path):
         path = _write_lines(tmp_path, ["not a url at all", "ftp://old.example/x.owl"])
@@ -208,7 +213,7 @@ class TestBuildIndex:
         assert manifest.doc_count == 1
         assert manifest.skip_counts["empty_ontology"] == 1
         index = read_index(tmp_path / "idx")
-        assert [(p.token, p.doc_id) for p in index.postings] == [("break", 0), ("line", 0)]
+        assert [(p.token, p.doc_id) for p in posting_rows(index)] == [("break", 0), ("line", 0)]
 
     def test_missing_input(self, tmp_path):
         with pytest.raises(InputUnreadable):
@@ -288,30 +293,29 @@ class TestWriteReadRoundTrip:
             _summary("http://h.test/a.owl", classes={"Person"}, relations={"knows"}),
             _summary("http://h.test/b.owl", properties={"hasPart"}),
         ]
-        index = make_index(summaries)
-        write_index(tmp_path / "idx", index.docs, index.postings, index.manifest)
+        docs, postings, manifest = build_parts(summaries)
+        write_index(tmp_path / "idx", docs, postings, manifest)
         loaded = read_index(tmp_path / "idx")
-        assert loaded.docs == index.docs
-        assert loaded.postings == index.postings
-        assert loaded.manifest == index.manifest
+        assert loaded.docs == docs
+        assert posting_rows(loaded) == postings
+        assert loaded.manifest == manifest
 
     def test_zero_docs_files_exist_empty(self, tmp_path):
-        index = make_index([])
-        write_index(tmp_path / "idx", index.docs, index.postings, index.manifest)
+        write_index(tmp_path / "idx", *build_parts([]))
         assert (tmp_path / "idx" / "docs.tsv").read_bytes() == b""
         assert (tmp_path / "idx" / "postings.tsv").read_bytes() == b""
         assert read_index(tmp_path / "idx").manifest.doc_count == 0
 
     def test_single_class_posting_file_line(self, tmp_path):
-        index = make_index([_summary("http://h.test/a.owl", classes={"Person"})])
-        write_index(tmp_path / "idx", index.docs, index.postings, index.manifest)
+        summaries = [_summary("http://h.test/a.owl", classes={"Person"})]
+        write_index(tmp_path / "idx", *build_parts(summaries))
         assert (tmp_path / "idx" / "postings.tsv").read_bytes() == b"person\tclass\t0\t1\n"
         docs_line = (tmp_path / "idx" / "docs.tsv").read_text()
         assert docs_line == "0\thttp://h.test/a.owl\t10\t1\t0\t0\n"
 
     def test_exactly_three_files(self, tmp_path):
-        index = make_index([_summary("http://h.test/a.owl", classes={"A"})])
-        write_index(tmp_path / "idx", index.docs, index.postings, index.manifest)
+        summaries = [_summary("http://h.test/a.owl", classes={"A"})]
+        write_index(tmp_path / "idx", *build_parts(summaries))
         assert sorted(p.name for p in (tmp_path / "idx").iterdir()) == [
             "docs.tsv",
             "manifest.json",
@@ -319,8 +323,8 @@ class TestWriteReadRoundTrip:
         ]
 
     def test_failed_rewrite_keeps_previous_index(self, tmp_path, monkeypatch):
-        first = make_index([_summary("http://h.test/a.owl", classes={"Person"})])
-        write_index(tmp_path / "idx", first.docs, first.postings, first.manifest)
+        first = build_parts([_summary("http://h.test/a.owl", classes={"Person"})])
+        write_index(tmp_path / "idx", *first)
 
         class _DiskFullAfterOneWrite:
             def __init__(self, fh):
@@ -344,18 +348,14 @@ class TestWriteReadRoundTrip:
             return _DiskFullAfterOneWrite(fh) if "postings" in str(path) else fh
 
         monkeypatch.setattr(indexer, "open", open_failing_in_postings, raising=False)
-        second = make_index(
+        second = build_parts(
             [_summary("http://h.test/b.owl", classes={"Vessel", "Cargo"}, relations={"carries"})]
         )
         with pytest.raises(IndexDirUnwritable):
-            write_index(tmp_path / "idx", second.docs, second.postings, second.manifest)
+            write_index(tmp_path / "idx", *second)
         monkeypatch.undo()
         loaded = read_index(tmp_path / "idx")
-        assert (loaded.docs, loaded.postings, loaded.manifest) == (
-            first.docs,
-            first.postings,
-            first.manifest,
-        )
+        assert (loaded.docs, posting_rows(loaded), loaded.manifest) == first
         assert sorted(p.name for p in (tmp_path / "idx").iterdir()) == [
             "docs.tsv",
             "manifest.json",
@@ -366,8 +366,7 @@ class TestWriteReadRoundTrip:
         summaries = [
             _summary("http://h.test/a.owl", classes={"Beta", "Alpha"}, relations={"gamma"})
         ]
-        index = make_index(summaries)
-        write_index(tmp_path / "idx", index.docs, index.postings, index.manifest)
+        write_index(tmp_path / "idx", *build_parts(summaries))
         postings_path = tmp_path / "idx" / "postings.tsv"
         lines = postings_path.read_text().splitlines()
         postings_path.write_text("\n".join(reversed(lines)) + "\n")
@@ -375,8 +374,8 @@ class TestWriteReadRoundTrip:
             read_index(tmp_path / "idx")
 
     def test_version_bump_rejected(self, tmp_path):
-        index = make_index([_summary("http://h.test/a.owl", classes={"A"})])
-        write_index(tmp_path / "idx", index.docs, index.postings, index.manifest)
+        summaries = [_summary("http://h.test/a.owl", classes={"A"})]
+        write_index(tmp_path / "idx", *build_parts(summaries))
         manifest_path = tmp_path / "idx" / "manifest.json"
         data = json.loads(manifest_path.read_text())
         data["format_version"] = 99
@@ -385,23 +384,23 @@ class TestWriteReadRoundTrip:
             read_index(tmp_path / "idx")
 
     def test_non_object_manifest_rejected(self, tmp_path):
-        index = make_index([_summary("http://h.test/a.owl", classes={"A"})])
-        write_index(tmp_path / "idx", index.docs, index.postings, index.manifest)
+        summaries = [_summary("http://h.test/a.owl", classes={"A"})]
+        write_index(tmp_path / "idx", *build_parts(summaries))
         (tmp_path / "idx" / "manifest.json").write_text("[1, 2]")
         with pytest.raises(CorruptIndex) as err:
             read_index(tmp_path / "idx")
         assert "not a JSON object" in str(err.value)
 
     def test_missing_file(self, tmp_path):
-        index = make_index([_summary("http://h.test/a.owl", classes={"A"})])
-        write_index(tmp_path / "idx", index.docs, index.postings, index.manifest)
+        summaries = [_summary("http://h.test/a.owl", classes={"A"})]
+        write_index(tmp_path / "idx", *build_parts(summaries))
         (tmp_path / "idx" / "postings.tsv").unlink()
         with pytest.raises(MissingFile):
             read_index(tmp_path / "idx")
 
     def test_accounting_mismatch_corrupt(self, tmp_path):
-        index = make_index([_summary("http://h.test/a.owl", classes={"A"})])
-        write_index(tmp_path / "idx", index.docs, index.postings, index.manifest)
+        summaries = [_summary("http://h.test/a.owl", classes={"A"})]
+        write_index(tmp_path / "idx", *build_parts(summaries))
         manifest_path = tmp_path / "idx" / "manifest.json"
         data = json.loads(manifest_path.read_text())
         data["input_line_count"] = 40
@@ -411,8 +410,8 @@ class TestWriteReadRoundTrip:
         assert "accounting" in str(err.value)
 
     def test_dangling_doc_id_corrupt(self, tmp_path):
-        index = make_index([_summary("http://h.test/a.owl", classes={"A"})])
-        write_index(tmp_path / "idx", index.docs, index.postings, index.manifest)
+        summaries = [_summary("http://h.test/a.owl", classes={"A"})]
+        write_index(tmp_path / "idx", *build_parts(summaries))
         postings_path = tmp_path / "idx" / "postings.tsv"
         postings_path.write_text("a\tclass\t7\t1\n")
         with pytest.raises(CorruptIndex):
@@ -434,8 +433,14 @@ def _edit_line_2(lines: list[str], column: int, value: str | None) -> list[str]:
     return [lines[0], "\t".join(row), *lines[2:]]
 
 
+def _line_2(lines: list[str], row: str) -> list[str]:
+    """``lines`` with line 2 replaced by ``row``."""
+    return [lines[0], row, *lines[2:]]
+
+
 # Each case corrupts line 2 of one file of a valid two-doc index; the reader
-# must name the file, that line and the invariant the row breaks.
+# must name the file, that line and the invariant the row breaks. Line 1 of
+# its postings.tsv is "has<TAB>property<TAB>1<TAB>1".
 _ROW_CORRUPTIONS = [
     pytest.param(
         "postings.tsv", lambda ls: _edit_line_2(ls, 3, None), "expected 4 columns",
@@ -464,6 +469,22 @@ _ROW_CORRUPTIONS = [
     pytest.param(
         "postings.tsv", lambda ls: [ls[1], ls[0], *ls[2:]], "not strictly sorted",
         id="postings-reversed-rows",
+    ),
+    pytest.param(
+        "postings.tsv", lambda ls: _line_2(ls, "has\tproperty\t1\t2"), "not strictly sorted",
+        id="postings-doc-id-repeated-within-key",
+    ),
+    pytest.param(
+        "postings.tsv", lambda ls: _line_2(ls, "has\tproperty\t0\t1"), "not strictly sorted",
+        id="postings-doc-id-down-within-key",
+    ),
+    pytest.param(
+        "postings.tsv", lambda ls: _line_2(ls, "has\tclass\t1\t1"), "not strictly sorted",
+        id="postings-field-rank-back-within-token",
+    ),
+    pytest.param(
+        "postings.tsv", lambda ls: _line_2(ls, "ha\trelation\t0\t1"), "not strictly sorted",
+        id="postings-token-back-at-key-change",
     ),
     pytest.param(
         "docs.tsv", lambda ls: _edit_line_2(ls, 5, None), "expected 6 columns",
@@ -497,8 +518,7 @@ class TestReadIndexRowChecks:
             _summary("http://h.test/a.owl", classes={"Person"}, relations={"knows"}),
             _summary("http://h.test/b.owl", properties={"hasPart"}),
         ]
-        index = make_index(summaries)
-        write_index(tmp_path / "idx", index.docs, index.postings, index.manifest)
+        write_index(tmp_path / "idx", *build_parts(summaries))
         path = tmp_path / "idx" / file_name
         lines = path.read_text(encoding="utf-8").splitlines()
         assert len(lines) >= 2
@@ -508,6 +528,38 @@ class TestReadIndexRowChecks:
         message = str(err.value)
         assert f"{file_name} line 2:" in message
         assert invariant in message
+
+
+class TestManyKeys:
+    def test_thousands_of_keys_round_trip_and_search_equal_the_oracle(self, tmp_path):
+        # The synthetic site's vocabulary yields under 200 (token, field) keys;
+        # this index has thousands, so per-key work in the reader is exercised.
+        rng = random.Random(7)
+        vocab = sorted(
+            {"".join(rng.choices(string.ascii_lowercase, k=rng.randint(3, 8))) for _ in range(3000)}
+        )
+
+        def terms(count):  # camelCase pairs, so tokens repeat and some tf > 1
+            return {a + b.capitalize() for a, b in (rng.sample(vocab, 2) for _ in range(count))}
+
+        summaries = [
+            _summary(f"http://h.test/o{i}.owl", terms(20), terms(10), terms(5))
+            for i in range(150)
+        ]
+        docs, postings, manifest = build_parts(summaries)
+        write_index(tmp_path / "idx", docs, postings, manifest)
+        loaded = read_index(tmp_path / "idx")
+        expected = group_postings(postings)
+        assert len(expected) > 2000
+        assert any(tf > 1 for posting_list in expected.values() for tf in posting_list.tfs)
+        assert list(loaded.posting_lists.items()) == list(expected.items())
+
+        for _ in range(40):
+            query = parse_query(" ".join(rng.sample(vocab, rng.randint(1, 3))))
+            for match_all in (False, True):
+                assert search(loaded, query, top_k=10, match_all=match_all) == scan_oracle(
+                    summaries, query, top_k=10, match_all=match_all
+                )
 
 
 class TestRecordContracts:
@@ -557,12 +609,12 @@ class TestUnicodeTermsContract:
         ]
         # build_index skips these as empty_ontology before they reach the index
         summaries = [summary for summary in summaries if not summary.is_empty()]
-        index = make_index(summaries)
+        docs, postings, manifest = build_parts(summaries)
         idx_dir = tmp_path_factory.mktemp("unicode") / "idx"
-        write_index(idx_dir, index.docs, index.postings, index.manifest)
+        write_index(idx_dir, docs, postings, manifest)
         loaded = read_index(idx_dir)
-        assert loaded.docs == index.docs
-        assert loaded.postings == index.postings
+        assert loaded.docs == docs
+        assert posting_rows(loaded) == postings
 
         known = sorted({term for terms in fields for field in terms for term in field})
         words = data.draw(st.lists(st.sampled_from(known) if known else _UNICODE_TERMS,
@@ -628,4 +680,4 @@ class TestManifestIdentityFuzz:
         assert manifest.input_line_count == len(lines)
         assert manifest.doc_count + sum(manifest.skip_counts.values()) == len(lines)
         index = read_index(tmp_path / "idx")
-        assert {p.doc_id for p in index.postings} == {d.doc_id for d in index.docs}
+        assert {p.doc_id for p in posting_rows(index)} == {d.doc_id for d in index.docs}
