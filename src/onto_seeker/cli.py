@@ -86,7 +86,7 @@ def _add_transport_flags(parser: argparse.ArgumentParser) -> None:
 
 def _make_transport(args, default_host: str):
     if args.live:
-        return LiveTransport(timeout_s=args.timeout_s)
+        return _checked(LiveTransport, timeout_s=args.timeout_s)
     if not args.corpus_dir:
         raise _UsageError("exactly one of --live or --corpus-dir is required")
     corpus_dir = Path(args.corpus_dir)
@@ -187,11 +187,10 @@ def _parsed_query(args) -> Query:
         raise _UsageError(f"unusable query: {exc}") from exc
 
 
-def cmd_crawl(args) -> int:
-    seeds = _parse_seeds(args)
-    config = _checked(
+def _crawl_config(args) -> CrawlConfig:
+    return _checked(
         CrawlConfig,
-        seed_urls=tuple(seeds),
+        seed_urls=tuple(_parse_seeds(args)),
         max_pages=args.max_pages,
         max_depth=args.max_depth,
         worker_count=args.workers,
@@ -200,7 +199,12 @@ def cmd_crawl(args) -> int:
         output_path=args.out,
         per_host_politeness=not args.global_politeness,
     )
-    transport = _make_transport(args, seeds[0].host)
+
+
+def cmd_crawl(args, transport=None) -> int:
+    config = _crawl_config(args)
+    if transport is None:
+        transport = _make_transport(args, config.seed_urls[0].host)
     try:
         report = crawl(config, transport)
     except OutputUnwritable as exc:
@@ -216,7 +220,7 @@ def cmd_crawl(args) -> int:
     return EXIT_OK
 
 
-def cmd_index(args) -> int:
+def cmd_index(args, transport=None) -> int:
     urls_path = Path(args.urls)
     if not urls_path.is_file():
         _eprint(
@@ -226,7 +230,8 @@ def cmd_index(args) -> int:
         return EXIT_INPUT
     limits = _index_limits(args)
     try:
-        transport = _make_transport(args, _default_host_from_urls(urls_path))
+        if transport is None:
+            transport = _make_transport(args, _default_host_from_urls(urls_path))
         manifest = build_index(
             urls_path, transport, limits, args.index_dir, created_at=args.created_at
         )
@@ -276,15 +281,19 @@ def cmd_query(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    # A bad index or query flag is rejected before the crawl spends its budget.
+    # A bad flag of any stage is rejected before the corpus loads.
+    seed_host = _crawl_config(args).seed_urls[0].host
     _index_limits(args)
     if args.query is not None:
         _parsed_query(args)
-    code = cmd_crawl(args)
+    # Both stages share one transport, so a corpus directory loads once and a
+    # plain one answers for the first seed's host in the index stage too.
+    transport = _make_transport(args, seed_host)
+    code = cmd_crawl(args, transport)
     if code != EXIT_OK:
         return code
     args.urls = args.out
-    code = cmd_index(args)
+    code = cmd_index(args, transport)
     if code != EXIT_OK:
         return code
     if args.query is not None:

@@ -80,6 +80,8 @@ class CrawlConfig:
             raise ValueError("worker_count must be >= 1")
         if self.politeness_ms < 0:
             raise ValueError("politeness_ms must be >= 0")
+        if self.max_body_bytes < 1:
+            raise ValueError("max_body_bytes must be >= 1")
 
 
 @dataclass
@@ -226,7 +228,6 @@ def crawl(config: CrawlConfig, transport: Transport) -> CrawlReport:
     seen: set[str] = set()
     found: dict[str, Url] = {}
     seed_keys = {str(seed) for seed in config.seed_urls}
-    seeds_ok: set[str] = set()
     seeds_failed: set[str] = set()
     status_histogram: dict[int, int] = {}
     issued = errors = 0
@@ -240,8 +241,6 @@ def crawl(config: CrawlConfig, transport: Transport) -> CrawlReport:
         kind = classify_url(url)
         if kind == ONTOLOGY_CANDIDATE:
             found[key] = url
-            if key in seed_keys:
-                seeds_ok.add(key)
         elif kind == HTML_PAGE and (config.max_depth == -1 or depth <= config.max_depth):
             frontier.append((url, depth))
         elif key in seed_keys:
@@ -278,8 +277,6 @@ def crawl(config: CrawlConfig, transport: Transport) -> CrawlReport:
                         seeds_failed.add(key)
                     continue
                 status_histogram[status] = status_histogram.get(status, 0) + 1
-                if key in seed_keys:
-                    seeds_ok.add(key)
                 if ontology is not None:
                     seen.add(str(ontology))
                     found[str(ontology)] = ontology
@@ -289,7 +286,7 @@ def crawl(config: CrawlConfig, transport: Transport) -> CrawlReport:
         pool.shutdown(cancel_futures=True)
     elapsed = int(monotonic_ms() - started)
 
-    if not seeds_ok and seeds_failed == seed_keys:
+    if seeds_failed == seed_keys:
         raise AllSeedsInvalid("no seed could be classified or fetched")
 
     urls = set(found.values())

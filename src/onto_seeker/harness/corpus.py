@@ -115,7 +115,7 @@ def media_type_for_path(path: str | Path) -> str:
     return EXTENSION_TYPES.get(Path(path).suffix.lower(), DEFAULT_TYPE)
 
 
-def corpus_from_dir(path: str | Path, host: str, latency_ms: int = 0) -> Corpus:
+def corpus_from_dir(path: str | Path, host: str) -> Corpus:
     """Serve a directory of files as http://host/<relative-path>.
 
     Media types come from extensions; an index.html additionally answers for
@@ -131,12 +131,7 @@ def corpus_from_dir(path: str | Path, host: str, latency_ms: int = 0) -> Corpus:
             body = file.read_bytes()
         except OSError as exc:
             raise PathUnreadable(f"{file}: {exc}") from exc
-        entry = CorpusEntry(
-            status=200,
-            content_type=media_type_for_path(file),
-            body=body,
-            latency_ms=latency_ms,
-        )
+        entry = CorpusEntry(status=200, content_type=media_type_for_path(file), body=body)
         corpus.add(f"http://{host}/{rel}", entry)
         if file.name == "index.html":
             parent = file.parent.relative_to(root).as_posix()

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 
 from ..indexer import FIELD_WEIGHTS
-from ..query import EmptyQuery, Query, QueryResult
+from ..query import EmptyQuery, Query, QueryResult, check_top_k
 from ..rdf import OntologySummary, tokenize
 
 
@@ -20,8 +20,7 @@ def scan_oracle(
 ) -> list[QueryResult]:
     if not query.tokens:
         raise EmptyQuery("query has no tokens")
-    if top_k < 1:
-        raise ValueError("top_k must be >= 1")
+    check_top_k(top_k)
     results: list[QueryResult] = []
     for summary in summaries:
         score = 0.0

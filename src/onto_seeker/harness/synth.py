@@ -7,7 +7,7 @@ from __future__ import annotations
 import json
 import random
 from bisect import bisect_left
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from xml.sax.saxutils import escape, quoteattr
 
@@ -337,28 +337,20 @@ def make_synthetic_site(spec: SiteSpec) -> tuple[Corpus, GroundTruth]:
             shallow.append(i)
             open_.append(i)
 
-    onto_urls: list[str] = []
-    onto_linker_depths: dict[str, list[int]] = {}
-    onto_syntax: dict[str, str] = {}
-    onto_triples: dict[str, list[Triple]] = {}
-    summaries: dict[str, OntologySummary] = {}
+    ontologies: list[tuple[str, list[Triple], OntologySummary, str]] = []
+    ontology_depths: dict[str, int] = {}
     for j in range(spec.ontology_count):
         host = rng.choice(hosts)
         ext = rng.choice((".owl", ".rdf"))
         url = f"http://{host}/onto/o{j}{ext}"
         linker = pages[0] if j == 0 else rng.choice(pages)
         linker.onto_links.append(url)
-        depths = [linker.depth]
+        ontology_depths[url] = linker.depth
         if rng.random() < 0.3:
             extra = rng.choice(pages)
             extra.onto_links.append(url)
-            depths.append(extra.depth)
-        triples, summary, syntax = _build_ontology(rng, url)
-        onto_urls.append(url)
-        onto_linker_depths[url] = depths
-        onto_syntax[url] = syntax
-        onto_triples[url] = triples
-        summaries[url] = summary
+            ontology_depths[url] = min(linker.depth, extra.depth)
+        ontologies.append((url, *_build_ontology(rng, url)))
 
     corpus = Corpus()
     for i, page in enumerate(pages):
@@ -371,24 +363,18 @@ def make_synthetic_site(spec: SiteSpec) -> tuple[Corpus, GroundTruth]:
                 latency_ms=spec.latency_ms,
             ),
         )
-    for url in onto_urls:
+    summaries: dict[str, OntologySummary] = {}
+    for url, triples, summary, syntax in ontologies:
         namespaces = {"o": url + "#", "rdfs": RDFS_NS, "owl": OWL_NS, "xsd": XSD_NS}
-        if onto_syntax[url] == "rdf-xml":
-            body = serialize_rdf_xml(onto_triples[url], namespaces)
+        if syntax == "rdf-xml":
+            body = serialize_rdf_xml(triples, namespaces)
             proper = "application/rdf+xml"
         else:
-            body = serialize_turtle(onto_triples[url], namespaces)
+            body = serialize_turtle(triples, namespaces)
             proper = "text/turtle"
         roll = rng.random()
         content_type = proper if roll < 0.7 else (None if roll < 0.9 else "text/plain")
-        summaries[url] = OntologySummary(
-            url=url,
-            classes=summaries[url].classes,
-            properties=summaries[url].properties,
-            relations=summaries[url].relations,
-            triple_count=summaries[url].triple_count,
-            byte_size=len(body),
-        )
+        summaries[url] = replace(summary, byte_size=len(body))
         corpus.add(
             url,
             CorpusEntry(
@@ -399,8 +385,8 @@ def make_synthetic_site(spec: SiteSpec) -> tuple[Corpus, GroundTruth]:
     ground_truth = GroundTruth(
         root_url=pages[0].url,
         page_depths={p.url: p.depth for p in pages},
-        reachable_ontology_urls=frozenset(onto_urls),
-        ontology_depths={url: min(depths) for url, depths in onto_linker_depths.items()},
+        reachable_ontology_urls=frozenset(summaries),
+        ontology_depths=ontology_depths,
         summaries=summaries,
     )
     return corpus, ground_truth

@@ -165,22 +165,20 @@ def index_summaries(summaries: list[OntologySummary]) -> tuple[list[DocRecord], 
     token, so one multi-word term contributes at most 1 per token.
     """
     docs: list[DocRecord] = []
-    tf_table: dict[tuple[str, str, int], int] = {}
+    tf_table: dict[tuple[str, int, int], int] = {}  # (token, field rank, doc id) -> tf
     for doc_id, summary in enumerate(summaries):
         field_terms = (summary.classes, summary.properties, summary.relations)
         docs.append(
             DocRecord(doc_id, str(summary.url), summary.byte_size, *map(len, field_terms))
         )
-        for field_name, terms in zip(FIELDS, field_terms):
+        for rank, terms in enumerate(field_terms):
             for term in terms:
                 for token in set(tokenize(term)):
-                    key = (token, field_name, doc_id)
+                    key = (token, rank, doc_id)
                     tf_table[key] = tf_table.get(key, 0) + 1
     postings = [
-        Posting(token=token, field=field_name, doc_id=doc_id, tf=tf)
-        for (token, field_name, doc_id), tf in sorted(
-            tf_table.items(), key=lambda item: (item[0][0], FIELD_RANK[item[0][1]], item[0][2])
-        )
+        Posting(token, FIELDS[rank], doc_id, tf)
+        for (token, rank, doc_id), tf in sorted(tf_table.items())
     ]
     return docs, postings
 
@@ -238,7 +236,7 @@ def build_index(
         if len(resp.body) > limits.max_ontology_bytes:
             skip_counts["oversize"] += 1
             continue
-        syntax = detect_syntax(resp.body, resp.content_type, key)
+        syntax = detect_syntax(resp.body, resp.content_type)
         if syntax == RDF_XML:
             parse = parse_rdf_xml
         elif syntax == TURTLE:
@@ -280,25 +278,38 @@ def write_index(
     """Write manifest.json, docs.tsv, and postings.tsv (UTF-8, LF, TAB-separated).
 
     All three go to temporary siblings first, so a failed write of the files keeps
-    the old index; the manifest is replaced last.
+    the old index. Each is fsynced before the first replace, the manifest is
+    replaced last, and the folder is fsynced after it so the renames persist.
     """
     directory = Path(index_dir)
-    temps = {name: directory / f"{name}.tmp" for name in (DOCS_FILE, POSTINGS_FILE, MANIFEST_FILE)}
+    rows = {
+        DOCS_FILE: (
+            f"{doc.doc_id}\t{doc.url}\t{doc.byte_size}\t"
+            f"{doc.class_count}\t{doc.property_count}\t{doc.relation_count}\n"
+            for doc in docs
+        ),
+        POSTINGS_FILE: (
+            f"{posting.token}\t{posting.field}\t{posting.doc_id}\t{posting.tf}\n"
+            for posting in postings
+        ),
+        MANIFEST_FILE: (manifest.to_json(),),
+    }
+    temps = {name: directory / f"{name}.tmp" for name in rows}
     try:
         directory.mkdir(parents=True, exist_ok=True)
-        with open(temps[DOCS_FILE], "w", encoding="utf-8", newline="\n") as fh:
-            for doc in docs:
-                fh.write(
-                    f"{doc.doc_id}\t{doc.url}\t{doc.byte_size}\t"
-                    f"{doc.class_count}\t{doc.property_count}\t{doc.relation_count}\n"
-                )
-        with open(temps[POSTINGS_FILE], "w", encoding="utf-8", newline="\n") as fh:
-            for posting in postings:
-                fh.write(f"{posting.token}\t{posting.field}\t{posting.doc_id}\t{posting.tf}\n")
-        with open(temps[MANIFEST_FILE], "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(manifest.to_json())
+        for name, lines in rows.items():
+            with open(temps[name], "w", encoding="utf-8", newline="\n") as fh:
+                for line in lines:
+                    fh.write(line)
+                fh.flush()
+                os.fsync(fh.fileno())
         for name, temp in temps.items():
             os.replace(temp, directory / name)
+        folder = os.open(directory, os.O_RDONLY)
+        try:
+            os.fsync(folder)
+        finally:
+            os.close(folder)
     except OSError as exc:
         for temp in temps.values():
             with contextlib.suppress(OSError):

@@ -7,11 +7,12 @@ replays an in-memory corpus for deterministic tests.
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 import time
 from dataclasses import dataclass, field
-from http.cookiejar import CookiePolicy
+from http.cookiejar import DefaultCookiePolicy
 from typing import Protocol
 from urllib.parse import urljoin, urlsplit
 
@@ -184,17 +185,6 @@ def _strip_media_type(header: str | None) -> str | None:
     return media or None
 
 
-class _RejectAllCookies(CookiePolicy):
-    netscape = True
-    rfc2965 = hide_cookie2 = False
-
-    def set_ok(self, cookie, request):  # noqa: ARG002
-        return False
-
-    def return_ok(self, cookie, request):  # noqa: ARG002
-        return False
-
-
 class LiveTransport:
     """HTTP/1.1 transport with a fixed User-Agent, no cookies, no scripts.
 
@@ -207,10 +197,12 @@ class LiveTransport:
         timeout_s: float = DEFAULT_TIMEOUT_S,
         session: requests.Session | None = None,
     ):
+        if not 0 < timeout_s < math.inf:
+            raise ValueError(f"timeout_s must be a finite number > 0, not {timeout_s}")
         self.timeout_s = timeout_s
         if session is None:
             session = requests.Session()
-            session.cookies.set_policy(_RejectAllCookies())
+            session.cookies.set_policy(DefaultCookiePolicy(allowed_domains=[]))
         session.max_redirects = MAX_REDIRECTS
         ua = os.environ.get("ONTO_SEEKER_UA") or f"onto-seeker/{__version__}"
         session.headers["User-Agent"] = ua

@@ -222,7 +222,7 @@ def _sniff_rdf_xml(body: bytes) -> bool:
     return False
 
 
-def detect_syntax(body: bytes, content_type: str | None = None, url: str | None = None) -> str:
+def detect_syntax(body: bytes, content_type: str | None = None) -> str:
     """Decide which parser applies; the declared media type wins over sniffing."""
     if content_type in RDF_XML_MEDIA_TYPES:
         return RDF_XML

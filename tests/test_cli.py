@@ -105,6 +105,26 @@ class TestCmdCrawl:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_max_body_bytes_below_one_is_usage_error(self, tmp_path, capsys, value):
+        code, out, captured = _crawl_site1(tmp_path, capsys, "--max-body-bytes", value)
+        _assert_error_exit(captured, code, 1)
+        assert "max_body_bytes must be >= 1" in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    def test_bad_live_timeout_is_usage_error(self, tmp_path, capsys, value):
+        # Rejected while the transport is built, before any fetch is made.
+        out = tmp_path / "urls.txt"
+        code = main(
+            ["crawl", "--live", "--seed-url", "http://127.0.0.1:9/", "--max-pages", "1",
+             "--timeout-s", value, "--out", str(out)]
+        )
+        captured = capsys.readouterr()
+        _assert_error_exit(captured, code, 1)
+        assert "timeout_s" in captured.err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "site_json", ["[1]", "{}", '{"entries": {"http://h.test/": 5}}', "{"]
     )
@@ -398,14 +418,73 @@ class TestCmdPipeline:
         assert (tmp_path / "idx" / "manifest.json").is_file()
 
 
+    def test_plain_dir_answers_for_the_seed_host_in_both_stages(self, tmp_path, capsys):
+        site = tmp_path / "site"
+        (site / "onto").mkdir(parents=True)
+        (site / "index.html").write_text(
+            '<a href="http://aaa.example/x.owl">x</a><a href="/onto/o.owl">o</a>'
+        )
+        (site / "onto" / "o.owl").write_bytes((SITE1 / "x.owl").read_bytes())
+        code = main(
+            [
+                "pipeline",
+                "--corpus-dir", str(site),
+                "--seed-url", "http://zzz.test/",
+                "--max-pages", "5",
+                "--politeness-ms", "0",
+                "--out", str(tmp_path / "urls.txt"),
+                "--index-dir", str(tmp_path / "idx"),
+                "--format", "tsv",
+            ]
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        assert (tmp_path / "urls.txt").read_text().splitlines() == [
+            "http://aaa.example/x.owl",
+            "http://zzz.test/onto/o.owl",
+        ]
+        lines = dict(line.split("\t", 1) for line in out.splitlines() if "\t" in line)
+        assert lines["doc_count"] == "1"
+        assert lines["fetch_error"] == "1"
+
+    def test_site_dir_loaded_once(self, tmp_path, capsys, monkeypatch):
+        from onto_seeker import cli
+
+        main(["gen-corpus", "--seed", "7", "--pages", "20", "--ontologies", "3",
+              "--out-dir", str(tmp_path / "site")])
+        root_url = json.loads((tmp_path / "site" / "site.json").read_text())["root_url"]
+        loads = []
+
+        def counting_load(site_dir):
+            loads.append(site_dir)
+            return load_site_dir(site_dir)
+
+        load_site_dir = cli.load_site_dir
+        monkeypatch.setattr(cli, "load_site_dir", counting_load)
+        code = main(
+            [
+                "pipeline",
+                "--corpus-dir", str(tmp_path / "site"),
+                "--seed-url", root_url,
+                "--max-pages", "100",
+                "--politeness-ms", "0",
+                "--out", str(tmp_path / "urls.txt"),
+                "--index-dir", str(tmp_path / "idx"),
+            ]
+        )
+        assert code == 0
+        assert len(loads) == 1
+        assert read_index(tmp_path / "idx").manifest.doc_count == 3
+
     @pytest.mark.parametrize(
         "flags,message",
         [
             (["--max-bytes", "0"], "error: "),
+            (["--max-body-bytes", "0"], "max_body_bytes"),
             (["--query", "Anchor", "--top-k", "0"], "error: "),
             (["--query", " "], "unusable query"),
         ],
-        ids=["max-bytes", "top-k", "blank-query"],
+        ids=["max-bytes", "max-body-bytes", "top-k", "blank-query"],
     )
     def test_bad_later_stage_flag_stops_before_crawl(self, tmp_path, capsys, flags, message):
         code = main(
@@ -500,3 +579,24 @@ class TestCmdBench:
         assert code == 0
         out = capsys.readouterr().out
         assert "workers" in out and "ontologies_found" in out
+
+
+class TestDemoScript:
+    def test_demo_pipeline_answers_every_query(self, tmp_path):
+        root = Path(__file__).resolve().parents[1]
+        path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, str(root / "scripts" / "demo_pipeline.py"), str(tmp_path)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        sections = done.stdout.split("\n== query ")[1:]
+        assert len(sections) == 3
+        for section in sections:
+            header, *lines = section.strip().splitlines()
+            hits = [line.split("\t") for line in lines]
+            assert hits, header
+            for rank, (position, score, url, *_detail) in enumerate(hits, start=1):
+                assert int(position) == rank
+                assert float(score) > 0
+                assert url.startswith("http://")

@@ -393,6 +393,11 @@ class TestCrawl:
         with pytest.raises(ValueError):
             CrawlConfig(seed_urls=(), max_pages=1)
 
+    @pytest.mark.parametrize("max_body_bytes", [0, -1, -50])
+    def test_validation_rejects_max_body_bytes_below_one(self, tmp_path, max_body_bytes):
+        with pytest.raises(ValueError, match="max_body_bytes must be >= 1"):
+            _config(tmp_path, ["http://h.test/"], max_body_bytes=max_body_bytes)
+
 
 class TestCrawlReport:
     def test_machine_lines_echo_config(self, tmp_path):

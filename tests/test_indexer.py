@@ -4,7 +4,9 @@ import builtins
 import dataclasses
 import errno
 import json
+import os
 import random
+import stat
 import string
 
 import pytest
@@ -351,6 +353,64 @@ class TestWriteReadRoundTrip:
         second = build_parts(
             [_summary("http://h.test/b.owl", classes={"Vessel", "Cargo"}, relations={"carries"})]
         )
+        with pytest.raises(IndexDirUnwritable):
+            write_index(tmp_path / "idx", *second)
+        monkeypatch.undo()
+        loaded = read_index(tmp_path / "idx")
+        assert (loaded.docs, posting_rows(loaded), loaded.manifest) == first
+        assert sorted(p.name for p in (tmp_path / "idx").iterdir()) == [
+            "docs.tsv",
+            "manifest.json",
+            "postings.tsv",
+        ]
+
+    def test_files_fsynced_before_replace_and_folder_after(self, tmp_path, monkeypatch):
+        calls = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            info = os.fstat(fd)
+            kind = "folder" if stat.S_ISDIR(info.st_mode) else "file"
+            calls.append(("fsync", kind, info.st_ino))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            calls.append(("replace", os.path.basename(dst), os.stat(src).st_ino))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        summaries = [_summary("http://h.test/a.owl", classes={"Person"}, relations={"knows"})]
+        write_index(tmp_path / "idx", *build_parts(summaries))
+        monkeypatch.undo()
+
+        assert [call[:2] for call in calls] == [
+            ("fsync", "file"),
+            ("fsync", "file"),
+            ("fsync", "file"),
+            ("replace", "docs.tsv"),
+            ("replace", "postings.tsv"),
+            ("replace", "manifest.json"),
+            ("fsync", "folder"),
+        ]
+        # The three files fsynced are the three renamed into place.
+        assert [call[2] for call in calls[:3]] == [call[2] for call in calls[3:6]]
+        assert calls[6][2] == os.stat(tmp_path / "idx").st_ino
+
+    def test_failed_fsync_keeps_previous_index_and_removes_temps(self, tmp_path, monkeypatch):
+        first = build_parts([_summary("http://h.test/a.owl", classes={"Person"})])
+        write_index(tmp_path / "idx", *first)
+        synced = []
+        real_fsync = os.fsync
+
+        def fsync_failing_on_second_file(fd):
+            synced.append(fd)
+            if len(synced) == 2:
+                raise OSError(errno.EIO, "Input/output error")
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", fsync_failing_on_second_file)
+        second = build_parts([_summary("http://h.test/b.owl", classes={"Vessel"})])
         with pytest.raises(IndexDirUnwritable):
             write_index(tmp_path / "idx", *second)
         monkeypatch.undo()

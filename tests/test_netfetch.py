@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 import requests
@@ -330,3 +331,44 @@ class TestLiveTransport:
         with pytest.raises(ConnectionFailed) as err:
             transport.fetch(Url.parse("http://h.test/p"), max_body_bytes=1024)
         assert isinstance(err.value.__cause__, requests.exceptions.ChunkedEncodingError)
+
+    @pytest.mark.parametrize("timeout_s", [0, -1.0, float("nan"), float("inf")])
+    def test_timeout_must_be_finite_and_positive(self, timeout_s):
+        from onto_seeker.netfetch import LiveTransport
+
+        with pytest.raises(ValueError, match="timeout_s"):
+            LiveTransport(timeout_s=timeout_s)
+
+    def test_cookies_neither_stored_nor_sent(self):
+        from onto_seeker.netfetch import LiveTransport
+
+        sent_cookies = []
+
+        class _SetsCookies(BaseHTTPRequestHandler):
+            def do_GET(self):
+                sent_cookies.append(self.headers.get("Cookie"))
+                self.send_response(200)
+                self.send_header("Content-Type", "text/html")
+                self.send_header("Set-Cookie", "session=abc; Path=/")
+                self.send_header("Set-Cookie", "track=1; Path=/; Max-Age=3600")
+                self.send_header("Content-Length", "2")
+                self.end_headers()
+                self.wfile.write(b"ok")
+
+            def log_message(self, *args):
+                pass
+
+        server = ThreadingHTTPServer(("127.0.0.1", 0), _SetsCookies)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            transport = LiveTransport(timeout_s=5.0)
+            url = Url.parse(f"http://127.0.0.1:{server.server_port}/p")
+            for _ in range(2):
+                assert transport.fetch(url, max_body_bytes=1024).body == b"ok"
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join()
+        assert len(transport._session.cookies) == 0
+        assert sent_cookies == [None, None]
