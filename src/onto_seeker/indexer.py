@@ -2,9 +2,11 @@
 
 The index directory holds exactly three files: ``manifest.json`` (counts and
 skip accounting), ``docs.tsv`` (one row per indexed document), and
-``postings.tsv`` (one ``Posting`` row per line, sorted). Builds are sequential
-in input order so doc ids and the on-disk bytes are reproducible. The reader
-loads the rows into one ``PostingList`` (doc ids, tfs) per (token, field).
+``postings.tsv`` (one ``Posting`` row per line, sorted). A build fetches one
+URL at a time, taking the list's hosts in turn, and assigns doc ids in input
+order, so doc ids and the on-disk bytes are reproducible and do not depend on
+the fetch order. The reader loads the rows into one ``PostingList`` (doc ids,
+tfs) per (token, field).
 """
 
 from __future__ import annotations
@@ -191,6 +193,46 @@ def read_url_lines(url_list_path: str | Path) -> list[str]:
         raise InputUnreadable(f"{url_list_path}: {exc}") from exc
 
 
+def _fetch_summary(
+    transport: Transport,
+    gate: PolitenessGate,
+    url: Url,
+    limits: IndexLimits,
+    skip_counts: dict[str, int],
+) -> OntologySummary | None:
+    """Fetch one URL and summarise it; None after counting the reason it is skipped."""
+    key = str(url)
+    try:
+        resp = polite_fetch(transport, gate, url, limits.max_ontology_bytes + 1)
+    except FetchError:
+        skip_counts["fetch_error"] += 1
+        return None
+    if resp.status != 200:
+        skip_counts["fetch_error"] += 1
+        return None
+    if len(resp.body) > limits.max_ontology_bytes:
+        skip_counts["oversize"] += 1
+        return None
+    syntax = detect_syntax(resp.body, resp.content_type)
+    if syntax == RDF_XML:
+        parse = parse_rdf_xml
+    elif syntax == TURTLE:
+        parse = parse_turtle
+    else:
+        skip_counts["unsupported_syntax"] += 1
+        return None
+    try:
+        triples = parse(resp.body, key)
+    except RdfParseError:
+        skip_counts["parse_error"] += 1
+        return None
+    summary = extract_summary(triples, key, len(resp.body))
+    if summary.is_empty():
+        skip_counts["empty_ontology"] += 1
+        return None
+    return summary
+
+
 def build_index(
     url_list_path: str | Path,
     transport: Transport,
@@ -199,15 +241,24 @@ def build_index(
     created_at: str | None = None,
 ) -> IndexManifest:
     """Fetch every URL in the crawler's list, apply the skip rules, and
-    persist the index directory. Lines are processed in file order."""
+    persist the index directory.
+
+    The blank/null, duplicate and unparseable-line rules run in file order.
+    The surviving lines are fetched taking hosts in turn (one line from each
+    host, hosts in the order of their first line, each host's lines in file
+    order), so one host's politeness wait overlaps the other hosts' fetches.
+    Doc ids and the bytes written follow file order, whatever the fetch order.
+    """
     lines = read_url_lines(url_list_path)
 
     gate = PolitenessGate(limits.politeness_ms)
     skip_counts = {reason: 0 for reason in SKIP_REASONS}
     seen: set[str] = set()
-    summaries: list[OntologySummary] = []
+    # Line numbers only: a Url per pending line costs memory on a long list,
+    # so each line is parsed again when it is fetched.
+    host_lines: dict[str, list[int]] = {}
 
-    for line in lines:
+    for lineno, line in enumerate(lines):
         line = line.strip()
         if not line or line == "null":
             skip_counts["blank_or_null"] += 1
@@ -225,37 +276,20 @@ def build_index(
         if url is None:
             skip_counts["fetch_error"] += 1
             continue
-        try:
-            resp = polite_fetch(transport, gate, url, limits.max_ontology_bytes + 1)
-        except FetchError:
-            skip_counts["fetch_error"] += 1
-            continue
-        if resp.status != 200:
-            skip_counts["fetch_error"] += 1
-            continue
-        if len(resp.body) > limits.max_ontology_bytes:
-            skip_counts["oversize"] += 1
-            continue
-        syntax = detect_syntax(resp.body, resp.content_type)
-        if syntax == RDF_XML:
-            parse = parse_rdf_xml
-        elif syntax == TURTLE:
-            parse = parse_turtle
-        else:
-            skip_counts["unsupported_syntax"] += 1
-            continue
-        try:
-            triples = parse(resp.body, key)
-        except RdfParseError:
-            skip_counts["parse_error"] += 1
-            continue
-        summary = extract_summary(triples, key, len(resp.body))
-        if summary.is_empty():
-            skip_counts["empty_ontology"] += 1
-            continue
-        summaries.append(summary)
+        host_lines.setdefault(url.host, []).append(lineno)
 
-    docs, postings = index_summaries(summaries)
+    slots: list[OntologySummary | None] = [None] * len(lines)
+    queues = list(host_lines.values())
+    turn = 0
+    while queues:
+        for queue in queues:
+            lineno = queue[turn]
+            url = Url.parse(lines[lineno].strip())
+            slots[lineno] = _fetch_summary(transport, gate, url, limits, skip_counts)
+        turn += 1
+        queues = [queue for queue in queues if len(queue) > turn]
+
+    docs, postings = index_summaries([summary for summary in slots if summary is not None])
     manifest = IndexManifest(
         format_version=FORMAT_VERSION,
         created_at=created_at if created_at is not None else now_utc_iso(),

@@ -245,6 +245,64 @@ class TestBuildIndex:
         assert digests[0] == digests[1]
 
 
+class TestFetchOrder:
+    def test_hosts_are_fetched_in_turn_and_docs_keep_file_order(self, tmp_path):
+        good = f"<http://h.test/o#Person> a <{OWL_NS}Class> .".encode()
+        corpus = Corpus()
+        for url in ("http://a.test/1.ttl", "http://b.test/1.ttl",
+                    "http://b.test/2.ttl", "http://a.test/2.ttl"):
+            corpus.add(url, CorpusEntry(200, "text/turtle", good))
+        corpus.add("http://a.test/404.ttl", CorpusEntry(404, None, b""))
+        corpus.add("http://c.test/bad.ttl", CorpusEntry(200, "text/turtle", b"<#C> a "))
+        lines = [
+            "http://a.test/1.ttl",
+            "http://b.test/1.ttl",
+            "",
+            "http://a.test/404.ttl",
+            "http://c.test/bad.ttl",
+            "http://a.test/1.ttl",  # duplicate
+            "http://[x/",  # unparseable
+            "http://b.test/2.ttl",
+            "http://a.test/2.ttl",
+        ]
+        manifest = build_index(
+            _write_lines(tmp_path, lines), CorpusTransport(corpus),
+            IndexLimits(politeness_ms=0), tmp_path / "idx",
+        )
+        hosts = [url.split("/")[2] for url, _ in corpus.request_log]
+        assert hosts == ["a.test", "b.test", "c.test", "a.test", "b.test", "a.test"]
+        assert [doc.url for doc in read_index(tmp_path / "idx").docs] == [
+            "http://a.test/1.ttl", "http://b.test/1.ttl",
+            "http://b.test/2.ttl", "http://a.test/2.ttl",
+        ]
+        assert manifest.skip_counts == {
+            **dict.fromkeys(SKIP_REASONS, 0),
+            "blank_or_null": 1, "duplicate": 1, "fetch_error": 2, "parse_error": 1,
+        }
+
+    def test_same_host_gaps_hold_while_hosts_overlap(self, tmp_path):
+        politeness_ms = 50
+        good = f"<http://h.test/o#Person> a <{OWL_NS}Class> .".encode()
+        corpus = Corpus()
+        urls = [f"http://{host}.test/{i}.ttl" for host in ("a", "b") for i in range(6)]
+        for url in urls:
+            corpus.add(url, CorpusEntry(200, "text/turtle", good))
+        manifest = build_index(
+            _write_lines(tmp_path, urls), CorpusTransport(corpus),
+            IndexLimits(politeness_ms=politeness_ms), tmp_path / "idx",
+        )
+        assert manifest.doc_count == 12
+        by_host = corpus.per_host_issue_times()
+        assert sorted(by_host) == ["a.test", "b.test"]
+        for times in by_host.values():
+            assert len(times) == 6
+            assert all(b - a >= politeness_ms for a, b in zip(times, times[1:]))
+        issued = [t for times in by_host.values() for t in times]
+        # Fetched in file order, host b would start only after host a's five
+        # gaps: a span of at least 10 gaps. Taken in turn, the hosts overlap.
+        assert max(issued) - min(issued) <= 5 * politeness_ms + 2 * politeness_ms
+
+
 class TestIndexSummaries:
     def test_single_class_single_posting(self):
         docs, postings = index_summaries([_summary("http://h.test/a.owl", classes={"Person"})])
@@ -691,14 +749,10 @@ class TestUnicodeTermsContract:
 
 @st.composite
 def _line_plans(draw):
-    """Random URL lists with known per-line fates."""
-    plans = draw(
-        st.lists(
-            st.sampled_from(["good", "blank", "null", "missing", "error404", "empty", "repeat"]),
-            max_size=24,
-        )
-    )
-    return plans
+    """Random URL lists with known per-line fates, spread over one to four hosts."""
+    host_count = draw(st.integers(min_value=1, max_value=4))
+    fates = st.sampled_from(["good", "blank", "null", "missing", "error404", "empty", "repeat"])
+    return draw(st.lists(st.tuples(fates, st.integers(0, host_count - 1)), max_size=24))
 
 
 class TestManifestIdentityFuzz:
@@ -708,30 +762,38 @@ class TestManifestIdentityFuzz:
         corpus = Corpus()
         lines = []
         good_urls = []
+        skips = dict.fromkeys(SKIP_REASONS, 0)
         turtle = b"@prefix owl: <http://www.w3.org/2002/07/owl#> .\n<#C> a owl:Class ."
-        for i, plan in enumerate(plans):
-            url = f"http://h.test/{plan}{i}.owl"
+        for i, (plan, host) in enumerate(plans):
+            url = f"http://h{host}.test/{plan}{i}.owl"
             if plan == "good":
                 corpus.add(url, CorpusEntry(200, "text/turtle", turtle))
                 lines.append(url)
                 good_urls.append(url)
             elif plan == "blank":
                 lines.append("   ")
+                skips["blank_or_null"] += 1
             elif plan == "null":
                 lines.append("null")
+                skips["blank_or_null"] += 1
             elif plan == "missing":
                 lines.append(url)
+                skips["fetch_error"] += 1
             elif plan == "error404":
                 corpus.add(url, CorpusEntry(404, None, b""))
                 lines.append(url)
+                skips["fetch_error"] += 1
             elif plan == "empty":
                 corpus.add(url, CorpusEntry(200, "application/rdf+xml",
                                             b'<rdf:RDF xmlns:rdf="http://www.w3.org/1999/02/22-rdf-syntax-ns#"/>'))
                 lines.append(url)
+                skips["empty_ontology"] += 1
             elif plan == "repeat" and good_urls:
                 lines.append(good_urls[-1])
+                skips["duplicate"] += 1
             else:
                 lines.append("null")
+                skips["blank_or_null"] += 1
         path = tmp_path / "urls.txt"
         path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
         manifest = build_index(
@@ -739,5 +801,7 @@ class TestManifestIdentityFuzz:
         )
         assert manifest.input_line_count == len(lines)
         assert manifest.doc_count + sum(manifest.skip_counts.values()) == len(lines)
+        assert manifest.skip_counts == skips
         index = read_index(tmp_path / "idx")
+        assert [doc.url for doc in index.docs] == good_urls
         assert {p.doc_id for p in posting_rows(index)} == {d.doc_id for d in index.docs}
