@@ -184,7 +184,7 @@ def extract_links(html: bytes, base: Url) -> list[Url]:
     return list(out.values())
 
 
-def write_url_list(urls: set[Url] | frozenset[Url], path: str | Path) -> int:
+def write_url_list(urls: set[Url] | set[str], path: str | Path) -> int:
     """Write one URL per line: UTF-8, LF, sorted, no duplicates. Returns line count."""
     lines = sorted({str(u) for u in urls})
     try:
@@ -226,7 +226,7 @@ def crawl(config: CrawlConfig, transport: Transport) -> CrawlReport:
     gate = PolitenessGate(config.politeness_ms, per_host=config.per_host_politeness)
     frontier: deque[tuple[Url, int]] = deque()  # (url, depth)
     seen: set[str] = set()
-    found: dict[str, Url] = {}
+    found: set[str] = set()
     seed_keys = {str(seed) for seed in config.seed_urls}
     seeds_failed: set[str] = set()
     status_histogram: dict[int, int] = {}
@@ -240,7 +240,7 @@ def crawl(config: CrawlConfig, transport: Transport) -> CrawlReport:
         seen.add(key)
         kind = classify_url(url)
         if kind == ONTOLOGY_CANDIDATE:
-            found[key] = url
+            found.add(key)
         elif kind == HTML_PAGE and (config.max_depth == -1 or depth <= config.max_depth):
             frontier.append((url, depth))
         elif key in seed_keys:
@@ -279,7 +279,7 @@ def crawl(config: CrawlConfig, transport: Transport) -> CrawlReport:
                 status_histogram[status] = status_histogram.get(status, 0) + 1
                 if ontology is not None:
                     seen.add(str(ontology))
-                    found[str(ontology)] = ontology
+                    found.add(str(ontology))
                 for child in links:
                     admit(child, depth + 1)
     finally:
@@ -289,11 +289,10 @@ def crawl(config: CrawlConfig, transport: Transport) -> CrawlReport:
     if seeds_failed == seed_keys:
         raise AllSeedsInvalid("no seed could be classified or fetched")
 
-    urls = set(found.values())
-    write_url_list(urls, config.output_path)
+    write_url_list(found, config.output_path)
     return CrawlReport(
         pages_fetched=issued,
-        ontologies_found=len(urls),
+        ontologies_found=len(found),
         elapsed_ms=elapsed,
         status_histogram=dict(sorted(status_histogram.items())),
         errors=errors,

@@ -2,11 +2,11 @@
 
 The index directory holds exactly three files: ``manifest.json`` (counts and
 skip accounting), ``docs.tsv`` (one row per indexed document), and
-``postings.tsv`` (one ``Posting`` row per line, sorted). A build fetches one
-URL at a time, taking the list's hosts in turn, and assigns doc ids in input
-order, so doc ids and the on-disk bytes are reproducible and do not depend on
-the fetch order. The reader loads the rows into one ``PostingList`` (doc ids,
-tfs) per (token, field).
+``postings.tsv`` (token, field, doc id and tf per line, sorted). A build
+fetches one URL at a time, taking the list's hosts in turn, and assigns doc ids
+in input order, so doc ids and the on-disk bytes are reproducible and do not
+depend on the fetch order. The reader loads the rows into one ``PostingList``
+(doc ids, tfs) per (token, field).
 """
 
 from __future__ import annotations
@@ -14,10 +14,11 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-from collections import namedtuple
+from collections import Counter, defaultdict, namedtuple
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from functools import cached_property
+from itertools import chain, zip_longest
 from pathlib import Path
 
 from .errors import OntoSeekerError
@@ -104,12 +105,7 @@ class DocRecord:
     relation_count: int
 
 
-@dataclass(frozen=True, slots=True)
-class Posting:
-    token: str
-    field: str
-    doc_id: int
-    tf: int
+PostingRow = tuple[str, str, int, int]  # (token, field, doc id, tf): one postings.tsv line
 
 
 @dataclass(frozen=True)
@@ -160,14 +156,16 @@ def now_utc_iso() -> str:
     return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-def index_summaries(summaries: list[OntologySummary]) -> tuple[list[DocRecord], list[Posting]]:
-    """Turn per-document term sets into doc records and sorted postings.
+def index_summaries(summaries: list[OntologySummary]) -> tuple[list[DocRecord], list[PostingRow]]:
+    """Turn per-document term sets into doc records and sorted posting rows.
 
     tf counts how many source terms in that field tokenize to contain the
-    token, so one multi-word term contributes at most 1 per token.
+    token, so one multi-word term contributes at most 1 per token. Docs are
+    visited in id order, so only the (token, field rank) keys need sorting.
     """
     docs: list[DocRecord] = []
-    tf_table: dict[tuple[str, int, int], int] = {}  # (token, field rank, doc id) -> tf
+    # (token, field rank) -> {doc id: tf}; each key's doc ids come out ascending
+    tf_table: defaultdict[tuple[str, int], Counter[int]] = defaultdict(Counter)
     for doc_id, summary in enumerate(summaries):
         field_terms = (summary.classes, summary.properties, summary.relations)
         docs.append(
@@ -176,11 +174,11 @@ def index_summaries(summaries: list[OntologySummary]) -> tuple[list[DocRecord], 
         for rank, terms in enumerate(field_terms):
             for term in terms:
                 for token in set(tokenize(term)):
-                    key = (token, rank, doc_id)
-                    tf_table[key] = tf_table.get(key, 0) + 1
+                    tf_table[token, rank][doc_id] += 1
     postings = [
-        Posting(token, FIELDS[rank], doc_id, tf)
-        for (token, rank, doc_id), tf in sorted(tf_table.items())
+        (token, FIELDS[rank], doc_id, tf)
+        for token, rank in sorted(tf_table)
+        for doc_id, tf in tf_table[token, rank].items()
     ]
     return docs, postings
 
@@ -279,15 +277,10 @@ def build_index(
         host_lines.setdefault(url.host, []).append(lineno)
 
     slots: list[OntologySummary | None] = [None] * len(lines)
-    queues = list(host_lines.values())
-    turn = 0
-    while queues:
-        for queue in queues:
-            lineno = queue[turn]
+    for lineno in chain.from_iterable(zip_longest(*host_lines.values())):
+        if lineno is not None:
             url = Url.parse(lines[lineno].strip())
             slots[lineno] = _fetch_summary(transport, gate, url, limits, skip_counts)
-        turn += 1
-        queues = [queue for queue in queues if len(queue) > turn]
 
     docs, postings = index_summaries([summary for summary in slots if summary is not None])
     manifest = IndexManifest(
@@ -306,7 +299,7 @@ def build_index(
 def write_index(
     index_dir: str | Path,
     docs: list[DocRecord],
-    postings: list[Posting],
+    postings: list[PostingRow],
     manifest: IndexManifest,
 ) -> None:
     """Write manifest.json, docs.tsv, and postings.tsv (UTF-8, LF, TAB-separated).
@@ -323,8 +316,8 @@ def write_index(
             for doc in docs
         ),
         POSTINGS_FILE: (
-            f"{posting.token}\t{posting.field}\t{posting.doc_id}\t{posting.tf}\n"
-            for posting in postings
+            f"{token}\t{field_name}\t{doc_id}\t{tf}\n"
+            for token, field_name, doc_id, tf in postings
         ),
         MANIFEST_FILE: (manifest.to_json(),),
     }
@@ -361,9 +354,10 @@ def read_index(index_dir: str | Path) -> Index:
 
     Raises MissingFile when one of the three files is absent, VersionMismatch
     when ``format_version`` is not FORMAT_VERSION, and CorruptIndex naming the
-    file, the 1-based line where there is one, and the violated invariant:
+    file, the 1-based line or field where there is one, and the invariant:
 
-    - manifest.json is a JSON object with every field, skip reason and weight;
+    - each file is UTF-8, manifest.json is a JSON object with every field,
+      skip reason and weight, and each of its counts is an integer >= 0;
     - docs.tsv rows have 6 columns and integer numbers, doc ids are dense and
       ascending from 0, no count is negative and every doc has a term;
     - postings.tsv rows have 4 columns, integer doc_id and tf, tf >= 1 and a
@@ -381,7 +375,7 @@ def read_index(index_dir: str | Path) -> Index:
 
     try:
         data = json.loads((directory / MANIFEST_FILE).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CorruptIndex(f"manifest.json unreadable: {exc}") from exc
     if not isinstance(data, dict):
         raise CorruptIndex(f"manifest.json is not a JSON object: {type(data).__name__}")
@@ -401,6 +395,12 @@ def read_index(index_dir: str | Path) -> Index:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptIndex(f"manifest.json missing or malformed field: {exc}") from exc
+    counts = {f"skip_counts.{reason}": n for reason, n in manifest.skip_counts.items()}
+    for name in ("doc_count", "posting_count", "input_line_count"):
+        counts[name] = getattr(manifest, name)
+    for name, count in counts.items():
+        if type(count) is not int or count < 0:
+            raise CorruptIndex(f"manifest.json {name} must be an integer >= 0, not {count!r}")
 
     # The row loops below run once per line of a large file, so each check is
     # inlined and formats its message only when it fails.
@@ -487,7 +487,7 @@ def read_index(index_dir: str | Path) -> Index:
 def _read_tsv_lines(path: Path) -> list[str]:
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CorruptIndex(f"{path.name} unreadable: {exc}") from exc
     return text.splitlines()
 

@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import threading
 import time
 from dataclasses import dataclass, field
 from http.cookiejar import DefaultCookiePolicy
 from typing import Protocol
-from urllib.parse import urljoin, urlsplit
+from urllib.parse import quote, urljoin, urlsplit
 
 import requests
 
@@ -25,6 +26,8 @@ DEFAULT_PORTS = {"http": 80, "https": 443}
 SUPPORTED_SCHEMES = frozenset(DEFAULT_PORTS)
 
 _HOST_CHARS = frozenset("abcdefghijklmnopqrstuvwxyz0123456789._-")
+# Line breaks to str.splitlines that urlsplit keeps; Url.parse percent-encodes them.
+_LINE_BREAKS = re.compile("[\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
 
 DEFAULT_POLITENESS_MS = 300
 DEFAULT_TIMEOUT_S = 20.0
@@ -70,6 +73,7 @@ class Url:
         # Strip after dropping the fragment, so no whitespace that stood before
         # a '#' ends the URL and str() of the result parses back to it.
         raw = raw.split("#", 1)[0].strip()
+        raw = _LINE_BREAKS.sub(lambda match: quote(match.group()), raw)
         try:
             parts = urlsplit(raw)
         except ValueError as exc:
@@ -148,10 +152,8 @@ class PolitenessGate:
     _last_grant: dict[str, float] = field(default_factory=dict, repr=False)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
-    def acquire_slot(self, host: str, now_ms: float | None = None) -> float:
-        """Reserve the next slot for ``host``; returns the wait in ms (0 or more)."""
-        if now_ms is None:
-            now_ms = monotonic_ms()
+    def acquire_slot(self, host: str, now_ms: float) -> float:
+        """Reserve the next slot for ``host`` at ``now_ms``; returns the wait in ms (0 or more)."""
         key = host if self.per_host else ""
         with self._lock:
             prev = self._last_grant.get(key)

@@ -13,8 +13,8 @@ from onto_seeker.indexer import (
     DocRecord,
     Index,
     IndexManifest,
-    Posting,
     PostingList,
+    PostingRow,
     SKIP_REASONS,
     index_summaries,
 )
@@ -192,7 +192,7 @@ def mutants(draw, seed: bytes) -> bytes:
 
 def build_parts(
     summaries: list[OntologySummary], created_at: str = "fixed"
-) -> tuple[list[DocRecord], list[Posting], IndexManifest]:
+) -> tuple[list[DocRecord], list[PostingRow], IndexManifest]:
     """What build_index writes for ``summaries`` (no fetch pipeline): the
     arguments of write_index after its folder."""
     docs, postings = index_summaries(summaries)
@@ -208,21 +208,21 @@ def build_parts(
     return docs, postings, manifest
 
 
-def group_postings(postings: list[Posting]) -> dict[tuple[str, str], PostingList]:
+def group_postings(postings: list[PostingRow]) -> dict[tuple[str, str], PostingList]:
     """Sorted build-side rows grouped per (token, field) key, as read_index
     loads them."""
     table: dict[tuple[str, str], PostingList] = {}
-    for posting in postings:
-        posting_list = table.setdefault((posting.token, posting.field), PostingList([], []))
-        posting_list.doc_ids.append(posting.doc_id)
-        posting_list.tfs.append(posting.tf)
+    for token, field_name, doc_id, tf in postings:
+        posting_list = table.setdefault((token, field_name), PostingList([], []))
+        posting_list.doc_ids.append(doc_id)
+        posting_list.tfs.append(tf)
     return table
 
 
-def posting_rows(index: Index) -> list[Posting]:
+def posting_rows(index: Index) -> list[PostingRow]:
     """An index's per-key lists flattened back into rows, in key order."""
     return [
-        Posting(token, field_name, doc_id, tf)
+        (token, field_name, doc_id, tf)
         for (token, field_name), posting_list in index.posting_lists.items()
         for doc_id, tf in zip(posting_list.doc_ids, posting_list.tfs)
     ]

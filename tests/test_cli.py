@@ -241,6 +241,12 @@ class TestCmdIndex:
         assert not (tmp_path / "idx").exists()
 
 
+def _with_string_skip_count(manifest_text: str) -> bytes:
+    data = json.loads(manifest_text)
+    data["skip_counts"]["oversize"] = "0"
+    return json.dumps(data).encode()
+
+
 def _build_index(tmp_path, capsys) -> Path:
     _code, out, _ = _crawl_site1(tmp_path, capsys)
     idx = tmp_path / "idx"
@@ -302,6 +308,26 @@ class TestCmdQuery:
         (idx / "manifest.json").write_text("[]")
         assert main(["query", "--index-dir", str(idx), "--query", "anchor"]) == 2
         assert "not a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "file_name, corrupt",
+        [
+            ("manifest.json", lambda text: text.encode() + b"\xff"),
+            ("docs.tsv", lambda text: text.encode() + b"\xff"),
+            ("postings.tsv", lambda text: text.encode() + b"\xff"),
+            ("manifest.json", _with_string_skip_count),
+        ],
+        ids=["manifest-non-utf8", "docs-non-utf8", "postings-non-utf8", "skip-count-string"],
+    )
+    def test_unreadable_index_is_an_input_error(self, tmp_path, capsys, file_name, corrupt):
+        idx = _build_index(tmp_path, capsys)
+        path = idx / file_name
+        path.write_bytes(corrupt(path.read_text(encoding="utf-8")))
+        code = main(["query", "--index-dir", str(idx), "--query", "anchor"])
+        captured = capsys.readouterr()
+        _assert_error_exit(captured, code, 2)
+        assert file_name in captured.err
+        assert "run the index command first" in captured.err
 
     def test_machine_format_appends_detail(self, tmp_path, capsys):
         idx = _build_index(tmp_path, capsys)

@@ -441,6 +441,22 @@ def small_site():
     return make_synthetic_site(SiteSpec(seed=5, page_count=40, ontology_count=10, host_count=2))
 
 
+class TestCrawlThenIndex:
+    def test_href_holding_a_line_separator_stays_one_line(self, tmp_path):
+        turtle = b"@prefix owl: <http://www.w3.org/2002/07/owl#> .\n<#C> a owl:Class ."
+        corpus = Corpus()
+        corpus.add(BASE, _page('<a href="/a&#x2028;b.owl">x</a><a href="/ok.owl">ok</a>'))
+        corpus.add("http://a.example/a%E2%80%A8b.owl", CorpusEntry(200, "text/turtle", turtle))
+        corpus.add("http://a.example/ok.owl", CorpusEntry(200, "text/turtle", turtle))
+        transport = CorpusTransport(corpus)
+        config = _config(tmp_path, [str(BASE)])
+        assert crawl(config, transport).ontologies_found == 2
+        manifest = build_index(
+            config.output_path, transport, IndexLimits(politeness_ms=0), tmp_path / "idx"
+        )
+        assert (manifest.doc_count, manifest.input_line_count) == (2, 2)
+
+
 class TestFailureContainment:
     @settings(max_examples=25)
     @given(data=st.data())

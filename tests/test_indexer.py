@@ -19,21 +19,23 @@ from conftest import (
     build_parts,
     group_postings,
     make_index,
+    mutants,
     nested_rdf_xml,
     posting_rows,
     sixteen_line_fixture,
 )
 from onto_seeker import indexer
+from onto_seeker.errors import OntoSeekerError
 from onto_seeker.harness import Corpus, CorpusEntry, CorpusTransport, scan_oracle
 from onto_seeker.indexer import (
     CorruptIndex,
     DocRecord,
     FIELD_RANK,
+    Index,
     IndexDirUnwritable,
     IndexLimits,
     InputUnreadable,
     MissingFile,
-    Posting,
     SKIP_REASONS,
     VersionMismatch,
     build_index,
@@ -215,7 +217,8 @@ class TestBuildIndex:
         assert manifest.doc_count == 1
         assert manifest.skip_counts["empty_ontology"] == 1
         index = read_index(tmp_path / "idx")
-        assert [(p.token, p.doc_id) for p in posting_rows(index)] == [("break", 0), ("line", 0)]
+        rows = posting_rows(index)
+        assert [(token, doc_id) for token, _, doc_id, _ in rows] == [("break", 0), ("line", 0)]
 
     def test_missing_input(self, tmp_path):
         with pytest.raises(InputUnreadable):
@@ -306,7 +309,7 @@ class TestFetchOrder:
 class TestIndexSummaries:
     def test_single_class_single_posting(self):
         docs, postings = index_summaries([_summary("http://h.test/a.owl", classes={"Person"})])
-        assert postings == [Posting("person", "class", 0, 1)]
+        assert postings == [("person", "class", 0, 1)]
         assert docs[0].class_count == 1
 
     def test_tf_counts_terms_not_token_repeats(self):
@@ -314,8 +317,8 @@ class TestIndexSummaries:
             "http://h.test/a.owl", classes={"PartOfPart", "SparePart", "Wheel"}
         )
         _docs, postings = index_summaries([summary])
-        part = [p for p in postings if p.token == "part"]
-        assert part == [Posting("part", "class", 0, 2)]  # per-term containment, not occurrences
+        part = [row for row in postings if row[0] == "part"]
+        assert part == [("part", "class", 0, 2)]  # per-term containment, not occurrences
 
     def test_posting_sort_order(self):
         summaries = [
@@ -323,7 +326,7 @@ class TestIndexSummaries:
             _summary("http://h.test/b.owl", properties={"hasPart"}),
         ]
         _docs, postings = index_summaries(summaries)
-        keys = [(p.token, FIELD_RANK[p.field], p.doc_id) for p in postings]
+        keys = [(token, FIELD_RANK[field], doc_id) for token, field, doc_id, _ in postings]
         assert keys == sorted(keys)
         assert len(set(keys)) == len(keys)
 
@@ -340,11 +343,9 @@ class TestIndexSummaries:
         _docs, postings = index_summaries(summaries)
         field_terms = {"class": summaries[0].classes, "property": summaries[0].properties,
                        "relation": summaries[0].relations}
-        for posting in postings:
-            expected = sum(
-                1 for term in field_terms[posting.field] if posting.token in tokenize(term)
-            )
-            assert posting.tf == expected
+        for token, field, _doc_id, tf in postings:
+            expected = sum(1 for term in field_terms[field] if token in tokenize(term))
+            assert tf == expected
 
 
 class TestWriteReadRoundTrip:
@@ -648,6 +649,70 @@ class TestReadIndexRowChecks:
         assert invariant in message
 
 
+# Each case makes one manifest count something other than an integer >= 0.
+# The index holds 1 doc and 1 posting, so the bool and float counts still
+# equal the files' counts.
+_BAD_MANIFEST_COUNTS = [
+    pytest.param(
+        lambda m: m["skip_counts"].update(fetch_error="0"), "skip_counts.fetch_error",
+        id="skip-count-string",
+    ),
+    pytest.param(
+        lambda m: m["skip_counts"].update(duplicate=-1, blank_or_null=1), "skip_counts.duplicate",
+        id="skip-count-negative-identity-kept",
+    ),
+    pytest.param(lambda m: m.update(doc_count=True), "doc_count", id="doc-count-bool"),
+    pytest.param(lambda m: m.update(posting_count=1.0), "posting_count", id="posting-count-float"),
+    pytest.param(
+        lambda m: m.update(input_line_count=None), "input_line_count", id="input-line-count-null"
+    ),
+]
+
+
+class TestReadIndexRaisesOnlyCorruptIndex:
+    @pytest.mark.parametrize("file_name", ["manifest.json", "docs.tsv", "postings.tsv"])
+    def test_non_utf8_file_is_corrupt(self, tmp_path, file_name):
+        write_index(tmp_path / "idx", *build_parts([_summary("http://h.test/a.owl", {"A"})]))
+        path = tmp_path / "idx" / file_name
+        path.write_bytes(path.read_bytes() + b"\xff")
+        with pytest.raises(CorruptIndex) as err:
+            read_index(tmp_path / "idx")
+        assert f"{file_name} unreadable" in str(err.value)
+
+    @pytest.mark.parametrize("edit, field_name", _BAD_MANIFEST_COUNTS)
+    def test_count_that_is_not_a_non_negative_int_is_corrupt(self, tmp_path, edit, field_name):
+        write_index(tmp_path / "idx", *build_parts([_summary("http://h.test/a.owl", {"A"})]))
+        manifest_path = tmp_path / "idx" / "manifest.json"
+        data = json.loads(manifest_path.read_text())
+        edit(data)
+        manifest_path.write_text(json.dumps(data))
+        with pytest.raises(CorruptIndex) as err:
+            read_index(tmp_path / "idx")
+        assert f"manifest.json {field_name} must be an integer >= 0" in str(err.value)
+
+
+_CONTRACT_SUMMARIES = [
+    _summary("http://h.test/a.owl", classes={"Person"}, relations={"knows"}),
+    _summary("http://h.test/b.owl", properties={"hasPart"}),
+]
+
+
+class TestReadIndexContract:
+    @given(st.sampled_from(["manifest.json", "docs.tsv", "postings.tsv"]), st.data())
+    def test_mutated_file_loads_or_raises_an_onto_seeker_error(
+        self, tmp_path_factory, file_name, data
+    ):
+        idx_dir = tmp_path_factory.mktemp("mutant") / "idx"
+        write_index(idx_dir, *build_parts(_CONTRACT_SUMMARIES))
+        path = idx_dir / file_name
+        path.write_bytes(data.draw(mutants(path.read_bytes())))
+        try:
+            index = read_index(idx_dir)
+        except OntoSeekerError:
+            return
+        assert isinstance(index, Index)
+
+
 class TestManyKeys:
     def test_thousands_of_keys_round_trip_and_search_equal_the_oracle(self, tmp_path):
         # The synthetic site's vocabulary yields under 200 (token, field) keys;
@@ -682,7 +747,6 @@ class TestManyKeys:
 
 class TestRecordContracts:
     def test_records_frozen_and_slotted(self):
-        posting = Posting(token="person", field="class", doc_id=0, tf=1)
         doc = DocRecord(
             doc_id=0,
             url="http://h.test/a.owl",
@@ -691,18 +755,9 @@ class TestRecordContracts:
             property_count=0,
             relation_count=0,
         )
-        for record, name in ((posting, "tf"), (doc, "byte_size")):
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(record, name, 2)
-            assert not hasattr(record, "__dict__")
-
-    def test_posting_hashable_and_equal_by_value(self):
-        a = Posting(token="person", field="class", doc_id=0, tf=1)
-        b = Posting("person", "class", 0, 1)
-        assert a == b and a is not b
-        assert hash(a) == hash(b)
-        assert len({a, b}) == 1
-        assert a != Posting("person", "class", 0, 2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            doc.byte_size = 2
+        assert not hasattr(doc, "__dict__")
 
 
 # Terms mixing separators, whitespace that str.split or str.splitlines
@@ -804,4 +859,4 @@ class TestManifestIdentityFuzz:
         assert manifest.skip_counts == skips
         index = read_index(tmp_path / "idx")
         assert [doc.url for doc in index.docs] == good_urls
-        assert {p.doc_id for p in posting_rows(index)} == {d.doc_id for d in index.docs}
+        assert {doc_id for _, _, doc_id, _ in posting_rows(index)} == {d.doc_id for d in index.docs}

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from urllib.parse import quote
 
 import pytest
 import requests
@@ -98,6 +99,14 @@ class TestNormalizeUrl:
         url = normalize_url(BASE, href)
         assert str(url) == str(url).strip()
         assert normalize_url(BASE, str(url)) == url
+
+    # The characters str.splitlines breaks at that urlsplit keeps.
+    @pytest.mark.parametrize("char", list("\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"), ids=ascii)
+    def test_line_break_inside_href_percent_encoded(self, char):
+        url = normalize_url(BASE, f"a{char}b.owl?q={char}c")
+        assert str(url) == f"http://a.example/dir/a{quote(char)}b.owl?q={quote(char)}c"
+        assert str(url).splitlines() == [str(url)]
+        assert Url.parse(str(url)) == url
 
     @given(st.text(max_size=40))
     def test_idempotent_on_arbitrary_hrefs(self, href):
