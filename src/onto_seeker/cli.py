@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 usage error, 2 input/ordering error, 3 runtime
 failure. Results go to stdout, diagnostics to stderr. The stage ordering the
 pipeline enforces (crawl, then index, then query) is checked through artifact
 presence: index refuses to run without the URL file, query without a valid
-index directory.
+index directory. Commands raise; ``main`` alone maps a failure to its exit
+code and one ``error: ...`` line.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections.abc import Callable
 from pathlib import Path
 
 from .crawler import DEFAULT_MAX_BODY_BYTES, AllSeedsInvalid, CrawlConfig, OutputUnwritable, crawl
@@ -19,6 +21,7 @@ from .errors import OntoSeekerError
 from .harness import (
     CorpusTransport,
     PathUnreadable,
+    SiteDirUnwritable,
     SiteSpec,
     SpecInvalid,
     corpus_from_dir,
@@ -30,17 +33,20 @@ from .harness import (
     write_site_dir,
 )
 from .indexer import (
+    CorruptIndex,
     IndexDirUnwritable,
     IndexLimits,
     InputUnreadable,
+    MissingFile,
+    VersionMismatch,
     build_index,
     read_index,
     read_url_lines,
     render_skip_report,
 )
 from .netfetch import DEFAULT_POLITENESS_MS, DEFAULT_TIMEOUT_S, LiveTransport, Url
-from .query import EmptyQuery, Query, check_top_k, explain, format_explain, format_results
-from .query import parse_query, search
+from .query import EmptyQuery, Query, UnknownUrl, check_top_k, explain, format_explain
+from .query import format_results, parse_query, search
 
 DEFAULT_SEED_URL = "http://www.ontologyportal.org"
 
@@ -60,8 +66,23 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _eprint(message: str) -> None:
-    print(message, file=sys.stderr)
+# Failure -> (exit code, stderr line after "error: "); the first class that
+# matches wins, so a subclass comes before its base.
+_FAILURES = (
+    ((_UsageError, SpecInvalid), EXIT_USAGE, "{}"),
+    (EmptyQuery, EXIT_USAGE, "unusable query: {}"),
+    (SiteDirUnwritable, EXIT_INPUT, "cannot write site folder: {}"),
+    (OutputUnwritable, EXIT_INPUT, "cannot write URL list: {}"),
+    (InputUnreadable, EXIT_INPUT,
+     "cannot read URL list: {}; run the crawl command first (onto-seeker crawl writes it)"),
+    (IndexDirUnwritable, EXIT_INPUT, "cannot write index: {}"),
+    (PathUnreadable, EXIT_INPUT, "{}"),
+    ((MissingFile, CorruptIndex, VersionMismatch), EXIT_INPUT,
+     "index directory is missing or invalid ({}); run the index command first (onto-seeker index)"),
+    (AllSeedsInvalid, EXIT_RUNTIME, "crawl failed: {}"),
+    (UnknownUrl, EXIT_RUNTIME, "--explain-url is not in the index: {}"),
+    (OntoSeekerError, EXIT_RUNTIME, "{}"),
+)
 
 
 def _checked(make, *args, **kwargs):
@@ -84,7 +105,9 @@ def _add_transport_flags(parser: argparse.ArgumentParser) -> None:
                         help="live fetch timeout")
 
 
-def _make_transport(args, default_host: str):
+def _make_transport(args, default_host: Callable[[], str]):
+    """The transport the flags select; ``default_host()`` is called only for a
+    plain corpus folder given no --corpus-host."""
     if args.live:
         return _checked(LiveTransport, timeout_s=args.timeout_s)
     if not args.corpus_dir:
@@ -93,7 +116,7 @@ def _make_transport(args, default_host: str):
     if (corpus_dir / "site.json").is_file():
         corpus, _root = load_site_dir(corpus_dir)
     else:
-        corpus = corpus_from_dir(corpus_dir, args.corpus_host or default_host)
+        corpus = corpus_from_dir(corpus_dir, args.corpus_host or default_host())
     return CorpusTransport(corpus)
 
 
@@ -179,10 +202,7 @@ def _index_limits(args) -> IndexLimits:
 def _parsed_query(args) -> Query:
     """Parse --query after checking --top-k; either failing is a usage error."""
     _checked(check_top_k, args.top_k)
-    try:
-        return parse_query(args.query)
-    except EmptyQuery as exc:
-        raise _UsageError(f"unusable query: {exc}") from exc
+    return parse_query(args.query)
 
 
 def _crawl_config(args) -> CrawlConfig:
@@ -199,55 +219,30 @@ def _crawl_config(args) -> CrawlConfig:
     )
 
 
-def cmd_crawl(args, transport=None) -> int:
+def cmd_crawl(args, transport=None) -> None:
     config = _crawl_config(args)
     if transport is None:
-        transport = _make_transport(args, config.seed_urls[0].host)
-    try:
-        report = crawl(config, transport)
-    except OutputUnwritable as exc:
-        _eprint(f"cannot write URL list: {exc}")
-        return EXIT_INPUT
-    except AllSeedsInvalid as exc:
-        _eprint(f"crawl failed: {exc}")
-        return EXIT_RUNTIME
+        transport = _make_transport(args, lambda: config.seed_urls[0].host)
+    report = crawl(config, transport)
     if args.format == "tsv":
         print("\n".join(report.machine_lines()))
     else:
         print(report.human_table())
-    return EXIT_OK
 
 
-def cmd_index(args, transport=None) -> int:
-    urls_path = Path(args.urls)
-    if not urls_path.is_file():
-        _eprint(
-            f"URL list {urls_path} not found; run the crawl command first "
-            f"(onto-seeker crawl writes it)"
-        )
-        return EXIT_INPUT
+def cmd_index(args, transport=None) -> None:
     limits = _index_limits(args)
-    try:
-        if transport is None:
-            transport = _make_transport(args, _default_host_from_urls(urls_path))
-        manifest = build_index(
-            urls_path, transport, limits, args.index_dir, created_at=args.created_at
-        )
-    except InputUnreadable as exc:
-        _eprint(f"cannot read URL list: {exc}")
-        return EXIT_INPUT
-    except IndexDirUnwritable as exc:
-        _eprint(f"cannot write index: {exc}")
-        return EXIT_INPUT
+    if transport is None:
+        transport = _make_transport(args, lambda: _default_host_from_urls(args.urls))
+    manifest = build_index(args.urls, transport, limits, args.index_dir, created_at=args.created_at)
     print(render_skip_report(manifest))
     print(f"doc_count\t{manifest.doc_count}")
     print(f"posting_count\t{manifest.posting_count}")
     print(f"input_line_count\t{manifest.input_line_count}")
     print(f"index_dir\t{args.index_dir}")
-    return EXIT_OK
 
 
-def _default_host_from_urls(urls_path: Path) -> str:
+def _default_host_from_urls(urls_path: str) -> str:
     for line in read_url_lines(urls_path):
         line = line.strip()
         if line and line != "null":
@@ -258,15 +253,8 @@ def _default_host_from_urls(urls_path: Path) -> str:
     return "localhost"
 
 
-def cmd_query(args) -> int:
-    try:
-        index = read_index(args.index_dir)
-    except OntoSeekerError as exc:
-        _eprint(
-            f"index directory {args.index_dir} is missing or invalid ({exc}); "
-            f"run the index command first (onto-seeker index)"
-        )
-        return EXIT_INPUT
+def cmd_query(args) -> None:
+    index = read_index(args.index_dir)
     query = _parsed_query(args)
     results = search(index, query, top_k=args.top_k, match_all=args.match_all)
     lines = format_results(results, machine=args.format == "tsv")
@@ -275,10 +263,9 @@ def cmd_query(args) -> int:
     if args.explain_url:
         contributions = explain(index, query, args.explain_url)
         print("\n".join(format_explain(contributions)))
-    return EXIT_OK
 
 
-def cmd_pipeline(args) -> int:
+def cmd_pipeline(args) -> None:
     # A bad flag of any stage is rejected before the corpus loads.
     seed_host = _crawl_config(args).seed_urls[0].host
     _index_limits(args)
@@ -286,45 +273,33 @@ def cmd_pipeline(args) -> int:
         _parsed_query(args)
     # Both stages share one transport, so a corpus directory loads once and a
     # plain one answers for the first seed's host in the index stage too.
-    transport = _make_transport(args, seed_host)
-    code = cmd_crawl(args, transport)
-    if code != EXIT_OK:
-        return code
+    transport = _make_transport(args, lambda: seed_host)
+    cmd_crawl(args, transport)
     args.urls = args.out
-    code = cmd_index(args, transport)
-    if code != EXIT_OK:
-        return code
+    cmd_index(args, transport)
     if args.query is not None:
-        return cmd_query(args)
-    return EXIT_OK
+        cmd_query(args)
 
 
-def cmd_gen_corpus(args) -> int:
+def cmd_gen_corpus(args) -> None:
     spec = _site_spec(args)
-    try:
-        corpus, ground_truth = make_synthetic_site(spec)
-        write_site_dir(corpus, ground_truth, spec, args.out_dir)
-    except SpecInvalid as exc:
-        raise _UsageError(str(exc)) from exc
+    corpus, ground_truth = make_synthetic_site(spec)
+    write_site_dir(corpus, ground_truth, spec, args.out_dir)
     print(f"root_url\t{ground_truth.root_url}")
     print(f"pages\t{len(ground_truth.page_depths)}")
     print(f"ontologies\t{len(ground_truth.reachable_ontology_urls)}")
     print(f"out_dir\t{args.out_dir}")
-    return EXIT_OK
 
 
-def cmd_bench(args) -> int:
-    matrix = _parse_matrix(args.matrix)
-    try:
-        spec = _site_spec(args)
-        rows = run_bench(matrix, spec, politeness_ms=args.politeness_ms, max_depth=args.max_depth)
-    except SpecInvalid as exc:
-        raise _UsageError(str(exc)) from exc
+def cmd_bench(args) -> None:
+    reports = _checked(
+        run_bench, _parse_matrix(args.matrix), _site_spec(args),
+        politeness_ms=args.politeness_ms, max_depth=args.max_depth,
+    )
     if args.format == "tsv":
-        print(render_bench_tsv(rows))
+        print(render_bench_tsv(reports))
     else:
-        print(render_bench_table(rows))
-    return EXIT_OK
+        print(render_bench_table(reports))
 
 
 def _add_format_flag(parser: argparse.ArgumentParser) -> None:
@@ -389,18 +364,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        code = args.func(args)
+        args.func(args)
         sys.stdout.flush()  # meet a closed stdout here, not in the exit flush
+        return EXIT_OK
+    except (_UsageError, OntoSeekerError) as exc:
+        code, message = next(
+            (code, message) for kinds, code, message in _FAILURES if isinstance(exc, kinds)
+        )
+        print("error: " + message.format(exc), file=sys.stderr)
         return code
-    except _UsageError as exc:
-        _eprint(f"error: {exc}")
-        return EXIT_USAGE
-    except PathUnreadable as exc:
-        _eprint(f"error: {exc}")
-        return EXIT_INPUT
-    except OntoSeekerError as exc:
-        _eprint(f"error: {exc}")
-        return EXIT_RUNTIME
     except BrokenPipeError:
         # stdout's reader left early (`| head -1`): the rest goes to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -7,6 +7,7 @@ from .corpus import (
 )
 from .synth import (
     GroundTruth,
+    SiteDirUnwritable,
     SiteSpec,
     SpecInvalid,
     load_ground_truth,
@@ -17,15 +18,15 @@ from .synth import (
     write_site_dir,
 )
 from .oracle import scan_oracle
-from .bench import BenchRow, render_bench_table, render_bench_tsv, run_bench
+from .bench import render_bench_table, render_bench_tsv, run_bench
 
 __all__ = [
-    "BenchRow",
     "Corpus",
     "CorpusEntry",
     "CorpusTransport",
     "GroundTruth",
     "PathUnreadable",
+    "SiteDirUnwritable",
     "SiteSpec",
     "SpecInvalid",
     "corpus_from_dir",

@@ -1,13 +1,13 @@
-"""Crawler bench runner: one row per (workers, max_pages) cell, recording
-how many ontologies were found and how long the crawl took."""
+"""Crawler bench runner: one crawl per (workers, max_pages) cell of one
+generated site, reporting how many ontologies were found and how long the
+crawl took."""
 
 from __future__ import annotations
 
 import tempfile
-from dataclasses import dataclass
 from pathlib import Path
 
-from ..crawler import CrawlConfig, crawl
+from ..crawler import CrawlConfig, CrawlReport, crawl
 from ..netfetch import Url
 from .corpus import CorpusTransport
 from .synth import SiteSpec, make_synthetic_site
@@ -15,64 +15,57 @@ from .synth import SiteSpec, make_synthetic_site
 BENCH_HEADER = ("workers", "max_pages", "ontologies_found", "elapsed_ms")
 
 
-@dataclass(frozen=True)
-class BenchRow:
-    workers: int
-    max_pages: int
-    ontologies_found: int
-    elapsed_ms: int
-
-
 def run_bench(
     matrix: list[tuple[int, int]],
     spec: SiteSpec,
     politeness_ms: int = 0,
     max_depth: int = -1,
-) -> list[BenchRow]:
-    """Generate the corpus per cell, crawl it, and record the Table-shaped row.
+) -> list[CrawlReport]:
+    """Generate the site once, then crawl it once per cell.
 
-    Cells run sequentially for stable timing. Politeness defaults to 0 so the
-    bench measures traversal and latency overlap rather than the gate.
+    Every cell's config is checked before the first crawl. Cells run
+    sequentially for stable timing, each with a fresh transport and an empty
+    request log. Politeness defaults to 0 so the bench measures traversal and
+    latency overlap rather than the gate.
     """
     if not matrix:
         raise ValueError("bench matrix must be non-empty")
-    rows: list[BenchRow] = []
-    for workers, max_pages in matrix:
-        corpus, ground_truth = make_synthetic_site(spec)
-        transport = CorpusTransport(corpus)
-        with tempfile.TemporaryDirectory(prefix="onto-seeker-bench-") as tmp:
-            config = CrawlConfig(
-                seed_urls=(Url.parse(ground_truth.root_url),),
+    corpus, ground_truth = make_synthetic_site(spec)
+    seed_urls = (Url.parse(ground_truth.root_url),)
+    with tempfile.TemporaryDirectory(prefix="onto-seeker-bench-") as tmp:
+        configs = [
+            CrawlConfig(
+                seed_urls=seed_urls,
                 max_pages=max_pages,
                 max_depth=max_depth,
                 worker_count=workers,
                 politeness_ms=politeness_ms,
                 output_path=str(Path(tmp) / "urls.txt"),
             )
-            report = crawl(config, transport)
-        rows.append(
-            BenchRow(
-                workers=workers,
-                max_pages=max_pages,
-                ontologies_found=report.ontologies_found,
-                elapsed_ms=report.elapsed_ms,
-            )
-        )
-    return rows
+            for workers, max_pages in matrix
+        ]
+        reports = []
+        for config in configs:
+            corpus.request_log.clear()
+            reports.append(crawl(config, CorpusTransport(corpus)))
+    return reports
 
 
-def render_bench_tsv(rows: list[BenchRow]) -> str:
-    lines = ["\t".join(BENCH_HEADER)]
-    for row in rows:
-        lines.append(f"{row.workers}\t{row.max_pages}\t{row.ontologies_found}\t{row.elapsed_ms}")
-    return "\n".join(lines)
-
-
-def render_bench_table(rows: list[BenchRow]) -> str:
-    cells = [BENCH_HEADER] + [
-        (str(r.workers), str(r.max_pages), str(r.ontologies_found), str(r.elapsed_ms))
-        for r in rows
+def _bench_cells(reports: list[CrawlReport]) -> list[tuple[str, ...]]:
+    """One row of strings per report, in BENCH_HEADER order."""
+    return [
+        (str(r.config_echo.worker_count), str(r.config_echo.max_pages),
+         str(r.ontologies_found), str(r.elapsed_ms))
+        for r in reports
     ]
+
+
+def render_bench_tsv(reports: list[CrawlReport]) -> str:
+    return "\n".join("\t".join(row) for row in [BENCH_HEADER, *_bench_cells(reports)])
+
+
+def render_bench_table(reports: list[CrawlReport]) -> str:
+    cells = [BENCH_HEADER, *_bench_cells(reports)]
     widths = [max(len(row[col]) for row in cells) for col in range(len(BENCH_HEADER))]
     return "\n".join(
         "  ".join(value.rjust(width) for value, width in zip(row, widths)) for row in cells

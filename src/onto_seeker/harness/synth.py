@@ -11,6 +11,7 @@ from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from xml.sax.saxutils import escape, quoteattr
 
+from ..crawler import OutputUnwritable
 from ..errors import OntoSeekerError
 from ..netfetch import Url
 from ..rdf.model import (
@@ -38,6 +39,10 @@ VERBS = ("controls", "feeds", "tracks", "binds", "maps", "emits")
 
 class SpecInvalid(OntoSeekerError):
     pass
+
+
+class SiteDirUnwritable(OutputUnwritable):
+    """The site folder (or a file in it) could not be written."""
 
 
 @dataclass(frozen=True)
@@ -401,16 +406,17 @@ def _file_for_path(path: str) -> str:
 def write_site_dir(
     corpus: Corpus, ground_truth: GroundTruth, spec: SiteSpec, out_dir: str | Path
 ) -> None:
-    """Persist a generated site so the CLI can crawl it from disk."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    """Persist a generated site so the CLI can crawl it from disk.
+
+    Raises SiteDirUnwritable, naming ``out_dir``, when a folder or file cannot
+    be written.
+    """
+    files: dict[str, bytes] = {}  # path relative to out_dir -> bytes
     entries_meta = {}
     for url_key, entry in sorted(corpus.entries.items()):
         url = Url.parse(url_key)
         rel = f"hosts/{url.host}/{_file_for_path(url.path)}"
-        file_path = out / rel
-        file_path.parent.mkdir(parents=True, exist_ok=True)
-        file_path.write_bytes(entry.body)
+        files[rel] = entry.body
         entries_meta[url_key] = {
             "file": rel,
             "content_type": entry.content_type,
@@ -423,7 +429,6 @@ def write_site_dir(
         "spec": asdict(spec),
         "entries": entries_meta,
     }
-    (out / SITE_FILE).write_text(json.dumps(site, sort_keys=True, indent=2) + "\n", "utf-8")
     gt = {
         "root_url": ground_truth.root_url,
         "page_depths": ground_truth.page_depths,
@@ -440,7 +445,15 @@ def write_site_dir(
             for url, s in sorted(ground_truth.summaries.items())
         },
     }
-    (out / GROUND_TRUTH_FILE).write_text(json.dumps(gt, sort_keys=True, indent=2) + "\n", "utf-8")
+    for name, data in ((SITE_FILE, site), (GROUND_TRUTH_FILE, gt)):
+        files[name] = (json.dumps(data, sort_keys=True, indent=2) + "\n").encode("utf-8")
+    out = Path(out_dir)
+    try:
+        for rel, body in files.items():
+            (out / rel).parent.mkdir(parents=True, exist_ok=True)
+            (out / rel).write_bytes(body)
+    except OSError as exc:
+        raise SiteDirUnwritable(f"{out_dir}: {exc}") from exc
 
 
 def load_site_dir(site_dir: str | Path) -> tuple[Corpus, str]:

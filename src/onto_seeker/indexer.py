@@ -146,7 +146,7 @@ class Index:
     manifest: IndexManifest
 
     # Kept for perfbench/tracing.py, which wraps this property's .func by name
-    # and counts through len() and .doc_id; ROADMAP item 5 retires the patching.
+    # and counts through len() and .doc_id; ROADMAP item 3 retires the patching.
     @cached_property
     def postings_by_token_field(self) -> dict[tuple[str, str], PostingList]:
         return self.posting_lists
@@ -304,9 +304,12 @@ def write_index(
 ) -> None:
     """Write manifest.json, docs.tsv, and postings.tsv (UTF-8, LF, TAB-separated).
 
-    All three go to temporary siblings first, so a failed write of the files keeps
-    the old index. Each is fsynced before the first replace, the manifest is
-    replaced last, and the folder is fsynced after it so the renames persist.
+    All three go to temporary siblings and are fsynced first, so a failed write
+    of the files keeps the old index. Then, each step fsyncing the folder: the
+    old manifest is unlinked, the two data files are replaced, and the new
+    manifest is replaced last. A reader never pairs a manifest with data files
+    it was not written with: whatever stops the swap, it finds the old index,
+    no manifest (MissingFile), or the new index.
     """
     directory = Path(index_dir)
     rows = {
@@ -330,18 +333,26 @@ def write_index(
                     fh.write(line)
                 fh.flush()
                 os.fsync(fh.fileno())
-        for name, temp in temps.items():
-            os.replace(temp, directory / name)
-        folder = os.open(directory, os.O_RDONLY)
-        try:
-            os.fsync(folder)
-        finally:
-            os.close(folder)
+        (directory / MANIFEST_FILE).unlink(missing_ok=True)
+        _fsync_folder(directory)
+        for name in (DOCS_FILE, POSTINGS_FILE):
+            os.replace(temps[name], directory / name)
+        _fsync_folder(directory)
+        os.replace(temps[MANIFEST_FILE], directory / MANIFEST_FILE)
+        _fsync_folder(directory)
     except OSError as exc:
         for temp in temps.values():
             with contextlib.suppress(OSError):
                 temp.unlink()
         raise IndexDirUnwritable(f"{index_dir}: {exc}") from exc
+
+
+def _fsync_folder(directory: Path) -> None:
+    folder = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(folder)
+    finally:
+        os.close(folder)
 
 
 def _corrupt(check: bool, message: str) -> None:
@@ -353,7 +364,7 @@ def read_index(index_dir: str | Path) -> Index:
     """Load and validate an index directory, one ``PostingList`` per key.
 
     Raises MissingFile when one of the three files is absent, VersionMismatch
-    when ``format_version`` is not FORMAT_VERSION, and CorruptIndex naming the
+    when ``format_version`` is not the int FORMAT_VERSION, and CorruptIndex naming the
     file, the 1-based line or field where there is one, and the invariant:
 
     - each file is UTF-8, manifest.json is a JSON object with every field,
@@ -379,10 +390,9 @@ def read_index(index_dir: str | Path) -> Index:
         raise CorruptIndex(f"manifest.json unreadable: {exc}") from exc
     if not isinstance(data, dict):
         raise CorruptIndex(f"manifest.json is not a JSON object: {type(data).__name__}")
-    if data.get("format_version") != FORMAT_VERSION:
-        raise VersionMismatch(
-            f"index format {data.get('format_version')!r}, reader supports {FORMAT_VERSION}"
-        )
+    version = data.get("format_version")
+    if type(version) is not int or version != FORMAT_VERSION:  # not True, which == 1
+        raise VersionMismatch(f"index format {version!r}, reader supports {FORMAT_VERSION}")
     try:
         manifest = IndexManifest(
             format_version=data["format_version"],

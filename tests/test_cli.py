@@ -1,12 +1,18 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
+import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import build_parts
 from onto_seeker.cli import main
@@ -240,6 +246,23 @@ class TestCmdIndex:
         assert "cannot read URL list" in captured.err
         assert not (tmp_path / "idx").exists()
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--corpus-dir", str(SITE1), "--max-bytes", "0"], "max_ontology_bytes must be > 0"),
+            (["--live", "--timeout-s", "nan"], "timeout_s"),
+        ],
+        ids=["max-bytes", "timeout"],
+    )
+    def test_flags_are_checked_before_the_url_list(self, tmp_path, capsys, flags, message):
+        code = main(
+            ["index", "--urls", str(tmp_path / "nope.txt"), "--index-dir", str(tmp_path / "idx"),
+             *flags]
+        )
+        captured = capsys.readouterr()
+        _assert_error_exit(captured, code, 1)
+        assert captured.err.startswith(f"error: {message}")
+
 
 def _with_string_skip_count(manifest_text: str) -> bytes:
     data = json.loads(manifest_text)
@@ -328,6 +351,27 @@ class TestCmdQuery:
         _assert_error_exit(captured, code, 2)
         assert file_name in captured.err
         assert "run the index command first" in captured.err
+
+    def test_boolean_format_version_is_an_input_error(self, tmp_path, capsys):
+        idx = _build_index(tmp_path, capsys)
+        data = json.loads((idx / "manifest.json").read_text())
+        data["format_version"] = True
+        (idx / "manifest.json").write_text(json.dumps(data))
+        code = main(["query", "--index-dir", str(idx), "--query", "anchor"])
+        captured = capsys.readouterr()
+        _assert_error_exit(captured, code, 2)
+        assert captured.err.startswith("error: index directory is missing or invalid")
+        assert "run the index command first" in captured.err
+
+    def test_explain_url_not_in_the_index_is_a_runtime_error(self, tmp_path, capsys):
+        idx = _build_index(tmp_path, capsys)
+        code = main(["query", "--index-dir", str(idx), "--query", "anchor",
+                     "--explain-url", "http://fixture.test/none.owl"])
+        captured = capsys.readouterr()
+        _assert_error_exit(captured, code, 3)
+        assert captured.err == (
+            "error: --explain-url is not in the index: http://fixture.test/none.owl\n"
+        )
 
     def test_machine_format_appends_detail(self, tmp_path, capsys):
         idx = _build_index(tmp_path, capsys)
@@ -560,6 +604,14 @@ class TestCmdGenCorpus:
     def test_invalid_spec_usage_error(self, tmp_path):
         assert main(["gen-corpus", "--pages", "0", "--out-dir", str(tmp_path / "x")]) == 1
 
+    def test_out_dir_under_a_regular_file_is_input_error(self, tmp_path, capsys):
+        (tmp_path / "plain").write_text("")
+        out_dir = tmp_path / "plain" / "sub"
+        code = main(["gen-corpus", "--pages", "10", "--ontologies", "2", "--out-dir", str(out_dir)])
+        captured = capsys.readouterr()
+        _assert_error_exit(captured, code, 2)
+        assert captured.err.startswith(f"error: cannot write site folder: {out_dir}: ")
+
     def test_generated_site_crawlable_via_pipeline(self, tmp_path, capsys):
         main(["gen-corpus", "--seed", "7", "--pages", "20", "--ontologies", "3",
               "--out-dir", str(tmp_path / "site")])
@@ -600,11 +652,142 @@ class TestCmdBench:
     def test_bad_matrix_usage_error(self):
         assert main(["bench", "--matrix", "1-500"]) == 1
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--matrix", "0:10"], "worker_count must be >= 1"),
+            (["--matrix", "1:0"], "max_pages must be >= 1"),
+            (["--matrix", "1:10", "--politeness-ms", "-1"], "politeness_ms must be >= 0"),
+            (["--matrix", "1:10", "--max-depth", "-2"], "max_depth must be >= -1"),
+        ],
+        ids=["workers", "pages", "politeness", "depth"],
+    )
+    def test_bad_cell_is_usage_error(self, capsys, flags, message):
+        code = main(["bench", "--pages", "10", "--ontologies", "2", *flags])
+        captured = capsys.readouterr()
+        _assert_error_exit(captured, code, 1)
+        assert captured.err.startswith(f"error: {message}")
+        assert captured.out == ""
+
     def test_human_table_default(self, capsys):
         code = main(["bench", "--matrix", "1:100", "--pages", "10", "--ontologies", "2"])
         assert code == 0
         out = capsys.readouterr().out
         assert "workers" in out and "ontologies_found" in out
+
+
+_INTS_BELOW_1 = st.integers(-3, 0).map(str)
+_NEGATIVE_INTS = st.integers(-3, -1).map(str)
+_DEPTHS_BELOW_MINUS_1 = st.integers(-5, -2).map(str)
+_BAD_TIMEOUTS = st.sampled_from(["nan", "inf", "-inf", "0", "-1", "-0.5"])
+_BLANK_QUERIES = st.sampled_from(["", " ", "  _ ", "-", "_-_"])
+_BAD_SEEDS = st.sampled_from(["not a url", "ftp://x/", "http://", "http://[x/"])
+_BAD_CELLS = st.one_of(
+    st.builds("{}:{}".format, st.integers(-2, 0), st.integers(1, 50)),
+    st.builds("{}:{}".format, st.integers(1, 4), st.integers(-2, 0)),
+    st.sampled_from(["1-5", "x:1", "1:y", "", "1:", ":1", "1:2:3"]),
+)
+# One bad cell, alone or before or after a good one.
+_MATRICES = st.builds(
+    lambda bad, cells: ",".join(bad if cell is None else cell for cell in cells),
+    _BAD_CELLS,
+    st.sampled_from([(None,), ("1:10", None), (None, "2:5")]),
+)
+
+# Valid invocations; {work} is a fresh folder holding list.txt (a URL list of
+# the site1 fixture) and plain (a regular file), {index} a valid index.
+_BASES = {
+    "crawl": ["crawl", "--corpus-dir", str(SITE1), "--seed-url", "http://fixture.test/",
+              "--max-pages", "5", "--politeness-ms", "0", "--out", "{work}/urls.txt"],
+    "crawl-live": ["crawl", "--live", "--seed-url", "http://127.0.0.1:9/", "--max-pages", "1",
+                   "--out", "{work}/urls.txt"],
+    "index": ["index", "--urls", "{work}/list.txt", "--index-dir", "{work}/idx",
+              "--corpus-dir", str(SITE1), "--politeness-ms", "0"],
+    "query": ["query", "--index-dir", "{index}", "--query", "anchor"],
+    "pipeline": ["pipeline", "--corpus-dir", str(SITE1), "--seed-url", "http://fixture.test/",
+                 "--max-pages", "5", "--politeness-ms", "0", "--out", "{work}/urls.txt",
+                 "--index-dir", "{work}/idx", "--query", "anchor"],
+    "gen-corpus": ["gen-corpus", "--pages", "10", "--ontologies", "2", "--out-dir",
+                   "{work}/site"],
+    "bench": ["bench", "--matrix", "1:10", "--pages", "10", "--ontologies", "2"],
+}
+
+# (command, flag, bad values, documented exit code); the flag's value replaces
+# the base's, so each invocation has exactly one bad value.
+_BAD_FLAGS = [
+    ("crawl", "--max-pages", _INTS_BELOW_1, 1),
+    ("crawl", "--workers", _INTS_BELOW_1, 1),
+    ("crawl", "--max-depth", _DEPTHS_BELOW_MINUS_1, 1),
+    ("crawl", "--politeness-ms", _NEGATIVE_INTS, 1),
+    ("crawl", "--max-body-bytes", _INTS_BELOW_1, 1),
+    ("crawl", "--seed-url", _BAD_SEEDS, 1),
+    ("crawl", "--out", st.sampled_from(["{work}/plain/urls.txt", "{work}/no/urls.txt"]), 2),
+    ("crawl-live", "--timeout-s", _BAD_TIMEOUTS, 1),
+    ("index", "--max-bytes", _INTS_BELOW_1, 1),
+    ("index", "--politeness-ms", _NEGATIVE_INTS, 1),
+    ("index", "--urls", st.sampled_from(["{work}/missing.txt", "{work}"]), 2),
+    ("index", "--index-dir", st.just("{work}/plain/idx"), 2),
+    ("index", "--corpus-dir", st.just("{work}/no-site"), 2),
+    ("query", "--top-k", _INTS_BELOW_1, 1),
+    ("query", "--query", _BLANK_QUERIES, 1),
+    ("query", "--index-dir", st.sampled_from(["{work}/noidx", "{work}"]), 2),
+    ("query", "--explain-url", st.just("http://h.test/none.owl"), 3),
+    ("pipeline", "--max-pages", _INTS_BELOW_1, 1),
+    ("pipeline", "--workers", _INTS_BELOW_1, 1),
+    ("pipeline", "--max-bytes", _INTS_BELOW_1, 1),
+    ("pipeline", "--top-k", _INTS_BELOW_1, 1),
+    ("pipeline", "--query", _BLANK_QUERIES, 1),
+    ("pipeline", "--out", st.just("{work}/plain/urls.txt"), 2),
+    ("gen-corpus", "--pages", _INTS_BELOW_1, 1),
+    ("gen-corpus", "--ontologies", st.sampled_from(["-1", "11"]), 1),
+    ("gen-corpus", "--max-link-depth", _INTS_BELOW_1, 1),
+    ("gen-corpus", "--branching", _INTS_BELOW_1, 1),
+    ("gen-corpus", "--hosts", _INTS_BELOW_1, 1),
+    ("gen-corpus", "--latency-ms", _NEGATIVE_INTS, 1),
+    ("gen-corpus", "--out-dir", st.just("{work}/plain/site"), 2),
+    ("bench", "--matrix", _MATRICES, 1),
+    ("bench", "--politeness-ms", _NEGATIVE_INTS, 1),
+    ("bench", "--max-depth", _DEPTHS_BELOW_MINUS_1, 1),
+    ("bench", "--pages", _INTS_BELOW_1, 1),
+]
+
+
+@pytest.fixture(scope="module")
+def query_index(tmp_path_factory):
+    idx = tmp_path_factory.mktemp("contract") / "idx"
+    summary = OntologySummary("http://h.test/a.owl", frozenset({"Anchor"}), frozenset(),
+                              frozenset(), triple_count=1, byte_size=10)
+    write_index(idx, *build_parts([summary]))
+    return idx
+
+
+class TestFailureContract:
+    @pytest.mark.parametrize(
+        "command, flag, values, expected", _BAD_FLAGS,
+        ids=[f"{command}{flag}" for command, flag, _values, _code in _BAD_FLAGS],
+    )
+    @settings(max_examples=10)
+    @given(data=st.data())
+    def test_one_bad_value_exits_with_its_code_and_writes_nothing(
+        self, query_index, tmp_path_factory, command, flag, values, expected, data
+    ):
+        argv = [*_BASES[command], f"{flag}={data.draw(values)}"]
+        work = Path(tempfile.mkdtemp(dir=tmp_path_factory.getbasetemp()))
+        try:
+            (work / "list.txt").write_text("http://fixture.test/x.owl\n")
+            (work / "plain").write_text("")
+            argv = [arg.replace("{work}", str(work)).replace("{index}", str(query_index))
+                    for arg in argv]
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code == expected, err.getvalue()
+            assert err.getvalue().startswith("error: ")
+            assert "Traceback" not in err.getvalue()
+            assert sorted(p.name for p in work.iterdir()) == ["list.txt", "plain"]
+            assert (work / "plain").read_text() == ""
+        finally:
+            shutil.rmtree(work)
 
 
 class TestDemoScript:

@@ -278,8 +278,35 @@ class TestRunBench:
     def test_rows_mirror_matrix(self):
         spec = SiteSpec(seed=11, page_count=30, ontology_count=5)
         rows = run_bench([(1, 500), (2, 500)], spec)
-        assert [(r.workers, r.max_pages) for r in rows] == [(1, 500), (2, 500)]
+        cells = [(r.config_echo.worker_count, r.config_echo.max_pages) for r in rows]
+        assert cells == [(1, 500), (2, 500)]
         assert rows[0].ontologies_found == rows[1].ontologies_found == 5
+
+    def test_site_generated_once_per_call(self, monkeypatch):
+        from onto_seeker.harness import bench
+
+        calls = []
+
+        def counting_make(spec):
+            calls.append(spec)
+            return make_synthetic_site(spec)
+
+        monkeypatch.setattr(bench, "make_synthetic_site", counting_make)
+        spec = SiteSpec(seed=11, page_count=20, ontology_count=3)
+        reports = run_bench([(1, 100), (2, 100), (1, 5)], spec)
+        assert calls == [spec]
+        assert [r.ontologies_found for r in reports[:2]] == [3, 3]
+        assert reports[2].pages_fetched == 5
+
+    @pytest.mark.parametrize("bad_cell", [(0, 10), (1, 0)])
+    def test_bad_cell_rejected_before_any_crawl(self, monkeypatch, bad_cell):
+        from onto_seeker.harness import bench
+
+        crawled = []
+        monkeypatch.setattr(bench, "crawl", lambda config, transport: crawled.append(config))
+        with pytest.raises(ValueError):
+            run_bench([(1, 10), bad_cell], SiteSpec(seed=1, page_count=5, ontology_count=1))
+        assert crawled == []
 
     def test_tsv_shape(self):
         spec = SiteSpec(seed=11, page_count=20, ontology_count=3)

@@ -424,8 +424,9 @@ class TestWriteReadRoundTrip:
         ]
 
     def test_files_fsynced_before_replace_and_folder_after(self, tmp_path, monkeypatch):
+        write_index(tmp_path / "idx", *build_parts([_summary("http://h.test/o.owl", {"Old"})]))
         calls = []
-        real_fsync, real_replace = os.fsync, os.replace
+        real_fsync, real_replace, real_unlink = os.fsync, os.replace, os.unlink
 
         def fsync(fd):
             info = os.fstat(fd)
@@ -437,24 +438,101 @@ class TestWriteReadRoundTrip:
             calls.append(("replace", os.path.basename(dst), os.stat(src).st_ino))
             real_replace(src, dst)
 
+        def unlink(path, *args, **kwargs):
+            calls.append(("unlink", os.path.basename(path), os.stat(path).st_ino))
+            real_unlink(path, *args, **kwargs)
+
         monkeypatch.setattr(os, "fsync", fsync)
         monkeypatch.setattr(os, "replace", replace)
+        monkeypatch.setattr(os, "unlink", unlink)
         summaries = [_summary("http://h.test/a.owl", classes={"Person"}, relations={"knows"})]
         write_index(tmp_path / "idx", *build_parts(summaries))
         monkeypatch.undo()
 
+        # The old manifest goes first and the new one comes last, so no reader
+        # pairs a manifest with data files from another build.
         assert [call[:2] for call in calls] == [
             ("fsync", "file"),
             ("fsync", "file"),
             ("fsync", "file"),
+            ("unlink", "manifest.json"),
+            ("fsync", "folder"),
             ("replace", "docs.tsv"),
             ("replace", "postings.tsv"),
+            ("fsync", "folder"),
             ("replace", "manifest.json"),
             ("fsync", "folder"),
         ]
         # The three files fsynced are the three renamed into place.
-        assert [call[2] for call in calls[:3]] == [call[2] for call in calls[3:6]]
-        assert calls[6][2] == os.stat(tmp_path / "idx").st_ino
+        assert [call[2] for call in calls[:3]] == [calls[i][2] for i in (5, 6, 8)]
+        folder = os.stat(tmp_path / "idx").st_ino
+        assert [calls[i][2] for i in (4, 7, 9)] == [folder] * 3
+
+    @pytest.mark.parametrize("fault", [OSError, KeyboardInterrupt], ids=["error", "crash"])
+    def test_rebuild_stopped_at_any_step_leaves_the_old_or_the_new_index(
+        self, tmp_path, monkeypatch, fault
+    ):
+        # KeyboardInterrupt stands for the process dying: write_index's OSError
+        # clean-up does not run, so the temporaries stay where they are.
+        old = build_parts([_summary("http://h.test/a.owl", classes={"Person"})])
+        new = build_parts([_summary("http://h.test/b.owl", classes={"Vessel"})])
+        steps = []  # one entry per write, fsync, unlink or replace done
+        stop_after = [0]  # the step after which the fault strikes; 0 for none
+
+        def after(real):
+            def call(*args, **kwargs):
+                result = real(*args, **kwargs)
+                steps.append(real)
+                if len(steps) == stop_after[0]:
+                    raise fault(errno.EIO, "injected fault") if fault is OSError else fault()
+                return result
+            return call
+
+        class _StepFile:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self.fh.close()
+
+            def __getattr__(self, name):
+                return getattr(self.fh, name)
+
+            def write(self, text):
+                return after(self.fh.write)(text)
+
+        def open_stepping(path, *args, **kwargs):
+            return _StepFile(builtins.open(path, *args, **kwargs))
+
+        for name in ("fsync", "replace", "unlink"):
+            monkeypatch.setattr(os, name, after(getattr(os, name)))
+        monkeypatch.setattr(indexer, "open", open_stepping, raising=False)
+        write_index(tmp_path / "count", *old)
+        steps.clear()
+        write_index(tmp_path / "count", *new)
+        step_count = len(steps)
+
+        outcomes = set()
+        for stop in range(1, step_count + 1):
+            idx = tmp_path / f"idx{stop}"
+            write_index(idx, *old)
+            steps.clear()
+            stop_after[0] = stop
+            with pytest.raises((fault, IndexDirUnwritable)):
+                write_index(idx, *new)
+            stop_after[0] = 0
+            try:
+                loaded = read_index(idx)
+            except OntoSeekerError:
+                outcomes.add("none")
+                continue
+            parts = (loaded.docs, posting_rows(loaded), loaded.manifest)
+            assert parts in (old, new), f"a mixed index loads after step {stop} of {step_count}"
+            outcomes.add("old" if parts == old else "new")
+        assert outcomes == {"old", "none", "new"}
 
     def test_failed_fsync_keeps_previous_index_and_removes_temps(self, tmp_path, monkeypatch):
         first = build_parts([_summary("http://h.test/a.owl", classes={"Person"})])
@@ -498,6 +576,16 @@ class TestWriteReadRoundTrip:
         manifest_path = tmp_path / "idx" / "manifest.json"
         data = json.loads(manifest_path.read_text())
         data["format_version"] = 99
+        manifest_path.write_text(json.dumps(data))
+        with pytest.raises(VersionMismatch):
+            read_index(tmp_path / "idx")
+
+    @pytest.mark.parametrize("version", [True, 1.0, "1"])
+    def test_version_must_be_the_int_one(self, tmp_path, version):
+        write_index(tmp_path / "idx", *build_parts([_summary("http://h.test/a.owl", {"A"})]))
+        manifest_path = tmp_path / "idx" / "manifest.json"
+        data = json.loads(manifest_path.read_text())
+        data["format_version"] = version
         manifest_path.write_text(json.dumps(data))
         with pytest.raises(VersionMismatch):
             read_index(tmp_path / "idx")
