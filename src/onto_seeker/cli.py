@@ -43,6 +43,7 @@ from .indexer import (
     read_index,
     read_url_lines,
     render_skip_report,
+    triage_url_lines,
 )
 from .netfetch import DEFAULT_POLITENESS_MS, DEFAULT_TIMEOUT_S, LiveTransport, Url
 from .query import EmptyQuery, Query, UnknownUrl, check_top_k, explain, format_explain
@@ -233,7 +234,10 @@ def cmd_crawl(args, transport=None) -> None:
 def cmd_index(args, transport=None) -> None:
     limits = _index_limits(args)
     if transport is None:
-        transport = _make_transport(args, lambda: _default_host_from_urls(args.urls))
+        # A plain corpus folder answers for the host of the first line to fetch.
+        transport = _make_transport(
+            args, lambda: next(iter(triage_url_lines(read_url_lines(args.urls))[1]), "localhost")
+        )
     manifest = build_index(args.urls, transport, limits, args.index_dir, created_at=args.created_at)
     print(render_skip_report(manifest))
     print(f"doc_count\t{manifest.doc_count}")
@@ -242,27 +246,16 @@ def cmd_index(args, transport=None) -> None:
     print(f"index_dir\t{args.index_dir}")
 
 
-def _default_host_from_urls(urls_path: str) -> str:
-    for line in read_url_lines(urls_path):
-        line = line.strip()
-        if line and line != "null":
-            try:
-                return Url.parse(line).host
-            except OntoSeekerError:
-                continue
-    return "localhost"
-
-
 def cmd_query(args) -> None:
-    index = read_index(args.index_dir)
+    # Flags before the index, as index checks them before the URL list, and
+    # every input before the first line is printed.
     query = _parsed_query(args)
+    index = read_index(args.index_dir)
+    explained = format_explain(explain(index, query, args.explain_url)) if args.explain_url else []
     results = search(index, query, top_k=args.top_k, match_all=args.match_all)
-    lines = format_results(results, machine=args.format == "tsv")
+    lines = format_results(results, machine=args.format == "tsv") + explained
     if lines:
         print("\n".join(lines))
-    if args.explain_url:
-        contributions = explain(index, query, args.explain_url)
-        print("\n".join(format_explain(contributions)))
 
 
 def cmd_pipeline(args) -> None:

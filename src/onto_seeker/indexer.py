@@ -1,12 +1,13 @@
 """Build, persist, and reload the inverted index.
 
-The index directory holds exactly three files: ``manifest.json`` (counts and
-skip accounting), ``docs.tsv`` (one row per indexed document), and
-``postings.tsv`` (token, field, doc id and tf per line, sorted). A build
-fetches one URL at a time, taking the list's hosts in turn, and assigns doc ids
-in input order, so doc ids and the on-disk bytes are reproducible and do not
-depend on the fetch order. The reader loads the rows into one ``PostingList``
-(doc ids, tfs) per (token, field).
+The index directory holds exactly three files: ``manifest.json`` (counts,
+skip accounting and the fixed scoring weights, checked on load), ``docs.tsv``
+(one row per indexed document), and ``postings.tsv`` (token, field, doc id
+and tf per line, sorted). A build gives each URL-list line one outcome, its
+summary or its skip reason, and fetches one URL at a time, taking the list's
+hosts in turn. Doc ids follow input order, so doc ids and the on-disk bytes
+are reproducible and do not depend on the fetch order. The reader loads the
+rows into one ``PostingList`` (doc ids, tfs) per (token, field).
 """
 
 from __future__ import annotations
@@ -192,43 +193,61 @@ def read_url_lines(url_list_path: str | Path) -> list[str]:
 
 
 def _fetch_summary(
-    transport: Transport,
-    gate: PolitenessGate,
-    url: Url,
-    limits: IndexLimits,
-    skip_counts: dict[str, int],
-) -> OntologySummary | None:
-    """Fetch one URL and summarise it; None after counting the reason it is skipped."""
+    transport: Transport, gate: PolitenessGate, url: Url, limits: IndexLimits
+) -> OntologySummary | str:
+    """Fetch one URL and summarise it, or name the reason it is skipped."""
     key = str(url)
     try:
         resp = polite_fetch(transport, gate, url, limits.max_ontology_bytes + 1)
     except FetchError:
-        skip_counts["fetch_error"] += 1
-        return None
+        return "fetch_error"
     if resp.status != 200:
-        skip_counts["fetch_error"] += 1
-        return None
+        return "fetch_error"
     if len(resp.body) > limits.max_ontology_bytes:
-        skip_counts["oversize"] += 1
-        return None
+        return "oversize"
     syntax = detect_syntax(resp.body, resp.content_type)
     if syntax == RDF_XML:
         parse = parse_rdf_xml
     elif syntax == TURTLE:
         parse = parse_turtle
     else:
-        skip_counts["unsupported_syntax"] += 1
-        return None
+        return "unsupported_syntax"
     try:
         triples = parse(resp.body, key)
     except RdfParseError:
-        skip_counts["parse_error"] += 1
-        return None
+        return "parse_error"
     summary = extract_summary(triples, key, len(resp.body))
-    if summary.is_empty():
-        skip_counts["empty_ontology"] += 1
-        return None
-    return summary
+    return "empty_ontology" if summary.is_empty() else summary
+
+
+def triage_url_lines(lines: list[str]) -> tuple[list[str | None], dict[str, list[int]]]:
+    """Each line's blank/null, duplicate or unparseable-line skip reason (None
+    for a line to fetch), and the lines to fetch by host, all in file order."""
+    reasons: list[str | None] = [None] * len(lines)
+    seen: set[str] = set()
+    # Line numbers only: building a Url per pending line slowed the site-cpu
+    # build, so each line is parsed again when it is fetched.
+    host_lines: dict[str, list[int]] = {}
+    for lineno, line in enumerate(lines):
+        line = line.strip()
+        if not line or line == "null":
+            reasons[lineno] = "blank_or_null"
+            continue
+        try:
+            url = Url.parse(line)
+            key = str(url)
+        except OntoSeekerError:
+            url = None
+            key = line
+        if key in seen:
+            reasons[lineno] = "duplicate"
+            continue
+        seen.add(key)
+        if url is None:
+            reasons[lineno] = "fetch_error"
+            continue
+        host_lines.setdefault(url.host, []).append(lineno)
+    return reasons, host_lines
 
 
 def build_index(
@@ -241,55 +260,31 @@ def build_index(
     """Fetch every URL in the crawler's list, apply the skip rules, and
     persist the index directory.
 
-    The blank/null, duplicate and unparseable-line rules run in file order.
-    The surviving lines are fetched taking hosts in turn (one line from each
-    host, hosts in the order of their first line, each host's lines in file
-    order), so one host's politeness wait overlaps the other hosts' fetches.
-    Doc ids and the bytes written follow file order, whatever the fetch order.
+    Each line gets one outcome, its summary or its skip reason; the docs, the
+    skip counts and the input line count are read off that list, so doc_count
+    + skips == input lines by construction. The lines ``triage_url_lines``
+    keeps are fetched taking hosts in turn (one line from each host, hosts in
+    the order of their first line, each host's lines in file order), so one
+    host's politeness wait overlaps the other hosts' fetches. Doc ids and the
+    bytes written follow file order, whatever the fetch order.
     """
     lines = read_url_lines(url_list_path)
-
+    outcomes, host_lines = triage_url_lines(lines)
     gate = PolitenessGate(limits.politeness_ms)
-    skip_counts = {reason: 0 for reason in SKIP_REASONS}
-    seen: set[str] = set()
-    # Line numbers only: a Url per pending line costs memory on a long list,
-    # so each line is parsed again when it is fetched.
-    host_lines: dict[str, list[int]] = {}
-
-    for lineno, line in enumerate(lines):
-        line = line.strip()
-        if not line or line == "null":
-            skip_counts["blank_or_null"] += 1
-            continue
-        try:
-            url = Url.parse(line)
-            key = str(url)
-        except OntoSeekerError:
-            url = None
-            key = line
-        if key in seen:
-            skip_counts["duplicate"] += 1
-            continue
-        seen.add(key)
-        if url is None:
-            skip_counts["fetch_error"] += 1
-            continue
-        host_lines.setdefault(url.host, []).append(lineno)
-
-    slots: list[OntologySummary | None] = [None] * len(lines)
     for lineno in chain.from_iterable(zip_longest(*host_lines.values())):
         if lineno is not None:
             url = Url.parse(lines[lineno].strip())
-            slots[lineno] = _fetch_summary(transport, gate, url, limits, skip_counts)
+            outcomes[lineno] = _fetch_summary(transport, gate, url, limits)
 
-    docs, postings = index_summaries([summary for summary in slots if summary is not None])
+    reason_counts = Counter(outcome for outcome in outcomes if isinstance(outcome, str))
+    docs, postings = index_summaries([o for o in outcomes if isinstance(o, OntologySummary)])
     manifest = IndexManifest(
         format_version=FORMAT_VERSION,
         created_at=created_at if created_at is not None else now_utc_iso(),
         doc_count=len(docs),
         posting_count=len(postings),
-        input_line_count=len(lines),
-        skip_counts=skip_counts,
+        input_line_count=len(outcomes),
+        skip_counts={reason: reason_counts[reason] for reason in SKIP_REASONS},
         field_weights=dict(FIELD_WEIGHTS),
     )
     write_index(index_dir, docs, postings, manifest)
@@ -367,8 +362,9 @@ def read_index(index_dir: str | Path) -> Index:
     when ``format_version`` is not the int FORMAT_VERSION, and CorruptIndex naming the
     file, the 1-based line or field where there is one, and the invariant:
 
-    - each file is UTF-8, manifest.json is a JSON object with every field,
-      skip reason and weight, and each of its counts is an integer >= 0;
+    - each file is UTF-8, manifest.json is a JSON object with every field
+      and skip reason, each of its counts is an integer >= 0, and its
+      field_weights equal FIELD_WEIGHTS, the weights scoring uses;
     - docs.tsv rows have 6 columns and integer numbers, doc ids are dense and
       ascending from 0, no count is negative and every doc has a term;
     - postings.tsv rows have 4 columns, integer doc_id and tf, tf >= 1 and a
@@ -393,6 +389,10 @@ def read_index(index_dir: str | Path) -> Index:
     version = data.get("format_version")
     if type(version) is not int or version != FORMAT_VERSION:  # not True, which == 1
         raise VersionMismatch(f"index format {version!r}, reader supports {FORMAT_VERSION}")
+    # Scoring uses FIELD_WEIGHTS whatever is written here; True == 1.0, so no bool.
+    weights = data.get("field_weights")
+    if weights != FIELD_WEIGHTS or any(type(w) not in (int, float) for w in weights.values()):
+        raise CorruptIndex(f"manifest.json field_weights must be {FIELD_WEIGHTS}, not {weights!r}")
     try:
         manifest = IndexManifest(
             format_version=data["format_version"],
@@ -401,9 +401,9 @@ def read_index(index_dir: str | Path) -> Index:
             posting_count=data["posting_count"],
             input_line_count=data["input_line_count"],
             skip_counts={r: data["skip_counts"][r] for r in SKIP_REASONS},
-            field_weights={f: float(data["field_weights"][f]) for f in FIELDS},
+            field_weights=dict(FIELD_WEIGHTS),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise CorruptIndex(f"manifest.json missing or malformed field: {exc}") from exc
     counts = {f"skip_counts.{reason}": n for reason, n in manifest.skip_counts.items()}
     for name in ("doc_count", "posting_count", "input_line_count"):

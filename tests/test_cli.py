@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import build_parts
+from onto_seeker import cli
 from onto_seeker.cli import main
 from onto_seeker.indexer import read_index, write_index
 from onto_seeker.rdf import OntologySummary
@@ -264,9 +265,56 @@ class TestCmdIndex:
         assert captured.err.startswith(f"error: {message}")
 
 
+def _index_plain_site1(tmp_path, monkeypatch, lines: list[str]) -> tuple[int, list[str]]:
+    """Index ``lines`` over site1 as a plain corpus folder with no --corpus-host;
+    returns the exit code and the hosts the folder was served for."""
+    hosts = []
+    real_corpus_from_dir = cli.corpus_from_dir
+
+    def corpus_from_dir(path, host):
+        hosts.append(host)
+        return real_corpus_from_dir(path, host)
+
+    monkeypatch.setattr(cli, "corpus_from_dir", corpus_from_dir)
+    urls = tmp_path / "urls.txt"
+    urls.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    code = main(["index", "--urls", str(urls), "--index-dir", str(tmp_path / "idx"),
+                 "--corpus-dir", str(SITE1), "--politeness-ms", "0"])
+    return code, hosts
+
+
+class TestIndexDefaultHost:
+    def test_host_of_the_first_line_that_parses(self, tmp_path, capsys, monkeypatch):
+        code, hosts = _index_plain_site1(
+            tmp_path, monkeypatch,
+            ["", "null", "ftp://fixture.test/a.owl", "http://[x", "http://fixture.test/x.owl"],
+        )
+        report = dict(line.split("\t", 1) for line in capsys.readouterr().out.splitlines())
+        assert code == 0
+        assert hosts == ["fixture.test"]
+        assert (report["doc_count"], report["blank_or_null"], report["fetch_error"]) == (
+            "1", "2", "2"
+        )
+
+    def test_no_line_that_parses_falls_back_to_localhost(self, tmp_path, capsys, monkeypatch):
+        code, hosts = _index_plain_site1(
+            tmp_path, monkeypatch, ["", "null", "ftp://fixture.test/a.owl", "http://[x"]
+        )
+        report = dict(line.split("\t", 1) for line in capsys.readouterr().out.splitlines())
+        assert code == 0
+        assert hosts == ["localhost"]
+        assert report["doc_count"] == "0"
+
+
 def _with_string_skip_count(manifest_text: str) -> bytes:
     data = json.loads(manifest_text)
     data["skip_counts"]["oversize"] = "0"
+    return json.dumps(data).encode()
+
+
+def _with_nan_class_weight(manifest_text: str) -> bytes:
+    data = json.loads(manifest_text)
+    data["field_weights"]["class"] = "nan"
     return json.dumps(data).encode()
 
 
@@ -314,6 +362,17 @@ class TestCmdQuery:
         assert captured.err.startswith("error: ")
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--query", "  "], "unusable query"), (["--query", "x", "--top-k", "0"], "top_k")],
+        ids=["blank-query", "zero-top-k"],
+    )
+    def test_flags_are_checked_before_the_index(self, tmp_path, capsys, flags, message):
+        code = main(["query", "--index-dir", str(tmp_path / "noidx"), *flags])
+        captured = capsys.readouterr()
+        _assert_error_exit(captured, code, 1)
+        assert captured.err.startswith(f"error: {message}")
+
     def test_missing_index_names_index_command(self, tmp_path, capsys):
         code = main(["query", "--index-dir", str(tmp_path / "noidx"), "--query", "x"])
         assert code == 2
@@ -339,8 +398,10 @@ class TestCmdQuery:
             ("docs.tsv", lambda text: text.encode() + b"\xff"),
             ("postings.tsv", lambda text: text.encode() + b"\xff"),
             ("manifest.json", _with_string_skip_count),
+            ("manifest.json", _with_nan_class_weight),
         ],
-        ids=["manifest-non-utf8", "docs-non-utf8", "postings-non-utf8", "skip-count-string"],
+        ids=["manifest-non-utf8", "docs-non-utf8", "postings-non-utf8", "skip-count-string",
+             "weight-nan"],
     )
     def test_unreadable_index_is_an_input_error(self, tmp_path, capsys, file_name, corrupt):
         idx = _build_index(tmp_path, capsys)
@@ -372,6 +433,7 @@ class TestCmdQuery:
         assert captured.err == (
             "error: --explain-url is not in the index: http://fixture.test/none.owl\n"
         )
+        assert captured.out == ""
 
     def test_machine_format_appends_detail(self, tmp_path, capsys):
         idx = _build_index(tmp_path, capsys)

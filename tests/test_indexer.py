@@ -31,6 +31,7 @@ from onto_seeker.indexer import (
     CorruptIndex,
     DocRecord,
     FIELD_RANK,
+    FIELD_WEIGHTS,
     Index,
     IndexDirUnwritable,
     IndexLimits,
@@ -757,6 +758,18 @@ _BAD_MANIFEST_COUNTS = [
 ]
 
 
+# Each case records a scoring weight other than the FIELD_WEIGHTS that search,
+# explain and the scan oracle score with.
+_BAD_MANIFEST_WEIGHTS = [
+    pytest.param(lambda w: w.update({"class": "nan"}), id="nan-string"),
+    pytest.param(lambda w: w.update({"class": float("nan")}), id="nan"),
+    pytest.param(lambda w: w.update({"class": "3"}), id="number-string"),
+    pytest.param(lambda w: w.update({"class": 2.0}), id="class-two"),
+    pytest.param(lambda w: w.update(relation=True), id="relation-bool"),
+    pytest.param(lambda w: w.pop("property"), id="missing-field"),
+]
+
+
 class TestReadIndexRaisesOnlyCorruptIndex:
     @pytest.mark.parametrize("file_name", ["manifest.json", "docs.tsv", "postings.tsv"])
     def test_non_utf8_file_is_corrupt(self, tmp_path, file_name):
@@ -777,6 +790,24 @@ class TestReadIndexRaisesOnlyCorruptIndex:
         with pytest.raises(CorruptIndex) as err:
             read_index(tmp_path / "idx")
         assert f"manifest.json {field_name} must be an integer >= 0" in str(err.value)
+
+    @pytest.mark.parametrize("edit", _BAD_MANIFEST_WEIGHTS)
+    def test_weight_other_than_the_scoring_weight_is_corrupt(self, tmp_path, edit):
+        write_index(tmp_path / "idx", *build_parts([_summary("http://h.test/a.owl", {"A"})]))
+        manifest_path = tmp_path / "idx" / "manifest.json"
+        data = json.loads(manifest_path.read_text())
+        edit(data["field_weights"])
+        manifest_path.write_text(json.dumps(data))
+        with pytest.raises(CorruptIndex, match="manifest.json field_weights must be"):
+            read_index(tmp_path / "idx")
+
+    def test_integer_weights_equal_to_the_scoring_weights_load(self, tmp_path):
+        write_index(tmp_path / "idx", *build_parts([_summary("http://h.test/a.owl", {"A"})]))
+        manifest_path = tmp_path / "idx" / "manifest.json"
+        data = json.loads(manifest_path.read_text())
+        data["field_weights"] = {"class": 3, "property": 2, "relation": 1}
+        manifest_path.write_text(json.dumps(data))
+        assert read_index(tmp_path / "idx").manifest.field_weights == FIELD_WEIGHTS
 
 
 _CONTRACT_SUMMARIES = [
@@ -894,7 +925,10 @@ class TestUnicodeTermsContract:
 def _line_plans(draw):
     """Random URL lists with known per-line fates, spread over one to four hosts."""
     host_count = draw(st.integers(min_value=1, max_value=4))
-    fates = st.sampled_from(["good", "blank", "null", "missing", "error404", "empty", "repeat"])
+    fates = st.sampled_from([
+        "good", "blank", "null", "missing", "error404", "empty", "repeat", "oversize",
+        "plain_text", "bad_turtle", "ftp", "bad_ipv6", "repeat_unparseable",
+    ])
     return draw(st.lists(st.tuples(fates, st.integers(0, host_count - 1)), max_size=24))
 
 
@@ -905,8 +939,10 @@ class TestManifestIdentityFuzz:
         corpus = Corpus()
         lines = []
         good_urls = []
+        unparseable_lines = []
         skips = dict.fromkeys(SKIP_REASONS, 0)
         turtle = b"@prefix owl: <http://www.w3.org/2002/07/owl#> .\n<#C> a owl:Class ."
+        max_bytes = 200
         for i, (plan, host) in enumerate(plans):
             url = f"http://h{host}.test/{plan}{i}.owl"
             if plan == "good":
@@ -934,14 +970,33 @@ class TestManifestIdentityFuzz:
             elif plan == "repeat" and good_urls:
                 lines.append(good_urls[-1])
                 skips["duplicate"] += 1
+            elif plan == "oversize":
+                corpus.add(url, CorpusEntry(200, "text/turtle", turtle.ljust(max_bytes + 1)))
+                lines.append(url)
+                skips["oversize"] += 1
+            elif plan == "plain_text":
+                corpus.add(url, CorpusEntry(200, "text/plain", b"not an ontology"))
+                lines.append(url)
+                skips["unsupported_syntax"] += 1
+            elif plan == "bad_turtle":
+                corpus.add(url, CorpusEntry(200, "text/turtle", b"<#C> a owl:Class ."))
+                lines.append(url)
+                skips["parse_error"] += 1
+            elif plan in ("ftp", "bad_ipv6"):
+                line = f"ftp://h{host}.test/{i}.owl" if plan == "ftp" else f"http://[x{i}"
+                lines.append(line)
+                unparseable_lines.append(line)
+                skips["fetch_error"] += 1
+            elif plan == "repeat_unparseable" and unparseable_lines:
+                lines.append(unparseable_lines[-1])
+                skips["duplicate"] += 1
             else:
                 lines.append("null")
                 skips["blank_or_null"] += 1
         path = tmp_path / "urls.txt"
         path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-        manifest = build_index(
-            path, CorpusTransport(corpus), IndexLimits(politeness_ms=0), tmp_path / "idx"
-        )
+        limits = IndexLimits(max_ontology_bytes=max_bytes, politeness_ms=0)
+        manifest = build_index(path, CorpusTransport(corpus), limits, tmp_path / "idx")
         assert manifest.input_line_count == len(lines)
         assert manifest.doc_count + sum(manifest.skip_counts.values()) == len(lines)
         assert manifest.skip_counts == skips
