@@ -13,9 +13,12 @@ issued and not yet admitted.
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
+from html import unescape
+from html.entities import html5 as _HTML5_ENTITIES
 from html.parser import HTMLParser
 from pathlib import Path
 from queue import SimpleQueue
@@ -166,16 +169,94 @@ class _LinkScanner(HTMLParser):
             return self.parse_bogus_comment(i, report)
 
 
+def _parser_refs(text: str) -> list[str]:
+    """The link scan of ``html.parser``: every page's fallback and the fast scan's oracle."""
+    scanner = _LinkScanner()
+    scanner.feed(text)
+    scanner.close()
+    return scanner.raw_refs
+
+
+# The fast link scan reads a page made only of text and simple tags: a start
+# tag with a letter-led name and whitespace-separated attributes whose values
+# are quoted, unquoted or missing, or an end tag with nothing but its name.
+# Whitespace is HTML's [ \t\n\r\f]; names and unquoted values hold no
+# character that html.parser splits differently from one Python to the next.
+_WS = "[ \t\n\r\f]"
+_ATTR_NAME = "[a-zA-Z_:][-.:a-zA-Z0-9_]*"
+_ATTR_VALUE = r"""(?:"[^"]*"|'[^']*'|[^\s"'=<>`]+)"""
+_ATTRS = re.compile(rf"{_WS}+({_ATTR_NAME})(?:{_WS}*={_WS}*({_ATTR_VALUE}))?")
+# One match per "<": a simple start tag (groups 1 and 2), a simple end tag
+# (group 3), or the bare "<" of anything else ("<!", "<?", an unterminated
+# tag, a "<" in text), which sends the page to html.parser.
+_TOKENS = re.compile(
+    rf"<(?:([a-zA-Z][-a-zA-Z0-9]*)((?:{_WS}+{_ATTR_NAME}(?:{_WS}*={_WS}*{_ATTR_VALUE})?)*)"
+    rf"{_WS}*/?>|/([a-zA-Z][-a-zA-Z0-9]*){_WS}*>|)"
+)
+# Elements whose content html.parser reads as text on some Python version
+# (3.11 has only script and style). The fast scan takes one only when the
+# next "<" after its start tag opens its end tag.
+_RAW_TEXT = frozenset(
+    {"script", "style", "title", "textarea", "xmp", "iframe", "noembed", "noframes", "noscript"}
+)
+# "&" in an attribute value: html.unescape (3.11) and the attribute rule of
+# newer html.parser agree on complete numeric references and on named ones
+# that end in ";" and are known; any other "&" sends the page to html.parser.
+_CHARREF = re.compile(r"&(?:#[0-9]+;|#[xX][0-9a-fA-F]+;|([a-zA-Z][a-zA-Z0-9]*;))")
+
+
+def _simple_refs(text: str) -> list[str] | None:
+    """The hrefs ``_parser_refs`` gives, or None when ``text`` is not simple markup."""
+    refs: list[str] = []
+    raw_text = None  # a raw-text element whose end tag must come next
+    for token in _TOKENS.finditer(text):
+        name, attrs, end = token.groups()
+        if raw_text is not None and (end is None or end.lower() != raw_text):
+            return None
+        raw_text = None
+        if name is None:
+            if end is None:
+                return None
+            continue
+        tag = name.lower()
+        if tag in _RAW_TEXT:
+            raw_text = tag
+        elif tag == "plaintext":
+            return None
+        wanted = _LinkScanner.TAG_ATTR.get(tag)
+        if wanted is None:
+            continue
+        for attr in _ATTRS.finditer(attrs):
+            value = attr.group(2)
+            if value is None or attr.group(1).lower() != wanted:
+                continue
+            if value[0] in "\"'":
+                value = value[1:-1]
+            if "&" in value:
+                refs_in_value = _CHARREF.findall(value)
+                if len(refs_in_value) != value.count("&") or any(
+                    named and named not in _HTML5_ENTITIES for named in refs_in_value
+                ):
+                    return None
+                value = unescape(value)
+            refs.append(value)
+            break
+    return refs
+
+
 def extract_links(html: bytes, base: Url) -> list[Url]:
     """Return normalized link targets in document order, de-duplicated.
 
-    Unsupported schemes and unparseable hrefs are dropped silently.
+    Unsupported schemes and unparseable hrefs are dropped silently. A page of
+    simple markup is scanned by regex; any other goes through html.parser.
+    Both give the same hrefs.
     """
-    scanner = _LinkScanner()
-    scanner.feed(html.decode("utf-8", errors="replace"))
-    scanner.close()
+    text = html.decode("utf-8", errors="replace")
+    refs = _simple_refs(text)
+    if refs is None:
+        refs = _parser_refs(text)
     out: dict[str, Url] = {}
-    for ref in scanner.raw_refs:
+    for ref in refs:
         try:
             url = normalize_url(base, ref)
         except OntoSeekerError:

@@ -104,17 +104,50 @@ class Url:
         return f"{self.scheme}://{self.host}{port}{self.path}{query}"
 
 
+# Two href shapes whose Url is built without urljoin: a rooted path
+# ("/a/b?q", not "//host"), or an absolute http(s) URL with a lower-case host
+# of _HOST_CHARS, no port and no userinfo. Path and query hold unreserved and
+# sub-delim characters only: no ";" (urljoin splits it off as params) and no
+# segment led by "." (no dot segments). A "?" needs a non-empty query, as
+# urljoin drops an empty one. The fragment is dropped. A rooted path keeps the
+# base's scheme, host and port, all urljoin keeps of str(base) for it.
+_SEGMENT = r"/(?:[-\w~!$&'()*+,=][-.\w~!$&'()*+,=]*)?"
+_SIMPLE_HREF = re.compile(
+    rf"(?:(https?)://([a-z0-9._-]+)((?:{_SEGMENT})*)|(?!//)((?:{_SEGMENT})+))"
+    r"(?:\?([-.\w~!$&'()*+,=/?]+))?(?:#.*)?",
+    re.ASCII | re.DOTALL,
+)
+
+
+def _join_simple(base: Url, ref: str) -> Url | None:
+    """The Url ``_join_stdlib`` gives for a simple ``ref``; None for any other."""
+    match = _SIMPLE_HREF.fullmatch(ref)
+    if match is None:
+        return None
+    scheme, host, path, rooted_path, query = match.groups()
+    if scheme is None:
+        return Url(base.scheme, base.host, base.port, rooted_path, query)
+    return Url(scheme, host, DEFAULT_PORTS[scheme], path or "/", query)
+
+
+def _join_stdlib(base: Url, ref: str) -> Url:
+    """urljoin + Url.parse: the fallback for every href and the fast path's oracle."""
+    try:
+        joined = urljoin(str(base), ref)
+    except ValueError as exc:
+        raise MalformedUrl(f"unjoinable href {ref!r}: {exc}") from None
+    return Url.parse(joined)
+
+
 def normalize_url(base: Url, href: str) -> Url:
     """Resolve ``href`` against ``base`` into an absolute, fragment-free Url.
 
     Raises UnsupportedScheme for non-http(s) targets (mailto:, javascript:,
     ftp:, data:, ...) and MalformedUrl for anything urlsplit cannot stomach.
     """
-    try:
-        joined = urljoin(str(base), href.strip())
-    except ValueError as exc:
-        raise MalformedUrl(f"unjoinable href {href!r}: {exc}") from None
-    return Url.parse(joined)
+    ref = href.strip()
+    url = _join_simple(base, ref)
+    return url if url is not None else _join_stdlib(base, ref)
 
 
 @dataclass(frozen=True)

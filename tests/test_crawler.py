@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import mutants
 from onto_seeker.crawler import (
     HTML_PAGE,
     ONTOLOGY_CANDIDATE,
@@ -15,6 +16,8 @@ from onto_seeker.crawler import (
     CrawlConfig,
     CrawlReport,
     OutputUnwritable,
+    _parser_refs,
+    _simple_refs,
     classify_url,
     crawl,
     extract_links,
@@ -28,11 +31,51 @@ from onto_seeker.harness import (
     make_synthetic_site,
 )
 from onto_seeker.indexer import IndexLimits, build_index
-from onto_seeker.netfetch import ConnectionFailed, Url
+from onto_seeker.netfetch import ConnectionFailed, Url, _join_simple, _join_stdlib
 from onto_seeker.rdf import UNSUPPORTED, detect_syntax
 from onto_seeker.rdf.model import RDF_XML_MEDIA_TYPES, TURTLE_MEDIA_TYPES
 
 BASE = Url.parse("http://a.example/")
+
+MARKUP_FRAGMENTS = st.lists(
+    st.sampled_from(
+        ["<![", "CDATA[", "CDAT[", "if", "]]>", "]>", "<!", "<!--", "-->", "<a href=",
+         '"/x.owl"', "'", ">", "<", "/", "&amp;", "&#", " ", "\n"]
+    )
+    | st.text(max_size=4),
+    max_size=30,
+).map(lambda parts: "".join(parts).encode())
+
+# Simple pages (mixed-case tags and attributes, valueless and repeated
+# attributes, charrefs, raw-text elements with their end tags), some with one
+# piece added that the fast scan must decline or read as html.parser does.
+_TAGS = ["a", "A", "link", "IFrame", "frame", "title", "script", "div", "my-el"]
+_ATTR_NAMES = ["href", "HREF", "src", "Src", "rel", "a:b"]
+_VALUES = ["", "/x.html", "y.owl", "/p?a=1&amp;b=2", "&#38;&#x26;&copy;", "a<b>c", "x/"]
+_RISKY = ["<", "&", "&ampx", "&notit;", "\xa0", "'", '"', "=", "<!-- -->", "<plaintext>",
+          "<a href=/in.html>", "\x0b"]
+
+
+@st.composite
+def simple_markup(draw) -> bytes:
+    parts = []
+    for _ in range(draw(st.integers(1, 6))):
+        tag = draw(st.sampled_from(_TAGS))
+        attrs = ""
+        for _ in range(draw(st.integers(0, 3))):
+            form = draw(st.sampled_from(["{}", '{}="{}"', "{} = '{}'", "{}={}"]))
+            name, value = draw(st.sampled_from(_ATTR_NAMES)), draw(st.sampled_from(_VALUES))
+            attrs += " " + form.format(name, value)
+        parts += [f"<{tag}{attrs}{draw(st.sampled_from(['>', '/>', ' />']))}", "text", f"</{tag}>"]
+    if draw(st.booleans()):
+        parts.insert(draw(st.integers(0, len(parts))), draw(st.sampled_from(_RISKY)))
+    return "".join(parts).encode()
+
+
+SCAN_SITE = make_synthetic_site(SiteSpec(seed=7, page_count=30, ontology_count=10, host_count=2))[0]
+SCAN_PAGES = sorted(
+    entry.body for entry in SCAN_SITE.entries.values() if entry.content_type == "text/html"
+)
 
 
 def _page(body: str) -> CorpusEntry:
@@ -127,17 +170,7 @@ class TestExtractLinks:
         html = f'<a href="/a.html">a</a>{section}<a href="/later.owl">o</a>'.encode()
         assert [u.path for u in extract_links(html, BASE)] == ["/a.html", "/later.owl"]
 
-    @given(
-        st.lists(
-            st.sampled_from(
-                ["<![", "CDATA[", "CDAT[", "if", "]]>", "]>", "<!", "<!--", "-->", "<a href=",
-                 '"/x.owl"', "'", ">", "<", "/", "&amp;", "&#", " ", "\n"]
-            )
-            | st.text(max_size=4),
-            max_size=30,
-        ).map(lambda parts: "".join(parts).encode())
-        | st.binary(max_size=300)
-    )
+    @given(MARKUP_FRAGMENTS | st.binary(max_size=300))
     def test_markup_fragments_give_a_list_of_urls(self, html):
         links = extract_links(html, BASE)
         assert isinstance(links, list)
@@ -147,6 +180,101 @@ class TestExtractLinks:
     def test_never_raises_on_garbage(self, blob):
         result = extract_links(blob, BASE)
         assert isinstance(result, list)
+
+
+def _fast_scan_taken(html: bytes) -> bool:
+    """Whether the regex scan reads ``html``; where it does, it must equal html.parser."""
+    text = html.decode("utf-8", errors="replace")
+    refs = _simple_refs(text)
+    if refs is None:
+        return False
+    assert refs == _parser_refs(text)
+    return True
+
+
+class TestFastLinkScan:
+    """The regex scan gives html.parser's hrefs, or declines and leaves the page to it."""
+
+    @settings(max_examples=500)
+    @given(st.sampled_from(SCAN_PAGES).flatmap(mutants) | MARKUP_FRAGMENTS | simple_markup())
+    def test_equals_html_parser_or_declines(self, html):
+        _fast_scan_taken(html)
+
+    @pytest.mark.parametrize(
+        "html,refs",
+        [
+            # a valueless href does not count; the first valued one wins
+            (b'<a href href="/x.html">', ["/x.html"]),
+            (b'<a href="/x.html" href="/y.html">', ["/x.html"]),
+            (b'<a href="">', [""]),
+            (b'<A HREF="/x.html"><LINK Href=\'/y.owl\'><IFRAME SRC=/z.html></IFRAME>',
+             ["/x.html", "/y.owl", "/z.html"]),
+            (b'<a href="/p?a=1&amp;b=2">', ["/p?a=1&b=2"]),
+            (b'<a href="/&#120;&#X79;&#x7A;.html">', ["/xyz.html"]),
+            (b"<a href=/x.html>", ["/x.html"]),
+            (b"<a href=x/>", ["x/"]),
+            (b"<a href=/x.html />", ["/x.html"]),
+            (b'<a title="a<b>c" href="/x.html">', ["/x.html"]),
+            (b"<title>Page</title><script>var x = 1;</script><a href=/x.html>", ["/x.html"]),
+            (b'<a href="/\xff.html">', ["/\ufffd.html"]),
+        ],
+    )
+    def test_simple_pages_take_the_fast_scan(self, html, refs):
+        assert _fast_scan_taken(html)
+        assert _simple_refs(html.decode("utf-8", errors="replace")) == refs
+
+    @pytest.mark.parametrize(
+        "html",
+        [
+            b'<script><a href="/in.html"></script><a href="/out.html">',
+            b'<title><a href="/in.html"></title><a href="/out.html">',
+            b'<textarea><a href="/in.html"></textarea><a href="/out.html">',
+            b'<plaintext><a href="/in.html">',
+            b'<!-- <a href="/in.html"> --><a href="/out.html">',
+            b'<!DOCTYPE html><a href="/out.html">',
+            b'<![CDATA[ <a href="/in.html"> ]]><a href="/out.html">',
+            b'<?xml version="1.0"?><a href="/out.html">',
+            b'<a href="/out.html">x<a href="/open.html"',
+            b'<a href="/out.html">1 < 2',
+            b"<a href=/&ampx.html>",
+            b'<a href="/&notit;.html">',
+            b'<a href=="/x.html">',
+            b'<a href="/x.html"title="t">',
+            b"<a\x0bhref=/x.html>",
+            b"<a href=/x.html\xc2\xa0>",
+        ],
+    )
+    def test_other_pages_go_to_html_parser(self, html):
+        assert not _fast_scan_taken(html)
+
+
+class TestFastPathsTaken:
+    """A change that quietly sends the synthetic web to a fallback fails here."""
+
+    @pytest.fixture(scope="class")
+    def site(self):
+        spec = SiteSpec(
+            seed=1, page_count=600, ontology_count=300, max_link_depth=12, branching=4, host_count=4
+        )
+        return make_synthetic_site(spec)[0]
+
+    def test_every_page_and_every_rooted_or_absolute_href(self, site):
+        pages = hrefs = 0
+        for key, entry in site.entries.items():
+            if entry.content_type != "text/html":
+                continue
+            refs = _simple_refs(entry.body.decode("utf-8"))
+            assert refs is not None, key
+            pages += 1
+            base = Url.parse(key)
+            for ref in refs:
+                if ref.startswith(("/", "http://", "https://")):
+                    url = _join_simple(base, ref.strip())
+                    assert url is not None, ref
+                    assert url == _join_stdlib(base, ref.strip())
+                    hrefs += 1
+        assert pages == 600
+        assert hrefs >= pages  # each page links at least its /files/data<n>.csv
 
 
 class TestWriteUrlList:

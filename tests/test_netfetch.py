@@ -6,11 +6,12 @@ from urllib.parse import quote
 
 import pytest
 import requests
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from onto_seeker.harness import Corpus, CorpusEntry, CorpusTransport
 from onto_seeker.netfetch import (
+    _LINE_BREAKS,
     ConnectionFailed,
     MalformedUrl,
     PolitenessGate,
@@ -18,6 +19,8 @@ from onto_seeker.netfetch import (
     TooManyRedirects,
     UnsupportedScheme,
     Url,
+    _join_simple,
+    _join_stdlib,
     normalize_url,
 )
 
@@ -124,6 +127,73 @@ class TestNormalizeUrl:
         except (UnsupportedScheme, MalformedUrl):
             return
         assert Url.parse(str(url)) == url
+
+
+def _outcome(join, base: Url, href: str):
+    try:
+        return join(base, href)
+    except (UnsupportedScheme, MalformedUrl) as exc:
+        return type(exc)
+
+
+JOIN_BASES = [
+    Url.parse(raw)
+    for raw in (
+        "http://a.example/dir/p.html",
+        "https://a.example/",
+        "http://a.example:8080/d/?q=1",
+        "https://b.example:0/x;p",
+    )
+]
+# Hrefs of the two fast shapes, about half of them with one piece added that
+# makes urljoin differ from a plain split, needs its checks or leaves the
+# shape: dot segments, params, an empty query, a fragment, escapes, "//",
+# ports, userinfo, brackets, inner whitespace and line breaks.
+HREF_PREFIXES = ["/", "http://b.example", "https://b.example", "HTTP://b.example",
+                 "http://B.Example", "//b.example", "", "\t/"]
+HREF_SAFE_PARTS = ["/", "a", "Z", "0", "-", "_", "~", "=", "&", "'", "(", "!", "*", "+", ",", "$",
+                   "x.owl", "?q", "#f"]
+HREF_RISKY_PARTS = [".", "..", ";", "?", "#", "%", "//", ":80", ":+80", ":0", "user@", "[", "\t",
+                    "\n", " ", "\\", "\u00e9", *_LINE_BREAKS.pattern[1:-1]]
+
+
+@st.composite
+def hrefs(draw) -> str:
+    parts = [draw(st.sampled_from(HREF_PREFIXES))]
+    parts += draw(st.lists(st.sampled_from(HREF_SAFE_PARTS), max_size=8))
+    if draw(st.booleans()):
+        parts.insert(draw(st.integers(0, len(parts))), draw(st.sampled_from(HREF_RISKY_PARTS)))
+    return "".join(parts)
+
+
+class TestSimpleHrefJoin:
+    """Hrefs built without urljoin give what urljoin + Url.parse give."""
+
+    @settings(max_examples=500)
+    @given(st.sampled_from(JOIN_BASES), hrefs())
+    def test_equals_urljoin_or_declines(self, base, href):
+        assert _outcome(normalize_url, base, href) == _outcome(_join_stdlib, base, href.strip())
+
+    @pytest.mark.parametrize("base", JOIN_BASES, ids=str)
+    @pytest.mark.parametrize(
+        "href",
+        ["/", "/a/b.html", "/a//b", "/a?q=1&r=/s?t", "/a#f", "/a?q#f", "http://b.example",
+         "http://b.example?q", "https://b.example/a/b.owl#x", "http://b.example/x"],
+    )
+    def test_common_shapes_skip_urljoin(self, base, href):
+        assert _join_simple(base, href) == _join_stdlib(base, href)
+
+    @pytest.mark.parametrize("base", JOIN_BASES, ids=str)
+    @pytest.mark.parametrize(
+        "href",
+        ["//b.example/x", "/a/./b", "/a/../b", "/a/.", "/a;p", "/a;", "/a?", "/a?#f", "/a%2Fb",
+         "/a b", "/a\tb", "/a\nb", "/a\u2028b", "HTTP://b.example/", "http://B.example/",
+         "http://b.example:80/", "http://b.example:+80/", "http://b.example:0/",
+         "http://u@b.example/", "http://[::1]/", "a.html", "?q", "#f", "", "mailto:x@y"],
+    )
+    def test_other_shapes_go_to_urljoin(self, base, href):
+        assert _join_simple(base, href) is None
+        assert _outcome(normalize_url, base, href) == _outcome(_join_stdlib, base, href)
 
 
 class TestPolitenessGate:
