@@ -2,7 +2,8 @@
 
 Ontology candidates (``.rdf``/``.owl`` links) are recorded without being
 fetched; the indexer downloads them later. The fetch budget is therefore
-spent on HTML pages only.
+spent on HTML pages only. Links are found by one regex scan that reads every
+page as the html.parser of Python 3.13.13 does, on every supported Python.
 
 Pages are fetched in breadth-first order. Pool threads only fetch; the crawl
 thread scans each page as its fetch finishes but admits the links it found in
@@ -19,7 +20,6 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from html import unescape
 from html.entities import html5 as _HTML5_ENTITIES
-from html.parser import HTMLParser
 from pathlib import Path
 from queue import SimpleQueue
 
@@ -141,122 +141,104 @@ def classify_url(url: Url, content_type: str | None = None) -> str:
     return OTHER
 
 
-class _LinkScanner(HTMLParser):
-    """Forgiving scan for hrefs: real pages are malformed, so no validation."""
-
-    TAG_ATTR = {"a": "href", "link": "href", "frame": "src", "iframe": "src"}
-
-    def __init__(self):
-        super().__init__(convert_charrefs=True)
-        self.raw_refs: list[str] = []
-
-    def handle_starttag(self, tag, attrs):
-        wanted = self.TAG_ATTR.get(tag)
-        if wanted is None:
-            return
-        for name, value in attrs:
-            if name == wanted and value is not None:
-                self.raw_refs.append(value)
-                return
-
-    def parse_marked_section(self, i, report=1):
-        # html.parser raises AssertionError on a "<![" with an unknown or
-        # missing keyword (e.g. "<![CDAT["); browsers read it as a bogus
-        # comment that ends at the next ">", and so does this scan.
-        try:
-            return super().parse_marked_section(i, report)
-        except AssertionError:
-            return self.parse_bogus_comment(i, report)
-
-
-def _parser_refs(text: str) -> list[str]:
-    """The link scan of ``html.parser``: every page's fallback and the fast scan's oracle."""
-    scanner = _LinkScanner()
-    scanner.feed(text)
-    scanner.close()
-    return scanner.raw_refs
-
-
-# The fast link scan reads a page made only of text and simple tags: a start
-# tag with a letter-led name and whitespace-separated attributes whose values
-# are quoted, unquoted or missing, or an end tag with nothing but its name.
-# Whitespace is HTML's [ \t\n\r\f]; names and unquoted values hold no
-# character that html.parser splits differently from one Python to the next.
-_WS = "[ \t\n\r\f]"
-_ATTR_NAME = "[a-zA-Z_:][-.:a-zA-Z0-9_]*"
-_ATTR_VALUE = r"""(?:"[^"]*"|'[^']*'|[^\s"'=<>`]+)"""
-_ATTRS = re.compile(rf"{_WS}+({_ATTR_NAME})(?:{_WS}*={_WS}*({_ATTR_VALUE}))?")
-# One match per "<": a simple start tag (groups 1 and 2), a simple end tag
-# (group 3), or the bare "<" of anything else ("<!", "<?", an unterminated
-# tag, a "<" in text), which sends the page to html.parser.
-_TOKENS = re.compile(
-    rf"<(?:([a-zA-Z][-a-zA-Z0-9]*)((?:{_WS}+{_ATTR_NAME}(?:{_WS}*={_WS}*{_ATTR_VALUE})?)*)"
-    rf"{_WS}*/?>|/([a-zA-Z][-a-zA-Z0-9]*){_WS}*>|)"
+# The scan follows html.parser 3.13.13. _MARKUP matches once per "<": an end
+# tag with no attributes (nothing to read, and the commonest markup), any
+# other tag up to its first attribute, a comment opener, a CDATA section, a
+# bogus comment ("<!doctype", "<?", "</" + non-letter) or a "<" in text.
+# _ATTR is attrfind_tolerant: one match per attribute walks a tag as
+# locatetagend does. A construct left open at the end of the page drops the
+# rest of it. The runs of space and "/" between attributes stop lazily before
+# a "/>" (html.parser's (?:[ \t\n\r\f]|/(?!>))*): a repeated group would keep
+# a backtracking entry per character, hundreds of MiB for a 4 MiB tag.
+_MARKUP = re.compile(
+    r"""<(?:/[a-zA-Z][^\t\n\r\f />]*[\t\n\r\f /]*>
+     |(/?)([a-zA-Z][^\t\n\r\f />]*)[\t\n\r\f /]*?(?=/?>|[^\t\n\r\f /]|\Z)(/?>)?
+     |(!--)|!\[CDATA\[(?:.*?\]\]>)?|[!?/][^>]*>?|)""",
+    re.VERBOSE | re.DOTALL,
 )
-# Elements whose content html.parser reads as text on some Python version
-# (3.11 has only script and style). The fast scan takes one only when the
-# next "<" after its start tag opens its end tag.
-_RAW_TEXT = frozenset(
-    {"script", "style", "title", "textarea", "xmp", "iframe", "noembed", "noframes", "noscript"}
+_ATTR = re.compile(
+    r"""(?<=['"\t\n\r\f /])([^\t\n\r\f />][^\t\n\r\f /=>]*)
+    ([\t\n\r\f ]*=[\t\n\r\f ]*('[^']*'|"[^"]*"|(?!['"])[^>\t\n\r\f ]*))?
+    [\t\n\r\f /]*?(?=/?>|[^\t\n\r\f /]|\Z)(/?>)?""",
+    re.VERBOSE,
 )
-# "&" in an attribute value: html.unescape (3.11) and the attribute rule of
-# newer html.parser agree on complete numeric references and on named ones
-# that end in ";" and are known; any other "&" sends the page to html.parser.
-_CHARREF = re.compile(r"&(?:#[0-9]+;|#[xX][0-9a-fA-F]+;|([a-zA-Z][a-zA-Z0-9]*;))")
+_ATTR_CHARREF = re.compile(r"&(#[0-9]+|#[xX][0-9a-fA-F]+|[a-zA-Z][a-zA-Z0-9]*)[;=]?")
+_COMMENT_CLOSE = re.compile(r"--!?>")
+_COMMENT_ABRUPT_CLOSE = re.compile(r"-?>")
+# The start tags the scan reads: each link tag with the attribute that holds
+# its target, and each element whose content is text up to where its pattern
+# matches (the end of the page for plaintext).
+_LINK_ATTR = {"a": "href", "link": "href", "frame": "src", "iframe": "src"}
+_RAW_TEXT_END = {
+    tag: re.compile(rf"</{tag}(?=[\t\n\r\f />])", re.IGNORECASE | re.ASCII)
+    for tag in ("script", "style", "xmp", "iframe", "noembed", "noframes", "title", "textarea")
+} | {"plaintext": re.compile(r"\Z")}
 
 
-def _simple_refs(text: str) -> list[str] | None:
-    """The hrefs ``_parser_refs`` gives, or None when ``text`` is not simple markup."""
+def _decode_charref(match: re.Match) -> str:
+    """A numeric or known named reference, decoded; "&name=" is kept, as "name=" is no entity."""
+    ref = match.group()
+    return unescape(ref) if ref[1] == "#" or ref[1:] in _HTML5_ENTITIES else ref
+
+
+def _link_refs(text: str) -> list[str]:
+    """The link targets of ``text`` in document order, as html.parser 3.13.13 reads them."""
     refs: list[str] = []
-    raw_text = None  # a raw-text element whose end tag must come next
-    for token in _TOKENS.finditer(text):
-        name, attrs, end = token.groups()
-        if raw_text is not None and (end is None or end.lower() != raw_text):
-            return None
-        raw_text = None
+    pos = 0
+    comments_close = True  # false once no "--!?>" is left, so "<!-->" * n scans in linear time
+    while (markup := _MARKUP.search(text, pos)) is not None:
+        pos = markup.end()
+        end_slash, name, closed, comment = markup.groups()
         if name is None:
-            if end is None:
-                return None
+            if comment:
+                close = _COMMENT_CLOSE.search(text, pos) if comments_close else None
+                if close is None:
+                    comments_close = False
+                    close = _COMMENT_ABRUPT_CLOSE.match(text, pos)
+                    if close is None:
+                        break
+                pos = close.end()
+            elif text[pos - 1] != ">" and pos - markup.start() > 1:
+                break
             continue
         tag = name.lower()
-        if tag in _RAW_TEXT:
-            raw_text = tag
-        elif tag == "plaintext":
-            return None
-        wanted = _LinkScanner.TAG_ATTR.get(tag)
-        if wanted is None:
-            continue
-        for attr in _ATTRS.finditer(attrs):
-            value = attr.group(2)
-            if value is None or attr.group(1).lower() != wanted:
-                continue
-            if value[0] in "\"'":
-                value = value[1:-1]
-            if "&" in value:
-                refs_in_value = _CHARREF.findall(value)
-                if len(refs_in_value) != value.count("&") or any(
-                    named and named not in _HTML5_ENTITIES for named in refs_in_value
-                ):
-                    return None
-                value = unescape(value)
-            refs.append(value)
-            break
+        if not closed:
+            # The first attribute named as wanted that has a value wins.
+            wanted = None if end_slash else _LINK_ATTR.get(tag)
+            ref = None
+            while not closed and (attr := _ATTR.match(text, pos)) is not None:
+                pos, closed = attr.end(), attr[4]
+                if ref is None and wanted and attr[2] and attr[1].lower() == wanted:
+                    ref = attr[3]
+                    if ref[:1] in ("'", '"'):
+                        ref = ref[1:-1]
+                    if "&" in ref:
+                        ref = _ATTR_CHARREF.sub(_decode_charref, ref)
+            if not closed:
+                break
+            if ref is not None:
+                refs.append(ref)
+        if end_slash or closed == "/>":
+            continue  # an end tag, or a self-closed element: its content is markup
+        raw_end = _RAW_TEXT_END.get(tag)
+        if raw_end is not None:
+            close = raw_end.search(text, pos)
+            if close is None:
+                break
+            pos = close.start()
     return refs
 
 
 def extract_links(html: bytes, base: Url) -> list[Url]:
     """Return normalized link targets in document order, de-duplicated.
 
-    Unsupported schemes and unparseable hrefs are dropped silently. A page of
-    simple markup is scanned by regex; any other goes through html.parser.
-    Both give the same hrefs.
+    The hrefs are those the link scan of Python 3.13.13's html.parser finds,
+    on every Python. Unsupported schemes and unparseable hrefs are dropped
+    silently.
     """
     text = html.decode("utf-8", errors="replace")
-    refs = _simple_refs(text)
-    if refs is None:
-        refs = _parser_refs(text)
     out: dict[str, Url] = {}
-    for ref in refs:
+    for ref in _link_refs(text):
         try:
             url = normalize_url(base, ref)
         except OntoSeekerError:

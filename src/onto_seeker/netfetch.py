@@ -130,8 +130,15 @@ def _join_simple(base: Url, ref: str) -> Url | None:
     return Url(scheme, host, DEFAULT_PORTS[scheme], path or "/", query)
 
 
+# A scheme-like head that does not start with a letter (".http:x", "1:y";
+# after urlsplit's lstrip, with tabs and line feeds ignored) is a relative path
+# on 3.11+ but a scheme on 3.10; behind "./" it is a relative path on both.
+_NON_LETTER_SCHEME = re.compile(r"\A[\x00-\x20]*(?=[-+.0-9][-+.a-zA-Z0-9\t\n\r]*:)")
+
+
 def _join_stdlib(base: Url, ref: str) -> Url:
     """urljoin + Url.parse: the fallback for every href and the fast path's oracle."""
+    ref = _NON_LETTER_SCHEME.sub("./", ref)
     try:
         joined = urljoin(str(base), ref)
     except ValueError as exc:

@@ -111,6 +111,23 @@ class TestNormalizeUrl:
         assert str(url).splitlines() == [str(url)]
         assert Url.parse(str(url)) == url
 
+    # A scheme-like head that does not start with a letter is a relative path
+    # on every Python (3.10's urlsplit alone took it for a scheme).
+    @pytest.mark.parametrize(
+        "href,expected",
+        [
+            (".http:x", "http://a.example/dir/.http:x"),
+            ("..\t:80", "http://a.example/dir/..:80"),
+            ("1:y", "http://a.example/dir/1:y"),
+            ("+a:b?q", "http://a.example/dir/+a:b?q"),
+            ("\x01-x:y", "http://a.example/dir/-x:y"),
+            ("8\n0:z", "http://a.example/dir/80:z"),
+        ],
+        ids=ascii,
+    )
+    def test_non_letter_scheme_is_a_relative_path(self, href, expected):
+        assert str(normalize_url(BASE, href)) == expected
+
     @given(st.text(max_size=40))
     def test_idempotent_on_arbitrary_hrefs(self, href):
         try:
