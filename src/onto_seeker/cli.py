@@ -45,7 +45,7 @@ from .indexer import (
     render_skip_report,
     triage_url_lines,
 )
-from .netfetch import DEFAULT_POLITENESS_MS, DEFAULT_TIMEOUT_S, LiveTransport, Url
+from .netfetch import DEFAULT_POLITENESS_MS, DEFAULT_TIMEOUT_S, LiveTransport, MalformedUrl, Url
 from .query import EmptyQuery, Query, UnknownUrl, check_top_k, explain, format_explain
 from .query import format_results, parse_query, search
 
@@ -117,7 +117,10 @@ def _make_transport(args, default_host: Callable[[], str]):
     if (corpus_dir / "site.json").is_file():
         corpus, _root = load_site_dir(corpus_dir)
     else:
-        corpus = corpus_from_dir(corpus_dir, args.corpus_host or default_host())
+        try:
+            corpus = corpus_from_dir(corpus_dir, args.corpus_host or default_host())
+        except MalformedUrl as exc:
+            raise _UsageError(f"bad --corpus-host: {exc}") from exc
     return CorpusTransport(corpus)
 
 
@@ -171,14 +174,10 @@ def _site_spec(args) -> SiteSpec:
 
 
 def _parse_seeds(args) -> list[Url]:
-    raw_seeds = args.seed_urls or [DEFAULT_SEED_URL]
-    seeds = []
-    for raw in raw_seeds:
-        try:
-            seeds.append(Url.parse(raw))
-        except OntoSeekerError as exc:
-            raise _UsageError(f"bad --seed-url: {exc}") from exc
-    return seeds
+    try:
+        return [Url.parse(raw) for raw in args.seed_urls or [DEFAULT_SEED_URL]]
+    except OntoSeekerError as exc:
+        raise _UsageError(f"bad --seed-url: {exc}") from exc
 
 
 def _parse_matrix(raw: str) -> list[tuple[int, int]]:

@@ -6,10 +6,10 @@ spent on HTML pages only. Links are found by one regex scan that reads every
 page as the html.parser of Python 3.13.13 does, on every supported Python.
 
 Pages are fetched in breadth-first order. Pool threads only fetch; the crawl
-thread scans each page as its fetch finishes but admits the links it found in
-the order the fetches were issued, so the URL file does not depend on the
-worker count. At most ``LOOKAHEAD_PER_WORKER * worker_count`` pages are
-issued and not yet admitted.
+thread takes the fetches back in issue order, scans each page and admits its
+links, so the URL file does not depend on the worker count. At most
+``LOOKAHEAD_PER_WORKER * worker_count`` pages are issued and not taken back,
+so at most that many less one finished responses wait behind a slow page.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from html import unescape
 from html.entities import html5 as _HTML5_ENTITIES
 from pathlib import Path
-from queue import SimpleQueue
 
 from .errors import OntoSeekerError
 from .netfetch import (
@@ -47,9 +46,9 @@ HTML_EXTENSIONS = (".html", ".htm")
 
 DEFAULT_MAX_BODY_BYTES = 4 * 1024 * 1024
 
-# Pages the crawl may issue per worker beyond the oldest one not yet admitted.
-# Links are admitted in issue order, so one slow page holds back admission;
-# this much lookahead keeps the other workers fetching meanwhile.
+# Pages the crawl may have issued per worker and not yet taken back. Fetches
+# are taken back in issue order, so one slow page holds back the rest; this
+# much lookahead keeps the other workers fetching meanwhile.
 LOOKAHEAD_PER_WORKER = 32
 
 
@@ -313,38 +312,31 @@ def crawl(config: CrawlConfig, transport: Transport) -> CrawlReport:
     for seed in config.seed_urls:
         admit(seed, 0)
     window = LOOKAHEAD_PER_WORKER * config.worker_count
-    in_flight: deque[tuple[Url, int, Future]] = deque()  # in issue order
-    scanned: dict[Future, tuple[int | None, Url | None, list[Url]]] = {}
-    finished: SimpleQueue[Future] = SimpleQueue()
+    in_flight: deque[tuple[Url, int, Future]] = deque()  # issued pages, oldest first
     pool = ThreadPoolExecutor(config.worker_count)
     try:
         while True:
             while frontier and issued < config.max_pages and len(in_flight) < window:
                 url, depth = frontier.popleft()
                 issued += 1
-                future = pool.submit(polite_fetch, transport, gate, url, config.max_body_bytes)
-                future.add_done_callback(finished.put)
-                in_flight.append((url, depth, future))
+                fetch = pool.submit(polite_fetch, transport, gate, url, config.max_body_bytes)
+                in_flight.append((url, depth, fetch))
             if not in_flight:
                 break
-            # Scan whichever fetch finished first; admit links in issue order.
-            done = finished.get()
-            scanned[done] = _scan(done)
-            while in_flight and in_flight[0][2] in scanned:
-                url, depth, future = in_flight.popleft()
-                status, ontology, links = scanned.pop(future)
-                key = str(url)
-                if status is None:
-                    errors += 1
-                    if key in seed_keys:
-                        seeds_failed.add(key)
-                    continue
-                status_histogram[status] = status_histogram.get(status, 0) + 1
-                if ontology is not None:
-                    seen.add(str(ontology))
-                    found.add(str(ontology))
-                for child in links:
-                    admit(child, depth + 1)
+            # Take the oldest fetch back, so links are admitted in issue order.
+            url, depth, fetch = in_flight.popleft()
+            status, ontology, links = _scan(fetch)
+            if status is None:
+                errors += 1
+                if str(url) in seed_keys:
+                    seeds_failed.add(str(url))
+                continue
+            status_histogram[status] = status_histogram.get(status, 0) + 1
+            if ontology is not None:
+                seen.add(str(ontology))
+                found.add(str(ontology))
+            for child in links:
+                admit(child, depth + 1)
     finally:
         pool.shutdown(cancel_futures=True)
     elapsed = int(monotonic_ms() - started)

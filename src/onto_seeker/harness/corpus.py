@@ -12,6 +12,7 @@ from ..netfetch import (
     MAX_REDIRECTS,
     ConnectionFailed,
     FetchResponse,
+    MalformedUrl,
     Timeout,
     TooManyRedirects,
     Url,
@@ -116,11 +117,15 @@ def media_type_for_path(path: str | Path) -> str:
 
 
 def corpus_from_dir(path: str | Path, host: str) -> Corpus:
-    """Serve a directory of files as http://host/<relative-path>.
+    """Serve a directory of files as http://host/<relative-path>, spelling
+    ``host`` ("H.test", "h.test:80") as Url does; MalformedUrl if it is no host[:port].
 
     Media types come from extensions; an index.html additionally answers for
     its directory URL so a bare seed like http://host/ resolves.
     """
+    prefix = str(Url.parse(f"http://{host}/"))
+    if prefix.count("/") != 3 or "#" in host:  # a path, a query or a fragment
+        raise MalformedUrl(f"not a host[:port]: {host!r}")
     root = Path(path)
     if not root.is_dir():
         raise PathUnreadable(f"{path} is not a readable directory")
@@ -132,9 +137,8 @@ def corpus_from_dir(path: str | Path, host: str) -> Corpus:
         except OSError as exc:
             raise PathUnreadable(f"{file}: {exc}") from exc
         entry = CorpusEntry(status=200, content_type=media_type_for_path(file), body=body)
-        corpus.add(f"http://{host}/{rel}", entry)
+        corpus.add(prefix + rel, entry)
         if file.name == "index.html":
             parent = file.parent.relative_to(root).as_posix()
-            dir_path = "/" if parent == "." else f"/{parent}/"
-            corpus.add(f"http://{host}{dir_path}", entry)
+            corpus.add(prefix if parent == "." else f"{prefix}{parent}/", entry)
     return corpus

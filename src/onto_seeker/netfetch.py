@@ -15,12 +15,13 @@ import time
 from dataclasses import dataclass, field
 from http.cookiejar import DefaultCookiePolicy
 from typing import Protocol
-from urllib.parse import quote, urljoin, urlsplit
+from urllib.parse import quote, urlsplit
 
 import requests
 
 from . import __version__
 from .errors import OntoSeekerError
+from .rdf.model import InvalidIri, resolve_iri
 
 DEFAULT_PORTS = {"http": 80, "https": 443}
 SUPPORTED_SCHEMES = frozenset(DEFAULT_PORTS)
@@ -130,20 +131,12 @@ def _join_simple(base: Url, ref: str) -> Url | None:
     return Url(scheme, host, DEFAULT_PORTS[scheme], path or "/", query)
 
 
-# A scheme-like head that does not start with a letter (".http:x", "1:y";
-# after urlsplit's lstrip, with tabs and line feeds ignored) is a relative path
-# on 3.11+ but a scheme on 3.10; behind "./" it is a relative path on both.
-_NON_LETTER_SCHEME = re.compile(r"\A[\x00-\x20]*(?=[-+.0-9][-+.a-zA-Z0-9\t\n\r]*:)")
-
-
 def _join_stdlib(base: Url, ref: str) -> Url:
-    """urljoin + Url.parse: the fallback for every href and the fast path's oracle."""
-    ref = _NON_LETTER_SCHEME.sub("./", ref)
+    """resolve_iri + Url.parse: the fallback for every href and the fast path's oracle."""
     try:
-        joined = urljoin(str(base), ref)
-    except ValueError as exc:
+        return Url.parse(resolve_iri(str(base), ref))
+    except InvalidIri as exc:
         raise MalformedUrl(f"unjoinable href {ref!r}: {exc}") from None
-    return Url.parse(joined)
 
 
 def normalize_url(base: Url, href: str) -> Url:

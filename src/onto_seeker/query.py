@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 from .errors import OntoSeekerError
 from .indexer import FIELDS, FIELD_WEIGHTS, Index, PostingList
+from .netfetch import Url
 from .rdf import tokenize
 
 _NO_POSTINGS = PostingList([], [])
@@ -129,10 +130,12 @@ class ScoreContribution:
 
 def explain(index: Index, query: Query, url: str) -> list[ScoreContribution]:
     """Per-(token, field) contributions for one document; they sum to the
-    exact score search() assigns it."""
-    doc = next((doc for doc in index.docs if doc.url == url), None)
-    if doc is None:
-        raise UnknownUrl(url)
+    exact score search() assigns it. ``url`` may be in any spelling Url.parse reads."""
+    try:
+        key = str(Url.parse(url))
+        doc = next(doc for doc in index.docs if doc.url == key)
+    except (OntoSeekerError, StopIteration):
+        raise UnknownUrl(url) from None
     contributions = []
     for token in query.tokens:
         for field_name in FIELDS:

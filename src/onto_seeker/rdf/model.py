@@ -100,9 +100,17 @@ class OntologySummary:
         )
 
 
+# One urljoin rule for hrefs, redirects and RDF IRIs: a scheme-like head not
+# led by a letter (".http:x", "1:y"; after urlsplit's lstrip, tabs and line
+# feeds ignored) is a relative path on 3.11+ but a scheme on 3.10; "./" fixes it.
+_NON_LETTER_SCHEME = re.compile(r"\A[\x00-\x20]*(?=[-+.0-9][-+.a-zA-Z0-9\t\n\r]*:)")
+
+
 def resolve_iri(base: str, ref: str) -> str:
     """urljoin that keeps a bare trailing '#' (urljoin drops empty fragments,
     which would corrupt namespace IRIs like ...rdf-syntax-ns#)."""
+    if ":" in ref and not ref[:1].isalpha():  # else the regex cannot match; most IRIs skip it
+        ref = _NON_LETTER_SCHEME.sub("./", ref)
     try:
         out = urljoin(base, ref)
     except ValueError as exc:

@@ -306,6 +306,32 @@ class TestIndexDefaultHost:
         assert report["doc_count"] == "0"
 
 
+class TestCorpusHostSpelling:
+    def _index(self, tmp_path, capsys, host):
+        urls = tmp_path / "urls.txt"
+        urls.write_text("http://fixture.test/x.owl\n", encoding="utf-8")
+        code = main(["index", "--urls", str(urls), "--index-dir", str(tmp_path / "idx"),
+                     "--corpus-dir", str(SITE1), "--corpus-host", host, "--politeness-ms", "0"])
+        return code, capsys.readouterr()
+
+    @pytest.mark.parametrize("host", ["fixture.test", "FIXTURE.test", "fixture.test:80"])
+    def test_any_spelling_of_the_host_serves_the_folder(self, tmp_path, capsys, host):
+        code, captured = self._index(tmp_path, capsys, host)
+        report = dict(line.split("\t", 1) for line in captured.out.splitlines())
+        assert code == 0
+        assert (report["doc_count"], report["fetch_error"]) == ("1", "0")
+
+    @pytest.mark.parametrize(
+        "host", ["fixture.test:x", "user@fixture.test", "fixture.test/sub", "fix ture.test",
+                 "fixture.test?q", "fixture.test#top", "[x"],
+    )
+    def test_a_host_that_does_not_parse_is_a_usage_error(self, tmp_path, capsys, host):
+        code, captured = self._index(tmp_path, capsys, host)
+        _assert_error_exit(captured, code, 1)
+        assert captured.err.startswith("error: bad --corpus-host: ")
+        assert not (tmp_path / "idx").exists()
+
+
 def _with_string_skip_count(manifest_text: str) -> bytes:
     data = json.loads(manifest_text)
     data["skip_counts"]["oversize"] = "0"
@@ -434,6 +460,20 @@ class TestCmdQuery:
             "error: --explain-url is not in the index: http://fixture.test/none.owl\n"
         )
         assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "spelling", ["HTTP://Fixture.Test:80/x.owl", "http://fixture.test/x.owl#top"]
+    )
+    def test_explain_url_in_any_spelling(self, tmp_path, capsys, spelling):
+        idx = _build_index(tmp_path, capsys)
+        outs = []
+        for url in ("http://fixture.test/x.owl", spelling):
+            code = main(["query", "--index-dir", str(idx), "--query", "anchor",
+                         "--explain-url", url])
+            assert code == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[1] == outs[0]
+        assert "anchor class tf=1" in outs[0]
 
     def test_machine_format_appends_detail(self, tmp_path, capsys):
         idx = _build_index(tmp_path, capsys)
@@ -744,6 +784,7 @@ _DEPTHS_BELOW_MINUS_1 = st.integers(-5, -2).map(str)
 _BAD_TIMEOUTS = st.sampled_from(["nan", "inf", "-inf", "0", "-1", "-0.5"])
 _BLANK_QUERIES = st.sampled_from(["", " ", "  _ ", "-", "_-_"])
 _BAD_SEEDS = st.sampled_from(["not a url", "ftp://x/", "http://", "http://[x/"])
+_BAD_HOSTS = st.sampled_from(["h.test:x", "u@h.test", "h.test/x", "h test", "h.test?q", "[x"])
 _BAD_CELLS = st.one_of(
     st.builds("{}:{}".format, st.integers(-2, 0), st.integers(1, 50)),
     st.builds("{}:{}".format, st.integers(1, 4), st.integers(-2, 0)),
@@ -783,6 +824,7 @@ _BAD_FLAGS = [
     ("crawl", "--politeness-ms", _NEGATIVE_INTS, 1),
     ("crawl", "--max-body-bytes", _INTS_BELOW_1, 1),
     ("crawl", "--seed-url", _BAD_SEEDS, 1),
+    ("crawl", "--corpus-host", _BAD_HOSTS, 1),
     ("crawl", "--out", st.sampled_from(["{work}/plain/urls.txt", "{work}/no/urls.txt"]), 2),
     ("crawl-live", "--timeout-s", _BAD_TIMEOUTS, 1),
     ("index", "--max-bytes", _INTS_BELOW_1, 1),
@@ -790,6 +832,7 @@ _BAD_FLAGS = [
     ("index", "--urls", st.sampled_from(["{work}/missing.txt", "{work}"]), 2),
     ("index", "--index-dir", st.just("{work}/plain/idx"), 2),
     ("index", "--corpus-dir", st.just("{work}/no-site"), 2),
+    ("index", "--corpus-host", _BAD_HOSTS, 1),
     ("query", "--top-k", _INTS_BELOW_1, 1),
     ("query", "--query", _BLANK_QUERIES, 1),
     ("query", "--index-dir", st.sampled_from(["{work}/noidx", "{work}"]), 2),

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from conftest import mutants
 from onto_seeker.crawler import (
     HTML_PAGE,
+    LOOKAHEAD_PER_WORKER,
     ONTOLOGY_CANDIDATE,
     OTHER,
     AllSeedsInvalid,
@@ -596,6 +597,25 @@ class TestCrawl:
         issued = dict(corpus.request_log)
         slow_done_ms = issued["http://h.test/slow.html"] + 400
         assert all(issued[f"http://h.test{path}"] < slow_done_ms for path in fast)
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_lookahead_bounds_the_pages_issued_behind_a_slow_one(self, tmp_path, workers):
+        # Fetches are taken back in issue order, so while the slow page is on
+        # the wire the crawl issues only the rest of its lookahead window.
+        fast = [f"/f{i}.html" for i in range(200)]
+        corpus = Corpus()
+        links = "".join(f'<a href="{path}">x</a>' for path in ["/slow.html", *fast])
+        corpus.add("http://h.test/", _page(links))
+        corpus.add("http://h.test/slow.html", CorpusEntry(200, "text/html", b"", latency_ms=1000))
+        for path in fast:
+            corpus.add(f"http://h.test{path}", _page(""))
+        config = _config(tmp_path, ["http://h.test/"], worker_count=workers, max_pages=1000)
+        report = crawl(config, CorpusTransport(corpus))
+        assert report.pages_fetched == 202
+        issued = dict(corpus.request_log)
+        slow_done_ms = issued["http://h.test/slow.html"] + 1000
+        ahead = sum(issued[f"http://h.test{path}"] < slow_done_ms for path in fast)
+        assert ahead == LOOKAHEAD_PER_WORKER * workers - 1
 
     def test_every_output_line_classifies_as_candidate(self, tmp_path, site42):
         _spec, (corpus, _gt) = site42

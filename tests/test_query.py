@@ -183,10 +183,24 @@ class TestExplain:
             total += c.contribution
         assert total == result.score
 
+    @pytest.mark.parametrize(
+        "url", ["HTTP://H.Test:80/a.owl", "http://h.test/a.owl#top", " http://h.test/a.owl"]
+    )
+    def test_url_in_any_spelling(self, url):
+        index = make_index([_summary("http://h.test/a.owl", classes={"Person"})])
+        query = parse_query("person")
+        assert explain(index, query, url) == explain(index, query, "http://h.test/a.owl")
+
     def test_unknown_url(self):
         index = make_index([_summary("http://h.test/a.owl", classes={"Person"})])
         with pytest.raises(UnknownUrl):
             explain(index, parse_query("person"), "http://h.test/other.owl")
+
+    @pytest.mark.parametrize("url", ["https://h.test/a.owl", "http://[x", "h.test/a.owl"])
+    def test_url_that_does_not_parse_or_differs_is_unknown(self, url):
+        index = make_index([_summary("http://h.test/a.owl", classes={"Person"})])
+        with pytest.raises(UnknownUrl):
+            explain(index, parse_query("person"), url)
 
     def test_format_explain_lines(self):
         index = make_index([_summary("http://h.test/a.owl", classes={"Person"})])

@@ -16,6 +16,8 @@ from onto_seeker.rdf import (
     detect_syntax,
     extract_summary,
     local_name,
+    parse_rdf_xml,
+    parse_turtle,
     tokenize,
 )
 from onto_seeker.rdf.model import resolve_iri
@@ -131,6 +133,36 @@ class TestResolveIri:
 
     def test_absolute_passthrough(self):
         assert resolve_iri("http://d/x.owl", "http://other/y#B") == "http://other/y#B"
+
+    # A scheme-like head led by a non-letter is a relative path, as on 3.11+;
+    # 3.10's urljoin alone reads "1x" as a scheme.
+    @pytest.mark.parametrize(
+        "ref, expected",
+        [
+            ("1x:Person", "http://a.example/1x:Person"),
+            ("1x:ns#", "http://a.example/1x:ns#"),
+            (".http:x", "http://a.example/.http:x"),
+            ("+1:y#Z", "http://a.example/+1:y#Z"),
+            ("x1:Person", "x1:Person"),
+        ],
+    )
+    def test_non_letter_scheme_is_a_relative_path(self, ref, expected):
+        assert resolve_iri("http://a.example/onto.owl", ref) == expected
+
+    def test_non_letter_scheme_in_both_parsers(self):
+        base = "http://a.example/onto.owl"
+        turtle = parse_turtle(
+            b"@prefix owl: <http://www.w3.org/2002/07/owl#> .\n"
+            b"@base <1x:base/> .\n<C> a owl:Class .\n",
+            base,
+        )
+        assert [t.subject for t in turtle] == ["http://a.example/1x:base/C"]
+        rdfxml = parse_rdf_xml(
+            f'<rdf:RDF xmlns:rdf="{RDF_NS}" xmlns:owl="{OWL_NS}">'
+            '<owl:Class rdf:about="1x:Person"/></rdf:RDF>'.encode(),
+            base,
+        )
+        assert [t.subject for t in rdfxml] == ["http://a.example/1x:Person"]
 
 
 NS = "http://fixture.test/o.owl#"
