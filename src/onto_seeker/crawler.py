@@ -5,18 +5,17 @@ fetched; the indexer downloads them later. The fetch budget is therefore
 spent on HTML pages only. Links are found by one regex scan that reads every
 page as the html.parser of Python 3.13.13 does, on every supported Python.
 
-Pages are fetched in breadth-first order. Pool threads only fetch; the crawl
-thread takes the fetches back in issue order, scans each page and admits its
-links, so the URL file does not depend on the worker count. At most
-``LOOKAHEAD_PER_WORKER * worker_count`` pages are issued and not taken back,
-so at most that many less one finished responses wait behind a slow page.
+Pages are fetched in breadth-first order through ``netfetch.fetch_in_order``,
+which hands each fetch back in issue order; the crawl thread scans each page
+and admits its links to the frontier the loop takes its pages from, so the
+URL file does not depend on the worker count.
 """
 
 from __future__ import annotations
 
 import re
 from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass
 from html import unescape
 from html.entities import html5 as _HTML5_ENTITIES
@@ -26,12 +25,13 @@ from .errors import OntoSeekerError
 from .netfetch import (
     DEFAULT_POLITENESS_MS,
     FetchError,
+    FetchResponse,
     PolitenessGate,
     Transport,
     Url,
+    fetch_in_order,
     monotonic_ms,
     normalize_url,
-    polite_fetch,
 )
 from .rdf.model import RDF_XML_MEDIA_TYPES, TURTLE_MEDIA_TYPES
 
@@ -45,11 +45,6 @@ HTML_MEDIA_TYPES = frozenset({"text/html", "application/xhtml+xml"})
 HTML_EXTENSIONS = (".html", ".htm")
 
 DEFAULT_MAX_BODY_BYTES = 4 * 1024 * 1024
-
-# Pages the crawl may have issued per worker and not yet taken back. Fetches
-# are taken back in issue order, so one slow page holds back the rest; this
-# much lookahead keeps the other workers fetching meanwhile.
-LOOKAHEAD_PER_WORKER = 32
 
 
 class OutputUnwritable(OntoSeekerError):
@@ -258,20 +253,16 @@ def write_url_list(urls: set[Url] | set[str], path: str | Path) -> int:
     return len(lines)
 
 
-def _scan(fetched: Future) -> tuple[int | None, Url | None, list[Url]]:
-    """(status or None on a transport error, ontology URL, page links); drops the body."""
-    try:
-        resp = fetched.result()
-    except FetchError:
-        return None, None, []
+def _scan(resp: FetchResponse) -> tuple[Url | None, list[Url]]:
+    """(ontology URL, page links) of a fetched page."""
     if resp.status == 200:
         kind = classify_url(resp.final_url, resp.content_type)
         if kind == ONTOLOGY_CANDIDATE:
             # Fetched as a presumed page but served with an RDF media type.
-            return resp.status, resp.final_url, []
+            return resp.final_url, []
         if kind == HTML_PAGE:
-            return resp.status, None, extract_links(resp.body, resp.final_url)
-    return resp.status, None, []
+            return None, extract_links(resp.body, resp.final_url)
+    return None, []
 
 
 def crawl(config: CrawlConfig, transport: Transport) -> CrawlReport:
@@ -286,16 +277,17 @@ def crawl(config: CrawlConfig, transport: Transport) -> CrawlReport:
         raise OutputUnwritable(f"{config.output_path}: parent directory missing")
 
     gate = PolitenessGate(config.politeness_ms, per_host=config.per_host_politeness)
-    frontier: deque[tuple[Url, int]] = deque()  # (url, depth)
+    frontier: deque[tuple[Url, int]] = deque()  # (url, depth), fetched in order
     seen: set[str] = set()
     found: set[str] = set()
     seed_keys = {str(seed) for seed in config.seed_urls}
     seeds_failed: set[str] = set()
     status_histogram: dict[int, int] = {}
-    issued = errors = 0
+    admitted = errors = 0
 
     def admit(url: Url, depth: int) -> None:
-        """Route a discovered URL: record candidates, enqueue pages."""
+        """Route a discovered URL: record candidates, enqueue pages up to max_pages."""
+        nonlocal admitted
         key = str(url)
         if key in seen:
             return
@@ -304,41 +296,30 @@ def crawl(config: CrawlConfig, transport: Transport) -> CrawlReport:
         if kind == ONTOLOGY_CANDIDATE:
             found.add(key)
         elif kind == HTML_PAGE and (config.max_depth == -1 or depth <= config.max_depth):
-            frontier.append((url, depth))
+            if admitted < config.max_pages:
+                admitted += 1
+                frontier.append((url, depth))
         elif key in seed_keys:
             seeds_failed.add(key)
 
     started = monotonic_ms()
     for seed in config.seed_urls:
         admit(seed, 0)
-    window = LOOKAHEAD_PER_WORKER * config.worker_count
-    in_flight: deque[tuple[Url, int, Future]] = deque()  # issued pages, oldest first
-    pool = ThreadPoolExecutor(config.worker_count)
-    try:
-        while True:
-            while frontier and issued < config.max_pages and len(in_flight) < window:
-                url, depth = frontier.popleft()
-                issued += 1
-                fetch = pool.submit(polite_fetch, transport, gate, url, config.max_body_bytes)
-                in_flight.append((url, depth, fetch))
-            if not in_flight:
-                break
-            # Take the oldest fetch back, so links are admitted in issue order.
-            url, depth, fetch = in_flight.popleft()
-            status, ontology, links = _scan(fetch)
-            if status is None:
+    fetched = fetch_in_order(transport, gate, frontier, config.max_body_bytes, config.worker_count)
+    with closing(fetched):  # a scan that raises still stops the pool
+        for url, depth, resp in fetched:
+            if isinstance(resp, FetchError):
                 errors += 1
                 if str(url) in seed_keys:
                     seeds_failed.add(str(url))
                 continue
-            status_histogram[status] = status_histogram.get(status, 0) + 1
+            status_histogram[resp.status] = status_histogram.get(resp.status, 0) + 1
+            ontology, links = _scan(resp)
             if ontology is not None:
                 seen.add(str(ontology))
                 found.add(str(ontology))
             for child in links:
                 admit(child, depth + 1)
-    finally:
-        pool.shutdown(cancel_futures=True)
     elapsed = int(monotonic_ms() - started)
 
     if seeds_failed == seed_keys:
@@ -346,7 +327,7 @@ def crawl(config: CrawlConfig, transport: Transport) -> CrawlReport:
 
     write_url_list(found, config.output_path)
     return CrawlReport(
-        pages_fetched=issued,
+        pages_fetched=admitted,
         ontologies_found=len(found),
         elapsed_ms=elapsed,
         status_histogram=dict(sorted(status_histogram.items())),

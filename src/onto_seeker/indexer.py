@@ -4,7 +4,8 @@ The index directory holds exactly three files: ``manifest.json`` (counts,
 skip accounting and the fixed scoring weights, checked on load), ``docs.tsv``
 (one row per indexed document), and ``postings.tsv`` (token, field, doc id
 and tf per line, sorted). A build gives each URL-list line one outcome, its
-summary or its skip reason, and fetches one URL at a time, taking the list's
+summary or its skip reason, and fetches through ``netfetch.fetch_in_order``
+with one worker, one URL at a time on the calling thread, taking the list's
 hosts in turn. Doc ids follow input order, so doc ids and the on-disk bytes
 are reproducible and do not depend on the fetch order. The reader loads the
 rows into one ``PostingList`` (doc ids, tfs) per (token, field).
@@ -15,7 +16,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-from collections import Counter, defaultdict, namedtuple
+from collections import Counter, defaultdict, deque, namedtuple
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from functools import cached_property
@@ -26,10 +27,11 @@ from .errors import OntoSeekerError
 from .netfetch import (
     DEFAULT_POLITENESS_MS,
     FetchError,
+    FetchResponse,
     PolitenessGate,
     Transport,
     Url,
-    polite_fetch,
+    fetch_in_order,
 )
 from .rdf import (
     RDF_XML,
@@ -192,16 +194,11 @@ def read_url_lines(url_list_path: str | Path) -> list[str]:
         raise InputUnreadable(f"{url_list_path}: {exc}") from exc
 
 
-def _fetch_summary(
-    transport: Transport, gate: PolitenessGate, url: Url, limits: IndexLimits
+def _summarise(
+    key: str, resp: FetchResponse | FetchError, limits: IndexLimits
 ) -> OntologySummary | str:
-    """Fetch one URL and summarise it, or name the reason it is skipped."""
-    key = str(url)
-    try:
-        resp = polite_fetch(transport, gate, url, limits.max_ontology_bytes + 1)
-    except FetchError:
-        return "fetch_error"
-    if resp.status != 200:
+    """The summary of the document fetched for ``key``, or the reason it is skipped."""
+    if isinstance(resp, FetchError) or resp.status != 200:
         return "fetch_error"
     if len(resp.body) > limits.max_ontology_bytes:
         return "oversize"
@@ -270,11 +267,15 @@ def build_index(
     """
     lines = read_url_lines(url_list_path)
     outcomes, host_lines = triage_url_lines(lines)
+    pending = deque(
+        (Url.parse(lines[lineno].strip()), lineno)
+        for lineno in chain.from_iterable(zip_longest(*host_lines.values()))
+        if lineno is not None
+    )
     gate = PolitenessGate(limits.politeness_ms)
-    for lineno in chain.from_iterable(zip_longest(*host_lines.values())):
-        if lineno is not None:
-            url = Url.parse(lines[lineno].strip())
-            outcomes[lineno] = _fetch_summary(transport, gate, url, limits)
+    fetched = fetch_in_order(transport, gate, pending, limits.max_ontology_bytes + 1, 1)
+    for url, lineno, resp in fetched:
+        outcomes[lineno] = _summarise(str(url), resp, limits)
 
     reason_counts = Counter(outcome for outcome in outcomes if isinstance(outcome, str))
     docs, postings = index_summaries([o for o in outcomes if isinstance(o, OntologySummary)])
@@ -328,7 +329,8 @@ def write_index(
                     fh.write(line)
                 fh.flush()
                 os.fsync(fh.fileno())
-        (directory / MANIFEST_FILE).unlink(missing_ok=True)
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(directory / MANIFEST_FILE)
         _fsync_folder(directory)
         for name in (DOCS_FILE, POSTINGS_FILE):
             os.replace(temps[name], directory / name)

@@ -1,8 +1,12 @@
-"""URL values, politeness scheduling, and the fetch transport abstraction.
+"""URL values, politeness scheduling, the fetch transport abstraction, and
+the one fetch loop that the crawl and the index share.
 
 Two transports implement the same ``fetch`` contract: :class:`LiveTransport`
 speaks real HTTP, and the corpus transport in :mod:`onto_seeker.harness`
-replays an in-memory corpus for deterministic tests.
+replays an in-memory corpus for deterministic tests. :func:`fetch_in_order`
+fetches a queue of URLs through the politeness gate and hands the results
+back in the order the URLs were taken from the queue: on the calling thread
+for one worker, on a pool of threads for more.
 """
 
 from __future__ import annotations
@@ -12,16 +16,20 @@ import os
 import re
 import threading
 import time
+from collections import deque
+from collections.abc import Iterator
+from concurrent import futures
 from dataclasses import dataclass, field
 from http.cookiejar import DefaultCookiePolicy
-from typing import Protocol
+from typing import TYPE_CHECKING, Protocol, TypeVar
 from urllib.parse import quote, urlsplit
-
-import requests
 
 from . import __version__
 from .errors import OntoSeekerError
 from .rdf.model import InvalidIri, resolve_iri
+
+if TYPE_CHECKING:
+    import requests
 
 DEFAULT_PORTS = {"http": 80, "https": 443}
 SUPPORTED_SCHEMES = frozenset(DEFAULT_PORTS)
@@ -33,6 +41,11 @@ _LINE_BREAKS = re.compile("[\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
 DEFAULT_POLITENESS_MS = 300
 DEFAULT_TIMEOUT_S = 20.0
 MAX_REDIRECTS = 5
+
+# URLs fetch_in_order may have taken per worker and not yet handed back.
+# Results go back in issue order, so one slow fetch holds back the rest;
+# this much lookahead keeps the other workers fetching meanwhile.
+LOOKAHEAD_PER_WORKER = 32
 
 
 class UnsupportedScheme(OntoSeekerError):
@@ -85,7 +98,9 @@ class Url:
         if parts.username is not None or parts.password is not None:
             raise MalformedUrl(f"userinfo not allowed in {raw!r}")
         host = (parts.hostname or "").lower()
-        if not host or not set(host) <= _HOST_CHARS:
+        # A bracketed host is an IP literal, refused on every Python (3.10's
+        # urlsplit takes "[x]" and gives the host "x").
+        if not host or "[" in parts.netloc or not set(host) <= _HOST_CHARS:
             raise MalformedUrl(f"bad host in {raw!r}")
         try:
             port = parts.port
@@ -213,6 +228,58 @@ def polite_fetch(
     return transport.fetch(url, max_body_bytes, issued_at_ms=now + wait)
 
 
+def _fetch_or_error(
+    transport: Transport, gate: PolitenessGate, url: Url, max_body_bytes: int
+) -> FetchResponse | FetchError:
+    try:
+        return polite_fetch(transport, gate, url, max_body_bytes)
+    except FetchError as exc:
+        return exc
+
+
+Tag = TypeVar("Tag")
+
+
+def fetch_in_order(
+    transport: Transport,
+    gate: PolitenessGate,
+    pending: deque[tuple[Url, Tag]],
+    max_body_bytes: int,
+    workers: int,
+) -> Iterator[tuple[Url, Tag, FetchResponse | FetchError]]:
+    """Fetch each ``(url, tag)`` taken from the head of ``pending`` and yield
+    ``(url, tag, response or FetchError)`` in the order they were taken.
+
+    The caller may append to ``pending`` between results; the loop takes the
+    new entries in turn, and ends once ``pending`` is empty and every fetch is
+    handed back. One worker fetches on the calling thread, one URL per result.
+    More run ``workers`` pool threads that only fetch, with at most
+    ``LOOKAHEAD_PER_WORKER * workers`` URLs taken and not yet handed back, so
+    at most that many less one finished responses wait behind a slow fetch.
+    Close the generator (``contextlib.closing``) to stop the pool early.
+    """
+    if workers == 1:
+        while pending:
+            url, tag = pending.popleft()
+            yield url, tag, _fetch_or_error(transport, gate, url, max_body_bytes)
+        return
+    window = LOOKAHEAD_PER_WORKER * workers
+    in_flight = deque()  # (url, tag, future), oldest first
+    pool = futures.ThreadPoolExecutor(workers)
+    try:
+        while True:
+            while pending and len(in_flight) < window:
+                url, tag = pending.popleft()
+                fetch = pool.submit(_fetch_or_error, transport, gate, url, max_body_bytes)
+                in_flight.append((url, tag, fetch))
+            if not in_flight:
+                return
+            url, tag, fetch = in_flight.popleft()
+            yield url, tag, fetch.result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def _strip_media_type(header: str | None) -> str | None:
     if not header:
         return None
@@ -223,6 +290,12 @@ def _strip_media_type(header: str | None) -> str | None:
 class LiveTransport:
     """HTTP/1.1 transport with a fixed User-Agent, no cookies, no scripts.
 
+    ``timeout_s`` limits each socket wait and, checked between body reads,
+    the whole fetch: a body still arriving ``timeout_s`` after the fetch
+    started raises Timeout. Each read returns what one socket wait brings, so
+    a body dripped a byte at a time stops at the deadline plus at most one
+    socket wait.
+
     Note: robots.txt is NOT consulted (out of scope for this crawler model);
     be careful pointing this at hosts you do not control.
     """
@@ -232,6 +305,8 @@ class LiveTransport:
         timeout_s: float = DEFAULT_TIMEOUT_S,
         session: requests.Session | None = None,
     ):
+        import requests  # only the live transport needs it
+
         if not 0 < timeout_s < math.inf:
             raise ValueError(f"timeout_s must be a finite number > 0, not {timeout_s}")
         self.timeout_s = timeout_s
@@ -246,6 +321,10 @@ class LiveTransport:
     def fetch(
         self, url: Url, max_body_bytes: int, issued_at_ms: float | None = None
     ) -> FetchResponse:
+        import requests
+        from urllib3.exceptions import HTTPError, ReadTimeoutError
+
+        deadline = time.monotonic() + self.timeout_s
         try:
             resp = self._session.get(
                 str(url), timeout=self.timeout_s, stream=True, allow_redirects=True
@@ -259,11 +338,18 @@ class LiveTransport:
         with resp:
             body = bytearray()
             try:
-                for chunk in resp.iter_content(chunk_size=65536):
-                    body += chunk
-                    if len(body) >= max_body_bytes:
+                # read1 returns after one socket wait; iter_content would wait
+                # for a whole chunk, however slowly it drips in.
+                while len(body) < max_body_bytes:
+                    if time.monotonic() > deadline:
+                        raise Timeout(f"{url}: body not read within {self.timeout_s} s")
+                    chunk = resp.raw.read1(65536, decode_content=True)
+                    if not chunk:
                         break
-            except requests.RequestException as exc:
+                    body += chunk
+            except ReadTimeoutError as exc:
+                raise Timeout(str(url)) from exc
+            except HTTPError as exc:
                 raise ConnectionFailed(f"{url}: body read failed: {exc}") from exc
             try:
                 final_url = Url.parse(resp.url)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import threading
 from pathlib import Path
 
 import pytest
@@ -188,6 +189,18 @@ def mutants(draw, seed: bytes) -> bytes:
         else:
             del body[pos]
     return bytes(body)
+
+
+class ThreadRecorder:
+    """Wraps a transport and records the thread of every fetch."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.threads: list[threading.Thread] = []
+
+    def fetch(self, url, max_body_bytes, issued_at_ms=None):
+        self.threads.append(threading.current_thread())
+        return self.inner.fetch(url, max_body_bytes, issued_at_ms=issued_at_ms)
 
 
 def build_parts(

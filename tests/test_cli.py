@@ -170,6 +170,34 @@ class TestCmdCrawl:
         assert out.read_text() == "http://fixture.test/later.owl\n"
 
 
+# Blocks the import of requests, then runs the offline engine from the CLI.
+_WITHOUT_REQUESTS = """
+import sys
+sys.modules["requests"] = None  # "import requests" now raises ImportError
+from onto_seeker import cli, crawler, indexer, query
+site, work = sys.argv[1], sys.argv[2]
+assert cli.main(["gen-corpus", "--seed", "7", "--pages", "20", "--ontologies", "3",
+                 "--out-dir", site]) == 0
+root = "http://host0.example/"
+assert cli.main(["pipeline", "--corpus-dir", site, "--seed-url", root, "--max-pages", "20",
+                 "--politeness-ms", "0", "--out", work + "/urls.txt",
+                 "--index-dir", work + "/idx", "--created-at", "fixed"]) == 0
+print(indexer.read_index(work + "/idx").manifest.doc_count)
+"""
+
+
+class TestWithoutRequests:
+    def test_offline_engine_runs_without_requests(self, tmp_path):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", _WITHOUT_REQUESTS, str(tmp_path / "site"), str(tmp_path)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert int(done.stdout.splitlines()[-1]) > 0
+
+
 class TestCmdIndex:
     def test_missing_urls_names_crawl(self, tmp_path, capsys):
         code = main(

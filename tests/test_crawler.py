@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import tempfile
+import threading
 import tracemalloc
 from html.parser import HTMLParser
 from pathlib import Path
@@ -9,10 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import mutants
+from conftest import ThreadRecorder, mutants
+from onto_seeker import crawler
 from onto_seeker.crawler import (
     HTML_PAGE,
-    LOOKAHEAD_PER_WORKER,
     ONTOLOGY_CANDIDATE,
     OTHER,
     AllSeedsInvalid,
@@ -33,7 +34,13 @@ from onto_seeker.harness import (
     make_synthetic_site,
 )
 from onto_seeker.indexer import IndexLimits, build_index
-from onto_seeker.netfetch import ConnectionFailed, Url, _join_simple, _join_stdlib
+from onto_seeker.netfetch import (
+    LOOKAHEAD_PER_WORKER,
+    ConnectionFailed,
+    Url,
+    _join_simple,
+    _join_stdlib,
+)
 from onto_seeker.rdf import UNSUPPORTED, detect_syntax
 from onto_seeker.rdf.model import RDF_XML_MEDIA_TYPES, TURTLE_MEDIA_TYPES
 
@@ -680,6 +687,35 @@ class _FlakyTransport:
 @pytest.fixture(scope="module")
 def small_site():
     return make_synthetic_site(SiteSpec(seed=5, page_count=40, ontology_count=10, host_count=2))
+
+
+class TestFetchThreads:
+    def test_one_worker_crawl_and_index_fetch_on_the_calling_thread(self, tmp_path, small_site):
+        corpus, truth = small_site
+        transport = ThreadRecorder(CorpusTransport(corpus, sleep_latency=False))
+        config = _config(tmp_path, [truth.root_url], worker_count=1)
+        pages = crawl(config, transport).pages_fetched
+        build_index(config.output_path, transport, IndexLimits(politeness_ms=0), tmp_path / "idx")
+        assert len(transport.threads) > pages > 1
+        assert set(transport.threads) == {threading.current_thread()}
+
+    def test_a_crawl_that_fails_mid_loop_leaves_no_pool_thread(self, tmp_path, small_site, monkeypatch):
+        corpus, truth = small_site
+        transport = ThreadRecorder(CorpusTransport(corpus))
+
+        def scan_then_fail(html, base):
+            if len(transport.threads) > 3:
+                raise RuntimeError("scan failed")
+            return extract_links(html, base)
+
+        monkeypatch.setattr(crawler, "extract_links", scan_then_fail)
+        config = _config(tmp_path, [truth.root_url], worker_count=2)
+        with pytest.raises(RuntimeError, match="scan failed") as failure:
+            crawl(config, transport)
+        # The pool is gone while the traceback, and with it the crawl's frame, lives on.
+        assert failure.traceback
+        assert transport.threads and threading.current_thread() not in transport.threads
+        assert not any(thread.is_alive() for thread in transport.threads)
 
 
 class TestCrawlThenIndex:

@@ -1,18 +1,23 @@
 from __future__ import annotations
 
 import threading
+import time
+from collections import deque
+from contextlib import closing
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import quote
 
 import pytest
-import requests
+import urllib3
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import ThreadRecorder
 from onto_seeker.harness import Corpus, CorpusEntry, CorpusTransport
 from onto_seeker.netfetch import (
     _LINE_BREAKS,
     ConnectionFailed,
+    FetchResponse,
     MalformedUrl,
     PolitenessGate,
     Timeout,
@@ -21,6 +26,7 @@ from onto_seeker.netfetch import (
     Url,
     _join_simple,
     _join_stdlib,
+    fetch_in_order,
     normalize_url,
 )
 
@@ -60,6 +66,16 @@ class TestUrl:
     def test_malformed(self, raw):
         with pytest.raises(MalformedUrl):
             Url.parse(raw)
+
+    # An IP literal in brackets is refused on every Python, though 3.10's
+    # urlsplit reads "[x]" as the host "x" and 3.11+'s takes "[v1.x]".
+    @pytest.mark.parametrize("raw", ["http://[x]/o.owl", "http://[1.2.3.4]/", "http://[v1.x]/o.owl",
+                                     "http://[::1]/", "http://[::1]:8080/o.owl"])
+    def test_bracketed_host_is_malformed(self, raw):
+        with pytest.raises(MalformedUrl, match="bad host|unparseable"):
+            Url.parse(raw)
+        with pytest.raises(MalformedUrl):
+            normalize_url(BASE, raw)
 
     @pytest.mark.parametrize("raw", ["ftp://a.example/x", "mailto:x@y", "javascript:void(0)",
                                      "data:text/plain,hi", "file:///etc/passwd"])
@@ -284,6 +300,54 @@ class TestPolitenessGate:
         assert all(b - a >= 10 for a, b in zip(grants, grants[1:]))
 
 
+def _numbered_corpus(count: int, latency_ms: int = 0) -> Corpus:
+    corpus = Corpus()
+    for i in range(count):
+        corpus.add(f"http://h{i % 3}.test/{i}", CorpusEntry(200, "text/html", b"%d" % i, latency_ms))
+    return corpus
+
+
+class TestFetchInOrder:
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_results_come_back_in_the_order_taken(self, workers):
+        corpus = _numbered_corpus(40)
+        pending = deque((Url.parse(f"http://h{i % 3}.test/{i}"), i) for i in range(40) if i % 2)
+        pending.append((Url.parse("http://h0.test/absent"), "absent"))
+        results = fetch_in_order(CorpusTransport(corpus), PolitenessGate(0), pending, 1024, workers)
+        tags = []
+        for url, tag, resp in results:
+            if tag == "absent":
+                assert isinstance(resp, ConnectionFailed)
+            else:
+                assert isinstance(resp, FetchResponse) and resp.body == b"%d" % tag
+                assert str(url) == f"http://h{tag % 3}.test/{tag}"
+                if tag % 2 and tag + 1 < 40:  # the caller may keep appending as it reads
+                    pending.append((Url.parse(f"http://h{(tag + 1) % 3}.test/{tag + 1}"), tag + 1))
+            tags.append(tag)
+        odd = list(range(1, 40, 2))
+        assert tags[: len(odd) + 1] == [*odd, "absent"]
+        assert tags[len(odd) + 1 :] == [tag + 1 for tag in odd if tag + 1 < 40]
+
+    def test_one_worker_fetches_on_the_calling_thread(self):
+        transport = ThreadRecorder(CorpusTransport(_numbered_corpus(10)))
+        pending = deque((Url.parse(f"http://h{i % 3}.test/{i}"), i) for i in range(10))
+        assert len(list(fetch_in_order(transport, PolitenessGate(0), pending, 1024, 1))) == 10
+        assert set(transport.threads) == {threading.current_thread()}
+
+    def test_a_consumer_that_raises_leaves_no_pool_thread(self):
+        transport = ThreadRecorder(CorpusTransport(_numbered_corpus(200, latency_ms=1)))
+        pending = deque((Url.parse(f"http://h{i % 3}.test/{i}"), i) for i in range(200))
+        with pytest.raises(RuntimeError) as failure:
+            with closing(fetch_in_order(transport, PolitenessGate(0), pending, 1024, 2)) as results:
+                for _url, tag, _resp in results:
+                    if tag == 5:
+                        raise RuntimeError("consumer failed")
+        assert failure.traceback  # the generator outlives the raise; closing stops its pool
+        assert transport.threads and threading.current_thread() not in transport.threads
+        assert not any(thread.is_alive() for thread in transport.threads)
+        assert len(transport.threads) < 200  # the fetches not yet started were cancelled
+
+
 def _corpus_with(url: str, entry: CorpusEntry) -> CorpusTransport:
     corpus = Corpus()
     corpus.add(url, entry)
@@ -357,10 +421,11 @@ class _FakeResponse:
         self.url = url
         self.headers = {"Content-Type": content_type}
         self._body = body
+        self.raw = self
 
-    def iter_content(self, chunk_size):
-        for i in range(0, len(self._body), chunk_size):
-            yield self._body[i : i + chunk_size]
+    def read1(self, amt, decode_content):
+        chunk, self._body = self._body[:amt], self._body[amt:]
+        return chunk
 
     def __enter__(self):
         return self
@@ -372,9 +437,10 @@ class _FakeResponse:
 class _BrokenBodyResponse(_FakeResponse):
     """Sends one chunk, then the connection drops mid-body."""
 
-    def iter_content(self, chunk_size):
-        yield self._body[:chunk_size]
-        raise requests.exceptions.ChunkedEncodingError("connection broken mid-chunk")
+    def read1(self, amt, decode_content):
+        if self._body:
+            return super().read1(amt, decode_content)
+        raise urllib3.exceptions.ProtocolError("connection broken mid-chunk")
 
 
 class _FakeSession:
@@ -426,7 +492,7 @@ class TestLiveTransport:
         transport = LiveTransport(session=session)
         with pytest.raises(ConnectionFailed) as err:
             transport.fetch(Url.parse("http://h.test/p"), max_body_bytes=1024)
-        assert isinstance(err.value.__cause__, requests.exceptions.ChunkedEncodingError)
+        assert isinstance(err.value.__cause__, urllib3.exceptions.ProtocolError)
 
     @pytest.mark.parametrize("timeout_s", [0, -1.0, float("nan"), float("inf")])
     def test_timeout_must_be_finite_and_positive(self, timeout_s):
@@ -434,6 +500,49 @@ class TestLiveTransport:
 
         with pytest.raises(ValueError, match="timeout_s"):
             LiveTransport(timeout_s=timeout_s)
+
+    @pytest.mark.parametrize("framing", ["Content-Length", "chunked"])
+    def test_dripped_body_times_out_soon_after_the_deadline(self, framing):
+        from onto_seeker.netfetch import LiveTransport
+
+        class _Drips(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+
+            def do_GET(self):
+                self.send_response(200)
+                self.send_header("Content-Type", "text/html")
+                if framing == "chunked":
+                    self.send_header("Transfer-Encoding", "chunked")
+                else:
+                    self.send_header("Content-Length", "40")
+                self.end_headers()
+                try:
+                    for _ in range(40):  # one byte every 0.1 s: 4 s in all
+                        self.wfile.write(b"1\r\nx\r\n" if framing == "chunked" else b"x")
+                        self.wfile.flush()
+                        time.sleep(0.1)
+                except OSError:
+                    pass
+
+            def log_message(self, *args):
+                pass
+
+        server = ThreadingHTTPServer(("127.0.0.1", 0), _Drips)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            transport = LiveTransport(timeout_s=0.5)
+            url = Url.parse(f"http://127.0.0.1:{server.server_port}/p")
+            started = time.monotonic()
+            with pytest.raises(Timeout):
+                transport.fetch(url, max_body_bytes=1024)
+            took = time.monotonic() - started
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join()
+        # The deadline plus at most one socket wait (here a 0.1 s drip).
+        assert 0.5 <= took < 1.5
 
     def test_cookies_neither_stored_nor_sent(self):
         from onto_seeker.netfetch import LiveTransport

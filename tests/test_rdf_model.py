@@ -20,7 +20,7 @@ from onto_seeker.rdf import (
     parse_turtle,
     tokenize,
 )
-from onto_seeker.rdf.model import resolve_iri
+from onto_seeker.rdf.model import InvalidIri, resolve_iri
 
 
 class TestDetectSyntax:
@@ -148,6 +148,34 @@ class TestResolveIri:
     )
     def test_non_letter_scheme_is_a_relative_path(self, ref, expected):
         assert resolve_iri("http://a.example/onto.owl", ref) == expected
+
+    # Python 3.11+'s urlsplit check of a bracketed host, applied on 3.10 too:
+    # an IPv6 or IPvFuture literal resolves, any other bracketed host is invalid.
+    @pytest.mark.parametrize(
+        "base, ref, expected",
+        [
+            ("http://a.example/o.owl", "http://[::1]/C", "http://[::1]/C"),
+            ("http://a.example/o.owl", "http://[v1.x]/C", "http://[v1.x]/C"),
+            ("http://a.example/o.owl", "C[1]", "http://a.example/C[1]"),
+            ("http://[x]/o.owl", "", "http://[x]/o.owl"),  # urljoin splits neither
+        ],
+    )
+    def test_ip_literal_host_resolves(self, base, ref, expected):
+        assert resolve_iri(base, ref) == expected
+
+    @pytest.mark.parametrize(
+        "base, ref",
+        [
+            ("http://a.example/o.owl", "http://[x]/C"),
+            ("http://a.example/o.owl", "//[x]/C"),
+            ("http://a.example/o.owl", "http://[1.2.3.4]/C"),
+            ("http://a.example/o.owl", "http://[vz.x]/C"),
+            ("http://[x]/o.owl", "C"),
+        ],
+    )
+    def test_other_bracketed_host_is_invalid(self, base, ref):
+        with pytest.raises(InvalidIri):
+            resolve_iri(base, ref)
 
     def test_non_letter_scheme_in_both_parsers(self):
         base = "http://a.example/onto.owl"
