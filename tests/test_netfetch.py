@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gzip
 import threading
 import time
 from collections import deque
@@ -543,6 +544,37 @@ class TestLiveTransport:
             thread.join()
         # The deadline plus at most one socket wait (here a 0.1 s drip).
         assert 0.5 <= took < 1.5
+
+    def test_gzip_body_is_decoded_and_capped_in_decoded_bytes(self):
+        from onto_seeker.netfetch import LiveTransport
+
+        page = b"<p>hello</p>" * 1000
+        encoded = gzip.compress(page)
+
+        class _Gzips(BaseHTTPRequestHandler):
+            def do_GET(self):
+                self.send_response(200)
+                self.send_header("Content-Type", "text/html")
+                self.send_header("Content-Encoding", "gzip")
+                self.send_header("Content-Length", str(len(encoded)))
+                self.end_headers()
+                self.wfile.write(encoded)
+
+            def log_message(self, *args):
+                pass
+
+        server = ThreadingHTTPServer(("127.0.0.1", 0), _Gzips)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            transport = LiveTransport(timeout_s=5.0)
+            url = Url.parse(f"http://127.0.0.1:{server.server_port}/p")
+            assert transport.fetch(url, max_body_bytes=len(page) + 1).body == page
+            assert transport.fetch(url, max_body_bytes=len(encoded)).body == page[: len(encoded)]
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join()
 
     def test_cookies_neither_stored_nor_sent(self):
         from onto_seeker.netfetch import LiveTransport
