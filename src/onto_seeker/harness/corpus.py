@@ -9,15 +9,14 @@ from pathlib import Path
 
 from ..errors import OntoSeekerError
 from ..netfetch import (
-    MAX_REDIRECTS,
     ConnectionFailed,
     FetchResponse,
+    HopResult,
     MalformedUrl,
     Timeout,
-    TooManyRedirects,
     Url,
+    follow_redirects,
     monotonic_ms,
-    normalize_url,
 )
 
 EXTENSION_TYPES = {
@@ -86,34 +85,20 @@ class CorpusTransport:
         self, url: Url, max_body_bytes: int, issued_at_ms: float | None = None
     ) -> FetchResponse:
         issue_ms = issued_at_ms if issued_at_ms is not None else monotonic_ms()
-        current = url
-        for _hop in range(MAX_REDIRECTS + 1):
-            key = str(current)
-            self.corpus.log_request(key, issue_ms)
-            entry = self.corpus.entries.get(key)
-            if entry is None:
-                raise ConnectionFailed(f"{key}: not in corpus")
-            if entry.hang:
-                raise Timeout(key)
-            if entry.latency_ms > 0 and self.sleep_latency:
-                time.sleep(entry.latency_ms / 1000.0)
-            if 300 <= entry.status < 400 and entry.location is not None:
-                try:
-                    current = normalize_url(current, entry.location)
-                except OntoSeekerError as exc:
-                    raise ConnectionFailed(f"{key}: unusable redirect target: {exc}") from exc
-                continue
-            return FetchResponse(
-                final_url=current,
-                status=entry.status,
-                content_type=entry.content_type,
-                body=entry.body[:max_body_bytes],
-            )
-        raise TooManyRedirects(str(url))
+        return follow_redirects(url, self._hop, max_body_bytes, issue_ms)
 
-
-def media_type_for_path(path: str | Path) -> str:
-    return EXTENSION_TYPES.get(Path(path).suffix.lower(), DEFAULT_TYPE)
+    def _hop(self, url: Url, max_body_bytes: int, issue_ms: float) -> HopResult:
+        key = str(url)
+        self.corpus.log_request(key, issue_ms)
+        entry = self.corpus.entries.get(key)
+        if entry is None:
+            raise ConnectionFailed(f"{key}: not in corpus")
+        if entry.hang:
+            raise Timeout(key)
+        if entry.latency_ms > 0 and self.sleep_latency:
+            time.sleep(entry.latency_ms / 1000.0)
+        response = FetchResponse(url, entry.status, entry.content_type, entry.body[:max_body_bytes])
+        return response, entry.location
 
 
 def corpus_from_dir(path: str | Path, host: str) -> Corpus:
@@ -136,7 +121,8 @@ def corpus_from_dir(path: str | Path, host: str) -> Corpus:
             body = file.read_bytes()
         except OSError as exc:
             raise PathUnreadable(f"{file}: {exc}") from exc
-        entry = CorpusEntry(status=200, content_type=media_type_for_path(file), body=body)
+        media_type = EXTENSION_TYPES.get(file.suffix.lower(), DEFAULT_TYPE)
+        entry = CorpusEntry(status=200, content_type=media_type, body=body)
         corpus.add(prefix + rel, entry)
         if file.name == "index.html":
             parent = file.parent.relative_to(root).as_posix()

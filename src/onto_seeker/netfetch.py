@@ -2,11 +2,18 @@
 the one fetch loop that the crawl and the index share.
 
 Two transports implement the same ``fetch`` contract: :class:`LiveTransport`
-speaks real HTTP, and the corpus transport in :mod:`onto_seeker.harness`
-replays an in-memory corpus for deterministic tests. :func:`fetch_in_order`
-fetches a queue of URLs through the politeness gate and hands the results
-back in the order the URLs were taken from the queue: on the calling thread
-for one worker, on a pool of threads for more.
+speaks HTTP through urllib3, and the corpus transport in
+:mod:`onto_seeker.harness` replays an in-memory corpus for deterministic
+tests. Both make one request per hop and leave redirects to one rule,
+:func:`follow_redirects`. A live fetch never reads a redirect's body, checks
+its one deadline (start + ``timeout_s``) before each hop and between body
+reads, sends no cookies or ``.netrc`` credentials, takes proxies as
+:func:`urllib.request.getproxies` and ``proxy_bypass`` read them (no CIDR
+ranges), and checks TLS against the system trust store (``SSL_CERT_FILE``).
+
+:func:`fetch_in_order` fetches a queue of URLs through the politeness gate
+and hands the results back in the order the URLs were taken from the queue:
+on the calling thread for one worker, on a pool of threads for more.
 """
 
 from __future__ import annotations
@@ -20,16 +27,13 @@ from collections import deque
 from collections.abc import Iterator
 from concurrent import futures
 from dataclasses import dataclass, field
-from http.cookiejar import DefaultCookiePolicy
-from typing import TYPE_CHECKING, Protocol, TypeVar
-from urllib.parse import quote, urlsplit
+from typing import Callable, Protocol, TypeVar
+from urllib.parse import quote, unquote, urlsplit
+from urllib.request import getproxies, proxy_bypass
 
 from . import __version__
 from .errors import OntoSeekerError
 from .rdf.model import InvalidIri, resolve_iri
-
-if TYPE_CHECKING:
-    import requests
 
 DEFAULT_PORTS = {"http": 80, "https": 443}
 SUPPORTED_SCHEMES = frozenset(DEFAULT_PORTS)
@@ -41,6 +45,7 @@ _LINE_BREAKS = re.compile("[\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
 DEFAULT_POLITENESS_MS = 300
 DEFAULT_TIMEOUT_S = 20.0
 MAX_REDIRECTS = 5
+REDIRECT_STATUSES = frozenset((301, 302, 303, 307, 308))
 
 # URLs fetch_in_order may have taken per worker and not yet handed back.
 # Results go back in issue order, so one slow fetch holds back the rest;
@@ -173,6 +178,9 @@ class FetchResponse:
     body: bytes
 
 
+HopResult = tuple[FetchResponse, str | None]  # one request's response and Location
+
+
 class Transport(Protocol):
     """Follows at most MAX_REDIRECTS redirects, returns the first ``max_body_bytes``
     bytes of the body, and raises every transport failure as a FetchError."""
@@ -180,6 +188,24 @@ class Transport(Protocol):
     def fetch(
         self, url: Url, max_body_bytes: int, issued_at_ms: float | None = None
     ) -> FetchResponse: ...
+
+
+def follow_redirects(url: Url, hop: Callable[..., HopResult], *args) -> FetchResponse:
+    """The one redirect rule: ``hop(url, *args)`` makes one request and returns
+    its response and ``Location`` (or None). A 301, 302, 303, 307 or 308 with
+    a Location is followed to ``normalize_url(url, location)``; any other
+    response is returned. An unusable target raises ConnectionFailed, and a
+    redirect after ``MAX_REDIRECTS`` hops raises TooManyRedirects."""
+    current = url
+    for _ in range(MAX_REDIRECTS + 1):
+        resp, location = hop(current, *args)
+        if location is None or resp.status not in REDIRECT_STATUSES:
+            return resp
+        try:
+            current = normalize_url(current, location)
+        except OntoSeekerError as exc:
+            raise ConnectionFailed(f"{current}: unusable redirect target: {exc}") from exc
+    raise TooManyRedirects(str(url))
 
 
 def monotonic_ms() -> float:
@@ -211,12 +237,10 @@ class PolitenessGate:
 
 
 def polite_fetch(
-    transport: Transport,
-    gate: PolitenessGate,
-    url: Url,
-    max_body_bytes: int,
-) -> FetchResponse:
-    """Acquire a slot for url's host, sleep it off, then fetch.
+    transport: Transport, gate: PolitenessGate, url: Url, max_body_bytes: int
+) -> FetchResponse | FetchError:
+    """Acquire a slot for url's host, sleep it off, then fetch; a FetchError
+    is returned, not raised.
 
     The scheduled grant time is forwarded to the transport so corpus request
     logs record scheduler time rather than wall-clock jitter.
@@ -225,14 +249,8 @@ def polite_fetch(
     wait = gate.acquire_slot(url.host, now)
     if wait > 0:
         time.sleep(wait / 1000.0)
-    return transport.fetch(url, max_body_bytes, issued_at_ms=now + wait)
-
-
-def _fetch_or_error(
-    transport: Transport, gate: PolitenessGate, url: Url, max_body_bytes: int
-) -> FetchResponse | FetchError:
     try:
-        return polite_fetch(transport, gate, url, max_body_bytes)
+        return transport.fetch(url, max_body_bytes, issued_at_ms=now + wait)
     except FetchError as exc:
         return exc
 
@@ -261,7 +279,7 @@ def fetch_in_order(
     if workers == 1:
         while pending:
             url, tag = pending.popleft()
-            yield url, tag, _fetch_or_error(transport, gate, url, max_body_bytes)
+            yield url, tag, polite_fetch(transport, gate, url, max_body_bytes)
         return
     window = LOOKAHEAD_PER_WORKER * workers
     in_flight = deque()  # (url, tag, future), oldest first
@@ -270,7 +288,7 @@ def fetch_in_order(
         while True:
             while pending and len(in_flight) < window:
                 url, tag = pending.popleft()
-                fetch = pool.submit(_fetch_or_error, transport, gate, url, max_body_bytes)
+                fetch = pool.submit(polite_fetch, transport, gate, url, max_body_bytes)
                 in_flight.append((url, tag, fetch))
             if not in_flight:
                 return
@@ -280,84 +298,78 @@ def fetch_in_order(
         pool.shutdown(cancel_futures=True)
 
 
-def _strip_media_type(header: str | None) -> str | None:
-    if not header:
-        return None
-    media = header.split(";", 1)[0].strip().lower()
-    return media or None
-
-
 class LiveTransport:
-    """HTTP/1.1 transport with a fixed User-Agent, no cookies, no scripts.
-
-    ``timeout_s`` limits each socket wait and, checked between body reads,
-    the whole fetch: a body still arriving ``timeout_s`` after the fetch
-    started raises Timeout. Each read returns what one socket wait brings, so
-    a body dripped a byte at a time stops at the deadline plus at most one
-    socket wait.
+    """HTTP/1.1 transport on urllib3 with a fixed User-Agent, no cookies, no scripts.
 
     Note: robots.txt is NOT consulted (out of scope for this crawler model);
     be careful pointing this at hosts you do not control.
     """
 
-    def __init__(
-        self,
-        timeout_s: float = DEFAULT_TIMEOUT_S,
-        session: requests.Session | None = None,
-    ):
-        import requests  # only the live transport needs it
+    def __init__(self, timeout_s: float = DEFAULT_TIMEOUT_S):
+        import urllib3  # only the live transport needs it
 
         if not 0 < timeout_s < math.inf:
             raise ValueError(f"timeout_s must be a finite number > 0, not {timeout_s}")
         self.timeout_s = timeout_s
-        if session is None:
-            session = requests.Session()
-            session.cookies.set_policy(DefaultCookiePolicy(allowed_domains=[]))
-        session.max_redirects = MAX_REDIRECTS
         ua = os.environ.get("ONTO_SEEKER_UA") or f"onto-seeker/{__version__}"
-        session.headers["User-Agent"] = ua
-        self._session = session
+        headers = {"User-Agent": ua, "Accept": "*/*"}
+        headers.update(urllib3.util.make_headers(accept_encoding=True))
+        # Ten idle connections per pool, not one, so ten workers can share a host or proxy.
+        self._direct = urllib3.PoolManager(headers=headers, maxsize=10)
+        self._proxied = {}
+        proxies = getproxies()
+        for scheme in SUPPORTED_SCHEMES:
+            proxy = proxies.get(scheme) or proxies.get("all")
+            if proxy:
+                proxy = proxy if "://" in proxy else f"http://{proxy}"
+                auth = urllib3.util.parse_url(proxy).auth
+                auth_headers = auth and urllib3.util.make_headers(proxy_basic_auth=unquote(auth))
+                self._proxied[scheme] = urllib3.ProxyManager(
+                    proxy, headers=headers, proxy_headers=auth_headers, maxsize=10
+                )
 
     def fetch(
         self, url: Url, max_body_bytes: int, issued_at_ms: float | None = None
     ) -> FetchResponse:
-        import requests
-        from urllib3.exceptions import HTTPError, ReadTimeoutError
-
         deadline = time.monotonic() + self.timeout_s
+        return follow_redirects(url, self._hop, max_body_bytes, deadline)
+
+    def _hop(self, url: Url, max_body_bytes: int, deadline: float) -> HopResult:
+        from urllib3 import exceptions as urllib3_errors
+
+        if time.monotonic() > deadline:
+            raise Timeout(f"{url}: not fetched within {self.timeout_s} s")
+        manager = self._proxied.get(url.scheme)
+        if manager is None or proxy_bypass(f"{url.host}:{url.port}"):
+            manager = self._direct
+        body = bytearray()
         try:
-            resp = self._session.get(
-                str(url), timeout=self.timeout_s, stream=True, allow_redirects=True
+            resp = manager.request(
+                "GET", str(url), redirect=False, retries=False, preload_content=False,
+                timeout=self.timeout_s,
             )
-        except requests.Timeout as exc:
-            raise Timeout(str(url)) from exc
-        except requests.TooManyRedirects as exc:
-            raise TooManyRedirects(str(url)) from exc
-        except requests.RequestException as exc:
-            raise ConnectionFailed(f"{url}: {exc}") from exc
-        with resp:
-            body = bytearray()
             try:
-                # read1 returns after one socket wait; iter_content would wait
-                # for a whole chunk, however slowly it drips in.
-                while len(body) < max_body_bytes:
+                redirect = resp.status in REDIRECT_STATUSES
+                location = resp.headers.get("Location") if redirect else None
+                if location is not None:  # http.client reads header bytes as Latin-1
+                    location = location.encode("latin-1").decode("utf-8")
+                # Each read1 is one socket wait; read(amt) would wait for amt
+                # bytes, however slowly they drip in.
+                while location is None and len(body) < max_body_bytes:
                     if time.monotonic() > deadline:
                         raise Timeout(f"{url}: body not read within {self.timeout_s} s")
-                    chunk = resp.raw.read1(65536, decode_content=True)
+                    chunk = resp.read1(min(65536, max_body_bytes - len(body)), decode_content=True)
                     if not chunk:
                         break
                     body += chunk
-            except ReadTimeoutError as exc:
-                raise Timeout(str(url)) from exc
-            except HTTPError as exc:
-                raise ConnectionFailed(f"{url}: body read failed: {exc}") from exc
-            try:
-                final_url = Url.parse(resp.url)
-            except OntoSeekerError as exc:
-                raise ConnectionFailed(f"{url}: unusable final URL: {exc}") from exc
-            return FetchResponse(
-                final_url=final_url,
-                status=resp.status_code,
-                content_type=_strip_media_type(resp.headers.get("Content-Type")),
-                body=bytes(body[:max_body_bytes]),
-            )
+            finally:  # a body read to its end has handed its connection back to the pool
+                resp.close()
+                resp.release_conn()
+        except urllib3_errors.NewConnectionError as exc:  # urllib3 files it under timeouts
+            raise ConnectionFailed(f"{url}: {exc}") from exc
+        except urllib3_errors.TimeoutError as exc:
+            raise Timeout(str(url)) from exc
+        except (urllib3_errors.HTTPError, UnicodeError) as exc:  # a Location not in UTF-8
+            raise ConnectionFailed(f"{url}: {exc}") from exc
+        content_type = resp.headers.get("Content-Type", "").split(";", 1)[0].strip().lower()
+        return FetchResponse(url, resp.status, content_type or None, bytes(body)), location

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import ssl
+import sys
 import threading
+import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
@@ -29,6 +33,9 @@ settings.load_profile("fast")
 FIXTURES = Path(__file__).parent / "fixtures"
 
 FIXTURE_HOST = "fixture.test"
+
+# A self-signed certificate for 127.0.0.1, valid until 2126.
+TLS_CERT = FIXTURES / "tls" / "cert.pem"
 
 _G1_RDFXML = b"""<?xml version="1.0" encoding="UTF-8"?>
 <rdf:RDF xmlns:rdf="http://www.w3.org/1999/02/22-rdf-syntax-ns#"
@@ -275,3 +282,96 @@ def canonical_triples(triples: list[Triple]) -> frozenset[Triple]:
 def site42():
     spec = SiteSpec(seed=42, page_count=200, ontology_count=25, max_link_depth=4)
     return spec, make_synthetic_site(spec)
+
+
+class QuietHandler(BaseHTTPRequestHandler):
+    """A request handler that logs nothing."""
+
+    def log_message(self, *args):
+        pass
+
+
+class _LoopbackServer(ThreadingHTTPServer):
+    def handle_error(self, request, client_address):
+        # A client that hangs up early (a capped body, a timeout) is expected.
+        if not isinstance(sys.exc_info()[1], OSError):
+            super().handle_error(request, client_address)
+
+
+# Proxy settings a CI runner may carry; cleared so no test traffic leaves 127.0.0.1.
+_PROXY_VARS = ("http_proxy", "https_proxy", "all_proxy", "no_proxy")
+
+
+@pytest.fixture
+def loopback(monkeypatch):
+    """``serve(handler_class)`` runs a ThreadingHTTPServer on 127.0.0.1 and
+    returns its base URL; ``tls=True`` serves https with the certificate
+    ``TLS_CERT`` for 127.0.0.1. Every server stops when the test ends. Proxy
+    variables are cleared, so a LiveTransport made in the test connects
+    straight to the server. ``serve.stop`` is set at teardown, before the
+    servers shut down, to release handlers that wait on it."""
+    for name in _PROXY_VARS:
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+    servers = []
+
+    def serve(handler: type[BaseHTTPRequestHandler], tls: bool = False) -> str:
+        server = _LoopbackServer(("127.0.0.1", 0), handler)
+        if tls:
+            context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+            context.load_cert_chain(TLS_CERT, FIXTURES / "tls" / "key.pem")
+            server.socket = context.wrap_socket(server.socket, server_side=True)
+        thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
+        thread.start()
+        servers.append((server, thread))
+        return f"{'https' if tls else 'http'}://127.0.0.1:{server.server_port}"
+
+    serve.stop = threading.Event()
+    yield serve
+    serve.stop.set()
+    for server, thread in servers:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+
+
+def _corpus_proxy_handler(corpus: Corpus, stop: threading.Event) -> type[BaseHTTPRequestHandler]:
+    """A forward proxy that answers each request from ``corpus``: it looks the
+    request's absolute URL up in ``corpus.entries`` and sends the entry's
+    status, Content-Type, Location (as UTF-8), body and latency. A URL not in
+    the corpus gets the connection closed with no response; a ``hang`` entry
+    gets no response until ``stop`` is set."""
+
+    class CorpusProxy(QuietHandler):
+        def do_GET(self):
+            entry = corpus.entries.get(self.path)
+            if entry is None or entry.hang:
+                if entry is not None:
+                    stop.wait()
+                self.close_connection = True
+                return
+            if entry.latency_ms > 0:
+                time.sleep(entry.latency_ms / 1000.0)
+            self.send_response(entry.status)
+            if entry.content_type is not None:
+                self.send_header("Content-Type", entry.content_type)
+            if entry.location is not None:  # send_header writes Latin-1
+                self.send_header("Location", entry.location.encode().decode("latin-1"))
+            self.send_header("Content-Length", str(len(entry.body)))
+            self.end_headers()
+            self.wfile.write(entry.body)
+
+    return CorpusProxy
+
+
+@pytest.fixture
+def corpus_proxy(loopback, monkeypatch):
+    """``serve(corpus)`` starts a loopback forward proxy for ``corpus`` and
+    points ``http_proxy`` at it, so a LiveTransport made afterwards fetches
+    every http URL of the corpus from 127.0.0.1, with no DNS."""
+
+    def serve(corpus: Corpus) -> None:
+        monkeypatch.setenv("http_proxy", loopback(_corpus_proxy_handler(corpus, loopback.stop)))
+
+    return serve

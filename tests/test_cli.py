@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build_parts
+from conftest import QuietHandler, build_parts
 from onto_seeker import cli
 from onto_seeker.cli import main
 from onto_seeker.indexer import read_index, write_index
@@ -132,6 +132,35 @@ class TestCmdCrawl:
         assert "timeout_s" in captured.err
         assert not out.exists()
 
+    def test_live_redirect_to_a_location_not_in_utf8_is_a_counted_error(
+        self, tmp_path, capsys, loopback
+    ):
+        class _Site(QuietHandler):
+            def do_GET(self):
+                if self.path == "/":
+                    self.send_response(200)
+                    self.send_header("Content-Type", "text/html")
+                    body = b'<a href="/moved.html">m</a><a href="/o.owl">o</a>'
+                else:
+                    self.send_response(302)
+                    self.send_header("Location", "/caf\xe9.html")  # the byte 0xE9
+                    body = b""
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+
+        out = tmp_path / "urls.txt"
+        code = main(
+            ["crawl", "--live", "--seed-url", loopback(_Site) + "/", "--max-pages", "5",
+             "--politeness-ms", "0", "--timeout-s", "5", "--out", str(out), "--format", "tsv"]
+        )
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert code == 0
+        report = dict(line.split("\t", 1) for line in captured.out.splitlines())
+        assert (report["pages_fetched"], report["errors"]) == ("2", "1")
+        assert out.read_text().endswith("/o.owl\n")
+
     @pytest.mark.parametrize(
         "site_json", ["[1]", "{}", '{"entries": {"http://h.test/": 5}}', "{"]
     )
@@ -170,10 +199,11 @@ class TestCmdCrawl:
         assert out.read_text() == "http://fixture.test/later.owl\n"
 
 
-# Blocks the import of requests, then runs the offline engine from the CLI.
-_WITHOUT_REQUESTS = """
+# Blocks the import of urllib3 and requests, then runs the offline engine
+# from the CLI.
+_OFFLINE = """
 import sys
-sys.modules["requests"] = None  # "import requests" now raises ImportError
+sys.modules["urllib3"] = sys.modules["requests"] = None  # their import now raises ImportError
 from onto_seeker import cli, crawler, indexer, query
 site, work = sys.argv[1], sys.argv[2]
 assert cli.main(["gen-corpus", "--seed", "7", "--pages", "20", "--ontologies", "3",
@@ -185,17 +215,41 @@ assert cli.main(["pipeline", "--corpus-dir", site, "--seed-url", root, "--max-pa
 print(indexer.read_index(work + "/idx").manifest.doc_count)
 """
 
+# Blocks the import of requests, then makes one live fetch.
+_LIVE_WITHOUT_REQUESTS = """
+import sys
+sys.modules["requests"] = None
+from onto_seeker.netfetch import LiveTransport, Url
+print(LiveTransport(timeout_s=5.0).fetch(Url.parse(sys.argv[1]), 1024).body.decode())
+"""
+
+
+def _run_python(code: str, *args: str) -> subprocess.CompletedProcess:
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=60,
+    )
+
 
 class TestWithoutRequests:
-    def test_offline_engine_runs_without_requests(self, tmp_path):
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        done = subprocess.run(
-            [sys.executable, "-c", _WITHOUT_REQUESTS, str(tmp_path / "site"), str(tmp_path)],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=60,
-        )
+    def test_offline_engine_runs_without_urllib3(self, tmp_path):
+        done = _run_python(_OFFLINE, str(tmp_path / "site"), str(tmp_path))
         assert done.returncode == 0, done.stderr
         assert int(done.stdout.splitlines()[-1]) > 0
+
+    def test_live_fetch_runs_without_requests(self, loopback):
+        class _Hello(QuietHandler):
+            def do_GET(self):
+                self.send_response(200)
+                self.send_header("Content-Length", "5")
+                self.end_headers()
+                self.wfile.write(b"hello")
+
+        done = _run_python(_LIVE_WITHOUT_REQUESTS, loopback(_Hello) + "/p")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "hello"
 
 
 class TestCmdIndex:

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import base64
 import gzip
+import socket
 import threading
 import time
+import tracemalloc
 from collections import deque
 from contextlib import closing
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import quote
 
 import pytest
@@ -13,12 +15,21 @@ import urllib3
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ThreadRecorder
-from onto_seeker.harness import Corpus, CorpusEntry, CorpusTransport
+from conftest import TLS_CERT, QuietHandler, ThreadRecorder
+from onto_seeker.crawler import CrawlConfig, crawl
+from onto_seeker.harness import (
+    Corpus,
+    CorpusEntry,
+    CorpusTransport,
+    SiteSpec,
+    make_synthetic_site,
+)
+from onto_seeker.indexer import IndexLimits, build_index
 from onto_seeker.netfetch import (
     _LINE_BREAKS,
     ConnectionFailed,
     FetchResponse,
+    LiveTransport,
     MalformedUrl,
     PolitenessGate,
     Timeout,
@@ -389,124 +400,214 @@ class TestCorpusFetch:
         resp = transport.fetch(Url.parse("http://h.test/p"), max_body_bytes=limit)
         assert len(resp.body) <= limit
 
-    def test_redirect_chain_records_final_url(self):
-        corpus = Corpus()
-        corpus.add("http://h.test/a", CorpusEntry(301, None, b"", location="/b"))
-        corpus.add("http://h.test/b", CorpusEntry(302, None, b"", location="http://g.test/c"))
-        corpus.add("http://g.test/c", CorpusEntry(200, "text/html", b"end"))
-        transport = CorpusTransport(corpus)
-        resp = transport.fetch(Url.parse("http://h.test/a"), max_body_bytes=1024)
-        assert str(resp.final_url) == "http://g.test/c"
-        assert resp.body == b"end"
 
-    @pytest.mark.parametrize("location", ["ftp://files.test/o.owl", "http://[::1"])
-    def test_unusable_redirect_target_is_connection_failed(self, location):
-        corpus = Corpus()
-        corpus.add("http://h.test/a", CorpusEntry(301, None, b"", location=location))
-        transport = CorpusTransport(corpus)
-        with pytest.raises(ConnectionFailed):
-            transport.fetch(Url.parse("http://h.test/a"), max_body_bytes=1024)
+# One corpus for the redirect rule: every 3xx the rule follows, relative,
+# cross-host and protocol-relative Locations, and the responses it returns.
+REDIRECTS = {
+    "http://h.test/r301": CorpusEntry(301, None, b"", location="/r302"),
+    "http://h.test/r302": CorpusEntry(302, "text/html", b"moved", location="http://g.test/d/r303"),
+    "http://g.test/d/r303": CorpusEntry(303, None, b"", location="../r307?x=1"),
+    "http://g.test/r307?x=1": CorpusEntry(307, None, b"", location="//h.test/r308"),
+    "http://h.test/r308": CorpusEntry(308, None, b"", location="end.html#top"),
+    "http://h.test/end.html": CorpusEntry(200, "text/html", b"the end"),
+    "http://h.test/no-location": CorpusEntry(302, "text/plain", b"nowhere"),
+    "http://h.test/multiple": CorpusEntry(300, "text/html", b"choose", location="/end.html"),
+    "http://h.test/not-modified": CorpusEntry(304, None, b"", location="/end.html"),
+    "http://h.test/ftp": CorpusEntry(302, None, b"", location="ftp://files.test/o.owl"),
+    "http://h.test/bracket": CorpusEntry(302, None, b"", location="http://[::1"),
+    "http://h.test/to-missing": CorpusEntry(302, None, b"", location="/missing"),
+    "http://h.test/404": CorpusEntry(404, "text/html", b"gone"),
+    "http://h.test/hang": CorpusEntry(hang=True),
+    **{
+        f"http://h.test/loop{i}": CorpusEntry(301, None, b"", location=f"/loop{(i + 1) % 6}")
+        for i in range(6)
+    },
+}
 
-    def test_redirect_loop_raises_after_five(self):
-        corpus = Corpus()
-        corpus.add("http://h.test/a", CorpusEntry(301, None, b"", location="/b"))
-        corpus.add("http://h.test/b", CorpusEntry(301, None, b"", location="/a"))
-        transport = CorpusTransport(corpus)
+
+@pytest.fixture(params=["corpus", "live"])
+def transport_over(request, corpus_proxy):
+    """Makes the transport under test for a corpus: CorpusTransport, or a
+    LiveTransport fetching it through the loopback proxy."""
+
+    def make(corpus: Corpus, timeout_s: float = 5.0):
+        if request.param == "corpus":
+            return CorpusTransport(corpus)
+        corpus_proxy(corpus)
+        return LiveTransport(timeout_s=timeout_s)
+
+    return make
+
+
+class TestRedirectParity:
+    """Both transports follow redirects by netfetch.follow_redirects alone."""
+
+    @pytest.mark.parametrize(
+        "start,expected",
+        [
+            ("http://h.test/r301", ("http://h.test/end.html", 200, "text/html", b"the end")),
+            ("http://g.test/r307?x=1", ("http://h.test/end.html", 200, "text/html", b"the end")),
+            ("http://h.test/end.html", ("http://h.test/end.html", 200, "text/html", b"the end")),
+            ("http://h.test/no-location",
+             ("http://h.test/no-location", 302, "text/plain", b"nowhere")),
+            ("http://h.test/multiple", ("http://h.test/multiple", 300, "text/html", b"choose")),
+            ("http://h.test/not-modified", ("http://h.test/not-modified", 304, None, b"")),
+            ("http://h.test/404", ("http://h.test/404", 404, "text/html", b"gone")),
+            ("http://h.test/ftp", ConnectionFailed),
+            ("http://h.test/bracket", ConnectionFailed),
+            ("http://h.test/to-missing", ConnectionFailed),
+            ("http://h.test/loop0", TooManyRedirects),
+        ],
+    )
+    def test_one_rule_on_both_transports(self, transport_over, start, expected):
+        transport = transport_over(Corpus(dict(REDIRECTS)))
+        if isinstance(expected, type):
+            with pytest.raises(expected):
+                transport.fetch(Url.parse(start), max_body_bytes=1024)
+            return
+        resp = transport.fetch(Url.parse(start), max_body_bytes=1024)
+        assert (str(resp.final_url), resp.status, resp.content_type, resp.body) == expected
+
+    def test_five_redirects_are_followed_and_a_sixth_is_not(self, transport_over):
+        corpus = Corpus(dict(REDIRECTS))
+        corpus.add("http://h.test/loop5", CorpusEntry(301, None, b"", location="/out"))
+        corpus.add("http://h.test/out", CorpusEntry(200, "text/html", b"out"))
+        transport = transport_over(corpus)
+        resp = transport.fetch(Url.parse("http://h.test/loop1"), max_body_bytes=1024)
+        assert (str(resp.final_url), resp.body) == ("http://h.test/out", b"out")
         with pytest.raises(TooManyRedirects):
-            transport.fetch(Url.parse("http://h.test/a"), max_body_bytes=1024)
+            transport.fetch(Url.parse("http://h.test/loop0"), max_body_bytes=1024)
+
+    def test_hang_is_timeout(self, transport_over):
+        transport = transport_over(Corpus(dict(REDIRECTS)), timeout_s=0.2)
+        with pytest.raises(Timeout):
+            transport.fetch(Url.parse("http://h.test/hang"), max_body_bytes=1024)
 
 
-class _FakeResponse:
-    def __init__(self, url: str, body: bytes, content_type: str):
-        self.status_code = 200
-        self.url = url
-        self.headers = {"Content-Type": content_type}
-        self._body = body
-        self.raw = self
+@pytest.mark.parametrize("workers", [1, 4])
+def test_pipeline_output_equal_through_the_live_transport(tmp_path, corpus_proxy, workers):
+    corpus, truth = make_synthetic_site(
+        SiteSpec(seed=7, page_count=120, ontology_count=30, host_count=3)
+    )
+    corpus_proxy(corpus)
+    outputs = []
+    for name, transport in [("corpus", CorpusTransport(corpus)), ("live", LiveTransport(5.0))]:
+        config = CrawlConfig(
+            seed_urls=(Url.parse(truth.root_url),),
+            max_pages=120,
+            worker_count=workers,
+            politeness_ms=0,
+            output_path=str(tmp_path / name / "urls.txt"),
+        )
+        (tmp_path / name).mkdir()
+        crawl(config, transport)
+        build_index(
+            tmp_path / name / "urls.txt", transport, IndexLimits(politeness_ms=0),
+            tmp_path / name / "idx", created_at="fixed",
+        )
+        files = ["urls.txt", "idx/docs.tsv", "idx/postings.tsv", "idx/manifest.json"]
+        outputs.append({f: (tmp_path / name / f).read_bytes() for f in files})
+    assert outputs[0] == outputs[1]
+    assert set(outputs[0]["urls.txt"].decode().split()) == truth.reachable_ontology_urls
 
-    def read1(self, amt, decode_content):
-        chunk, self._body = self._body[:amt], self._body[amt:]
-        return chunk
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
+def _handler(respond):
+    """A one-off handler class whose GET calls ``respond(handler)``."""
+    return type("OneOff", (QuietHandler,), {"do_GET": respond})
 
 
-class _BrokenBodyResponse(_FakeResponse):
-    """Sends one chunk, then the connection drops mid-body."""
-
-    def read1(self, amt, decode_content):
-        if self._body:
-            return super().read1(amt, decode_content)
-        raise urllib3.exceptions.ProtocolError("connection broken mid-chunk")
-
-
-class _FakeSession:
-    def __init__(self, response: _FakeResponse):
-        self.headers: dict[str, str] = {}
-        self.max_redirects = None
-        self.response = response
-        self.calls: list[tuple] = []
-
-    def get(self, url, timeout, stream, allow_redirects):
-        self.calls.append((url, timeout, stream, allow_redirects))
-        return self.response
+def _send(handler, status=200, body=b"ok", **headers):
+    handler.send_response(status)
+    for name, value in headers.items():
+        handler.send_header(name.replace("_", "-"), value)
+    handler.send_header("Content-Length", str(len(body)))
+    handler.end_headers()
+    handler.wfile.write(body)
 
 
 class TestLiveTransport:
-    def test_user_agent_and_redirect_cap_configured(self):
+    def test_server_sees_user_agent(self, loopback):
         from onto_seeker import __version__
-        from onto_seeker.netfetch import LiveTransport
 
-        session = _FakeSession(_FakeResponse("http://h.test/p", b"ok", "text/html"))
-        transport = LiveTransport(session=session)
-        assert session.headers["User-Agent"] == f"onto-seeker/{__version__}"
-        assert session.max_redirects == 5
+        seen = []
+        base = loopback(_handler(lambda h: seen.append(h.headers["User-Agent"]) or _send(h)))
+        LiveTransport().fetch(Url.parse(base + "/p"), max_body_bytes=1024)
+        assert seen == [f"onto-seeker/{__version__}"]
 
-    def test_env_var_overrides_user_agent(self, monkeypatch):
-        from onto_seeker.netfetch import LiveTransport
-
+    def test_env_var_overrides_user_agent(self, loopback, monkeypatch):
         monkeypatch.setenv("ONTO_SEEKER_UA", "research-bot/9")
-        session = _FakeSession(_FakeResponse("http://h.test/p", b"", "text/html"))
-        LiveTransport(session=session)
-        assert session.headers["User-Agent"] == "research-bot/9"
+        seen = []
+        base = loopback(_handler(lambda h: seen.append(h.headers["User-Agent"]) or _send(h)))
+        LiveTransport().fetch(Url.parse(base + "/p"), max_body_bytes=1024)
+        assert seen == ["research-bot/9"]
 
-    def test_media_type_params_stripped_and_body_capped(self):
-        from onto_seeker.netfetch import LiveTransport
-
-        session = _FakeSession(
-            _FakeResponse("http://h.test/p", b"x" * 100, "Text/HTML; charset=utf-8")
+    def test_media_type_params_stripped_and_body_capped(self, loopback):
+        base = loopback(
+            _handler(lambda h: _send(h, body=b"x" * 100, Content_Type="Text/HTML; charset=utf-8"))
         )
-        transport = LiveTransport(session=session)
-        resp = transport.fetch(Url.parse("http://h.test/p"), max_body_bytes=10)
-        assert resp.content_type == "text/html"
-        assert len(resp.body) == 10
-        assert str(resp.final_url) == "http://h.test/p"
+        resp = LiveTransport().fetch(Url.parse(base + "/p"), max_body_bytes=10)
+        assert (resp.content_type, resp.body) == ("text/html", b"x" * 10)
+        assert str(resp.final_url) == base + "/p"
 
-    def test_failed_body_read_is_connection_failed(self):
-        from onto_seeker.netfetch import LiveTransport
+    def test_connection_closed_mid_body_is_connection_failed(self, loopback):
+        def respond(handler):
+            handler.send_response(200)
+            handler.send_header("Content-Length", "100")
+            handler.end_headers()
+            handler.wfile.write(b"x" * 10)  # then the handler returns and closes
 
-        session = _FakeSession(_BrokenBodyResponse("http://h.test/p", b"x" * 100, "text/html"))
-        transport = LiveTransport(session=session)
+        base = loopback(_handler(respond))
         with pytest.raises(ConnectionFailed) as err:
-            transport.fetch(Url.parse("http://h.test/p"), max_body_bytes=1024)
-        assert isinstance(err.value.__cause__, urllib3.exceptions.ProtocolError)
+            LiveTransport().fetch(Url.parse(base + "/p"), max_body_bytes=1024)
+        assert isinstance(err.value.__cause__, urllib3.exceptions.HTTPError)
+
+    def test_refused_port_is_connection_failed(self):
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]  # nothing listens once it closes
+        with pytest.raises(ConnectionFailed):
+            LiveTransport().fetch(Url.parse(f"http://127.0.0.1:{port}/p"), max_body_bytes=1024)
+
+    def test_path_is_sent_percent_encoded(self, loopback):
+        seen = []
+        base = loopback(_handler(lambda h: seen.append(h.path) or _send(h)))
+        resp = LiveTransport().fetch(Url.parse(base + "/a b/é.owl?q=é 1"), 1024)
+        assert seen == ["/a%20b/%C3%A9.owl?q=%C3%A9%201"]
+        assert resp.final_url.path == "/a b/é.owl"
+
+    def test_proxy_credentials_are_sent_to_the_proxy(self, loopback, monkeypatch):
+        seen = []
+        proxy = loopback(
+            _handler(lambda h: seen.append(h.headers["Proxy-Authorization"]) or _send(h))
+        )
+        monkeypatch.setenv("http_proxy", proxy.replace("http://", "http://bot:p%40ss@"))
+        LiveTransport().fetch(Url.parse("http://h.test/p"), max_body_bytes=1024)
+        assert seen == ["Basic " + base64.b64encode(b"bot:p@ss").decode()]
+
+    def test_no_proxy_host_is_fetched_directly(self, loopback, monkeypatch):
+        direct = loopback(_handler(lambda h: _send(h, body=b"direct")))
+        proxy = loopback(_handler(lambda h: _send(h, body=b"proxied")))
+        monkeypatch.setenv("http_proxy", proxy.removeprefix("http://"))
+        monkeypatch.setenv("no_proxy", "example.org,127.0.0.1")
+        assert LiveTransport().fetch(Url.parse(direct + "/p"), 1024).body == b"direct"
+        monkeypatch.setenv("no_proxy", "example.org")
+        assert LiveTransport().fetch(Url.parse(direct + "/p"), 1024).body == b"proxied"
+
+    def test_tls_is_verified_against_the_trust_store(self, loopback, monkeypatch):
+        url = Url.parse(loopback(_handler(lambda h: _send(h, body=b"secure")), tls=True) + "/p")
+        with pytest.raises(ConnectionFailed, match="CERTIFICATE_VERIFY_FAILED"):
+            LiveTransport().fetch(url, max_body_bytes=1024)
+        monkeypatch.setenv("SSL_CERT_FILE", str(TLS_CERT))
+        assert LiveTransport().fetch(url, max_body_bytes=1024).body == b"secure"
 
     @pytest.mark.parametrize("timeout_s", [0, -1.0, float("nan"), float("inf")])
     def test_timeout_must_be_finite_and_positive(self, timeout_s):
-        from onto_seeker.netfetch import LiveTransport
-
         with pytest.raises(ValueError, match="timeout_s"):
             LiveTransport(timeout_s=timeout_s)
 
     @pytest.mark.parametrize("framing", ["Content-Length", "chunked"])
-    def test_dripped_body_times_out_soon_after_the_deadline(self, framing):
-        from onto_seeker.netfetch import LiveTransport
-
-        class _Drips(BaseHTTPRequestHandler):
+    def test_dripped_body_times_out_soon_after_the_deadline(self, loopback, framing):
+        class _Drips(QuietHandler):
             protocol_version = "HTTP/1.1"
 
             def do_GET(self):
@@ -517,95 +618,125 @@ class TestLiveTransport:
                 else:
                     self.send_header("Content-Length", "40")
                 self.end_headers()
-                try:
-                    for _ in range(40):  # one byte every 0.1 s: 4 s in all
-                        self.wfile.write(b"1\r\nx\r\n" if framing == "chunked" else b"x")
-                        self.wfile.flush()
-                        time.sleep(0.1)
-                except OSError:
-                    pass
+                for _ in range(40):  # one byte every 0.1 s: 4 s in all
+                    self.wfile.write(b"1\r\nx\r\n" if framing == "chunked" else b"x")
+                    self.wfile.flush()
+                    time.sleep(0.1)
 
-            def log_message(self, *args):
-                pass
-
-        server = ThreadingHTTPServer(("127.0.0.1", 0), _Drips)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            transport = LiveTransport(timeout_s=0.5)
-            url = Url.parse(f"http://127.0.0.1:{server.server_port}/p")
-            started = time.monotonic()
-            with pytest.raises(Timeout):
-                transport.fetch(url, max_body_bytes=1024)
-            took = time.monotonic() - started
-        finally:
-            server.shutdown()
-            server.server_close()
-            thread.join()
+        url = Url.parse(loopback(_Drips) + "/p")
+        started = time.monotonic()
+        with pytest.raises(Timeout):
+            LiveTransport(timeout_s=0.5).fetch(url, max_body_bytes=1024)
         # The deadline plus at most one socket wait (here a 0.1 s drip).
-        assert 0.5 <= took < 1.5
+        assert 0.5 <= time.monotonic() - started < 1.5
 
-    def test_gzip_body_is_decoded_and_capped_in_decoded_bytes(self):
-        from onto_seeker.netfetch import LiveTransport
-
+    def test_gzip_body_is_decoded_and_capped_in_decoded_bytes(self, loopback):
         page = b"<p>hello</p>" * 1000
         encoded = gzip.compress(page)
+        base = loopback(
+            _handler(lambda h: _send(h, body=encoded, Content_Type="text/html",
+                                     Content_Encoding="gzip"))
+        )
+        transport = LiveTransport(timeout_s=5.0)
+        url = Url.parse(base + "/p")
+        assert transport.fetch(url, max_body_bytes=len(page) + 1).body == page
+        assert transport.fetch(url, max_body_bytes=len(encoded)).body == page[: len(encoded)]
 
-        class _Gzips(BaseHTTPRequestHandler):
-            def do_GET(self):
-                self.send_response(200)
-                self.send_header("Content-Type", "text/html")
-                self.send_header("Content-Encoding", "gzip")
-                self.send_header("Content-Length", str(len(encoded)))
-                self.end_headers()
-                self.wfile.write(encoded)
-
-            def log_message(self, *args):
-                pass
-
-        server = ThreadingHTTPServer(("127.0.0.1", 0), _Gzips)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            transport = LiveTransport(timeout_s=5.0)
-            url = Url.parse(f"http://127.0.0.1:{server.server_port}/p")
-            assert transport.fetch(url, max_body_bytes=len(page) + 1).body == page
-            assert transport.fetch(url, max_body_bytes=len(encoded)).body == page[: len(encoded)]
-        finally:
-            server.shutdown()
-            server.server_close()
-            thread.join()
-
-    def test_cookies_neither_stored_nor_sent(self):
-        from onto_seeker.netfetch import LiveTransport
-
+    def test_cookies_neither_stored_nor_sent(self, loopback):
         sent_cookies = []
 
-        class _SetsCookies(BaseHTTPRequestHandler):
+        class _SetsCookies(QuietHandler):
             def do_GET(self):
                 sent_cookies.append(self.headers.get("Cookie"))
                 self.send_response(200)
-                self.send_header("Content-Type", "text/html")
                 self.send_header("Set-Cookie", "session=abc; Path=/")
                 self.send_header("Set-Cookie", "track=1; Path=/; Max-Age=3600")
                 self.send_header("Content-Length", "2")
                 self.end_headers()
                 self.wfile.write(b"ok")
 
-            def log_message(self, *args):
-                pass
-
-        server = ThreadingHTTPServer(("127.0.0.1", 0), _SetsCookies)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            transport = LiveTransport(timeout_s=5.0)
-            url = Url.parse(f"http://127.0.0.1:{server.server_port}/p")
-            for _ in range(2):
-                assert transport.fetch(url, max_body_bytes=1024).body == b"ok"
-        finally:
-            server.shutdown()
-            server.server_close()
-            thread.join()
-        assert len(transport._session.cookies) == 0
+        transport = LiveTransport(timeout_s=5.0)
+        url = Url.parse(loopback(_SetsCookies) + "/p")
+        for _ in range(2):
+            assert transport.fetch(url, max_body_bytes=1024).body == b"ok"
         assert sent_cookies == [None, None]
+
+
+class TestLiveRedirects:
+    """What the live transport does with a redirect before the shared rule
+    sees it: its body is never read, and the fetch's one deadline spans all
+    hops."""
+
+    def test_location_not_utf8_is_an_unusable_target(self, loopback):
+        base = loopback(_handler(lambda h: _send(h, 302, b"", Location="/caf\xe9")))
+        with pytest.raises(ConnectionFailed, match="utf-8"):
+            LiveTransport().fetch(Url.parse(base + "/p"), max_body_bytes=1024)
+
+    def test_location_in_utf8_is_followed(self, loopback):
+        def respond(handler):
+            if handler.path == "/p":
+                _send(handler, 302, b"", Location="/café".encode().decode("latin-1"))
+            else:
+                _send(handler, body=handler.path.encode())
+
+        base = loopback(_handler(respond))
+        resp = LiveTransport().fetch(Url.parse(base + "/p"), max_body_bytes=1024)
+        assert (resp.final_url.path, resp.body) == ("/café", b"/caf%C3%A9")
+
+    def test_dripped_redirect_body_is_not_read(self, loopback):
+        def respond(handler):
+            if handler.path != "/p":
+                return _send(handler, body=b"target")
+            handler.send_response(302)
+            handler.send_header("Location", "/target")
+            handler.send_header("Content-Length", "40")
+            handler.end_headers()
+            for _ in range(40):  # one byte every 0.1 s: 4 s in all
+                handler.wfile.write(b"x")
+                handler.wfile.flush()
+                time.sleep(0.1)
+
+        base = loopback(_handler(respond))
+        started = time.monotonic()
+        resp = LiveTransport(timeout_s=0.5).fetch(Url.parse(base + "/p"), max_body_bytes=1024)
+        assert resp.body == b"target"
+        assert time.monotonic() - started < 0.4
+
+    def test_large_redirect_body_is_not_read(self, loopback):
+        chunk = b"x" * (1 << 20)
+
+        def respond(handler):
+            if handler.path != "/p":
+                return _send(handler, body=b"target")
+            handler.send_response(302)
+            handler.send_header("Location", "/target")
+            handler.send_header("Content-Length", str(64 * len(chunk)))
+            handler.end_headers()
+            for _ in range(64):
+                handler.wfile.write(chunk)
+
+        base = loopback(_handler(respond))
+        transport = LiveTransport(timeout_s=5.0)
+        tracemalloc.start()
+        try:
+            resp = transport.fetch(Url.parse(base + "/p"), max_body_bytes=1024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert resp.body == b"target"
+        assert peak < 1 << 20
+
+    def test_one_deadline_spans_every_hop(self, loopback):
+        def respond(handler):
+            hop = int(handler.path.strip("/"))
+            time.sleep(0.2)  # before the headers: each socket wait is short
+            if hop < 4:
+                _send(handler, 302, b"", Location=f"/{hop + 1}")
+            else:
+                _send(handler, body=b"arrived")
+
+        base = loopback(_handler(respond))
+        started = time.monotonic()
+        with pytest.raises(Timeout):
+            LiveTransport(timeout_s=0.5).fetch(Url.parse(base + "/0"), max_body_bytes=1024)
+        assert time.monotonic() - started < 0.9
