@@ -23,7 +23,6 @@ from .harness import (
     PathUnreadable,
     SiteDirUnwritable,
     SiteSpec,
-    SpecInvalid,
     corpus_from_dir,
     load_site_dir,
     make_synthetic_site,
@@ -70,7 +69,7 @@ class _Parser(argparse.ArgumentParser):
 # Failure -> (exit code, stderr line after "error: "); the first class that
 # matches wins, so a subclass comes before its base.
 _FAILURES = (
-    ((_UsageError, SpecInvalid), EXIT_USAGE, "{}"),
+    (_UsageError, EXIT_USAGE, "{}"),
     (EmptyQuery, EXIT_USAGE, "unusable query: {}"),
     (SiteDirUnwritable, EXIT_INPUT, "cannot write site folder: {}"),
     (OutputUnwritable, EXIT_INPUT, "cannot write URL list: {}"),
@@ -162,7 +161,8 @@ def _add_site_spec_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _site_spec(args) -> SiteSpec:
-    return SiteSpec(
+    return _checked(
+        SiteSpec,
         seed=args.seed,
         page_count=args.pages,
         ontology_count=args.ontologies,

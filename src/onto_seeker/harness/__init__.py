@@ -9,7 +9,6 @@ from .synth import (
     GroundTruth,
     SiteDirUnwritable,
     SiteSpec,
-    SpecInvalid,
     load_ground_truth,
     load_site_dir,
     make_synthetic_site,
@@ -28,7 +27,6 @@ __all__ = [
     "PathUnreadable",
     "SiteDirUnwritable",
     "SiteSpec",
-    "SpecInvalid",
     "corpus_from_dir",
     "load_ground_truth",
     "load_site_dir",

@@ -12,7 +12,6 @@ from pathlib import Path
 from xml.sax.saxutils import escape, quoteattr
 
 from ..crawler import OutputUnwritable
-from ..errors import OntoSeekerError
 from ..netfetch import Url
 from ..rdf.model import (
     Literal,
@@ -37,10 +36,6 @@ WORDS = (
 VERBS = ("controls", "feeds", "tracks", "binds", "maps", "emits")
 
 
-class SpecInvalid(OntoSeekerError):
-    pass
-
-
 class SiteDirUnwritable(OutputUnwritable):
     """The site folder (or a file in it) could not be written."""
 
@@ -55,21 +50,21 @@ class SiteSpec:
     host_count: int = 1
     latency_ms: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.page_count < 1:
-            raise SpecInvalid("page_count must be >= 1")
+            raise ValueError("page_count must be >= 1")
         if not 0 <= self.ontology_count <= self.page_count:
-            raise SpecInvalid("ontology_count must be between 0 and page_count")
+            raise ValueError("ontology_count must be between 0 and page_count")
         if self.max_link_depth < 0:
-            raise SpecInvalid("max_link_depth must be >= 0")
+            raise ValueError("max_link_depth must be >= 0")
         if self.max_link_depth == 0 and self.page_count > 1:
-            raise SpecInvalid("page_count > 1 needs max_link_depth >= 1")
+            raise ValueError("page_count > 1 needs max_link_depth >= 1")
         if self.branching < 1:
-            raise SpecInvalid("branching must be >= 1")
+            raise ValueError("branching must be >= 1")
         if self.host_count < 1:
-            raise SpecInvalid("host_count must be >= 1")
+            raise ValueError("host_count must be >= 1")
         if self.latency_ms < 0:
-            raise SpecInvalid("latency_ms must be >= 0")
+            raise ValueError("latency_ms must be >= 0")
 
 
 @dataclass
@@ -318,7 +313,6 @@ def _page_html(page: _Page, rng: random.Random, title_no: int) -> bytes:
 
 def make_synthetic_site(spec: SiteSpec) -> tuple[Corpus, GroundTruth]:
     """Generate the corpus and its exact ground truth from a seeded PRNG."""
-    spec.validate()
     rng = random.Random(spec.seed)
     hosts = [f"host{i}.example" for i in range(spec.host_count)]
 
@@ -459,8 +453,6 @@ def write_site_dir(
 def load_site_dir(site_dir: str | Path) -> tuple[Corpus, str]:
     """Load a write_site_dir layout; returns the corpus and the root URL."""
     site_path = Path(site_dir) / SITE_FILE
-    if not site_path.is_file():
-        raise SpecInvalid(f"{site_dir} has no {SITE_FILE}; not a generated site directory")
     corpus = Corpus()
     try:
         site = json.loads(site_path.read_text("utf-8"))

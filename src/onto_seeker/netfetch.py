@@ -103,8 +103,8 @@ class Url:
         if parts.username is not None or parts.password is not None:
             raise MalformedUrl(f"userinfo not allowed in {raw!r}")
         host = (parts.hostname or "").lower()
-        # A bracketed host is an IP literal, refused on every Python (3.10's
-        # urlsplit takes "[x]" and gives the host "x").
+        # A bracketed host is an IP literal, refused though urlsplit takes
+        # "[::1]" and "[v1.x]".
         if not host or "[" in parts.netloc or not set(host) <= _HOST_CHARS:
             raise MalformedUrl(f"bad host in {raw!r}")
         try:

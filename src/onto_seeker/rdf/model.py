@@ -7,10 +7,9 @@ are always IRIs.
 
 from __future__ import annotations
 
-import ipaddress
 import re
 from dataclasses import dataclass
-from urllib.parse import urljoin, urlsplit
+from urllib.parse import urljoin
 
 from ..errors import OntoSeekerError
 
@@ -101,34 +100,10 @@ class OntologySummary:
         )
 
 
-# One urljoin rule for hrefs, redirects and RDF IRIs: a scheme-like head not
-# led by a letter (".http:x", "1:y"; after urlsplit's lstrip, tabs and line
-# feeds ignored) is a relative path on 3.11+ but a scheme on 3.10; "./" fixes it.
-_NON_LETTER_SCHEME = re.compile(r"\A[\x00-\x20]*(?=[-+.0-9][-+.a-zA-Z0-9\t\n\r]*:)")
-_IPV_FUTURE = re.compile(r"\Av[a-fA-F0-9]+\..+\Z")
-
-
-def _check_bracketed_host(netloc: str) -> None:
-    """urlsplit's check of a bracketed host from Python 3.11 on, which 3.10's
-    lacks: the host must be an IPv6 or IPvFuture literal; ValueError if not."""
-    if "[" in netloc and "]" in netloc:
-        host = netloc.partition("[")[2].partition("]")[0]
-        if host.startswith("v"):
-            if not _IPV_FUTURE.match(host):
-                raise ValueError("IPvFuture address is invalid")
-        elif isinstance(ipaddress.ip_address(host), ipaddress.IPv4Address):
-            raise ValueError("An IPv4 address cannot be in brackets")
-
-
 def resolve_iri(base: str, ref: str) -> str:
     """urljoin that keeps a bare trailing '#' (urljoin drops empty fragments,
     which would corrupt namespace IRIs like ...rdf-syntax-ns#)."""
-    if ":" in ref and not ref[:1].isalpha():  # else the regex cannot match; most IRIs skip it
-        ref = _NON_LETTER_SCHEME.sub("./", ref)
     try:
-        if base and ref and ("[" in base or "[" in ref):  # urljoin splits both only then
-            _check_bracketed_host(urlsplit(base).netloc)
-            _check_bracketed_host(urlsplit(ref).netloc)
         out = urljoin(base, ref)
     except ValueError as exc:
         raise InvalidIri(f"cannot resolve {ref!r} against {base!r}: {exc}") from None

@@ -48,6 +48,9 @@ _STRING = re.compile(
     r'"[^"\\\n\r]*(?:\\[\s\S][^"\\\n\r]*)*' r"|'[^'\\\n\r]*(?:\\[\s\S][^'\\\n\r]*)*"
 )
 _IRI_ILLEGAL = re.compile(r'[\x00-\x20"{}|^`]')
+# A \u or \U escape takes ASCII hex only; int(x, 16) also takes "+", "_",
+# spaces and non-ASCII digits.
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 _STRING_ESCAPES = {
     "t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f",
     '"': '"', "'": "'", "\\": "\\",
@@ -166,7 +169,7 @@ class _Parser:
             if esc in ("u", "U"):
                 width = 4 if esc == "u" else 8
                 digits = raw[i + 2 : i + 2 + width]
-                if len(digits) != width:
+                if len(digits) != width or not _HEX_DIGITS.issuperset(digits):
                     raise self.error(f"bad \\{esc} escape", pos)
                 try:
                     char = chr(int(digits, 16))

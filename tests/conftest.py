@@ -336,7 +336,7 @@ def loopback(monkeypatch):
         assert not thread.is_alive()
 
 
-def _corpus_proxy_handler(corpus: Corpus, stop: threading.Event) -> type[BaseHTTPRequestHandler]:
+def corpus_proxy_handler(corpus: Corpus, stop: threading.Event) -> type[BaseHTTPRequestHandler]:
     """A forward proxy that answers each request from ``corpus``: it looks the
     request's absolute URL up in ``corpus.entries`` and sends the entry's
     status, Content-Type, Location (as UTF-8), body and latency. A URL not in
@@ -372,6 +372,6 @@ def corpus_proxy(loopback, monkeypatch):
     every http URL of the corpus from 127.0.0.1, with no DNS."""
 
     def serve(corpus: Corpus) -> None:
-        monkeypatch.setenv("http_proxy", loopback(_corpus_proxy_handler(corpus, loopback.stop)))
+        monkeypatch.setenv("http_proxy", loopback(corpus_proxy_handler(corpus, loopback.stop)))
 
     return serve

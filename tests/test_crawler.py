@@ -231,7 +231,7 @@ class TestLinkScan:
         assert _scan(html) == _parser_refs(html)
 
     # Each entry holds the hrefs that the html.parser of Python 3.13.13 finds
-    # on the page; that of 3.10 to 3.12, and of 3.13.0, reads 16 differently.
+    # on the page; that of 3.11 and 3.12, and of 3.13.0, reads 16 differently.
     @pytest.mark.parametrize(
         "html,refs",
         [
@@ -463,6 +463,13 @@ class TestCrawl:
         config = _config(tmp_path, ["http://h.test/", "http://g.test/x.html"])
         with pytest.raises(AllSeedsInvalid):
             crawl(config, CorpusTransport(Corpus()))
+
+    def test_lone_seed_that_is_no_page_or_ontology_is_invalid(self, tmp_path):
+        corpus = Corpus()
+        corpus.add("http://h.test/data.csv", CorpusEntry(200, "text/csv", b"a,b"))
+        with pytest.raises(AllSeedsInvalid):
+            crawl(_config(tmp_path, ["http://h.test/data.csv"]), CorpusTransport(corpus))
+        assert corpus.request_log == []
 
     def test_one_live_seed_is_enough(self, tmp_path):
         corpus = Corpus()

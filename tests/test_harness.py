@@ -18,7 +18,6 @@ from onto_seeker.harness import (
     CorpusTransport,
     PathUnreadable,
     SiteSpec,
-    SpecInvalid,
     corpus_from_dir,
     load_ground_truth,
     load_site_dir,
@@ -147,13 +146,27 @@ class TestMakeSyntheticSite:
             got = extract_summary(triples, url, len(entry.body))
             assert got == expected
 
-    def test_spec_validation(self):
-        with pytest.raises(SpecInvalid):
-            make_synthetic_site(SiteSpec(seed=1, page_count=0, ontology_count=0))
-        with pytest.raises(SpecInvalid):
-            make_synthetic_site(SiteSpec(seed=1, page_count=2, ontology_count=5))
-        with pytest.raises(SpecInvalid):
-            make_synthetic_site(SiteSpec(seed=1, page_count=5, ontology_count=0, max_link_depth=0))
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"page_count": 0, "ontology_count": 0}, "page_count must be >= 1"),
+            ({"page_count": 2, "ontology_count": 5},
+             "ontology_count must be between 0 and page_count"),
+            ({"page_count": 5, "ontology_count": -1},
+             "ontology_count must be between 0 and page_count"),
+            ({"page_count": 5, "ontology_count": 0, "max_link_depth": -1},
+             "max_link_depth must be >= 0"),
+            ({"page_count": 5, "ontology_count": 0, "max_link_depth": 0},
+             "page_count > 1 needs max_link_depth >= 1"),
+            ({"page_count": 5, "ontology_count": 0, "branching": 0}, "branching must be >= 1"),
+            ({"page_count": 5, "ontology_count": 0, "host_count": 0}, "host_count must be >= 1"),
+            ({"page_count": 5, "ontology_count": 0, "latency_ms": -1}, "latency_ms must be >= 0"),
+        ],
+    )
+    def test_spec_validation(self, fields, message):
+        with pytest.raises(ValueError) as err:
+            SiteSpec(seed=1, **fields)
+        assert str(err.value) == message
 
 
 class TestCorpusFromDir:
@@ -203,6 +216,10 @@ class TestSiteDirRoundTrip:
         assert gt_loaded.reachable_ontology_urls == gt.reachable_ontology_urls
         assert gt_loaded.summaries == gt.summaries
         assert gt_loaded.ontology_depths == gt.ontology_depths
+
+    def test_folder_without_site_json_is_unreadable(self, tmp_path):
+        with pytest.raises(PathUnreadable, match="site.json"):
+            load_site_dir(tmp_path)
 
 
 class TestSerializers:

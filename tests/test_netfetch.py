@@ -6,7 +6,7 @@ import socket
 import threading
 import time
 import tracemalloc
-from collections import deque
+from collections import Counter, deque
 from contextlib import closing
 from urllib.parse import quote
 
@@ -15,7 +15,7 @@ import urllib3
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import TLS_CERT, QuietHandler, ThreadRecorder
+from conftest import TLS_CERT, QuietHandler, ThreadRecorder, corpus_proxy_handler
 from onto_seeker.crawler import CrawlConfig, crawl
 from onto_seeker.harness import (
     Corpus,
@@ -79,8 +79,7 @@ class TestUrl:
         with pytest.raises(MalformedUrl):
             Url.parse(raw)
 
-    # An IP literal in brackets is refused on every Python, though 3.10's
-    # urlsplit reads "[x]" as the host "x" and 3.11+'s takes "[v1.x]".
+    # An IP literal in brackets is refused, though urlsplit takes "[v1.x]".
     @pytest.mark.parametrize("raw", ["http://[x]/o.owl", "http://[1.2.3.4]/", "http://[v1.x]/o.owl",
                                      "http://[::1]/", "http://[::1]:8080/o.owl"])
     def test_bracketed_host_is_malformed(self, raw):
@@ -139,8 +138,7 @@ class TestNormalizeUrl:
         assert str(url).splitlines() == [str(url)]
         assert Url.parse(str(url)) == url
 
-    # A scheme-like head that does not start with a letter is a relative path
-    # on every Python (3.10's urlsplit alone took it for a scheme).
+    # A scheme-like head that does not start with a letter is a relative path.
     @pytest.mark.parametrize(
         "href,expected",
         [
@@ -509,6 +507,35 @@ def test_pipeline_output_equal_through_the_live_transport(tmp_path, corpus_proxy
         outputs.append({f: (tmp_path / name / f).read_bytes() for f in files})
     assert outputs[0] == outputs[1]
     assert set(outputs[0]["urls.txt"].decode().split()) == truth.reachable_ontology_urls
+
+
+def test_live_crawl_politeness_gaps_seen_at_the_server(tmp_path, loopback, monkeypatch):
+    """The gate spaces issue times; the proxy logs when each request arrives,
+    and a server sees each host's requests at least 90 of the 100 ms apart."""
+    corpus, truth = make_synthetic_site(
+        SiteSpec(seed=7, page_count=11, ontology_count=3, host_count=2)
+    )
+
+    class ArrivalLoggingProxy(corpus_proxy_handler(corpus, loopback.stop)):
+        def do_GET(self):
+            corpus.log_request(self.path, time.monotonic() * 1000.0)
+            super().do_GET()
+
+    monkeypatch.setenv("http_proxy", loopback(ArrivalLoggingProxy))
+    config = CrawlConfig(
+        seed_urls=(Url.parse(truth.root_url),),
+        max_pages=11,
+        worker_count=4,
+        politeness_ms=100,
+        output_path=str(tmp_path / "urls.txt"),
+    )
+    crawl(config, LiveTransport(5.0))
+    arrivals = corpus.per_host_issue_times()
+    pages_per_host = Counter(Url.parse(page).host for page in truth.page_depths)
+    assert {host: len(times) for host, times in arrivals.items()} == pages_per_host
+    assert min(pages_per_host.values()) >= 2
+    for times in arrivals.values():
+        assert min(b - a for a, b in zip(times, times[1:])) >= 90.0
 
 
 def _handler(respond):

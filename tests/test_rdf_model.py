@@ -134,8 +134,7 @@ class TestResolveIri:
     def test_absolute_passthrough(self):
         assert resolve_iri("http://d/x.owl", "http://other/y#B") == "http://other/y#B"
 
-    # A scheme-like head led by a non-letter is a relative path, as on 3.11+;
-    # 3.10's urljoin alone reads "1x" as a scheme.
+    # A scheme-like head led by a non-letter is a relative path.
     @pytest.mark.parametrize(
         "ref, expected",
         [
@@ -149,8 +148,12 @@ class TestResolveIri:
     def test_non_letter_scheme_is_a_relative_path(self, ref, expected):
         assert resolve_iri("http://a.example/onto.owl", ref) == expected
 
-    # Python 3.11+'s urlsplit check of a bracketed host, applied on 3.10 too:
-    # an IPv6 or IPvFuture literal resolves, any other bracketed host is invalid.
+    @pytest.mark.parametrize("base", ["", "urn:x"])
+    def test_non_letter_scheme_against_a_non_hierarchical_base_stays(self, base):
+        assert resolve_iri(base, "1x:P") == "1x:P"
+
+    # urlsplit's check of a bracketed host: an IPv6 or IPvFuture literal
+    # resolves, any other bracketed host is invalid.
     @pytest.mark.parametrize(
         "base, ref, expected",
         [

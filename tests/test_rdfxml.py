@@ -165,6 +165,35 @@ class TestParseRdfXml:
             parse_rdf_xml(body, BASE)
         assert "property attribute" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "inner, error, message",
+        [
+            ('<Thing rdf:about="#A"/>', UnsupportedConstruct,
+             "unsupported construct: unqualified element (Thing)"),
+            ('<rdf:Description rdf:about="#A"><p rdf:resource="#B"/></rdf:Description>',
+             UnsupportedConstruct, "unsupported construct: unqualified element (p)"),
+            ('<rdf:Description rdf:about="#A" name="Ada"/>', UnsupportedConstruct,
+             "unsupported construct: property attribute (name)"),
+            ('<rdf:Description rdf:about="#A">text</rdf:Description>', XmlMalformed,
+             f"unexpected text content in node element {RDF_NS}Description"),
+            ('<rdf:Description rdf:about="#A"><ex:p rdf:ID="s">v</ex:p></rdf:Description>',
+             UnsupportedConstruct,
+             "unsupported construct: reification (rdf:ID on a property element)"),
+            ('<rdf:Description rdf:about="#A"><ex:p ex:q="v" rdf:resource="#B"/>'
+             "</rdf:Description>",
+             UnsupportedConstruct, "unsupported construct: property attribute (http://x/o.owl#q)"),
+            ('<rdf:Description rdf:about="#A"><ex:p>text<rdf:Description rdf:about="#B"/>'
+             "</ex:p></rdf:Description>",
+             XmlMalformed, "mixed text and element content in property http://x/o.owl#p"),
+        ],
+        ids=["unqualified-node", "unqualified-property", "unqualified-attribute",
+             "text-in-node", "id-on-property", "attribute-on-property", "mixed-content"],
+    )
+    def test_construct_outside_the_subset_named(self, inner, error, message):
+        with pytest.raises(error) as err:
+            parse_rdf_xml(_doc(inner), BASE)
+        assert str(err.value) == message
+
     def test_about_and_id_conflict(self):
         body = _doc('<rdf:Description rdf:about="#A" rdf:ID="A"/>')
         with pytest.raises(XmlMalformed):

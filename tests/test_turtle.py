@@ -132,6 +132,19 @@ class TestParseTurtle:
              "unsupported construct: collection (line 2, column 3)"),
             ("<a>\n<p> '''x''' .", UnsupportedConstruct,
              "unsupported construct: multi-line string (line 2)"),
+            ("<a", TurtleSyntaxError, "line 1, column 1: unterminated IRI"),
+            ("<a\nb>", TurtleSyntaxError, "line 1, column 1: newline inside IRI"),
+            ('<a> <p> "x"^<b> .', TurtleSyntaxError,
+             "line 1, column 12: lone '^' (expected '^^')"),
+            ("_: <p> <o> .", TurtleSyntaxError, "line 1, column 1: blank node label missing"),
+            ("<a\\>", TurtleSyntaxError, "line 1, column 1: dangling backslash"),
+            ("<a\\n> <p> <o> .", TurtleSyntaxError, "line 1, column 1: unknown escape \\n"),
+            ("@prefix <x> .", TurtleSyntaxError,
+             "line 1, column 9: expected 'prefix:' in prefix declaration"),
+            ("@prefix ex: ex:b .", TurtleSyntaxError,
+             "line 1, column 13: expected IRI in prefix declaration"),
+            ("@base ex:a .", TurtleSyntaxError, "line 1, column 7: expected IRI in base declaration"),
+            ("@prefix ex: <x> ;", TurtleSyntaxError, "line 1, column 17: expected '.', found ';'"),
         ],
     )
     def test_error_names_line_and_column(self, text, error, message):
@@ -143,10 +156,26 @@ class TestParseTurtle:
         with pytest.raises(InvalidIri):
             _parse("<http://h/a> <http://h/p> <http://[x> .")
 
-    def test_surrogate_escape_rejected(self):
-        # A lone surrogate cannot be written to the UTF-8 index files.
-        with pytest.raises(TurtleSyntaxError, match=r"bad \\u escape"):
-            _parse(r"<http://h/a\uD800> <http://h/p> <http://h/o> .")
+    # A lone surrogate cannot be written to the UTF-8 index files; the
+    # digits of a \u or \U escape are ASCII hex only (Turtle's UCHAR).
+    @pytest.mark.parametrize(
+        "text",
+        [
+            r"<http://h/a\uD800> <http://h/p> <http://h/o> .",
+            r'<http://h/a> <http://h/p> "x\u+041" .',
+            r'<http://h/a> <http://h/p> "x\u0_41" .',
+            '<http://h/a> <http://h/p> "x\\u00\uff141" .',
+            r'<http://h/a> <http://h/p> "x\u 0041" .',
+            r"<http://h/x\u+041> <http://h/p> <http://h/o> .",
+            r"<http://h/x\u0_41> <http://h/p> <http://h/o> .",
+            "<http://h/x\\u00\uff141> <http://h/p> <http://h/o> .",
+            r'<http://h/a> <http://h/p> "x\U0000_041" .',
+        ],
+        ids=ascii,
+    )
+    def test_surrogate_escape_rejected(self, text):
+        with pytest.raises(TurtleSyntaxError, match=r"bad \\[uU] escape"):
+            _parse(text)
 
     def test_unterminated_string(self):
         with pytest.raises(TurtleSyntaxError):
