@@ -5,23 +5,22 @@ with weights class=3, property=2, relation=1. Matching is exact on tokens, so
 a keyword equal to any class/property/relation name always hits the documents
 that declare it. Ties are broken by URL so output is totally ordered.
 
-Every matching document is scored, but results (with their matched-token
-sets) are built only for the top_k documents that are returned.
+Every matching document is scored, with each posting list's contribution
+computed once per distinct tf. The top_k are cut at the k-th best score, every
+tie at the cut kept for the (score desc, URL asc) sort; results (with their
+matched-token sets) are built only for the top_k that are returned.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import OntoSeekerError
-from .indexer import FIELDS, FIELD_WEIGHTS, Index, PostingList
+from .indexer import FIELDS, FIELD_WEIGHTS, Index
 from .netfetch import Url
 from .rdf import tokenize
-
-_NO_POSTINGS = PostingList([], [])
 
 
 class EmptyQuery(OntoSeekerError):
@@ -55,14 +54,18 @@ class QueryResult:
 
 def parse_query(raw: str) -> Query:
     """Whitespace-split keywords, tokenize each, dedup keeping first occurrence."""
-    tokens: list[str] = []
+    stream: list[str] = []
     for keyword in raw.split():
-        for token in tokenize(keyword):
-            if token not in tokens:
-                tokens.append(token)
+        stream += tokenize(keyword)
+    tokens = tuple(dict.fromkeys(stream))
     if not tokens:
         raise EmptyQuery(f"no searchable tokens in {raw!r}")
-    return Query(raw=raw, tokens=tuple(tokens))
+    return Query(raw=raw, tokens=tokens)
+
+
+def contribution(field_name: str, tf: int) -> float:
+    """One (token, field) posting's share of a score: w(field) * (1 + ln tf)."""
+    return FIELD_WEIGHTS[field_name] * (1.0 + math.log(tf))
 
 
 def check_top_k(top_k: int) -> None:
@@ -74,41 +77,50 @@ def search(index: Index, query: Query, top_k: int, match_all: bool = False) -> l
     """Rank documents matching any query token (all tokens with match_all).
 
     Results are sorted by score descending, then URL ascending, and capped at
-    top_k. Every matching document is scored; the top_k winners are picked
-    from the scores alone, and a second pass over the same posting lists
-    collects matched tokens for those winners only. Accumulation order is
-    token-major then field-major, which keeps scores bit-identical with the
-    brute-force scan oracle.
+    top_k. Every matching document is scored: each posting list maps its
+    distinct tfs to their contributions once, then adds one table entry per
+    posting. Accumulation order is token-major then field-major, which keeps
+    scores bit-identical with the brute-force scan oracle. The k-th best score
+    is the cut: every candidate at or above it is kept, so ties at the cut
+    all reach the (score, URL) sort that picks the top_k. Matched tokens are
+    collected for those winners only.
     """
     if not query.tokens:
         raise EmptyQuery("query has no tokens")
     check_top_k(top_k)
     table = index.posting_lists
     scores: dict[int, float] = {}
+    get = scores.get
     with_all_tokens: set[int] | None = None
     for token in query.tokens:
         token_docs: set[int] = set()
         for field_name in FIELDS:
-            posting_list = table.get((token, field_name), _NO_POSTINGS)
-            w = FIELD_WEIGHTS[field_name]
-            for doc_id, tf in zip(posting_list.doc_ids, posting_list.tfs):
-                scores[doc_id] = scores.get(doc_id, 0.0) + w * (1.0 + math.log(tf))
+            posting_list = table.get((token, field_name))
+            if posting_list is None:
+                continue
+            tfs = posting_list.tfs
+            by_tf = {tf: contribution(field_name, tf) for tf in set(tfs)}
+            for doc_id, c in zip(posting_list.doc_ids, map(by_tf.__getitem__, tfs)):
+                scores[doc_id] = get(doc_id, 0.0) + c
             if match_all:
                 token_docs.update(posting_list.doc_ids)
         if match_all:
             with_all_tokens = token_docs if with_all_tokens is None else with_all_tokens & token_docs
 
+    candidates = scores if with_all_tokens is None else {d: scores[d] for d in with_all_tokens}
+    if len(candidates) > top_k:
+        ranked = sorted(candidates.values(), reverse=True)
+        cut = ranked[top_k - 1]
+        if ranked[-1] < cut:  # else all tie at or above the cut: nothing to drop
+            candidates = {d: score for d, score in candidates.items() if score >= cut}
     docs = index.docs
-    winners = heapq.nsmallest(
-        top_k,
-        scores if with_all_tokens is None else with_all_tokens,
-        key=lambda doc_id: (-scores[doc_id], docs[doc_id].url),
-    )
+    winners = sorted(candidates, key=lambda d: (-candidates[d], docs[d].url))[:top_k]
     matched: dict[int, dict[str, set[str]]] = {doc_id: {} for doc_id in winners}
     for token in query.tokens:
         for field_name in FIELDS:
-            for doc_id in table.get((token, field_name), _NO_POSTINGS).doc_ids:
-                if doc_id in matched:
+            posting_list = table.get((token, field_name))
+            if posting_list is not None:
+                for doc_id in matched.keys() & posting_list.doc_ids:
                     matched[doc_id].setdefault(field_name, set()).add(token)
     return [
         QueryResult(
@@ -139,12 +151,14 @@ def explain(index: Index, query: Query, url: str) -> list[ScoreContribution]:
     contributions = []
     for token in query.tokens:
         for field_name in FIELDS:
-            posting_list = index.posting_lists.get((token, field_name), _NO_POSTINGS)
+            posting_list = index.posting_lists.get((token, field_name))
+            if posting_list is None:
+                continue
             at = bisect_left(posting_list.doc_ids, doc.doc_id)
             if at < len(posting_list) and posting_list.doc_ids[at] == doc.doc_id:
                 tf = posting_list.tfs[at]
-                contribution = FIELD_WEIGHTS[field_name] * (1.0 + math.log(tf))
-                contributions.append(ScoreContribution(token, field_name, tf, contribution))
+                c = contribution(field_name, tf)
+                contributions.append(ScoreContribution(token, field_name, tf, c))
     return contributions
 
 

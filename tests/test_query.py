@@ -49,6 +49,18 @@ class TestParseQuery:
         with pytest.raises(EmptyQuery):
             parse_query("___ ---")
 
+    @given(
+        st.lists(
+            st.sampled_from(["hasPart", "part", "PartOf", "Person", "personHas", "Robot7", "7"]),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    def test_dedup_order_is_first_occurrence(self, keywords):
+        stream = [token for keyword in keywords for token in tokenize(keyword)]
+        expected = tuple(sorted(set(stream), key=stream.index))
+        assert parse_query(" ".join(keywords)).tokens == expected
+
 
 class TestSearch:
     def test_class_name_match(self):
@@ -247,3 +259,54 @@ def test_search_never_exceeds_top_k(words, data, match_all):
     assert len(results) <= top_k
     assert results == search(index, query, top_k=n, match_all=match_all)[:top_k]
     assert results == scan_oracle(summaries, query, top_k=top_k, match_all=match_all)
+
+
+# Class names that share the token "part", so one posting list holds
+# several distinct tfs; documents are drawn from a few term profiles, so
+# scores tie often and ties straddle the k-th place.
+_PROFILES = st.fixed_dictionaries(
+    {
+        "classes": st.frozensets(
+            st.sampled_from(["Part", "PartOne", "HasPart", "WheelPart", "Wheel", "RobotArm"]),
+            max_size=4,
+        ),
+        "properties": st.frozensets(st.sampled_from(["hasPart", "hasWheel", "name"]), max_size=2),
+        "relations": st.frozensets(st.sampled_from(["partOf", "robot", "knows"]), max_size=2),
+    }
+)
+
+
+@st.composite
+def _tied_corpora(draw):
+    profiles = draw(st.lists(_PROFILES, min_size=1, max_size=3))
+    n = draw(st.integers(min_value=1, max_value=8))
+    picks = draw(st.lists(st.sampled_from(profiles), min_size=n, max_size=n))
+    # URL names are a permutation of the doc ids, so URL order is not id order.
+    names = draw(st.permutations(range(n)))
+    return [_summary(f"http://h.test/o{name}.owl", **p) for name, p in zip(names, picks)]
+
+
+@given(
+    _tied_corpora(),
+    st.lists(
+        st.sampled_from(["part", "wheel", "has", "robot", "arm", "one", "knows", "zzz"]),
+        min_size=1,
+        max_size=3,
+    ),
+    st.booleans(),
+)
+def test_top_k_cut_equals_scan_oracle(summaries, words, match_all):
+    index = make_index(summaries)
+    query = parse_query(" ".join(words))
+    n = len(summaries)
+    everything = search(index, query, top_k=n, match_all=match_all)
+    for top_k in range(1, n + 2):
+        results = search(index, query, top_k=top_k, match_all=match_all)
+        # QueryResult equality compares the float scores exactly.
+        assert results == scan_oracle(summaries, query, top_k=top_k, match_all=match_all)
+        assert results == everything[:top_k]
+    for result in everything:
+        total = 0.0
+        for c in explain(index, query, result.url):
+            total += c.contribution
+        assert total == result.score
