@@ -39,16 +39,6 @@ class TestParseQuery:
         with pytest.raises(EmptyQuery):
             parse_query("   ")
 
-    def test_dedup_keeps_first_occurrence(self):
-        assert parse_query("Person person").tokens == ("person",)
-
-    def test_raw_preserved(self):
-        assert parse_query("Person ").raw == "Person "
-
-    def test_separator_only_keyword_is_empty(self):
-        with pytest.raises(EmptyQuery):
-            parse_query("___ ---")
-
     @given(
         st.lists(
             st.sampled_from(["hasPart", "part", "PartOf", "Person", "personHas", "Robot7", "7"]),
@@ -56,10 +46,18 @@ class TestParseQuery:
             max_size=12,
         )
     )
-    def test_dedup_order_is_first_occurrence(self, keywords):
+    def test_dedup_keeps_first_occurrence(self, keywords):
+        assert parse_query("Person person").tokens == ("person",)
         stream = [token for keyword in keywords for token in tokenize(keyword)]
         expected = tuple(sorted(set(stream), key=stream.index))
         assert parse_query(" ".join(keywords)).tokens == expected
+
+    def test_raw_preserved(self):
+        assert parse_query("Person ").raw == "Person "
+
+    def test_separator_only_keyword_is_empty(self):
+        with pytest.raises(EmptyQuery):
+            parse_query("___ ---")
 
 
 class TestSearch:
@@ -236,31 +234,6 @@ class TestFormatResults:
         assert detail == "class:person;relation:person"
 
 
-@given(
-    st.lists(
-        st.sampled_from(["Person", "hasPart", "AgentOf", "Robot", "partner", "Wheel"]),
-        min_size=1,
-        max_size=4,
-    ),
-    st.data(),
-    st.booleans(),
-)
-def test_search_never_exceeds_top_k(words, data, match_all):
-    # Single-class corpora tie on score, so some cut-offs split a tied group
-    # and the URL tie-break decides which documents make the top k.
-    summaries = [
-        _summary(f"http://h.test/o{i}.owl", classes={w}) for i, w in enumerate(words)
-    ]
-    index = make_index(summaries)
-    query = parse_query(" ".join(words))
-    n = len(summaries)
-    top_k = data.draw(st.integers(min_value=1, max_value=n + 1), label="top_k")
-    results = search(index, query, top_k=top_k, match_all=match_all)
-    assert len(results) <= top_k
-    assert results == search(index, query, top_k=n, match_all=match_all)[:top_k]
-    assert results == scan_oracle(summaries, query, top_k=top_k, match_all=match_all)
-
-
 # Class names that share the token "part", so one posting list holds
 # several distinct tfs; documents are drawn from a few term profiles, so
 # scores tie often and ties straddle the k-th place.
@@ -277,34 +250,51 @@ _PROFILES = st.fixed_dictionaries(
 
 
 @st.composite
+def _single_class_corpora(draw):
+    # One class per document and URLs in doc-id order: every score ties, so
+    # the URL tie-break alone decides which documents make the top k.
+    words = draw(
+        st.lists(
+            st.sampled_from(["Person", "hasPart", "AgentOf", "Robot", "partner", "Wheel"]),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    summaries = [_summary(f"http://h.test/o{i}.owl", classes={w}) for i, w in enumerate(words)]
+    return summaries, words
+
+
+@st.composite
 def _tied_corpora(draw):
     profiles = draw(st.lists(_PROFILES, min_size=1, max_size=3))
     n = draw(st.integers(min_value=1, max_value=8))
     picks = draw(st.lists(st.sampled_from(profiles), min_size=n, max_size=n))
     # URL names are a permutation of the doc ids, so URL order is not id order.
     names = draw(st.permutations(range(n)))
-    return [_summary(f"http://h.test/o{name}.owl", **p) for name, p in zip(names, picks)]
+    summaries = [_summary(f"http://h.test/o{name}.owl", **p) for name, p in zip(names, picks)]
+    words = draw(
+        st.lists(
+            st.sampled_from(["part", "wheel", "has", "robot", "arm", "one", "knows", "zzz"]),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    return summaries, words
 
 
-@given(
-    _tied_corpora(),
-    st.lists(
-        st.sampled_from(["part", "wheel", "has", "robot", "arm", "one", "knows", "zzz"]),
-        min_size=1,
-        max_size=3,
-    ),
-    st.booleans(),
-)
-def test_top_k_cut_equals_scan_oracle(summaries, words, match_all):
+@given(st.one_of(_single_class_corpora(), _tied_corpora()), st.booleans())
+def test_search_never_exceeds_top_k(corpus, match_all):
+    summaries, words = corpus
     index = make_index(summaries)
     query = parse_query(" ".join(words))
     n = len(summaries)
     everything = search(index, query, top_k=n, match_all=match_all)
     for top_k in range(1, n + 2):
         results = search(index, query, top_k=top_k, match_all=match_all)
+        assert len(results) <= top_k
+        assert results == everything[:top_k]
         # QueryResult equality compares the float scores exactly.
         assert results == scan_oracle(summaries, query, top_k=top_k, match_all=match_all)
-        assert results == everything[:top_k]
     for result in everything:
         total = 0.0
         for c in explain(index, query, result.url):
