@@ -16,6 +16,7 @@ from ..netfetch import (
     Timeout,
     Url,
     follow_redirects,
+    media_type,
     monotonic_ms,
 )
 
@@ -97,7 +98,8 @@ class CorpusTransport:
             raise Timeout(key)
         if entry.latency_ms > 0 and self.sleep_latency:
             time.sleep(entry.latency_ms / 1000.0)
-        response = FetchResponse(url, entry.status, entry.content_type, entry.body[:max_body_bytes])
+        content_type = media_type(entry.content_type)
+        response = FetchResponse(url, entry.status, content_type, entry.body[:max_body_bytes])
         return response, entry.location
 
 

@@ -88,8 +88,8 @@ class _Page:
     host: str
     path: str
     depth: int
-    child_pages: list[str] = field(default_factory=list)
-    onto_links: list[str] = field(default_factory=list)
+    child_pages: list[tuple[str, str, str]] = field(default_factory=list)  # (url, host, path)
+    onto_links: list[tuple[str, str, str]] = field(default_factory=list)  # (url, host, path)
 
 
 def _camel(words: list[str]) -> str:
@@ -277,13 +277,10 @@ def serialize_turtle(triples: list[Triple], namespaces: dict[str, str]) -> bytes
 
 
 def _page_html(page: _Page, rng: random.Random, title_no: int) -> bytes:
-    refs: list[str] = []
-    for child in page.child_pages + page.onto_links:
-        child_url = Url.parse(child)
-        if child_url.host == page.host and rng.random() < 0.9:
-            refs.append(child_url.path)
-        else:
-            refs.append(child)
+    refs = [
+        path if host == page.host and rng.random() < 0.9 else url
+        for url, host, path in page.child_pages + page.onto_links
+    ]
     anchors = [f'<li><a href="{escape(r, {chr(34): "&quot;"})}">{escape(r)}</a></li>' for r in refs]
     noise = [
         '<li><a href="#top">top</a></li>',
@@ -328,7 +325,7 @@ def make_synthetic_site(spec: SiteSpec) -> tuple[Corpus, GroundTruth]:
         host = rng.choice(hosts)
         path = f"/p{i}.html" if rng.random() < 0.8 else f"/docs/{i}"
         page = _Page(url=f"http://{host}{path}", host=host, path=path, depth=parent.depth + 1)
-        parent.child_pages.append(page.url)
+        parent.child_pages.append((page.url, host, path))
         pages.append(page)
         if len(parent.child_pages) == spec.branching:
             del open_[bisect_left(open_, parent_no)]
@@ -340,14 +337,14 @@ def make_synthetic_site(spec: SiteSpec) -> tuple[Corpus, GroundTruth]:
     ontology_depths: dict[str, int] = {}
     for j in range(spec.ontology_count):
         host = rng.choice(hosts)
-        ext = rng.choice((".owl", ".rdf"))
-        url = f"http://{host}/onto/o{j}{ext}"
+        path = f"/onto/o{j}" + rng.choice((".owl", ".rdf"))
+        url = f"http://{host}{path}"
         linker = pages[0] if j == 0 else rng.choice(pages)
-        linker.onto_links.append(url)
+        linker.onto_links.append((url, host, path))
         ontology_depths[url] = linker.depth
         if rng.random() < 0.3:
             extra = rng.choice(pages)
-            extra.onto_links.append(url)
+            extra.onto_links.append((url, host, path))
             ontology_depths[url] = min(linker.depth, extra.depth)
         ontologies.append((url, *_build_ontology(rng, url)))
 

@@ -4,12 +4,13 @@ the one fetch loop that the crawl and the index share.
 Two transports implement the same ``fetch`` contract: :class:`LiveTransport`
 speaks HTTP through urllib3, and the corpus transport in
 :mod:`onto_seeker.harness` replays an in-memory corpus for deterministic
-tests. Both make one request per hop and leave redirects to one rule,
-:func:`follow_redirects`. A live fetch never reads a redirect's body, checks
-its one deadline (start + ``timeout_s``) before each hop and between body
-reads, sends no cookies or ``.netrc`` credentials, takes proxies as
-:func:`urllib.request.getproxies` and ``proxy_bypass`` read them (no CIDR
-ranges), and checks TLS against the system trust store (``SSL_CERT_FILE``).
+tests. Both make one request per hop and leave its Content-Type to one rule,
+:func:`media_type`, and redirects to another, :func:`follow_redirects`. A live
+fetch never reads a redirect's body, checks its one deadline (start +
+``timeout_s``) before each hop and between body reads, sends no cookies or
+``.netrc`` credentials, takes proxies as :func:`urllib.request.getproxies` and
+``proxy_bypass`` read them (no CIDR ranges), and checks TLS against the system
+trust store (``SSL_CERT_FILE``).
 
 :func:`fetch_in_order` fetches a queue of URLs through the politeness gate
 and hands the results back in the order the URLs were taken from the queue:
@@ -179,6 +180,11 @@ class FetchResponse:
 
 
 HopResult = tuple[FetchResponse, str | None]  # one request's response and Location
+
+
+def media_type(content_type: str | None) -> str | None:
+    """The media type of a Content-Type value, lower-cased; None if absent or empty."""
+    return (content_type or "").split(";", 1)[0].strip().lower() or None
 
 
 class Transport(Protocol):
@@ -371,5 +377,5 @@ class LiveTransport:
             raise Timeout(str(url)) from exc
         except (urllib3_errors.HTTPError, UnicodeError) as exc:  # a Location not in UTF-8
             raise ConnectionFailed(f"{url}: {exc}") from exc
-        content_type = resp.headers.get("Content-Type", "").split(";", 1)[0].strip().lower()
-        return FetchResponse(url, resp.status, content_type or None, bytes(body)), location
+        content_type = media_type(resp.headers.get("Content-Type"))
+        return FetchResponse(url, resp.status, content_type, bytes(body)), location

@@ -159,14 +159,6 @@ def tokenize(term: str) -> list[str]:
     return tokens
 
 
-def namespace_of(iri: str) -> str:
-    """Everything up to and including the last '#' or '/'; '' when neither occurs."""
-    name = local_name(iri)
-    if name == iri:
-        return ""
-    return iri[: len(iri) - len(name)]
-
-
 def extract_summary(triples: list[Triple], url: str, byte_size: int) -> OntologySummary:
     """Distill one document's triples into class/property/relation term sets.
 
@@ -183,8 +175,10 @@ def extract_summary(triples: list[Triple], url: str, byte_size: int) -> Ontology
                 classes.add(local_name(t.subject))
             elif t.object in PROPERTY_TYPES:
                 properties.add(local_name(t.subject))
-        if namespace_of(t.predicate) not in RESERVED_NAMESPACES:
-            relations.add(local_name(t.predicate))
+        # The namespace is what precedes the local name: '' when that is the whole IRI.
+        name = local_name(t.predicate)
+        if t.predicate[: len(t.predicate) - len(name)] not in RESERVED_NAMESPACES:
+            relations.add(name)
         if t.predicate in SCHEMA_AXIOMS and is_iri(t.object):
             relations.add(local_name(t.object))
     return OntologySummary(

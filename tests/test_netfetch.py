@@ -8,6 +8,7 @@ import time
 import tracemalloc
 from collections import Counter, deque
 from contextlib import closing
+from dataclasses import replace
 from urllib.parse import quote
 
 import pytest
@@ -482,31 +483,121 @@ class TestRedirectParity:
             transport.fetch(Url.parse("http://h.test/hang"), max_body_bytes=1024)
 
 
-@pytest.mark.parametrize("workers", [1, 4])
-def test_pipeline_output_equal_through_the_live_transport(tmp_path, corpus_proxy, workers):
-    corpus, truth = make_synthetic_site(
-        SiteSpec(seed=7, page_count=120, ontology_count=30, host_count=3)
+@pytest.mark.parametrize(
+    "content_type,expected",
+    [
+        ("text/html", "text/html"),
+        ("text/html; charset=utf-8", "text/html"),
+        ("Text/Turtle", "text/turtle"),
+        ("application/rdf+xml; charset=utf-8", "application/rdf+xml"),
+        (" text/plain ;q=1", "text/plain"),
+        ("", None),
+        (None, None),
+    ],
+)
+def test_one_media_type_rule_on_both_transports(transport_over, content_type, expected):
+    """Both transports reduce Content-Type by netfetch.media_type alone."""
+    transport = transport_over(Corpus({"http://h.test/p": CorpusEntry(200, content_type, b"x")}))
+    resp = transport.fetch(Url.parse("http://h.test/p"), max_body_bytes=1024)
+    assert resp.content_type == expected
+
+
+def _faulted_copy(corpus: Corpus, truth) -> tuple[Corpus, IndexLimits]:
+    """A copy of a generated corpus with one of each fixed fault, and index
+    limits that the one oversize ontology exceeds. The pages that fail are
+    leaves linking no ontology, so a crawl that reads every working page still
+    finds every ontology URL."""
+    faulted = Corpus(dict(corpus.entries))
+    entries = faulted.entries
+    charset_page, redirected_page = sorted(u for u, d in truth.page_depths.items() if d == 1)[:2]
+    leaves = sorted(
+        url for url, depth in truth.page_depths.items()
+        if depth == max(truth.page_depths.values()) and b"/onto/" not in corpus.entries[url].body
     )
+    entries[charset_page] = replace(entries[charset_page], content_type="text/html; charset=UTF-8")
+    entries[leaves[0]] = replace(entries[leaves[0]], status=404)
+    del entries[leaves[1]]  # a connection error
+    host_root = redirected_page[: redirected_page.index("/", len("http://"))]
+    entries[host_root + "/moved/b.html"] = entries[redirected_page]
+    entries[redirected_page] = CorpusEntry(301, None, b"", location="/moved/a")
+    entries[host_root + "/moved/a"] = CorpusEntry(302, None, b"", location="b.html")
+
+    ontologies = sorted(truth.reachable_ontology_urls)
+    rdf_xml = next(url for url in ontologies if corpus.entries[url].body.startswith(b"<?xml"))
+    failing, oversize = [url for url in ontologies if url != rdf_xml][:2]
+    # A stylesheet instruction defeats the RDF/XML sniff, so only the declared
+    # media type, once its parameter is dropped, lets the document parse.
+    entries[rdf_xml] = CorpusEntry(
+        200,
+        "application/rdf+xml; charset=utf-8",
+        corpus.entries[rdf_xml].body.replace(
+            b"?>\n", b'?>\n<?xml-stylesheet type="text/xsl" href="/o.xsl"?>\n', 1
+        ),
+    )
+    entries[failing] = replace(entries[failing], status=500)
+    entries[oversize] = replace(entries[oversize], body=entries[oversize].body + b" " * 4096)
+    return faulted, IndexLimits(max_ontology_bytes=4096, politeness_ms=0)
+
+
+def _pipeline_through_both_transports(tmp_path, corpus_proxy, corpus, truth, workers, limits):
+    """Crawl and index ``corpus`` through CorpusTransport and through a
+    LiveTransport over the loopback proxy; for each, the bytes written, the
+    crawl report's counts and the manifest's skip counts."""
     corpus_proxy(corpus)
-    outputs = []
+    runs = []
     for name, transport in [("corpus", CorpusTransport(corpus)), ("live", LiveTransport(5.0))]:
         config = CrawlConfig(
             seed_urls=(Url.parse(truth.root_url),),
-            max_pages=120,
+            max_pages=len(truth.page_depths),
             worker_count=workers,
             politeness_ms=0,
             output_path=str(tmp_path / name / "urls.txt"),
         )
         (tmp_path / name).mkdir()
-        crawl(config, transport)
-        build_index(
-            tmp_path / name / "urls.txt", transport, IndexLimits(politeness_ms=0),
-            tmp_path / name / "idx", created_at="fixed",
+        report = crawl(config, transport)
+        manifest = build_index(
+            tmp_path / name / "urls.txt", transport, limits, tmp_path / name / "idx",
+            created_at="fixed",
         )
         files = ["urls.txt", "idx/docs.tsv", "idx/postings.tsv", "idx/manifest.json"]
-        outputs.append({f: (tmp_path / name / f).read_bytes() for f in files})
-    assert outputs[0] == outputs[1]
-    assert set(outputs[0]["urls.txt"].decode().split()) == truth.reachable_ontology_urls
+        runs.append({
+            "bytes": {f: (tmp_path / name / f).read_bytes() for f in files},
+            "crawl": (report.pages_fetched, report.ontologies_found, report.errors,
+                      report.status_histogram),
+            "skips": manifest.skip_counts,
+        })
+    return runs
+
+
+SEED_7 = SiteSpec(seed=7, page_count=120, ontology_count=30, host_count=3)
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_pipeline_output_equal_through_the_live_transport(tmp_path, corpus_proxy, workers):
+    corpus, truth = make_synthetic_site(SEED_7)
+    runs = _pipeline_through_both_transports(
+        tmp_path, corpus_proxy, corpus, truth, workers, IndexLimits(politeness_ms=0)
+    )
+    assert runs[0] == runs[1]
+    assert set(runs[0]["bytes"]["urls.txt"].decode().split()) == truth.reachable_ontology_urls
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_faulted_pipeline_output_equal_through_the_live_transport(
+    tmp_path, corpus_proxy, workers
+):
+    corpus, truth = make_synthetic_site(SEED_7)
+    faulted, limits = _faulted_copy(corpus, truth)
+    runs = _pipeline_through_both_transports(
+        tmp_path, corpus_proxy, faulted, truth, workers, limits
+    )
+    assert runs[0] == runs[1]
+    assert set(runs[0]["bytes"]["urls.txt"].decode().split()) == truth.reachable_ontology_urls
+    pages, ontologies = len(truth.page_depths), len(truth.reachable_ontology_urls)
+    # Redirects are followed, never counted; the missing page is an error.
+    assert runs[0]["crawl"] == (pages, ontologies, 1, {200: pages - 2, 404: 1})
+    skips = runs[0]["skips"]
+    assert (skips["fetch_error"], skips["oversize"], skips["unsupported_syntax"]) == (1, 1, 0)
 
 
 def test_live_crawl_politeness_gaps_seen_at_the_server(tmp_path, loopback, monkeypatch):

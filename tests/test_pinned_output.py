@@ -1,15 +1,19 @@
-"""The bytes a crawl and an index build write, pinned by SHA-256.
+"""The generated sites and the bytes a crawl and an index build write,
+pinned by SHA-256.
 
 A change that means to keep the output (a faster scan, a new fetch loop)
 must leave these digests alone, at every worker count and on every
 supported Python. A change that means to alter the output updates them and
 says why. The sites are the CLI's ``gen-corpus`` default, the seed-42 site of
-the test suite, and perfbench's site-io spec.
+the test suite, and perfbench's site-io spec. A site's digest covers every
+corpus entry, so a page body written differently shows even where the crawl
+would find the same URLs.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 
 import pytest
 
@@ -27,6 +31,12 @@ SPECS = {
         seed=1, page_count=600, ontology_count=300, max_link_depth=12, branching=4,
         host_count=4, latency_ms=5,
     ),
+}
+
+CORPUS_DIGESTS = {
+    "cli-default": "201bf8e1cc4116b6de27c2aafb61a70879ba2bcc177935bdfcf1d7f2b188e6ef",
+    "seed-42": "401c273c8eded4cf1a6a519180b37597fe56eafa555fdd4b7172852f041f255c",
+    "site-io": "d5e4ea8bc20e09dbac807cfbca322a00d424217dde2b66d513fab321ca0e412f",
 }
 
 DIGESTS = {
@@ -54,6 +64,15 @@ DIGESTS = {
 @pytest.fixture(scope="module", params=sorted(SPECS))
 def site(request):
     return request.param, make_synthetic_site(SPECS[request.param])
+
+
+def test_generated_site_is_pinned(site):
+    name, (corpus, _) = site
+    digest = hashlib.sha256()
+    for url, entry in sorted(corpus.entries.items()):
+        head = [url, entry.status, entry.content_type, entry.location, entry.latency_ms]
+        digest.update(json.dumps([*head, len(entry.body)]).encode() + b"\n" + entry.body)
+    assert digest.hexdigest() == CORPUS_DIGESTS[name]
 
 
 @pytest.mark.parametrize("workers", [1, 4])
