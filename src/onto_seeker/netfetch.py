@@ -27,7 +27,7 @@ import time
 from collections import deque
 from collections.abc import Iterator
 from concurrent import futures
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Protocol, TypeVar
 from urllib.parse import quote, unquote, urlsplit
 from urllib.request import getproxies, proxy_bypass
@@ -139,17 +139,28 @@ _SIMPLE_HREF = re.compile(
     r"(?:\?([-.\w~!$&'()*+,=/?]+))?(?:#.*)?",
     re.ASCII | re.DOTALL,
 )
+# Two more shapes are answered without urljoin. A fragment-only href is the
+# base less an empty query, unless the base's path ends in ";" (urljoin drops
+# that as empty params). A letter-led scheme other than http(s), with no "//"
+# after its colon once urlsplit has dropped tabs and line feeds, comes back
+# from urljoin as it is, and Url.parse refuses it.
+_OTHER_SCHEME = re.compile(r"(?!(?i:https?):)[A-Za-z][-+.A-Za-z0-9]*:(?![\t\n\r]*/[\t\n\r]*/)")
 
 
 def _join_simple(base: Url, ref: str) -> Url | None:
-    """The Url ``_join_stdlib`` gives for a simple ``ref``; None for any other."""
+    """The Url ``_join_stdlib`` gives for a simple ``ref``, or the
+    UnsupportedScheme it raises; None for any other ref."""
     match = _SIMPLE_HREF.fullmatch(ref)
-    if match is None:
-        return None
-    scheme, host, path, rooted_path, query = match.groups()
-    if scheme is None:
-        return Url(base.scheme, base.host, base.port, rooted_path, query)
-    return Url(scheme, host, DEFAULT_PORTS[scheme], path or "/", query)
+    if match is not None:
+        scheme, host, path, rooted_path, query = match.groups()
+        if scheme is None:
+            return Url(base.scheme, base.host, base.port, rooted_path, query)
+        return Url(scheme, host, DEFAULT_PORTS[scheme], path or "/", query)
+    if ref.startswith("#") and not base.path.endswith(";"):
+        return base if base.query != "" else replace(base, query=None)
+    if _OTHER_SCHEME.match(ref):
+        return Url.parse(ref)
+    return None
 
 
 def _join_stdlib(base: Url, ref: str) -> Url:

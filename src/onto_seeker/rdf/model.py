@@ -100,9 +100,32 @@ class OntologySummary:
         )
 
 
+# A plain absolute IRI, which urljoin returns as it is: a lower-case,
+# letter-led scheme and "//", a host of [a-z0-9._~-], then a path, query and
+# fragment of unreserved characters, sub-delims, ":", "@", "/" and "%". The
+# path may not end in ";" (urlparse would read an empty params and drop it),
+# and a "?" needs a non-empty query (urlunsplit drops an empty one).
+_IRI_CHAR = r"[-\w.~!$&'()*+,;=:@/%]"
+_PLAIN_IRI = re.compile(
+    rf"[a-z][a-z0-9+.-]*://[a-z0-9._~-]+(?:/{_IRI_CHAR}*)?(?<!;)"
+    rf"(?:\?{_IRI_CHAR}+)?(?:#{_IRI_CHAR}*)?",
+    re.ASCII,
+)
+
+
 def resolve_iri(base: str, ref: str) -> str:
     """urljoin that keeps a bare trailing '#' (urljoin drops empty fragments,
-    which would corrupt namespace IRIs like ...rdf-syntax-ns#)."""
+    which would corrupt namespace IRIs like ...rdf-syntax-ns#).
+
+    An empty ref is the base and a plain absolute ref is itself, as urljoin
+    gives them, so neither goes through urljoin. That holds for any base
+    urlsplit takes, and the parsers pass only such bases: ``str()`` of a
+    netfetch ``Url``, or an earlier ``resolve_iri`` result.
+    """
+    if not ref:
+        return base
+    if _PLAIN_IRI.fullmatch(ref):
+        return ref
     try:
         out = urljoin(base, ref)
     except ValueError as exc:

@@ -23,6 +23,7 @@ from onto_seeker.indexer import (
     SKIP_REASONS,
     index_summaries,
 )
+from onto_seeker.netfetch import MalformedUrl, UnsupportedScheme
 from onto_seeker.rdf import Literal, OntologySummary, Triple
 
 settings.register_profile(
@@ -196,6 +197,15 @@ def mutants(draw, seed: bytes) -> bytes:
         else:
             del body[pos]
     return bytes(body)
+
+
+def join_outcome(join, base, href):
+    """What ``join(base, href)`` gives: its Url, or the class and message of
+    the UnsupportedScheme or MalformedUrl it raises."""
+    try:
+        return join(base, href)
+    except (UnsupportedScheme, MalformedUrl) as exc:
+        return type(exc), str(exc)
 
 
 class ThreadRecorder:

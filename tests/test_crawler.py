@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ThreadRecorder, mutants
-from onto_seeker import crawler
+from conftest import ThreadRecorder, join_outcome, mutants
+from onto_seeker import crawler, netfetch
 from onto_seeker.crawler import (
     HTML_PAGE,
     ONTOLOGY_CANDIDATE,
@@ -38,8 +38,8 @@ from onto_seeker.netfetch import (
     LOOKAHEAD_PER_WORKER,
     ConnectionFailed,
     Url,
-    _join_simple,
     _join_stdlib,
+    normalize_url,
 )
 from onto_seeker.rdf import UNSUPPORTED, detect_syntax
 from onto_seeker.rdf.model import RDF_XML_MEDIA_TYPES, TURTLE_MEDIA_TYPES
@@ -85,6 +85,10 @@ SCAN_SITE = make_synthetic_site(SiteSpec(seed=7, page_count=30, ontology_count=1
 SCAN_PAGES = sorted(
     entry.body for entry in SCAN_SITE.entries.values() if entry.content_type == "text/html"
 )
+
+
+def _no_join_stdlib(base, ref):
+    raise AssertionError(f"_join_stdlib({str(base)!r}, {ref!r})")
 
 
 def _page(body: str) -> CorpusEntry:
@@ -340,19 +344,18 @@ class TestSyntheticWebScan:
         for page in pages:
             assert _scan(page) == _parser_refs(page)
 
-    def test_every_rooted_or_absolute_href_takes_the_direct_join(self, site):
-        hrefs = 0
-        for key, entry in site.entries.items():
-            if entry.content_type != "text/html":
-                continue
-            base = Url.parse(key)
-            for ref in _scan(entry.body):
-                if ref.startswith(("/", "http://", "https://")):
-                    url = _join_simple(base, ref.strip())
-                    assert url is not None, ref
-                    assert url == _join_stdlib(base, ref.strip())
-                    hrefs += 1
-        assert hrefs >= 600  # each page links at least its /files/data<n>.csv
+    def test_every_href_takes_a_direct_join(self, site, monkeypatch):
+        joins = [
+            (Url.parse(key), ref.strip())
+            for key, entry in site.entries.items()
+            if entry.content_type == "text/html"
+            for ref in _scan(entry.body)
+        ]
+        expected = [join_outcome(_join_stdlib, base, ref) for base, ref in joins]
+        monkeypatch.setattr(netfetch, "_join_stdlib", _no_join_stdlib)
+        assert [join_outcome(normalize_url, base, ref) for base, ref in joins] == expected
+        # Each page links at least its /files/data<n>.csv, #top, mailto: and javascript:.
+        assert len(joins) >= 4 * 600
 
 
 class TestWriteUrlList:

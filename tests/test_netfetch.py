@@ -16,7 +16,7 @@ import urllib3
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import TLS_CERT, QuietHandler, ThreadRecorder, corpus_proxy_handler
+from conftest import TLS_CERT, QuietHandler, ThreadRecorder, corpus_proxy_handler, join_outcome
 from onto_seeker.crawler import CrawlConfig, crawl
 from onto_seeker.harness import (
     Corpus,
@@ -40,6 +40,7 @@ from onto_seeker.netfetch import (
     _join_simple,
     _join_stdlib,
     fetch_in_order,
+    monotonic_ms,
     normalize_url,
 )
 
@@ -173,13 +174,6 @@ class TestNormalizeUrl:
         assert Url.parse(str(url)) == url
 
 
-def _outcome(join, base: Url, href: str):
-    try:
-        return join(base, href)
-    except (UnsupportedScheme, MalformedUrl) as exc:
-        return type(exc)
-
-
 JOIN_BASES = [
     Url.parse(raw)
     for raw in (
@@ -187,14 +181,17 @@ JOIN_BASES = [
         "https://a.example/",
         "http://a.example:8080/d/?q=1",
         "https://b.example:0/x;p",
+        "http://a.example/d/x?",
+        "http://a.example/d/x;",
     )
 ]
-# Hrefs of the two fast shapes, about half of them with one piece added that
+# Hrefs of the fast shapes, about half of them with one piece added that
 # makes urljoin differ from a plain split, needs its checks or leaves the
 # shape: dot segments, params, an empty query, a fragment, escapes, "//",
 # ports, userinfo, brackets, inner whitespace and line breaks.
 HREF_PREFIXES = ["/", "http://b.example", "https://b.example", "HTTP://b.example",
-                 "http://B.Example", "//b.example", "", "\t/"]
+                 "http://B.Example", "//b.example", "", "\t/", "#", "mailto:", "Mailto:",
+                 "javascript:", "ftp://", "data:"]
 HREF_SAFE_PARTS = ["/", "a", "Z", "0", "-", "_", "~", "=", "&", "'", "(", "!", "*", "+", ",", "$",
                    "x.owl", "?q", "#f"]
 HREF_RISKY_PARTS = [".", "..", ";", "?", "#", "%", "//", ":80", ":+80", ":0", "user@", "[", "\t",
@@ -211,21 +208,32 @@ def hrefs(draw) -> str:
 
 
 class TestSimpleHrefJoin:
-    """Hrefs built without urljoin give what urljoin + Url.parse give."""
+    """Hrefs answered without urljoin get what urljoin + Url.parse give."""
 
     @settings(max_examples=500)
     @given(st.sampled_from(JOIN_BASES), hrefs())
     def test_equals_urljoin_or_declines(self, base, href):
-        assert _outcome(normalize_url, base, href) == _outcome(_join_stdlib, base, href.strip())
+        expected = join_outcome(_join_stdlib, base, href.strip())
+        assert join_outcome(normalize_url, base, href) == expected
 
     @pytest.mark.parametrize("base", JOIN_BASES, ids=str)
     @pytest.mark.parametrize(
         "href",
         ["/", "/a/b.html", "/a//b", "/a?q=1&r=/s?t", "/a#f", "/a?q#f", "http://b.example",
-         "http://b.example?q", "https://b.example/a/b.owl#x", "http://b.example/x"],
+         "http://b.example?q", "https://b.example/a/b.owl#x", "http://b.example/x",
+         "mailto:x@y", "Mailto:x@y", "javascript:void(0)", "data:,x", "urn:isbn:1#f", "ftp:x"],
     )
     def test_common_shapes_skip_urljoin(self, base, href):
-        assert _join_simple(base, href) == _join_stdlib(base, href)
+        assert join_outcome(_join_simple, base, href) == join_outcome(_join_stdlib, base, href)
+
+    # urljoin drops a base's empty query, and an empty params after a ";"
+    # ending its path; the direct answer leaves the latter to urljoin.
+    @pytest.mark.parametrize("base", JOIN_BASES, ids=str)
+    @pytest.mark.parametrize("href", ["#f", "#", "#a b#c"])
+    def test_fragment_only_href_is_the_base(self, base, href):
+        expected = None if base.path.endswith(";") else _join_stdlib(base, href)
+        assert _join_simple(base, href) == expected
+        assert normalize_url(base, href) == _join_stdlib(base, href)
 
     @pytest.mark.parametrize("base", JOIN_BASES, ids=str)
     @pytest.mark.parametrize(
@@ -233,11 +241,12 @@ class TestSimpleHrefJoin:
         ["//b.example/x", "/a/./b", "/a/../b", "/a/.", "/a;p", "/a;", "/a?", "/a?#f", "/a%2Fb",
          "/a b", "/a\tb", "/a\nb", "/a\u2028b", "HTTP://b.example/", "http://B.example/",
          "http://b.example:80/", "http://b.example:+80/", "http://b.example:0/",
-         "http://u@b.example/", "http://[::1]/", "a.html", "?q", "#f", "", "mailto:x@y"],
+         "http://u@b.example/", "http://[::1]/", "a.html", "?q", "", "http:x", "HTTPS:x",
+         "ftp://x/y", "ftp://[x", "x:/\n/[y", "x:\t//[y", "1x:y", "mail\tto:x"],
     )
     def test_other_shapes_go_to_urljoin(self, base, href):
         assert _join_simple(base, href) is None
-        assert _outcome(normalize_url, base, href) == _outcome(_join_stdlib, base, href)
+        assert join_outcome(normalize_url, base, href) == join_outcome(_join_stdlib, base, href)
 
 
 class TestPolitenessGate:
@@ -601,16 +610,24 @@ def test_faulted_pipeline_output_equal_through_the_live_transport(
 
 
 def test_live_crawl_politeness_gaps_seen_at_the_server(tmp_path, loopback, monkeypatch):
-    """The gate spaces issue times; the proxy logs when each request arrives,
-    and a server sees each host's requests at least 90 of the 100 ms apart."""
+    """A server sees each request at least 100 ms after the gate granted the
+    same host's previous request. The proxy stamps arrivals on this process's
+    monotonic clock, the one the gate reads, and a late thread only makes an
+    arrival later."""
     corpus, truth = make_synthetic_site(
         SiteSpec(seed=7, page_count=11, ontology_count=3, host_count=2)
     )
+    arrivals, grants = {}, []
 
     class ArrivalLoggingProxy(corpus_proxy_handler(corpus, loopback.stop)):
         def do_GET(self):
-            corpus.log_request(self.path, time.monotonic() * 1000.0)
+            arrivals[self.path] = monotonic_ms()
             super().do_GET()
+
+    class GrantLoggingTransport(LiveTransport):
+        def fetch(self, url, max_body_bytes, issued_at_ms=None):
+            grants.append((url.host, issued_at_ms, str(url)))
+            return super().fetch(url, max_body_bytes, issued_at_ms)
 
     monkeypatch.setenv("http_proxy", loopback(ArrivalLoggingProxy))
     config = CrawlConfig(
@@ -620,13 +637,15 @@ def test_live_crawl_politeness_gaps_seen_at_the_server(tmp_path, loopback, monke
         politeness_ms=100,
         output_path=str(tmp_path / "urls.txt"),
     )
-    crawl(config, LiveTransport(5.0))
-    arrivals = corpus.per_host_issue_times()
+    crawl(config, GrantLoggingTransport(5.0))
     pages_per_host = Counter(Url.parse(page).host for page in truth.page_depths)
-    assert {host: len(times) for host, times in arrivals.items()} == pages_per_host
+    assert Counter(host for host, _, _ in grants) == pages_per_host
     assert min(pages_per_host.values()) >= 2
-    for times in arrivals.values():
-        assert min(b - a for a, b in zip(times, times[1:])) >= 90.0
+    assert arrivals.keys() == truth.page_depths.keys()
+    for host in pages_per_host:
+        granted = sorted((grant, url) for grant_host, grant, url in grants if grant_host == host)
+        for (previous_grant, _), (_, url) in zip(granted, granted[1:]):
+            assert arrivals[url] - previous_grant >= 100.0
 
 
 def _handler(respond):

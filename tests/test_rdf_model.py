@@ -1,9 +1,14 @@
 from __future__ import annotations
 
+from urllib.parse import urljoin
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import canonical_triples
+from onto_seeker.harness import SiteSpec, make_synthetic_site, serialize_rdf_xml, serialize_turtle
+from onto_seeker.netfetch import Url
 from onto_seeker.rdf import (
     OWL_NS,
     RDF_NS,
@@ -11,6 +16,7 @@ from onto_seeker.rdf import (
     RDF_XML,
     TURTLE,
     UNSUPPORTED,
+    XSD_NS,
     Literal,
     Triple,
     detect_syntax,
@@ -20,6 +26,7 @@ from onto_seeker.rdf import (
     parse_turtle,
     tokenize,
 )
+from onto_seeker.rdf import model
 from onto_seeker.rdf.model import InvalidIri, resolve_iri
 
 
@@ -124,6 +131,76 @@ class TestTokenize:
             assert tokenize(token) == [token]
 
 
+# Bases as the parsers pass them: str() of a Url, or an xml:base or @base
+# reference resolved against one.
+URL_BASES = [
+    str(Url.parse(raw))
+    for raw in ("http://a.example/onto.owl", "https://b.example:8443/d/o.ttl?v=1",
+                "http://a.example/d/x;", "http://a.example/d/?")
+]
+BASE_REFS = ["sub/", "../up.owl#", "#frag", "?q", "http://c.example/ns/", "ftp://f.example/p/",
+             "file:///tmp/o.owl", "urn:x:y", "x1+b.c-d://h.example/"]
+
+
+# Plain absolute IRIs, about half of them with one risky piece added: an
+# upper-case scheme, an empty query, params, dot segments, brackets, a port,
+# whitespace, a C0 control, non-ASCII or a line break.
+IRI_SCHEMES = ["http", "https", "file", "urn", "x1+b.c-d"]
+IRI_HOSTS = ["a.example", "h0", "b-c_d~e.f"]
+IRI_PIECES = ["a", "Z", "0", "-", ".", "_", "~", "!", "$", "&", "'", "(", ")", "*", "+", ",", ";",
+              "=", ":", "@", "%2F", "x.owl"]
+IRI_RISKY = [str.upper, "?", ";", "/./", "/..", "[", ":80", " ", "\t", "\n", "\x00", "\u00e9",
+             "\u2028", "#", "//", "\\"]
+
+
+@st.composite
+def bases_and_plain_iris(draw) -> tuple[str, str]:
+    """A base and a plain absolute IRI, of the base's scheme about half the time."""
+
+    def pieces(lead: str, min_size: int = 0) -> str:
+        return lead + "".join(draw(st.lists(st.sampled_from(IRI_PIECES), min_size=min_size,
+                                            max_size=3)))
+
+    base = draw(st.sampled_from(URL_BASES))
+    if draw(st.booleans()):
+        base = resolve_iri(base, draw(st.sampled_from(BASE_REFS)))
+    scheme = base.split(":", 1)[0] if draw(st.booleans()) else draw(st.sampled_from(IRI_SCHEMES))
+    parts = [scheme, "://" + draw(st.sampled_from(IRI_HOSTS))]
+    parts += [pieces("/") for _ in range(draw(st.integers(0, 3)))]
+    parts += [pieces("?", 1)] if draw(st.booleans()) else []
+    parts += [pieces("#")] if draw(st.booleans()) else []
+    if draw(st.booleans()):
+        return base, _with_risky(parts, draw(st.sampled_from(IRI_RISKY)),
+                                 draw(st.integers(0, len(parts))))
+    return base, "".join(parts)
+
+
+def _with_risky(parts: list[str], risky, at: int) -> str:
+    if callable(risky):
+        return risky(parts[0]) + "".join(parts[1:])
+    return "".join(parts[:at] + [risky] + parts[at:])
+
+
+def _urljoin_keeping_hash(base: str, ref: str):
+    """resolve_iri as plain urljoin gives it: InvalidIri for a ValueError."""
+    try:
+        out = urljoin(base, ref)
+    except ValueError:
+        return InvalidIri
+    return out + "#" if ref.endswith("#") and not out.endswith("#") else out
+
+
+def _resolved(base: str, ref: str):
+    try:
+        return resolve_iri(base, ref)
+    except InvalidIri:
+        return InvalidIri
+
+
+def _no_urljoin(base, ref):
+    raise AssertionError(f"urljoin({base!r}, {ref!r})")
+
+
 class TestResolveIri:
     def test_keeps_bare_hash(self):
         assert resolve_iri("http://d/x.owl", "http://w3.example/ns#") == "http://w3.example/ns#"
@@ -194,6 +271,58 @@ class TestResolveIri:
             base,
         )
         assert [t.subject for t in rdfxml] == ["http://a.example/1x:Person"]
+
+    @settings(max_examples=500)
+    @given(bases_and_plain_iris())
+    def test_direct_answer_equals_urljoin(self, base_and_ref):
+        base, ref = base_and_ref
+        assert _resolved(base, ref) == _urljoin_keeping_hash(base, ref)
+
+    def test_risky_piece_at_any_boundary_equals_urljoin(self):
+        """Each risky piece, at each boundary of an IRI of the base's own scheme
+        (the IRIs urljoin splits and rebuilds), resolves as urljoin does."""
+        bases = URL_BASES + [resolve_iri(base, ref) for base in URL_BASES for ref in BASE_REFS]
+        for base in bases:
+            scheme = base.split(":", 1)[0]
+            for parts in ([scheme, "://h0", "/a;b", "/x.owl", "?q=1", "#f"],
+                          [scheme, "://h0", "/x", "#"], [scheme, "://h0"]):
+                for risky in IRI_RISKY:
+                    for at in range(len(parts) + 1):
+                        ref = _with_risky(parts, risky, at)
+                        assert _resolved(base, ref) == _urljoin_keeping_hash(base, ref), ref
+
+    @pytest.mark.parametrize("base", URL_BASES)
+    @pytest.mark.parametrize(
+        "ref",
+        ["", "http://host0.example/onto/o100.owl#DeviceProcessChannel", "http://w3.example/ns#",
+         "https://h0/a;b/c:d@e?q=1&r=%20#f/g", "urn://h0", "ftp://a.example/x;y"],
+    )
+    def test_empty_or_plain_ref_skips_urljoin(self, base, ref, monkeypatch):
+        expected = _urljoin_keeping_hash(base, ref)
+        monkeypatch.setattr(model, "urljoin", _no_urljoin)
+        assert resolve_iri(base, ref) == expected
+
+    def test_every_iri_of_a_generated_site_takes_a_direct_path(self, monkeypatch):
+        """Each ontology of a generated site, parsed as served and again from
+        RDF/XML and Turtle serialisations of its triples, resolves every IRI
+        without urljoin."""
+        corpus, truth = make_synthetic_site(
+            SiteSpec(seed=1, page_count=200, ontology_count=200, host_count=4)
+        )
+        monkeypatch.setattr(model, "urljoin", _no_urljoin)
+        parsers = {RDF_XML: parse_rdf_xml, TURTLE: parse_turtle}
+        served = set()
+        for url, summary in truth.summaries.items():
+            body = corpus.entries[url].body
+            syntax = detect_syntax(body)
+            served.add(syntax)
+            triples = parsers[syntax](body, url)
+            assert extract_summary(triples, url, len(body)) == summary
+            namespaces = {"o": url + "#", "rdfs": RDFS_NS, "owl": OWL_NS, "xsd": XSD_NS}
+            for other, serialize in ((RDF_XML, serialize_rdf_xml), (TURTLE, serialize_turtle)):
+                again = parsers[other](serialize(triples, namespaces), url)
+                assert canonical_triples(again) == canonical_triples(triples)
+        assert served == {RDF_XML, TURTLE}
 
 
 NS = "http://fixture.test/o.owl#"
