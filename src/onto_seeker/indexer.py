@@ -165,10 +165,12 @@ def index_summaries(summaries: list[OntologySummary]) -> tuple[list[DocRecord], 
     tf counts how many source terms in that field tokenize to contain the
     token, so one multi-word term contributes at most 1 per token. Docs are
     visited in id order, so only the (token, field rank) keys need sorting.
+    Each distinct term is tokenized once: vocabularies repeat across documents.
     """
     docs: list[DocRecord] = []
     # (token, field rank) -> {doc id: tf}; each key's doc ids come out ascending
     tf_table: defaultdict[tuple[str, int], Counter[int]] = defaultdict(Counter)
+    term_tokens: dict[str, tuple[str, ...]] = {}  # term -> its distinct tokens
     for doc_id, summary in enumerate(summaries):
         field_terms = (summary.classes, summary.properties, summary.relations)
         docs.append(
@@ -176,7 +178,10 @@ def index_summaries(summaries: list[OntologySummary]) -> tuple[list[DocRecord], 
         )
         for rank, terms in enumerate(field_terms):
             for term in terms:
-                for token in set(tokenize(term)):
+                tokens = term_tokens.get(term)
+                if tokens is None:
+                    tokens = term_tokens[term] = tuple(set(tokenize(term)))
+                for token in tokens:
                     tf_table[token, rank][doc_id] += 1
     postings = [
         (token, FIELDS[rank], doc_id, tf)

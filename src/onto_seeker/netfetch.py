@@ -140,10 +140,10 @@ _SIMPLE_HREF = re.compile(
     re.ASCII | re.DOTALL,
 )
 # Two more shapes are answered without urljoin. A fragment-only href is the
-# base less an empty query, unless the base's path ends in ";" (urljoin drops
-# that as empty params). A letter-led scheme other than http(s), with no "//"
-# after its colon once urlsplit has dropped tabs and line feeds, comes back
-# from urljoin as it is, and Url.parse refuses it.
+# base less an empty query, as resolve_iri gives it. A letter-led scheme
+# other than http(s), with no "//" after its colon once urlsplit has dropped
+# tabs and line feeds, comes back from urljoin as it is, and Url.parse
+# refuses it.
 _OTHER_SCHEME = re.compile(r"(?!(?i:https?):)[A-Za-z][-+.A-Za-z0-9]*:(?![\t\n\r]*/[\t\n\r]*/)")
 
 
@@ -156,7 +156,7 @@ def _join_simple(base: Url, ref: str) -> Url | None:
         if scheme is None:
             return Url(base.scheme, base.host, base.port, rooted_path, query)
         return Url(scheme, host, DEFAULT_PORTS[scheme], path or "/", query)
-    if ref.startswith("#") and not base.path.endswith(";"):
+    if ref.startswith("#"):
         return base if base.query != "" else replace(base, query=None)
     if _OTHER_SCHEME.match(ref):
         return Url.parse(ref)

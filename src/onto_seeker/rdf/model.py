@@ -63,14 +63,14 @@ class UnsupportedConstruct(RdfParseError):
         super().__init__(f"unsupported construct: {construct}" + (f" ({detail})" if detail else ""))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Literal:
     lexical: str
     datatype: str | None = None
     lang: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Triple:
     subject: str
     predicate: str
@@ -115,7 +115,10 @@ _PLAIN_IRI = re.compile(
 
 def resolve_iri(base: str, ref: str) -> str:
     """urljoin that keeps a bare trailing '#' (urljoin drops empty fragments,
-    which would corrupt namespace IRIs like ...rdf-syntax-ns#).
+    which would corrupt namespace IRIs like ...rdf-syntax-ns#), and keeps a
+    ';' that ends the base's path for a ref that starts with '#' or '?'
+    (urlparse reads that ';' as empty params, which urlunparse drops; RFC
+    3986 section 5.2.2 keeps the base's path whole).
 
     An empty ref is the base and a plain absolute ref is itself, as urljoin
     gives them, so neither goes through urljoin. That holds for any base
@@ -130,6 +133,17 @@ def resolve_iri(base: str, ref: str) -> str:
         out = urljoin(base, ref)
     except ValueError as exc:
         raise InvalidIri(f"cannot resolve {ref!r} against {base!r}: {exc}") from None
+    if ref[0] in "#?":
+        # The base up to its query or fragment; urljoin gives it back less the
+        # ';' (and with a lower-case scheme) when it dropped that ';'.
+        head = base.split("#", 1)[0].split("?", 1)[0]
+        cut = len(head) - 1
+        if (
+            head.endswith(";")
+            and out[cut : cut + 1] in ("", "?", "#")
+            and out[:cut].lower() == head[:cut].lower()
+        ):
+            out = out[:cut] + ";" + out[cut:]
     if ref.endswith("#") and not out.endswith("#"):
         out += "#"
     return out

@@ -10,8 +10,9 @@ multi-line strings are out of the subset and raise UnsupportedConstruct.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from .model import Literal, RDF_NS, RdfParseError, Triple, UnsupportedConstruct, resolve_iri
+from typing import NoReturn
+
+from .model import Literal, RDF_TYPE, RdfParseError, Triple, UnsupportedConstruct, resolve_iri
 
 
 class TurtleSyntaxError(RdfParseError):
@@ -27,27 +28,38 @@ class UndefinedPrefix(RdfParseError):
         super().__init__(f"line {line}, column {col}: undefined prefix {prefix + ':'!r}")
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # IRIREF PNAME BLANK STRING NUMBER WORD DIRECTIVE LANGTAG DTYPE PUNCT EOF
-    value: str
-    pos: int  # offset of the token's first character
-    extra: str = ""
+# A token is a (kind, value, pos, extra) tuple: pos is the offset of its first
+# character, and extra is a prefixed name's local part ("" for other kinds).
+# Kinds: IRIREF PNAME BLANK STRING NUMBER WORD DIRECTIVE LANGTAG DTYPE PUNCT EOF.
+_Token = tuple[str, str, int, str]
 
-
-_WS = re.compile(r"(?:[ \t\r\n]+|#[^\n]*)+")
-_NUMBER = re.compile(r"[+-]?(?:\d+\.\d+|\.\d+|\d+)")
-_PNAME = re.compile(r"((?:[^\W\d][\w.\-]*)?):([\w.\-%]*)")
-_WORD = re.compile(r"[^\W\d][\w\-]*")
-_BLANK = re.compile(r"_:[\w.\-]*")
-_LANG = re.compile(r"[A-Za-z]+(?:-[A-Za-z0-9]+)*")
-# Both stop at the first character that cannot continue the token; the
-# character after the match (closing delimiter, newline or none) decides.
-_IRIREF = re.compile(r"<([^>\n\r]*)")
-_STRING = re.compile(
+# One match reads the whitespace and comments before a token, then the token:
+# the first alternative that matches names its kind in ``lastgroup``. Only
+# well-formed tokens match. Anywhere else the empty BAD alternative does, and
+# _Parser.bad_token raises the error for that spot. A local name or blank node
+# label takes no trailing ".", which is left to end the statement.
+_TOKEN = re.compile(
+    r"(?:[ \t\r\n]+|#[^\n]*)*"
+    r'(?:(?P<IRIREF><(?P<iri>[^>\x00-\x20"{}|^`]*)>)'
+    r'|(?P<STRING>"(?!"")[^"\\\n\r]*(?:\\[\s\S][^"\\\n\r]*)*"'
+    r"|'(?!'')[^'\\\n\r]*(?:\\[\s\S][^'\\\n\r]*)*')"
+    r"|(?P<LANG>@[A-Za-z]+(?:-[A-Za-z0-9]+)*)"
+    r"|(?P<DTYPE>\^\^)"
+    r"|(?P<BLANK>_:[\w.\-]*[\w\-])"
+    r"|(?P<NUMBER>[+-]?(?:\d+\.\d+|\.\d+|\d+))"
+    r"|(?P<PUNCT>[.;,])"
+    r"|(?!_:)(?:(?P<PNAME>(?P<prefix>(?:[^\W\d][\w.\-]*+)?):(?P<local>(?:[\w.\-%]*[\w\-%])?))"
+    r"|(?P<WORD>[^\W\d][\w\-]*))"
+    r"|(?P<EOF>\Z)"
+    r"|(?P<BAD>))"
+)
+# bad_token's scans of an IRI or string that _TOKEN did not match: each stops
+# at the first character that cannot continue it, and the character after
+# the match (closing delimiter, line break or none) decides the error.
+_IRI_HEAD = re.compile(r"<[^>\n\r]*")
+_STRING_HEAD = re.compile(
     r'"[^"\\\n\r]*(?:\\[\s\S][^"\\\n\r]*)*' r"|'[^'\\\n\r]*(?:\\[\s\S][^'\\\n\r]*)*"
 )
-_IRI_ILLEGAL = re.compile(r'[\x00-\x20"{}|^`]')
 # A \u or \U escape takes ASCII hex only; int(x, 16) also takes "+", "_",
 # spaces and non-ASCII digits.
 _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
@@ -55,6 +67,10 @@ _STRING_ESCAPES = {
     "t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f",
     '"': '"', "'": "'", "\\": "\\",
 }
+
+
+def _is_punct(tok: _Token, symbol: str) -> bool:
+    return tok[0] == "PUNCT" and tok[1] == symbol
 
 
 class _Parser:
@@ -74,51 +90,48 @@ class _Parser:
         return TurtleSyntaxError(message, *self.where(pos))
 
     def next_token(self) -> _Token:
-        text = self.text
-        ws = _WS.match(text, self.pos)
-        if ws:
-            self.pos = ws.end()
-        start = self.pos
-        if start >= len(text):
-            return _Token("EOF", "", start)
-        ch = text[start]
+        m = _TOKEN.match(self.text, self.pos)
+        kind = m.lastgroup
+        start = m.start(kind)
+        self.pos = m.end()
+        if kind == "PNAME":
+            return kind, m["prefix"], start, m["local"]
+        if kind == "IRIREF":
+            raw = m["iri"]
+            return kind, self._unescape(raw, start, iri=True) if "\\" in raw else raw, start, ""
+        if kind == "STRING":
+            raw = m[kind][1:-1]
+            return kind, self._unescape(raw, start) if "\\" in raw else raw, start, ""
+        if kind == "LANG":
+            word = m[kind]
+            if word == "@prefix" or word == "@base":
+                return "DIRECTIVE", word, start, ""
+            return "LANGTAG", word[1:], start, ""
+        if kind == "BAD":
+            self.bad_token(start)
+        return kind, m[kind], start, ""
 
+    def bad_token(self, start: int) -> NoReturn:
+        """Raise the error for ``start``, where no well-formed token begins."""
+        text = self.text
+        ch = text[start]
         if ch == "<":
-            m = _IRIREF.match(text, start)
-            end = m.end()
+            end = _IRI_HEAD.match(text, start).end()
             if end >= len(text):
                 raise self.error("unterminated IRI", start)
             if text[end] != ">":
                 raise self.error("newline inside IRI", start)
-            raw = m.group(1)
-            if _IRI_ILLEGAL.search(raw):
-                raise self.error(f"illegal character in IRI <{raw}>", start)
-            self.pos = end + 1
-            return _Token("IRIREF", self._unescape(raw, start, iri=True), start)
+            raise self.error(f"illegal character in IRI <{text[start + 1 : end]}>", start)
         if ch in "\"'":
             if text[start : start + 3] in ('"""', "'''"):
                 raise UnsupportedConstruct("multi-line string", f"line {self.where(start)[0]}")
-            end = _STRING.match(text, start).end()
+            end = _STRING_HEAD.match(text, start).end()
             if end < len(text) and text[end] in "\n\r":
                 raise self.error("newline inside string literal", start)
-            if end >= len(text) or text[end] != ch:
-                raise self.error("unterminated string literal", start)
-            self.pos = end + 1
-            return _Token("STRING", self._unescape(text[start + 1 : end], start), start)
+            raise self.error("unterminated string literal", start)
         if ch == "@":
-            self.pos += 1
-            word = _LANG.match(text, self.pos)
-            if not word:
-                raise self.error("expected directive or language tag after '@'", self.pos)
-            value = word.group(0)
-            self.pos = word.end()
-            if value in ("prefix", "base"):
-                return _Token("DIRECTIVE", "@" + value, start)
-            return _Token("LANGTAG", value, start)
+            raise self.error("expected directive or language tag after '@'", start + 1)
         if ch == "^":
-            if text[start : start + 2] == "^^":
-                self.pos += 2
-                return _Token("DTYPE", "^^", start)
             raise self.error("lone '^' (expected '^^')", start)
         if ch in "([":
             construct = "collection" if ch == "(" else "anonymous blank node"
@@ -126,35 +139,11 @@ class _Parser:
             raise UnsupportedConstruct(construct, f"line {line}, column {col}")
         if ch in ")]":
             raise self.error(f"unbalanced {ch!r}", start)
-        if ch == "_" and text[start : start + 2] == "_:":
-            label = _BLANK.match(text, start).group(0).rstrip(".")
-            if label == "_:":
-                raise self.error("blank node label missing", start)
-            self.pos += len(label)
-            return _Token("BLANK", label, start)
-        num = _NUMBER.match(text, start)
-        if num and (ch.isdigit() or (ch in "+-." and len(num.group(0)) > 1)):
-            self.pos = num.end()
-            return _Token("NUMBER", num.group(0), start)
-        if ch in ".;,":
-            self.pos += 1
-            return _Token("PUNCT", ch, start)
-        pname = _PNAME.match(text, start)
-        if pname:
-            local = pname.group(2)
-            trimmed = len(local) - len(local.rstrip("."))
-            local = local[: len(local) - trimmed] if trimmed else local
-            self.pos = pname.end() - trimmed
-            return _Token("PNAME", pname.group(1), start, extra=local)
-        word = _WORD.match(text, start)
-        if word:
-            self.pos = word.end()
-            return _Token("WORD", word.group(0), start)
+        if text.startswith("_:", start):
+            raise self.error("blank node label missing", start)
         raise self.error(f"unexpected character {ch!r}", start)
 
     def _unescape(self, raw: str, pos: int, iri: bool = False) -> str:
-        if "\\" not in raw:
-            return raw
         out: list[str] = []
         i = 0
         while i < len(raw):
@@ -191,112 +180,116 @@ class _Parser:
         return self._peeked
 
     def take(self) -> _Token:
-        tok = self.peek()
+        tok = self._peeked
+        if tok is None:
+            return self.next_token()
         self._peeked = None
         return tok
 
+    def found(self, message: str, tok: _Token) -> TurtleSyntaxError:
+        """``message``, then the token found instead, at that token."""
+        kind, value, pos, _ = tok
+        return self.error(f"{message}, found {value or kind!r}", pos)
+
     def expect_punct(self, symbol: str) -> None:
         tok = self.take()
-        if tok.kind != "PUNCT" or tok.value != symbol:
-            raise self.error(f"expected {symbol!r}, found {tok.value or tok.kind!r}", tok.pos)
+        if not _is_punct(tok, symbol):
+            raise self.found(f"expected {symbol!r}", tok)
 
     def parse(self) -> list[Triple]:
         while True:
-            tok = self.peek()
-            if tok.kind == "EOF":
+            kind, value, _, _ = self.peek()
+            if kind == "EOF":
                 return self.triples
-            if tok.kind == "DIRECTIVE":
+            if kind == "DIRECTIVE":
                 self.take()
-                self.directive(tok.value, trailing_dot=True)
-            elif tok.kind == "WORD" and tok.value.lower() in ("prefix", "base"):
+                self.directive(value, trailing_dot=True)
+            elif kind == "WORD" and value.lower() in ("prefix", "base"):
                 self.take()
-                self.directive("@" + tok.value.lower(), trailing_dot=False)
+                self.directive("@" + value.lower(), trailing_dot=False)
             else:
                 self.triples_statement()
 
     def directive(self, which: str, trailing_dot: bool) -> None:
         if which == "@prefix":
-            name = self.take()
-            if name.kind != "PNAME" or name.extra:
-                raise self.error("expected 'prefix:' in prefix declaration", name.pos)
-            target = self.take()
-            if target.kind != "IRIREF":
-                raise self.error("expected IRI in prefix declaration", target.pos)
-            self.prefixes[name.value] = resolve_iri(self.base, target.value)
+            kind, prefix, pos, local = self.take()
+            if kind != "PNAME" or local:
+                raise self.error("expected 'prefix:' in prefix declaration", pos)
+            kind, iri, pos, _ = self.take()
+            if kind != "IRIREF":
+                raise self.error("expected IRI in prefix declaration", pos)
+            self.prefixes[prefix] = resolve_iri(self.base, iri)
         else:
-            target = self.take()
-            if target.kind != "IRIREF":
-                raise self.error("expected IRI in base declaration", target.pos)
-            self.base = resolve_iri(self.base, target.value)
+            kind, iri, pos, _ = self.take()
+            if kind != "IRIREF":
+                raise self.error("expected IRI in base declaration", pos)
+            self.base = resolve_iri(self.base, iri)
         if trailing_dot:
             self.expect_punct(".")
 
     def triples_statement(self) -> None:
-        subject = self.term(position="subject")
+        append = self.triples.append
+        subject = self.term("subject")
         while True:
             predicate = self.verb()
             while True:
-                self.triples.append(Triple(subject, predicate, self.term(position="object")))
-                tok = self.peek()
-                if tok.kind == "PUNCT" and tok.value == ",":
-                    self.take()
-                    continue
-                break
-            tok = self.take()
-            if tok.kind == "PUNCT" and tok.value == ";":
-                while True:
-                    nxt = self.peek()
-                    if nxt.kind == "PUNCT" and nxt.value == ";":
-                        self.take()
-                        continue
+                append(Triple(subject, predicate, self.term("object")))
+                tok = self.take()
+                if not _is_punct(tok, ","):
                     break
-                if nxt.kind == "PUNCT" and nxt.value == ".":
+            if _is_punct(tok, ";"):
+                while _is_punct(self.peek(), ";"):
+                    self.take()
+                if _is_punct(self.peek(), "."):
                     self.take()
                     return
                 continue
-            if tok.kind == "PUNCT" and tok.value == ".":
+            if _is_punct(tok, "."):
                 return
-            raise self.error(f"expected ';', ',' or '.', found {tok.value or tok.kind!r}", tok.pos)
+            raise self.found("expected ';', ',' or '.'", tok)
 
     def verb(self) -> str:
-        tok = self.peek()
-        if tok.kind == "WORD" and tok.value == "a":
+        kind, value, _, _ = self.peek()
+        if kind == "WORD" and value == "a":
             self.take()
-            return RDF_NS + "type"
+            return RDF_TYPE
         return self.iri("predicate")
 
     def iri(self, position: str) -> str:
         tok = self.take()
-        if tok.kind == "IRIREF":
-            return resolve_iri(self.base, tok.value)
-        if tok.kind == "PNAME":
-            if tok.value not in self.prefixes:
-                raise UndefinedPrefix(tok.value, *self.where(tok.pos))
-            return self.prefixes[tok.value] + tok.extra
-        raise self.error(f"expected IRI as {position}, found {tok.value or tok.kind!r}", tok.pos)
+        kind, value, pos, local = tok
+        if kind == "IRIREF":
+            return resolve_iri(self.base, value)
+        if kind == "PNAME":
+            namespace = self.prefixes.get(value)
+            if namespace is None:
+                raise UndefinedPrefix(value, *self.where(pos))
+            return namespace + local
+        raise self.found(f"expected IRI as {position}", tok)
 
     def term(self, position: str) -> str | Literal:
         tok = self.peek()
-        if tok.kind == "BLANK":
+        kind, value, _, _ = tok
+        if kind == "BLANK":
             self.take()
-            return tok.value
-        if tok.kind in ("IRIREF", "PNAME"):
+            return value
+        if kind == "IRIREF" or kind == "PNAME":
             return self.iri(position)
         if position == "object":
-            if tok.kind == "STRING":
+            if kind == "STRING":
                 self.take()
-                return self.literal_tail(tok.value)
-            if tok.kind == "NUMBER":
+                return self.literal_tail(value)
+            if kind == "NUMBER":
                 self.take()
-                return Literal(tok.value)
-        raise self.error(f"expected {position}, found {tok.value or tok.kind!r}", tok.pos)
+                return Literal(value)
+        raise self.found(f"expected {position}", tok)
 
     def literal_tail(self, lexical: str) -> Literal:
-        tok = self.peek()
-        if tok.kind == "LANGTAG":
+        kind, value, _, _ = self.peek()
+        if kind == "LANGTAG":
             self.take()
-            return Literal(lexical, lang=tok.value)
-        if tok.kind == "DTYPE":
+            return Literal(lexical, lang=value)
+        if kind == "DTYPE":
             self.take()
             return Literal(lexical, datatype=self.iri("datatype"))
         return Literal(lexical)

@@ -349,6 +349,38 @@ class TestIndexSummaries:
             assert tf == expected
 
 
+    def test_repeated_terms_match_brute_force(self, monkeypatch):
+        """A term repeated across docs and fields, and a term whose tokens
+        repeat, give the brute-force tf; each distinct term is tokenized once,
+        through the module's ``tokenize``."""
+        summaries = [
+            _summary("http://h.test/a.owl", classes={"hasPart", "fooFoo"}, relations={"hasPart"}),
+            _summary("http://h.test/b.owl", properties={"hasPart", "foo"}, relations={"fooFoo"}),
+            _summary("http://h.test/c.owl", classes={"fooFoo", "Part"}, relations={"hasPart"}),
+        ]
+        calls: list[str] = []
+
+        def counting_tokenize(term):
+            calls.append(term)
+            return tokenize(term)
+
+        monkeypatch.setattr(indexer, "tokenize", counting_tokenize)
+        _docs, postings = index_summaries(summaries)
+        assert sorted(calls) == ["Part", "foo", "fooFoo", "hasPart"]
+        expected = {}
+        for doc_id, summary in enumerate(summaries):
+            fields = {"class": summary.classes, "property": summary.properties,
+                      "relation": summary.relations}
+            for field, terms in fields.items():
+                for term in terms:
+                    for token in tokenize(term):
+                        key = (token, field, doc_id)
+                        expected[key] = sum(1 for t in terms if token in tokenize(t))
+        assert {(token, field, doc_id): tf for token, field, doc_id, tf in postings} == expected
+        assert ("foo", "class", 0, 1) in postings  # "fooFoo" counts once for "foo"
+        assert ("foo", "property", 1, 1) in postings
+
+
 class TestWriteReadRoundTrip:
     def test_round_trip_equality(self, tmp_path):
         summaries = [

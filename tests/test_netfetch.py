@@ -226,14 +226,28 @@ class TestSimpleHrefJoin:
     def test_common_shapes_skip_urljoin(self, base, href):
         assert join_outcome(_join_simple, base, href) == join_outcome(_join_stdlib, base, href)
 
-    # urljoin drops a base's empty query, and an empty params after a ";"
-    # ending its path; the direct answer leaves the latter to urljoin.
+    # urljoin drops a base's empty query; resolve_iri keeps a ";" ending its path.
     @pytest.mark.parametrize("base", JOIN_BASES, ids=str)
     @pytest.mark.parametrize("href", ["#f", "#", "#a b#c"])
     def test_fragment_only_href_is_the_base(self, base, href):
-        expected = None if base.path.endswith(";") else _join_stdlib(base, href)
-        assert _join_simple(base, href) == expected
+        assert _join_simple(base, href) == _join_stdlib(base, href)
         assert normalize_url(base, href) == _join_stdlib(base, href)
+
+    # RFC 3986 section 5.2.2: a fragment- or query-only href keeps the whole
+    # path of the base, a ";" ending it included.
+    @pytest.mark.parametrize(
+        "base, href, expected",
+        [
+            ("http://a.example/x;", "#top", "http://a.example/x;"),
+            ("http://a.example/x;", "?q", "http://a.example/x;?q"),
+            ("http://a.example/x;?b", "#top", "http://a.example/x;?b"),
+            ("http://a.example/x;?", "#top", "http://a.example/x;"),
+            ("http://a.example/d;/x;", "?q#f", "http://a.example/d;/x;?q"),
+            ("http://a.example/x;", "y", "http://a.example/y"),
+        ],
+    )
+    def test_semicolon_ending_the_base_path_is_kept(self, base, href, expected):
+        assert normalize_url(Url.parse(base), href) == Url.parse(expected)
 
     @pytest.mark.parametrize("base", JOIN_BASES, ids=str)
     @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
-from urllib.parse import urljoin
+import dataclasses
+from urllib.parse import urljoin, urlsplit, urlunsplit
 
 import pytest
 from hypothesis import given, settings
@@ -182,11 +183,17 @@ def _with_risky(parts: list[str], risky, at: int) -> str:
 
 
 def _urljoin_keeping_hash(base: str, ref: str):
-    """resolve_iri as plain urljoin gives it: InvalidIri for a ValueError."""
+    """resolve_iri as plain urljoin gives it: InvalidIri for a ValueError, and
+    a ref led by "#" or "?" keeps a ";" ending the base's path (urlparse reads
+    it as empty params, which urlunparse drops)."""
     try:
         out = urljoin(base, ref)
     except ValueError:
         return InvalidIri
+    if ref[:1] in ("#", "?"):
+        path = urlsplit(base).path
+        if path.endswith(";") and urlsplit(out).path == path[:-1]:
+            out = urlunsplit(urlsplit(out)._replace(path=path))
     return out + "#" if ref.endswith("#") and not out.endswith("#") else out
 
 
@@ -201,12 +208,45 @@ def _no_urljoin(base, ref):
     raise AssertionError(f"urljoin({base!r}, {ref!r})")
 
 
+class TestRecordContracts:
+    def test_triple_and_literal_frozen_and_slotted(self):
+        literal = Literal("5", datatype=XSD_NS + "int")
+        triple = Triple("http://h.test/s", "http://h.test/p", literal)
+        for record, field in ((literal, "lexical"), (triple, "object")):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, field, "x")
+            assert not hasattr(record, "__dict__")
+        again = Triple("http://h.test/s", "http://h.test/p", Literal("5", datatype=XSD_NS + "int"))
+        assert triple == again and hash(triple) == hash(again)
+        assert Literal("5") != literal and Literal("5", lang="en") != Literal("5")
+        assert len({triple, again, Triple("_:b", "http://h.test/p", "http://h.test/o")}) == 2
+
+
 class TestResolveIri:
     def test_keeps_bare_hash(self):
         assert resolve_iri("http://d/x.owl", "http://w3.example/ns#") == "http://w3.example/ns#"
 
     def test_relative_fragment(self):
         assert resolve_iri("http://d/x.owl", "#A") == "http://d/x.owl#A"
+
+    # RFC 3986 section 5.2.2; urljoin drops the ";", read as empty params.
+    @pytest.mark.parametrize(
+        "base, ref, expected",
+        [
+            ("http://a.example/x;", "#top", "http://a.example/x;#top"),
+            ("http://a.example/x;", "?q", "http://a.example/x;?q"),
+            ("http://a.example/x;", "#", "http://a.example/x;#"),
+            ("http://a.example/x;?b", "?", "http://a.example/x;?b"),
+            ("http://a.example/x;?", "#f", "http://a.example/x;#f"),
+            ("http://a.example/d;/x;#g", "?q#h", "http://a.example/d;/x;?q#h"),
+            ("HTTP://a.example/x;", "#f", "http://a.example/x;#f"),
+            ("http://a.example/x;p", "#f", "http://a.example/x;p#f"),
+            ("http://a.example/x;", "y", "http://a.example/y"),
+            ("urn:x;", "#f", "#f"),
+        ],
+    )
+    def test_fragment_or_query_ref_keeps_a_semicolon_ending_the_path(self, base, ref, expected):
+        assert resolve_iri(base, ref) == expected
 
     def test_absolute_passthrough(self):
         assert resolve_iri("http://d/x.owl", "http://other/y#B") == "http://other/y#B"

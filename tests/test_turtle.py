@@ -139,6 +139,20 @@ class TestParseTurtle:
             ("_: <p> <o> .", TurtleSyntaxError, "line 1, column 1: blank node label missing"),
             ("<a\\>", TurtleSyntaxError, "line 1, column 1: dangling backslash"),
             ("<a\\n> <p> <o> .", TurtleSyntaxError, "line 1, column 1: unknown escape \\n"),
+            ("<a> <p>\n  <o b> .", TurtleSyntaxError,
+             "line 2, column 3: illegal character in IRI <o b>"),
+            ('<a> <p>\n  "x', TurtleSyntaxError, "line 2, column 3: unterminated string literal"),
+            ('<a> <p> "x\\', TurtleSyntaxError, "line 1, column 9: unterminated string literal"),
+            ("<a> <p> ) .", TurtleSyntaxError, "line 1, column 9: unbalanced ')'"),
+            ("<a>\n <p> ] .", TurtleSyntaxError, "line 2, column 6: unbalanced ']'"),
+            ("<a> <p> <o b\n> .", TurtleSyntaxError, "line 1, column 9: newline inside IRI"),
+            ('<a> <p> "a\\\nb', TurtleSyntaxError, "line 1, column 9: unterminated string literal"),
+            ("<a> <p> -x .", TurtleSyntaxError, "line 1, column 9: unexpected character '-'"),
+            ("# c\n<a> <p> <o> . # x\n~", TurtleSyntaxError,
+             "line 3, column 1: unexpected character '~'"),
+            ("<a> <p>\n  [ ] .", UnsupportedConstruct,
+             "unsupported construct: anonymous blank node (line 2, column 3)"),
+            ("_:b0 <p> _:.", TurtleSyntaxError, "line 1, column 10: blank node label missing"),
             ("@prefix <x> .", TurtleSyntaxError,
              "line 1, column 9: expected 'prefix:' in prefix declaration"),
             ("@prefix ex: ex:b .", TurtleSyntaxError,
@@ -219,6 +233,66 @@ class TestParseTurtle:
     def test_keyword_a_invalid_as_subject(self):
         with pytest.raises(TurtleSyntaxError):
             _parse("a <p> <o> .")
+
+
+X = "http://x/"
+XSD_INT = "http://www.w3.org/2001/XMLSchema#int"
+
+# Where one token ends and the next begins, with every triple written out.
+# Each document is parsed after "@prefix ex: <http://x/> .\n".
+TOKEN_BOUNDARIES = [
+    # Dots end a local name only at its end: one trailing dot ends the statement.
+    ("ex:s ex:p ex:a.b.", [Triple(X + "s", X + "p", X + "a.b")]),
+    ("ex:s ex:p ex:a.b..c.", [Triple(X + "s", X + "p", X + "a.b..c")]),
+    ("ex:s ex:p ex:a.\nex:t ex:p ex:b.", [Triple(X + "s", X + "p", X + "a"),
+                                          Triple(X + "t", X + "p", X + "b")]),
+    ("ex:s ex:p _:b1.\n_:b1 ex:p ex:o .", [Triple(X + "s", X + "p", "_:b1"),
+                                           Triple("_:b1", X + "p", X + "o")]),
+    ("_:b.1 ex:p _:b-2.", [Triple("_:b.1", X + "p", "_:b-2")]),
+    ("ex:s ex:p +1, -2.5, .5, 7.", [Triple(X + "s", X + "p", Literal(n))
+                                    for n in ("+1", "-2.5", ".5", "7")]),
+    ("ex:s ex:p 1.5.", [Triple(X + "s", X + "p", Literal("1.5"))]),
+    ("@prefix a: <http://a/> .\na:x a a:y .", [Triple("http://a/x", RDF_NS + "type", "http://a/y")]),
+    ("@prefix a: <http://a/> .\na:a a a:a.", [Triple("http://a/a", RDF_NS + "type", "http://a/a")]),
+    ("PrEfIx e: <http://e/>\nbAsE <http://b/>\ne:s e:p <o> .",
+     [Triple("http://e/s", "http://e/p", "http://b/o")]),
+    ("ex:s ex:p ex:o . # no newline after this comment", [Triple(X + "s", X + "p", X + "o")]),
+    ("ex:s ex:p ex:o .#", [Triple(X + "s", X + "p", X + "o")]),
+    ('ex:s ex:p "hi"@en-US, "1"^^<http://www.w3.org/2001/XMLSchema#int>, "2"^^ex:t.',
+     [Triple(X + "s", X + "p", Literal("hi", lang="en-US")),
+      Triple(X + "s", X + "p", Literal("1", datatype=XSD_INT)),
+      Triple(X + "s", X + "p", Literal("2", datatype=X + "t"))]),
+    ('<http://x/caf\\u00E9> ex:p "a\\"b\\\\c\\td", \'it\\\'s\'.',
+     [Triple(X + "café", X + "p", Literal('a"b\\c\td')),
+      Triple(X + "café", X + "p", Literal("it's"))]),
+    ("@prefix été: <http://e/> .\nété:naïve été:p ex:Straße .",
+     [Triple("http://e/naïve", "http://e/p", X + "Straße")]),
+    ('ex:s ex:p ex:o;ex:q"x",<y>;;ex:r ex:z.', [Triple(X + "s", X + "p", X + "o"),
+                                               Triple(X + "s", X + "q", Literal("x")),
+                                               Triple(X + "s", X + "q", "http://x/y"),
+                                               Triple(X + "s", X + "r", X + "z")]),
+]
+
+
+@pytest.mark.parametrize("text, expected", TOKEN_BOUNDARIES, ids=[ascii(r[0]) for r in TOKEN_BOUNDARIES])
+def test_token_boundaries(text, expected):
+    assert _parse("@prefix ex: <http://x/> .\n" + text) == expected
+
+
+# Trailing dots that a local name does not take are tokens of their own.
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("ex:s ex:p ex:a..", "line 2, column 16: expected subject, found '.'"),
+        ("ex:s ex:p ex:a. .", "line 2, column 17: expected subject, found '.'"),
+        # A number ends at the first letter after its digits.
+        ("ex:s ex:p 3abc:x.", "line 2, column 12: expected ';', ',' or '.', found 'abc'"),
+    ],
+)
+def test_token_boundary_errors(text, message):
+    with pytest.raises(TurtleSyntaxError) as err:
+        _parse("@prefix ex: <http://x/> .\n" + text)
+    assert str(err.value) == message
 
 
 def _assert_triples_or_parse_error(body: bytes) -> None:
