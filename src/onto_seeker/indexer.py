@@ -2,13 +2,16 @@
 
 The index directory holds exactly three files: ``manifest.json`` (counts,
 skip accounting and the fixed scoring weights, checked on load), ``docs.tsv``
-(one row per indexed document), and ``postings.tsv`` (token, field, doc id
-and tf per line, sorted). A build gives each URL-list line one outcome, its
-summary or its skip reason, and fetches through ``netfetch.fetch_in_order``
-with one worker, one URL at a time on the calling thread, taking the list's
-hosts in turn. Doc ids follow input order, so doc ids and the on-disk bytes
-are reproducible and do not depend on the fetch order. The reader loads the
-rows into one ``PostingList`` (doc ids, tfs) per (token, field).
+(one row per indexed document), and ``postings.tsv`` (format 2: one row per
+(token, field, tf), holding the ascending comma list of the doc ids with
+that tf; rows sorted by token, field rank, tf). A build gives each URL-list
+line one outcome, its summary or its skip reason, and fetches through
+``netfetch.fetch_in_order`` with one worker, one URL at a time on the calling
+thread, taking the list's hosts in turn. Doc ids follow input order, so doc
+ids and the on-disk bytes are reproducible and do not depend on the fetch
+order. The build hands ``write_index`` one flat row per posting, which it
+groups by tf; the reader merges each key's tf rows back into one
+``PostingList`` (doc ids, tfs) per (token, field).
 """
 
 from __future__ import annotations
@@ -16,11 +19,13 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import re
 from collections import Counter, defaultdict, deque, namedtuple
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from functools import cached_property
-from itertools import chain, zip_longest
+from itertools import chain, groupby, zip_longest
+from operator import itemgetter, lt
 from pathlib import Path
 
 from .errors import OntoSeekerError
@@ -45,7 +50,7 @@ from .rdf import (
     tokenize,
 )
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 FIELDS = ("class", "property", "relation")
 FIELD_RANK = {name: rank for rank, name in enumerate(FIELDS)}
@@ -64,6 +69,33 @@ SKIP_REASONS = (
 MANIFEST_FILE = "manifest.json"
 DOCS_FILE = "docs.tsv"
 POSTINGS_FILE = "postings.tsv"
+
+# Each column of a data file as (name, the pattern its text must fully match,
+# what that pattern stands for). Numbers are ASCII digits only: int() alone
+# also takes " 1", "1_0" and full-width digits.
+_DIGITS = "[0-9]+"
+_DOCS_COLUMNS = (
+    ("doc_id", _DIGITS, "ASCII digits"),
+    ("url", "[^\t]*", ""),
+    ("byte_size", _DIGITS, "ASCII digits"),
+    ("class_count", _DIGITS, "ASCII digits"),
+    ("property_count", _DIGITS, "ASCII digits"),
+    ("relation_count", _DIGITS, "ASCII digits"),
+)
+_POSTINGS_COLUMNS = (
+    ("token", "[^\t]*", ""),
+    ("field", "|".join(FIELDS), "a known field"),
+    ("doc_ids", f"{_DIGITS}(?:,{_DIGITS})*", "a non-empty comma list of ASCII digits"),
+    ("tf", _DIGITS, "ASCII digits"),
+)
+
+
+def _row_pattern(columns: tuple[tuple[str, str, str], ...]) -> re.Pattern[str]:
+    return re.compile("\t".join(f"({pattern})" for _name, pattern, _meaning in columns))
+
+
+_DOCS_ROW = _row_pattern(_DOCS_COLUMNS)
+_POSTINGS_ROW = _row_pattern(_POSTINGS_COLUMNS)
 
 
 class InputUnreadable(OntoSeekerError):
@@ -108,7 +140,7 @@ class DocRecord:
     relation_count: int
 
 
-PostingRow = tuple[str, str, int, int]  # (token, field, doc id, tf): one postings.tsv line
+PostingRow = tuple[str, str, int, int]  # (token, field, doc id, tf): one posting
 
 
 @dataclass(frozen=True)
@@ -305,6 +337,10 @@ def write_index(
 ) -> None:
     """Write manifest.json, docs.tsv, and postings.tsv (UTF-8, LF, TAB-separated).
 
+    ``postings`` is one row per posting, sorted by token, field rank, doc id,
+    as ``index_summaries`` gives it; postings.tsv groups each key's rows by
+    tf, one line per (token, field, tf).
+
     All three go to temporary siblings and are fsynced first, so a failed write
     of the files keeps the old index. Then, each step fsyncing the folder: the
     old manifest is unlinked, the two data files are replaced, and the new
@@ -319,10 +355,7 @@ def write_index(
             f"{doc.class_count}\t{doc.property_count}\t{doc.relation_count}\n"
             for doc in docs
         ),
-        POSTINGS_FILE: (
-            f"{token}\t{field_name}\t{doc_id}\t{tf}\n"
-            for token, field_name, doc_id, tf in postings
-        ),
+        POSTINGS_FILE: _postings_lines(postings),
         MANIFEST_FILE: (manifest.to_json(),),
     }
     temps = {name: directory / f"{name}.tmp" for name in rows}
@@ -349,6 +382,16 @@ def write_index(
         raise IndexDirUnwritable(f"{index_dir}: {exc}") from exc
 
 
+def _postings_lines(postings: list[PostingRow]):
+    """One postings.tsv line per (token, field, tf), its doc ids ascending."""
+    for (token, field_name), key_rows in groupby(postings, itemgetter(0, 1)):
+        ids_by_tf: dict[int, list[str]] = {}
+        for _token, _field, doc_id, tf in key_rows:
+            ids_by_tf.setdefault(tf, []).append(str(doc_id))
+        for tf in sorted(ids_by_tf):
+            yield f"{token}\t{field_name}\t{','.join(ids_by_tf[tf])}\t{tf}\n"
+
+
 def _fsync_folder(directory: Path) -> None:
     folder = os.open(directory, os.O_RDONLY)
     try:
@@ -372,15 +415,15 @@ def read_index(index_dir: str | Path) -> Index:
     - each file is UTF-8, manifest.json is a JSON object with every field
       and skip reason, each of its counts is an integer >= 0, and its
       field_weights equal FIELD_WEIGHTS, the weights scoring uses;
-    - docs.tsv rows have 6 columns and integer numbers, doc ids are dense and
-      ascending from 0, no count is negative and every doc has a term;
-    - postings.tsv rows have 4 columns, integer doc_id and tf, tf >= 1 and a
-      doc_id that names a row of docs.tsv; within a key each doc id is above
-      the one before it, and a row starting a new key has a known field and
-      sorts after the previous key by token, field rank;
-    - the manifest's doc and posting counts match the files, the accounting
-      identity doc_count + skips == input lines holds, and every doc has at
-      least one posting.
+    - docs.tsv rows have 6 columns whose numbers are ASCII digits, doc ids
+      are dense and ascending from 0, and every doc has a term;
+    - postings.tsv rows have 4 columns: a token, a known field, a non-empty
+      comma list of ASCII-digit doc ids, strictly ascending, the last naming a
+      row of docs.tsv, and an ASCII-digit tf >= 1; (token, field rank, tf)
+      rises strictly from row to row, and no doc id is in two tf rows of a key;
+    - the manifest's doc count matches docs.tsv and its posting count the doc
+      ids of postings.tsv, the accounting identity doc_count + skips == input
+      lines holds, and every doc has at least one posting.
     """
     directory = Path(index_dir)
     for name in (MANIFEST_FILE, DOCS_FILE, POSTINGS_FILE):
@@ -419,27 +462,25 @@ def read_index(index_dir: str | Path) -> Index:
         if type(count) is not int or count < 0:
             raise CorruptIndex(f"manifest.json {name} must be an integer >= 0, not {count!r}")
 
-    # The row loops below run once per line of a large file, so each check is
+    # The docs loop runs once per line of a large file, so each check is
     # inlined and formats its message only when it fails.
     docs: list[DocRecord] = []
     for lineno, line in enumerate(_read_tsv_lines(directory / DOCS_FILE), 1):
-        parts = line.split("\t")
-        if len(parts) != 6:
-            raise CorruptIndex(f"docs.tsv line {lineno}: expected 6 columns")
-        doc_text, url, *count_texts = parts
+        row = _DOCS_ROW.fullmatch(line)
+        if row is None:
+            raise CorruptIndex(f"docs.tsv line {lineno}: {_row_fault(line, _DOCS_COLUMNS)}")
+        doc_text, url, *count_texts = row.groups()
         try:
             doc_id, byte_size, class_count, property_count, relation_count = map(
                 int, (doc_text, *count_texts)
             )
-        except ValueError as exc:
+        except ValueError as exc:  # more digits than sys.get_int_max_str_digits()
             raise CorruptIndex(f"docs.tsv line {lineno}: {exc}") from exc
         if doc_id != lineno - 1:
             raise CorruptIndex(
                 f"docs.tsv line {lineno}: doc ids must be dense and ascending from 0"
             )
-        if class_count < 0 or property_count < 0 or relation_count < 0:
-            raise CorruptIndex(f"docs.tsv line {lineno}: negative count")
-        if class_count + property_count + relation_count <= 0:
+        if class_count + property_count + relation_count == 0:
             raise CorruptIndex(f"docs.tsv line {lineno}: document with no terms")
         docs.append(
             DocRecord(doc_id, url, byte_size, class_count, property_count, relation_count)
@@ -447,58 +488,79 @@ def read_index(index_dir: str | Path) -> Index:
 
     doc_total = len(docs)
     posting_lists: dict[tuple[str, str], PostingList] = {}
-    has_posting = bytearray(doc_total)
-    # The current key; no row's field equals None, so the first row opens a key
-    # and is checked against ("", -1), below every real key.
-    key_token, key_field, key_rank, prev_doc = "", None, -1, -1
-    rows = _read_tsv_lines(directory / POSTINGS_FILE)
-    for lineno, line in enumerate(rows, 1):
-        parts = line.split("\t")
-        if len(parts) != 4:
-            raise CorruptIndex(f"postings.tsv line {lineno}: expected 4 columns")
-        token, field_name, doc_text, tf_text = parts
+    merged: dict[tuple[str, str], dict[int, int]] = {}  # {doc id: tf} of a key of several rows
+    docs_seen: set[int] = set()
+    id_total = 0
+    last = ("", -1, 0)  # the previous row's (token, field rank, tf); below every real row
+    for lineno, line in enumerate(_read_tsv_lines(directory / POSTINGS_FILE), 1):
+        row = _POSTINGS_ROW.fullmatch(line)
+        if row is None:
+            raise CorruptIndex(
+                f"postings.tsv line {lineno}: {_row_fault(line, _POSTINGS_COLUMNS)}"
+            )
+        token, field_name, ids_text, tf_text = row.groups()
         try:
-            doc_id = int(doc_text)
             tf = int(tf_text)
-        except ValueError as exc:
+            ids = list(map(int, ids_text.split(",")))
+        except ValueError as exc:  # more digits than sys.get_int_max_str_digits()
             raise CorruptIndex(f"postings.tsv line {lineno}: {exc}") from exc
         if tf < 1:
             raise CorruptIndex(f"postings.tsv line {lineno}: tf must be >= 1")
-        if not 0 <= doc_id < doc_total:
+        this = (token, FIELD_RANK[field_name], tf)
+        if not last < this:
             raise CorruptIndex(
-                f"postings.tsv line {lineno}: doc_id {doc_id} not in docs.tsv"
+                f"postings.tsv line {lineno}: rows not strictly sorted by token/field/tf"
             )
-        if token == key_token and field_name == key_field:
-            in_order = doc_id > prev_doc
-        else:
-            rank = FIELD_RANK.get(field_name)
-            if rank is None:
-                raise CorruptIndex(f"postings.tsv line {lineno}: unknown field")
-            in_order = (key_token, key_rank) < (token, rank)
-            key_token, key_field, key_rank = token, field_name, rank
-            posting_list = posting_lists[token, field_name] = PostingList([], [])
-            add_doc = posting_list.doc_ids.append
-            add_tf = posting_list.tfs.append
-        if not in_order:
-            raise CorruptIndex(
-                f"postings.tsv line {lineno}: rows not strictly sorted by token/field/doc"
-            )
-        prev_doc = doc_id
-        has_posting[doc_id] = 1
-        add_doc(doc_id)
-        add_tf(tf)
+        if not all(map(lt, ids, ids[1:])):
+            raise CorruptIndex(f"postings.tsv line {lineno}: doc ids not strictly ascending")
+        if ids[-1] >= doc_total:
+            raise CorruptIndex(f"postings.tsv line {lineno}: doc_id {ids[-1]} not in docs.tsv")
+        key = (token, field_name)
+        if key not in posting_lists:
+            posting_lists[key] = PostingList(ids, [tf] * len(ids))
+        else:  # a further tf row of the key: merged once the file is read
+            tf_of = merged.get(key)
+            if tf_of is None:
+                first = posting_lists[key]
+                tf_of = merged[key] = dict.fromkeys(first.doc_ids, first.tfs[0])
+            size = len(tf_of)
+            tf_of.update(dict.fromkeys(ids, tf))
+            if len(tf_of) != size + len(ids):
+                raise CorruptIndex(
+                    f"postings.tsv line {lineno}: a doc id is in two tf rows of one key"
+                )
+        docs_seen.update(ids)
+        id_total += len(ids)
+        last = this
+    for key, tf_of in merged.items():
+        doc_ids = sorted(tf_of)
+        posting_lists[key] = PostingList(doc_ids, list(map(tf_of.__getitem__, doc_ids)))
 
     _corrupt(manifest.doc_count == len(docs), "manifest doc_count does not match docs.tsv")
     _corrupt(
-        manifest.posting_count == len(rows),
-        "manifest posting_count does not match postings.tsv",
+        manifest.posting_count == id_total,
+        "manifest posting_count does not match the doc ids of postings.tsv",
     )
     _corrupt(
         manifest.doc_count + sum(manifest.skip_counts.values()) == manifest.input_line_count,
         "manifest accounting identity doc_count + skips == input lines violated",
     )
-    _corrupt(0 not in has_posting, "every indexed document must have at least one posting")
+    _corrupt(
+        len(docs_seen) == doc_total, "every indexed document must have at least one posting"
+    )
     return Index(docs=docs, posting_lists=posting_lists, manifest=manifest)
+
+
+def _row_fault(line: str, columns: tuple[tuple[str, str, str], ...]) -> str:
+    """Why ``line``, which does not match the row pattern of ``columns``, fails."""
+    parts = line.split("\t")
+    if len(parts) != len(columns):
+        return f"expected {len(columns)} columns"
+    return next(
+        f"{name} {text!r} is not {meaning}"
+        for (name, pattern, meaning), text in zip(columns, parts)
+        if not re.fullmatch(pattern, text)
+    )
 
 
 def _read_tsv_lines(path: Path) -> list[str]:

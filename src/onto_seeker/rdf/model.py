@@ -118,7 +118,10 @@ def resolve_iri(base: str, ref: str) -> str:
     which would corrupt namespace IRIs like ...rdf-syntax-ns#), and keeps a
     ';' that ends the base's path for a ref that starts with '#' or '?'
     (urlparse reads that ';' as empty params, which urlunparse drops; RFC
-    3986 section 5.2.2 keeps the base's path whole).
+    3986 section 5.2.2 keeps the base's path whole). Against a base whose
+    scheme urljoin does not resolve against (``urn:``, ``tag:``), which
+    gives such a ref back bare, the ref replaces the base's fragment, or
+    its query and fragment, as section 5.2.2 has it.
 
     An empty ref is the base and a plain absolute ref is itself, as urljoin
     gives them, so neither goes through urljoin. That holds for any base
@@ -134,6 +137,9 @@ def resolve_iri(base: str, ref: str) -> str:
     except ValueError as exc:
         raise InvalidIri(f"cannot resolve {ref!r} against {base!r}: {exc}") from None
     if ref[0] in "#?":
+        if out == ref and base:  # urljoin does not resolve against the base's scheme
+            kept = base.split("#", 1)[0]
+            return (kept.split("?", 1)[0] if ref[0] == "?" else kept) + ref
         # The base up to its query or fragment; urljoin gives it back less the
         # ';' (and with a lower-case scheme) when it dropped that ';'.
         head = base.split("#", 1)[0].split("?", 1)[0]

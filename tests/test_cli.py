@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from conftest import QuietHandler, build_parts
 from onto_seeker import cli
 from onto_seeker.cli import main
-from onto_seeker.indexer import read_index, write_index
+from onto_seeker.indexer import FIELD_RANK, read_index, write_index
 from onto_seeker.rdf import OntologySummary
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -530,6 +530,37 @@ class TestCmdQuery:
         captured = capsys.readouterr()
         _assert_error_exit(captured, code, 2)
         assert captured.err.startswith("error: index directory is missing or invalid")
+        assert "run the index command first" in captured.err
+
+    def test_a_format_1_folder_asks_for_the_index_command(self, tmp_path, capsys):
+        idx = tmp_path / "idx"
+        summaries = [
+            OntologySummary(f"http://h.test/{name}.owl", frozenset(classes), frozenset(),
+                            frozenset(), triple_count=1, byte_size=10)
+            for name, classes in (("a", {"Anchor", "Ship"}), ("b", {"Anchor"}))
+        ]
+        write_index(idx, *build_parts(summaries))
+        # The same index in format 1: one postings.tsv row per posting,
+        # sorted by token, field rank, doc id.
+        lines = (idx / "postings.tsv").read_text(encoding="utf-8").splitlines()
+        rows = []
+        for line in lines:
+            token, field_name, doc_ids, tf = line.split("\t")
+            rows += [(token, FIELD_RANK[field_name], int(d), field_name, tf)
+                     for d in doc_ids.split(",")]
+        (idx / "postings.tsv").write_text(
+            "".join(f"{t}\t{f}\t{d}\t{tf}\n" for t, _rank, d, f, tf in sorted(rows)),
+            encoding="utf-8",
+        )
+        data = json.loads((idx / "manifest.json").read_text())
+        assert data["posting_count"] == len(rows) > len(lines)
+        data["format_version"] = 1
+        (idx / "manifest.json").write_text(json.dumps(data))
+        code = main(["query", "--index-dir", str(idx), "--query", "anchor"])
+        captured = capsys.readouterr()
+        _assert_error_exit(captured, code, 2)
+        assert captured.err.startswith("error: index directory is missing or invalid")
+        assert "index format 1, reader supports 2" in captured.err
         assert "run the index command first" in captured.err
 
     def test_explain_url_not_in_the_index_is_a_runtime_error(self, tmp_path, capsys):

@@ -31,12 +31,14 @@ from onto_seeker.indexer import (
     CorruptIndex,
     DocRecord,
     FIELD_RANK,
+    FIELDS,
     FIELD_WEIGHTS,
     Index,
     IndexDirUnwritable,
     IndexLimits,
     InputUnreadable,
     MissingFile,
+    PostingList,
     SKIP_REASONS,
     VersionMismatch,
     build_index,
@@ -613,8 +615,8 @@ class TestWriteReadRoundTrip:
         with pytest.raises(VersionMismatch):
             read_index(tmp_path / "idx")
 
-    @pytest.mark.parametrize("version", [True, 1.0, "1"])
-    def test_version_must_be_the_int_one(self, tmp_path, version):
+    @pytest.mark.parametrize("version", [True, 2.0, "2", 1])
+    def test_version_must_be_the_int_format_version(self, tmp_path, version):
         write_index(tmp_path / "idx", *build_parts([_summary("http://h.test/a.owl", {"A"})]))
         manifest_path = tmp_path / "idx" / "manifest.json"
         data = json.loads(manifest_path.read_text())
@@ -678,29 +680,85 @@ def _line_2(lines: list[str], row: str) -> list[str]:
     return [lines[0], row, *lines[2:]]
 
 
-# Each case corrupts line 2 of one file of a valid two-doc index; the reader
-# must name the file, that line and the invariant the row breaks. Line 1 of
-# its postings.tsv is "has<TAB>property<TAB>1<TAB>1".
+# A four-doc index whose postings.tsv has a key of two tf rows, rows of
+# several doc ids, and keys of one posting. Its first two lines are
+# "agent<TAB>property<TAB>2,3<TAB>1" and "agent<TAB>property<TAB>0,1<TAB>2";
+# line 2 of its docs.tsv is "1<TAB>http://h.test/b.owl<TAB>10<TAB>0<TAB>2<TAB>0".
+_ROW_CHECK_SUMMARIES = [
+    _summary("http://h.test/a.owl", properties={"hasAgent", "agentOf"}),
+    _summary("http://h.test/b.owl", properties={"hasAgent", "agentOf"}),
+    _summary("http://h.test/c.owl", classes={"Person"}, properties={"hasAgent"}),
+    _summary("http://h.test/d.owl", properties={"agentOf"}, relations={"knows"}),
+]
+
+
+# Each case corrupts line 2 of one file of the index above; the reader must
+# name the file, that line and the invariant the row breaks.
 _ROW_CORRUPTIONS = [
     pytest.param(
         "postings.tsv", lambda ls: _edit_line_2(ls, 3, None), "expected 4 columns",
         id="postings-3-columns",
     ),
     pytest.param(
-        "postings.tsv", lambda ls: _edit_line_2(ls, 1, "label"), "unknown field",
+        "postings.tsv", lambda ls: _edit_line_2(ls, 1, "label"), "is not a known field",
         id="postings-unknown-field",
     ),
     pytest.param(
-        "postings.tsv", lambda ls: _edit_line_2(ls, 2, "x"), "invalid literal for int()",
+        "postings.tsv", lambda ls: _edit_line_2(ls, 2, "x"),
+        "doc_ids 'x' is not a non-empty comma list of ASCII digits",
         id="postings-non-integer-doc-id",
+    ),
+    pytest.param(
+        "postings.tsv", lambda ls: _edit_line_2(ls, 2, ""),
+        "doc_ids '' is not a non-empty comma list of ASCII digits",
+        id="postings-empty-doc-id-list",
+    ),
+    pytest.param(
+        "postings.tsv", lambda ls: _edit_line_2(ls, 2, "0,,1"),
+        "is not a non-empty comma list of ASCII digits",
+        id="postings-empty-doc-id-in-list",
+    ),
+    # Spellings int() takes as 0,1 or 2: a leading space, an underscore, a
+    # full-width digit.
+    pytest.param(
+        "postings.tsv", lambda ls: _edit_line_2(ls, 2, " 0,1"),
+        "doc_ids ' 0,1' is not a non-empty comma list of ASCII digits",
+        id="postings-doc-id-with-space",
+    ),
+    pytest.param(
+        "postings.tsv", lambda ls: _edit_line_2(ls, 2, "0,0_1"),
+        "doc_ids '0,0_1' is not a non-empty comma list of ASCII digits",
+        id="postings-doc-id-with-underscore",
+    ),
+    pytest.param(
+        "postings.tsv", lambda ls: _edit_line_2(ls, 3, "\uff12"),
+        "tf '\uff12' is not ASCII digits",
+        id="postings-full-width-tf",
+    ),
+    pytest.param(
+        "postings.tsv", lambda ls: _edit_line_2(ls, 2, "0," + "1" * 5000),
+        "integer string conversion", id="postings-doc-id-past-the-int-digit-limit",
     ),
     pytest.param(
         "postings.tsv", lambda ls: _edit_line_2(ls, 3, "0"), "tf must be >= 1",
         id="postings-tf-zero",
     ),
     pytest.param(
-        "postings.tsv", lambda ls: _edit_line_2(ls, 2, "7"), "doc_id 7 not in docs.tsv",
+        "postings.tsv", lambda ls: _edit_line_2(ls, 2, "0,7"), "doc_id 7 not in docs.tsv",
         id="postings-doc-id-out-of-range",
+    ),
+    pytest.param(
+        "postings.tsv", lambda ls: _edit_line_2(ls, 2, "1,0"), "doc ids not strictly ascending",
+        id="postings-doc-ids-down-within-row",
+    ),
+    pytest.param(
+        "postings.tsv", lambda ls: _edit_line_2(ls, 2, "1,1"), "doc ids not strictly ascending",
+        id="postings-doc-id-repeated-within-row",
+    ),
+    pytest.param(
+        "postings.tsv", lambda ls: _edit_line_2(ls, 2, "0,2"),
+        "a doc id is in two tf rows of one key",
+        id="postings-doc-id-in-two-tf-rows",
     ),
     pytest.param(
         "postings.tsv", lambda ls: [ls[0], ls[0], *ls[2:]], "not strictly sorted",
@@ -708,22 +766,18 @@ _ROW_CORRUPTIONS = [
     ),
     pytest.param(
         "postings.tsv", lambda ls: [ls[1], ls[0], *ls[2:]], "not strictly sorted",
-        id="postings-reversed-rows",
+        id="postings-tf-rows-down-within-key",
     ),
     pytest.param(
-        "postings.tsv", lambda ls: _line_2(ls, "has\tproperty\t1\t2"), "not strictly sorted",
-        id="postings-doc-id-repeated-within-key",
+        "postings.tsv", lambda ls: _edit_line_2(ls, 3, "1"), "not strictly sorted",
+        id="postings-tf-repeated-within-key",
     ),
     pytest.param(
-        "postings.tsv", lambda ls: _line_2(ls, "has\tproperty\t0\t1"), "not strictly sorted",
-        id="postings-doc-id-down-within-key",
-    ),
-    pytest.param(
-        "postings.tsv", lambda ls: _line_2(ls, "has\tclass\t1\t1"), "not strictly sorted",
+        "postings.tsv", lambda ls: _line_2(ls, "agent\tclass\t0,1\t2"), "not strictly sorted",
         id="postings-field-rank-back-within-token",
     ),
     pytest.param(
-        "postings.tsv", lambda ls: _line_2(ls, "ha\trelation\t0\t1"), "not strictly sorted",
+        "postings.tsv", lambda ls: _line_2(ls, "a\trelation\t0\t1"), "not strictly sorted",
         id="postings-token-back-at-key-change",
     ),
     pytest.param(
@@ -731,15 +785,32 @@ _ROW_CORRUPTIONS = [
         id="docs-5-columns",
     ),
     pytest.param(
-        "docs.tsv", lambda ls: _edit_line_2(ls, 2, "big"), "invalid literal for int()",
+        "docs.tsv", lambda ls: _edit_line_2(ls, 2, "big"), "byte_size 'big' is not ASCII digits",
         id="docs-non-integer-byte-size",
+    ),
+    pytest.param(
+        "docs.tsv", lambda ls: _edit_line_2(ls, 0, " 1"), "doc_id ' 1' is not ASCII digits",
+        id="docs-doc-id-with-space",
+    ),
+    pytest.param(
+        "docs.tsv", lambda ls: _edit_line_2(ls, 2, "1_0"), "byte_size '1_0' is not ASCII digits",
+        id="docs-byte-size-with-underscore",
+    ),
+    pytest.param(
+        "docs.tsv", lambda ls: _edit_line_2(ls, 4, "\uff12"),
+        "property_count '\uff12' is not ASCII digits",
+        id="docs-full-width-count",
+    ),
+    pytest.param(
+        "docs.tsv", lambda ls: _edit_line_2(ls, 2, "9" * 5000), "integer string conversion",
+        id="docs-byte-size-past-the-int-digit-limit",
     ),
     pytest.param(
         "docs.tsv", lambda ls: _edit_line_2(ls, 0, "5"), "dense and ascending from 0",
         id="docs-non-dense-id",
     ),
     pytest.param(
-        "docs.tsv", lambda ls: _edit_line_2(ls, 3, "-1"), "negative count",
+        "docs.tsv", lambda ls: _edit_line_2(ls, 3, "-1"), "class_count '-1' is not ASCII digits",
         id="docs-negative-count",
     ),
     pytest.param(
@@ -754,11 +825,7 @@ class TestReadIndexRowChecks:
     def test_corrupt_row_names_file_line_and_invariant(
         self, tmp_path, file_name, corrupt, invariant
     ):
-        summaries = [
-            _summary("http://h.test/a.owl", classes={"Person"}, relations={"knows"}),
-            _summary("http://h.test/b.owl", properties={"hasPart"}),
-        ]
-        write_index(tmp_path / "idx", *build_parts(summaries))
+        write_index(tmp_path / "idx", *build_parts(_ROW_CHECK_SUMMARIES))
         path = tmp_path / "idx" / file_name
         lines = path.read_text(encoding="utf-8").splitlines()
         assert len(lines) >= 2
@@ -768,6 +835,72 @@ class TestReadIndexRowChecks:
         message = str(err.value)
         assert f"{file_name} line 2:" in message
         assert invariant in message
+
+    def test_rows_group_each_keys_doc_ids_by_tf(self, tmp_path):
+        write_index(tmp_path / "idx", *build_parts(_ROW_CHECK_SUMMARIES))
+        assert (tmp_path / "idx" / "postings.tsv").read_text(encoding="utf-8") == (
+            "agent\tproperty\t2,3\t1\n"
+            "agent\tproperty\t0,1\t2\n"
+            "has\tproperty\t0,1,2\t1\n"
+            "knows\trelation\t3\t1\n"
+            "of\tproperty\t0,1,3\t1\n"
+            "person\tclass\t2\t1\n"
+        )
+        loaded = read_index(tmp_path / "idx")
+        assert loaded.posting_lists["agent", "property"] == PostingList([0, 1, 2, 3], [2, 2, 1, 1])
+        assert loaded.manifest.posting_count == 12
+
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_posting_count_must_count_the_doc_ids(self, tmp_path, delta):
+        write_index(tmp_path / "idx", *build_parts(_ROW_CHECK_SUMMARIES))
+        manifest_path = tmp_path / "idx" / "manifest.json"
+        data = json.loads(manifest_path.read_text())
+        data["posting_count"] += delta
+        manifest_path.write_text(json.dumps(data))
+        with pytest.raises(CorruptIndex, match="posting_count does not match the doc ids"):
+            read_index(tmp_path / "idx")
+
+
+@st.composite
+def _posting_tables(draw):
+    """A doc count and a flat posting table over it, sorted as index_summaries
+    gives it: keys of one to three tf values, every doc with a posting."""
+    doc_count = draw(st.integers(1, 8))
+    keys = draw(st.lists(st.tuples(st.sampled_from(["a", "ab", "b", "\u00e9"]),
+                                   st.sampled_from(FIELDS)),
+                         min_size=1, max_size=6, unique=True))
+    table = {
+        key: draw(st.dictionaries(st.integers(0, doc_count - 1), st.integers(1, 3),
+                                  min_size=1))
+        for key in keys
+    }
+    for doc_id in range(doc_count):
+        if not any(doc_id in tfs for tfs in table.values()):
+            table[keys[0]][doc_id] = draw(st.integers(1, 3))
+    postings = [
+        (token, field_name, doc_id, table[token, field_name][doc_id])
+        for token, field_name in sorted(table, key=lambda k: (k[0], FIELD_RANK[k[1]]))
+        for doc_id in sorted(table[token, field_name])
+    ]
+    return doc_count, postings
+
+
+class TestPostingsRoundTrip:
+    @given(_posting_tables())
+    def test_read_gives_back_the_lists_and_key_order_written(self, tmp_path_factory, drawn):
+        doc_count, postings = drawn
+        docs = [DocRecord(i, f"http://h.test/o{i}.owl", 10, 1, 0, 0) for i in range(doc_count)]
+        manifest = dataclasses.replace(
+            build_parts([])[2], doc_count=doc_count, posting_count=len(postings),
+            input_line_count=doc_count,
+        )
+        idx_dir = tmp_path_factory.mktemp("table") / "idx"
+        write_index(idx_dir, docs, postings, manifest)
+        rows = (idx_dir / "postings.tsv").read_text(encoding="utf-8").splitlines()
+        assert len(rows) == len({(token, field, tf) for token, field, _doc, tf in postings})
+        loaded = read_index(idx_dir)
+        assert list(loaded.posting_lists.items()) == list(group_postings(postings).items())
+        assert (loaded.docs, loaded.manifest) == (docs, manifest)
 
 
 # Each case makes one manifest count something other than an integer >= 0.

@@ -43,20 +43,20 @@ DIGESTS = {
     "cli-default": {
         "urls.txt": "323367bdd8b4c116c1b53d751d8e7fb8fd7673e8ff4467e38a6e1a120864b2a8",
         "docs.tsv": "88b368a90f317d1d4919155fb517eac54ae0564dd67bb40b2ad22cf85470574a",
-        "postings.tsv": "122fe5fee7400edef90202bc851e3fdbdca2dc87e1fed9b8c81a3864bc7ce5ed",
-        "manifest.json": "a2a38508eb5622acc568fd64db0a831580bcb0e8a97f69eb91a973078af2ec14",
+        "postings.tsv": "b4179bf4acff05de7be92daf3aef35a72fa6b34e234ee81dd19c5e421a300ae6",
+        "manifest.json": "474dc4404b17c4504aab1c97b3f2bd8960923dae3672efcbb5903096115dea18",
     },
     "seed-42": {
         "urls.txt": "2c3938b014f361fe8c4a20a8b949981675c7066ff74d04313de23be5f22c33bc",
         "docs.tsv": "0ecc38e784984cee77815110e187e7824b1fa1087386b749f9bc69024f33c770",
-        "postings.tsv": "b8f6ee8160761bb5bd50d00a9d38afde8bba688f1fdbf8b5dc924d3d33d66ebb",
-        "manifest.json": "a491a654a121d41a3d5a338149ea7a2bee2e91ef92edf7ff519205123b47a8e6",
+        "postings.tsv": "a16c129ec6e4aa474035f13e255d0ecad5e40e641808ea39e146e8116a68792d",
+        "manifest.json": "6cf6e68544d2278cd4cd3231c14c2ae1f0ce90778117a9a0e3b92d678ee09b43",
     },
     "site-io": {
         "urls.txt": "8e3bac8e61243711d9488753335694b3fd557e2168b5f5b1066ba0f185b8c2e8",
         "docs.tsv": "9e7868c22f3ca49d9a6fbc50401a8e7109540ae85964c9449c591bc1532dff07",
-        "postings.tsv": "980070f9e61dd05146c74efee937c7d75e6c73d9d616807121710b57602a4a80",
-        "manifest.json": "5b1fe6d7613894783a27ed20a72b9d225f487331a9de9d4492ab9d27ac3754a4",
+        "postings.tsv": "b8207b3dd1afab5bc0c203653ef5a8655f49d54a62ed3d0b81fb50206e6d32b4",
+        "manifest.json": "9fa7c0f42da9ed8822d111d4d618d623b41643fe0612129880232bd0aa297c93",
     },
 }
 

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
-from urllib.parse import urljoin, urlsplit, urlunsplit
+from urllib.parse import urljoin, urlsplit, urlunsplit, uses_relative
 
 import pytest
 from hypothesis import given, settings
@@ -185,11 +185,15 @@ def _with_risky(parts: list[str], risky, at: int) -> str:
 def _urljoin_keeping_hash(base: str, ref: str):
     """resolve_iri as plain urljoin gives it: InvalidIri for a ValueError, and
     a ref led by "#" or "?" keeps a ";" ending the base's path (urlparse reads
-    it as empty params, which urlunparse drops)."""
+    it as empty params, which urlunparse drops). Against a base of a scheme
+    urljoin does not resolve against, such a ref replaces the base's fragment
+    ("#") or query and fragment ("?"), as RFC 3986 section 5.2.2 has it."""
     try:
         out = urljoin(base, ref)
     except ValueError:
         return InvalidIri
+    if ref[:1] in ("#", "?") and base and urlsplit(base).scheme not in uses_relative:
+        return base.split("#", 1)[0].split(ref[0], 1)[0] + ref
     if ref[:1] in ("#", "?"):
         path = urlsplit(base).path
         if path.endswith(";") and urlsplit(out).path == path[:-1]:
@@ -242,11 +246,35 @@ class TestResolveIri:
             ("HTTP://a.example/x;", "#f", "http://a.example/x;#f"),
             ("http://a.example/x;p", "#f", "http://a.example/x;p#f"),
             ("http://a.example/x;", "y", "http://a.example/y"),
-            ("urn:x;", "#f", "#f"),
+            ("urn:x;", "#f", "urn:x;#f"),
         ],
     )
     def test_fragment_or_query_ref_keeps_a_semicolon_ending_the_path(self, base, ref, expected):
         assert resolve_iri(base, ref) == expected
+
+    # RFC 3986 section 5.2.2 against a base urljoin gives such refs back bare
+    # for: its scheme is not in urllib's uses_relative.
+    @pytest.mark.parametrize(
+        "base, ref, expected",
+        [
+            ("urn:example:o", "#Person", "urn:example:o#Person"),
+            ("urn:example:o#Old", "#", "urn:example:o#"),
+            ("tag:a.example,2020:o?v=1#x", "?q", "tag:a.example,2020:o?q"),
+            ("tag:a.example,2020:o?v=1#x", "?q#f", "tag:a.example,2020:o?q#f"),
+            ("tag:a.example,2020:o?v=1#x", "#f", "tag:a.example,2020:o?v=1#f"),
+            ("", "#f", "#f"),
+        ],
+    )
+    def test_fragment_or_query_ref_against_a_non_hierarchical_base(self, base, ref, expected):
+        assert resolve_iri(base, ref) == expected
+
+    def test_fragment_ref_against_a_urn_base_in_turtle(self):
+        triples = parse_turtle(
+            b"@prefix owl: <http://www.w3.org/2002/07/owl#> .\n"
+            b"@base <urn:example:o> .\n<#Person> a owl:Class .\n",
+            "http://a.example/onto.ttl",
+        )
+        assert [t.subject for t in triples] == ["urn:example:o#Person"]
 
     def test_absolute_passthrough(self):
         assert resolve_iri("http://d/x.owl", "http://other/y#B") == "http://other/y#B"
