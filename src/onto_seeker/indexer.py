@@ -10,8 +10,8 @@ line one outcome, its summary or its skip reason, and fetches through
 thread, taking the list's hosts in turn. Doc ids follow input order, so doc
 ids and the on-disk bytes are reproducible and do not depend on the fetch
 order. The build hands ``write_index`` one flat row per posting, which it
-groups by tf; the reader merges each key's tf rows back into one
-``PostingList`` (doc ids, tfs) per (token, field).
+groups by tf; the reader keeps those rows as stored, one ``PostingList`` of
+(tf, ascending doc ids) rows per (token, field).
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from functools import cached_property
 from itertools import chain, groupby, zip_longest
 from operator import itemgetter, lt
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import OntoSeekerError
 from .netfetch import (
@@ -71,22 +72,25 @@ DOCS_FILE = "docs.tsv"
 POSTINGS_FILE = "postings.tsv"
 
 # Each column of a data file as (name, the pattern its text must fully match,
-# what that pattern stands for). Numbers are ASCII digits only: int() alone
-# also takes " 1", "1_0" and full-width digits.
-_DIGITS = "[0-9]+"
+# what that pattern stands for). Numbers are ASCII digits with no leading
+# zero: int() alone also takes " 1", "1_0", "01" and full-width digits, and
+# json.loads, which decodes a doc-id list, refuses "01". The possessive
+# quantifiers keep the long doc-id lists from backtracking.
+_NUMBER = "(?:0|[1-9][0-9]*+)"
+_NUMBER_MEANING = "ASCII digits without a leading zero"
 _DOCS_COLUMNS = (
-    ("doc_id", _DIGITS, "ASCII digits"),
+    ("doc_id", _NUMBER, _NUMBER_MEANING),
     ("url", "[^\t]*", ""),
-    ("byte_size", _DIGITS, "ASCII digits"),
-    ("class_count", _DIGITS, "ASCII digits"),
-    ("property_count", _DIGITS, "ASCII digits"),
-    ("relation_count", _DIGITS, "ASCII digits"),
+    ("byte_size", _NUMBER, _NUMBER_MEANING),
+    ("class_count", _NUMBER, _NUMBER_MEANING),
+    ("property_count", _NUMBER, _NUMBER_MEANING),
+    ("relation_count", _NUMBER, _NUMBER_MEANING),
 )
 _POSTINGS_COLUMNS = (
     ("token", "[^\t]*", ""),
     ("field", "|".join(FIELDS), "a known field"),
-    ("doc_ids", f"{_DIGITS}(?:,{_DIGITS})*", "a non-empty comma list of ASCII digits"),
-    ("tf", _DIGITS, "ASCII digits"),
+    ("doc_ids", f"{_NUMBER}(?:,{_NUMBER})*+", f"a non-empty comma list of {_NUMBER_MEANING}"),
+    ("tf", _NUMBER, _NUMBER_MEANING),
 )
 
 
@@ -130,8 +134,7 @@ class IndexLimits:
             raise ValueError("politeness_ms must be >= 0")
 
 
-@dataclass(frozen=True, slots=True)
-class DocRecord:
+class DocRecord(NamedTuple):
     doc_id: int
     url: str
     byte_size: int
@@ -162,16 +165,16 @@ DocTf = namedtuple("DocTf", "doc_id tf")
 
 @dataclass(slots=True)
 class PostingList:
-    """The postings of one (token, field) key: ascending doc ids and their tfs."""
+    """The postings of one (token, field) key as postings.tsv stores them:
+    (tf, ascending doc ids) rows, ascending by tf, no doc id in two rows."""
 
-    doc_ids: list[int]
-    tfs: list[int]
+    rows: list[tuple[int, list[int]]]
 
     def __len__(self) -> int:
-        return len(self.doc_ids)
+        return sum(len(doc_ids) for _tf, doc_ids in self.rows)
 
     def __iter__(self):  # (doc_id, tf) items, as perfbench/tracing.py reads them
-        return map(DocTf, self.doc_ids, self.tfs)
+        return (DocTf(doc_id, tf) for tf, doc_ids in self.rows for doc_id in doc_ids)
 
 
 @dataclass
@@ -406,7 +409,8 @@ def _corrupt(check: bool, message: str) -> None:
 
 
 def read_index(index_dir: str | Path) -> Index:
-    """Load and validate an index directory, one ``PostingList`` per key.
+    """Load and validate an index directory, one ``PostingList`` per key
+    holding that key's (tf, doc ids) rows as postings.tsv stores them.
 
     Raises MissingFile when one of the three files is absent, VersionMismatch
     when ``format_version`` is not the int FORMAT_VERSION, and CorruptIndex naming the
@@ -415,12 +419,14 @@ def read_index(index_dir: str | Path) -> Index:
     - each file is UTF-8, manifest.json is a JSON object with every field
       and skip reason, each of its counts is an integer >= 0, and its
       field_weights equal FIELD_WEIGHTS, the weights scoring uses;
-    - docs.tsv rows have 6 columns whose numbers are ASCII digits, doc ids
-      are dense and ascending from 0, and every doc has a term;
+    - every number in docs.tsv and postings.tsv is ASCII digits without a
+      leading zero;
+    - docs.tsv rows have 6 columns, doc ids are dense and ascending from 0,
+      and every doc has a term;
     - postings.tsv rows have 4 columns: a token, a known field, a non-empty
-      comma list of ASCII-digit doc ids, strictly ascending, the last naming a
-      row of docs.tsv, and an ASCII-digit tf >= 1; (token, field rank, tf)
-      rises strictly from row to row, and no doc id is in two tf rows of a key;
+      comma list of doc ids, strictly ascending, the last naming a row of
+      docs.tsv, and a tf >= 1; (token, field rank, tf) rises strictly from
+      row to row, and no doc id is in two tf rows of a key;
     - the manifest's doc count matches docs.tsv and its posting count the doc
       ids of postings.tsv, the accounting identity doc_count + skips == input
       lines holds, and every doc has at least one posting.
@@ -462,33 +468,33 @@ def read_index(index_dir: str | Path) -> Index:
         if type(count) is not int or count < 0:
             raise CorruptIndex(f"manifest.json {name} must be an integer >= 0, not {count!r}")
 
-    # The docs loop runs once per line of a large file, so each check is
-    # inlined and formats its message only when it fails.
+    # The loops run once per line of a large file, so each check is inlined
+    # and formats its message only when it fails.
     docs: list[DocRecord] = []
     for lineno, line in enumerate(_read_tsv_lines(directory / DOCS_FILE), 1):
         row = _DOCS_ROW.fullmatch(line)
         if row is None:
             raise CorruptIndex(f"docs.tsv line {lineno}: {_row_fault(line, _DOCS_COLUMNS)}")
-        doc_text, url, *count_texts = row.groups()
+        doc_text, url, size_text, class_text, property_text, relation_text = row.groups()
         try:
-            doc_id, byte_size, class_count, property_count, relation_count = map(
-                int, (doc_text, *count_texts)
+            doc = DocRecord(
+                int(doc_text), url, int(size_text),
+                int(class_text), int(property_text), int(relation_text),
             )
         except ValueError as exc:  # more digits than sys.get_int_max_str_digits()
             raise CorruptIndex(f"docs.tsv line {lineno}: {exc}") from exc
-        if doc_id != lineno - 1:
+        if doc.doc_id != lineno - 1:
             raise CorruptIndex(
                 f"docs.tsv line {lineno}: doc ids must be dense and ascending from 0"
             )
-        if class_count + property_count + relation_count == 0:
+        if doc.class_count + doc.property_count + doc.relation_count == 0:
             raise CorruptIndex(f"docs.tsv line {lineno}: document with no terms")
-        docs.append(
-            DocRecord(doc_id, url, byte_size, class_count, property_count, relation_count)
-        )
+        docs.append(doc)
 
     doc_total = len(docs)
     posting_lists: dict[tuple[str, str], PostingList] = {}
-    merged: dict[tuple[str, str], dict[int, int]] = {}  # {doc id: tf} of a key of several rows
+    key_rows: list[tuple[int, list[int]]] = []  # the rows of the key being read
+    key_ids: set[int] | None = None  # their doc ids, from the key's second row on
     docs_seen: set[int] = set()
     id_total = 0
     last = ("", -1, 0)  # the previous row's (token, field rank, tf); below every real row
@@ -501,7 +507,7 @@ def read_index(index_dir: str | Path) -> Index:
         token, field_name, ids_text, tf_text = row.groups()
         try:
             tf = int(tf_text)
-            ids = list(map(int, ids_text.split(",")))
+            ids = json.loads(f"[{ids_text}]")  # the list matched above: a JSON array
         except ValueError as exc:  # more digits than sys.get_int_max_str_digits()
             raise CorruptIndex(f"postings.tsv line {lineno}: {exc}") from exc
         if tf < 1:
@@ -515,26 +521,22 @@ def read_index(index_dir: str | Path) -> Index:
             raise CorruptIndex(f"postings.tsv line {lineno}: doc ids not strictly ascending")
         if ids[-1] >= doc_total:
             raise CorruptIndex(f"postings.tsv line {lineno}: doc_id {ids[-1]} not in docs.tsv")
-        key = (token, field_name)
-        if key not in posting_lists:
-            posting_lists[key] = PostingList(ids, [tf] * len(ids))
-        else:  # a further tf row of the key: merged once the file is read
-            tf_of = merged.get(key)
-            if tf_of is None:
-                first = posting_lists[key]
-                tf_of = merged[key] = dict.fromkeys(first.doc_ids, first.tfs[0])
-            size = len(tf_of)
-            tf_of.update(dict.fromkeys(ids, tf))
-            if len(tf_of) != size + len(ids):
+        if this[:2] != last[:2]:  # a new key: sorted rows keep each key's rows together
+            key_rows = [(tf, ids)]
+            key_ids = None
+            posting_lists[token, field_name] = PostingList(key_rows)
+        else:
+            if key_ids is None:
+                key_ids = set(key_rows[0][1])
+            if not key_ids.isdisjoint(ids):
                 raise CorruptIndex(
                     f"postings.tsv line {lineno}: a doc id is in two tf rows of one key"
                 )
+            key_ids.update(ids)
+            key_rows.append((tf, ids))
         docs_seen.update(ids)
         id_total += len(ids)
         last = this
-    for key, tf_of in merged.items():
-        doc_ids = sorted(tf_of)
-        posting_lists[key] = PostingList(doc_ids, list(map(tf_of.__getitem__, doc_ids)))
 
     _corrupt(manifest.doc_count == len(docs), "manifest doc_count does not match docs.tsv")
     _corrupt(

@@ -6,7 +6,7 @@ a keyword equal to any class/property/relation name always hits the documents
 that declare it. Ties are broken by URL so output is totally ordered.
 
 Every matching document is scored, with each posting list's contribution
-computed once per distinct tf. The top_k are cut at the k-th best score, every
+computed once per tf row. The top_k are cut at the k-th best score, every
 tie at the cut kept for the (score desc, URL asc) sort; results (with their
 matched-token sets) are built only for the top_k that are returned.
 """
@@ -77,13 +77,14 @@ def search(index: Index, query: Query, top_k: int, match_all: bool = False) -> l
     """Rank documents matching any query token (all tokens with match_all).
 
     Results are sorted by score descending, then URL ascending, and capped at
-    top_k. Every matching document is scored: each posting list maps its
-    distinct tfs to their contributions once, then adds one table entry per
-    posting. Accumulation order is token-major then field-major, which keeps
-    scores bit-identical with the brute-force scan oracle. The k-th best score
-    is the cut: every candidate at or above it is kept, so ties at the cut
-    all reach the (score, URL) sort that picks the top_k. Matched tokens are
-    collected for those winners only.
+    top_k. Every matching document is scored: each (tf, doc ids) row of a
+    posting list computes its contribution once and adds it to each of the
+    row's docs. A doc is in at most one row of a list, and accumulation order
+    is token-major then field-major, which keeps scores bit-identical with
+    the brute-force scan oracle. The k-th best score is the cut: every
+    candidate at or above it is kept, so ties at the cut all reach the
+    (score, URL) sort that picks the top_k. Matched tokens are collected for
+    those winners only.
     """
     if not query.tokens:
         raise EmptyQuery("query has no tokens")
@@ -98,12 +99,12 @@ def search(index: Index, query: Query, top_k: int, match_all: bool = False) -> l
             posting_list = table.get((token, field_name))
             if posting_list is None:
                 continue
-            tfs = posting_list.tfs
-            by_tf = {tf: contribution(field_name, tf) for tf in set(tfs)}
-            for doc_id, c in zip(posting_list.doc_ids, map(by_tf.__getitem__, tfs)):
-                scores[doc_id] = get(doc_id, 0.0) + c
-            if match_all:
-                token_docs.update(posting_list.doc_ids)
+            for tf, doc_ids in posting_list.rows:
+                c = contribution(field_name, tf)
+                for doc_id in doc_ids:
+                    scores[doc_id] = get(doc_id, 0.0) + c
+                if match_all:
+                    token_docs.update(doc_ids)
         if match_all:
             with_all_tokens = token_docs if with_all_tokens is None else with_all_tokens & token_docs
 
@@ -119,8 +120,10 @@ def search(index: Index, query: Query, top_k: int, match_all: bool = False) -> l
     for token in query.tokens:
         for field_name in FIELDS:
             posting_list = table.get((token, field_name))
-            if posting_list is not None:
-                for doc_id in matched.keys() & posting_list.doc_ids:
+            if posting_list is None:
+                continue
+            for _tf, doc_ids in posting_list.rows:
+                for doc_id in matched.keys() & doc_ids:
                     matched[doc_id].setdefault(field_name, set()).add(token)
     return [
         QueryResult(
@@ -154,11 +157,12 @@ def explain(index: Index, query: Query, url: str) -> list[ScoreContribution]:
             posting_list = index.posting_lists.get((token, field_name))
             if posting_list is None:
                 continue
-            at = bisect_left(posting_list.doc_ids, doc.doc_id)
-            if at < len(posting_list) and posting_list.doc_ids[at] == doc.doc_id:
-                tf = posting_list.tfs[at]
-                c = contribution(field_name, tf)
-                contributions.append(ScoreContribution(token, field_name, tf, c))
+            for tf, doc_ids in posting_list.rows:
+                at = bisect_left(doc_ids, doc.doc_id)
+                if at < len(doc_ids) and doc_ids[at] == doc.doc_id:
+                    c = contribution(field_name, tf)
+                    contributions.append(ScoreContribution(token, field_name, tf, c))
+                    break
     return contributions
 
 

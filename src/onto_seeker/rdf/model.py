@@ -112,6 +112,13 @@ _PLAIN_IRI = re.compile(
     re.ASCII,
 )
 
+# RFC 3986 appendix B: scheme, authority, path, query and fragment, each None
+# where its delimiter is absent.
+_IRI_PARTS = re.compile(r"(?:([^:/?#]+):)?(?://([^/?#]*))?([^?#]*)(?:\?([^#]*))?(?:#(.*))?", re.S)
+# A relative reference: no ":" before its first "/", "?" or "#" (section 4.2).
+_RELATIVE_REF = re.compile(r"[^:/?#]*(?:[/?#]|\Z)")
+_FIRST_SEGMENT = re.compile(r"/?[^/]*")
+
 
 def resolve_iri(base: str, ref: str) -> str:
     """urljoin that keeps a bare trailing '#' (urljoin drops empty fragments,
@@ -120,8 +127,8 @@ def resolve_iri(base: str, ref: str) -> str:
     (urlparse reads that ';' as empty params, which urlunparse drops; RFC
     3986 section 5.2.2 keeps the base's path whole). Against a base whose
     scheme urljoin does not resolve against (``urn:``, ``tag:``), which
-    gives such a ref back bare, the ref replaces the base's fragment, or
-    its query and fragment, as section 5.2.2 has it.
+    gives a relative ref back bare, the ref resolves by RFC 3986 section
+    5.2.2: a path is merged with the base's and its dot segments removed.
 
     An empty ref is the base and a plain absolute ref is itself, as urljoin
     gives them, so neither goes through urljoin. That holds for any base
@@ -136,10 +143,9 @@ def resolve_iri(base: str, ref: str) -> str:
         out = urljoin(base, ref)
     except ValueError as exc:
         raise InvalidIri(f"cannot resolve {ref!r} against {base!r}: {exc}") from None
+    if out == ref and base and _RELATIVE_REF.match(ref):
+        return _resolve_reference(base, ref)  # urljoin does not resolve against the base's scheme
     if ref[0] in "#?":
-        if out == ref and base:  # urljoin does not resolve against the base's scheme
-            kept = base.split("#", 1)[0]
-            return (kept.split("?", 1)[0] if ref[0] == "?" else kept) + ref
         # The base up to its query or fragment; urljoin gives it back less the
         # ';' (and with a lower-case scheme) when it dropped that ';'.
         head = base.split("#", 1)[0].split("?", 1)[0]
@@ -153,6 +159,51 @@ def resolve_iri(base: str, ref: str) -> str:
     if ref.endswith("#") and not out.endswith("#"):
         out += "#"
     return out
+
+
+def _resolve_reference(base: str, ref: str) -> str:
+    """RFC 3986 section 5.2.2 for a relative ``ref``, recomposed by section 5.3."""
+    scheme, authority, path, query, _fragment = _IRI_PARTS.fullmatch(base).groups()
+    _scheme, ref_authority, ref_path, ref_query, fragment = _IRI_PARTS.fullmatch(ref).groups()
+    if ref_authority is not None:
+        authority, path, query = ref_authority, _remove_dot_segments(ref_path), ref_query
+    elif ref_path:
+        if not ref_path.startswith("/"):  # section 5.2.3: merge with the base's path
+            if authority is not None and not path:
+                ref_path = "/" + ref_path
+            else:
+                ref_path = path[: path.rfind("/") + 1] + ref_path
+        path, query = _remove_dot_segments(ref_path), ref_query
+    elif ref_query is not None:
+        query = ref_query
+    return "".join((
+        "" if scheme is None else scheme + ":",
+        "" if authority is None else "//" + authority,
+        path,
+        "" if query is None else "?" + query,
+        "" if fragment is None else "#" + fragment,
+    ))
+
+
+def _remove_dot_segments(path: str) -> str:
+    """RFC 3986 section 5.2.4, step by step."""
+    out: list[str] = []
+    while path:
+        if path.startswith(("../", "./")):  # A
+            path = path[path.index("/") + 1 :]
+        elif path.startswith("/./") or path == "/.":  # B
+            path = "/" + path[3:]
+        elif path.startswith("/../") or path == "/..":  # C
+            path = "/" + path[4:]
+            if out:
+                out.pop()
+        elif path in (".", ".."):  # D
+            path = ""
+        else:  # E
+            segment = _FIRST_SEGMENT.match(path)[0]
+            out.append(segment)
+            path = path[len(segment) :]
+    return "".join(out)
 
 
 def local_name(iri: str) -> str:

@@ -239,22 +239,25 @@ def build_parts(
 
 
 def group_postings(postings: list[PostingRow]) -> dict[tuple[str, str], PostingList]:
-    """Sorted build-side rows grouped per (token, field) key, as read_index
-    loads them."""
-    table: dict[tuple[str, str], PostingList] = {}
+    """Sorted build-side rows grouped per (token, field) key, then by tf, as
+    read_index loads them: (tf, ascending doc ids) rows in ascending tf order."""
+    by_key: dict[tuple[str, str], dict[int, list[int]]] = {}
     for token, field_name, doc_id, tf in postings:
-        posting_list = table.setdefault((token, field_name), PostingList([], []))
-        posting_list.doc_ids.append(doc_id)
-        posting_list.tfs.append(tf)
-    return table
+        by_key.setdefault((token, field_name), {}).setdefault(tf, []).append(doc_id)
+    return {
+        key: PostingList(sorted(ids_by_tf.items())) for key, ids_by_tf in by_key.items()
+    }
 
 
 def posting_rows(index: Index) -> list[PostingRow]:
-    """An index's per-key lists flattened back into rows, in key order."""
+    """An index's per-key lists flattened back into build-side rows: in key
+    order, each key's postings ascending by doc id."""
     return [
         (token, field_name, doc_id, tf)
         for (token, field_name), posting_list in index.posting_lists.items()
-        for doc_id, tf in zip(posting_list.doc_ids, posting_list.tfs)
+        for doc_id, tf in sorted(
+            (doc_id, tf) for tf, doc_ids in posting_list.rows for doc_id in doc_ids
+        )
     ]
 
 

@@ -410,8 +410,9 @@ class TestPerfbenchTracer:
             for field_name in FIELDS
             if (token, field_name) in index.posting_lists
         ]
-        scanned = sum(len(posting_list.doc_ids) for posting_list in lists)
-        scored = len({doc_id for posting_list in lists for doc_id in posting_list.doc_ids})
+        rows = [doc_ids for posting_list in lists for _tf, doc_ids in posting_list.rows]
+        scanned = sum(len(doc_ids) for doc_ids in rows)
+        scored = len({doc_id for doc_ids in rows for doc_id in doc_ids})
         assert (scanned, scored) == (5, 2)
         assert tracer.counters["query.postings_scanned"] == scanned
         assert tracer.counters["query.docs_scored"] == scored

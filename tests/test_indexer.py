@@ -735,6 +735,18 @@ _ROW_CORRUPTIONS = [
         "tf '\uff12' is not ASCII digits",
         id="postings-full-width-tf",
     ),
+    # A leading zero, which int() takes and json.loads refuses; each spells
+    # the row's own number, so only the number rule can catch it.
+    pytest.param(
+        "postings.tsv", lambda ls: _edit_line_2(ls, 2, "0,01"),
+        "doc_ids '0,01' is not a non-empty comma list of ASCII digits without a leading zero",
+        id="postings-doc-id-with-leading-zero",
+    ),
+    pytest.param(
+        "postings.tsv", lambda ls: _edit_line_2(ls, 3, "02"),
+        "tf '02' is not ASCII digits without a leading zero",
+        id="postings-tf-with-leading-zero",
+    ),
     pytest.param(
         "postings.tsv", lambda ls: _edit_line_2(ls, 2, "0," + "1" * 5000),
         "integer string conversion", id="postings-doc-id-past-the-int-digit-limit",
@@ -802,6 +814,11 @@ _ROW_CORRUPTIONS = [
         id="docs-full-width-count",
     ),
     pytest.param(
+        "docs.tsv", lambda ls: _edit_line_2(ls, 4, "02"),
+        "property_count '02' is not ASCII digits without a leading zero",
+        id="docs-count-with-leading-zero",
+    ),
+    pytest.param(
         "docs.tsv", lambda ls: _edit_line_2(ls, 2, "9" * 5000), "integer string conversion",
         id="docs-byte-size-past-the-int-digit-limit",
     ),
@@ -847,8 +864,16 @@ class TestReadIndexRowChecks:
             "person\tclass\t2\t1\n"
         )
         loaded = read_index(tmp_path / "idx")
-        assert loaded.posting_lists["agent", "property"] == PostingList([0, 1, 2, 3], [2, 2, 1, 1])
+        assert loaded.posting_lists["agent", "property"] == PostingList([(1, [2, 3]), (2, [0, 1])])
         assert loaded.manifest.posting_count == 12
+
+    def test_a_list_yields_each_posting_once_by_tf_row(self, tmp_path):
+        # The tracer counts postings and scored docs through len() and iteration.
+        write_index(tmp_path / "idx", *build_parts(_ROW_CHECK_SUMMARIES))
+        posting_list = read_index(tmp_path / "idx").posting_lists["agent", "property"]
+        assert list(posting_list) == [(2, 1), (3, 1), (0, 2), (1, 2)]
+        assert [(p.doc_id, p.tf) for p in posting_list] == list(posting_list)
+        assert len(posting_list) == 4
 
     @pytest.mark.parametrize("delta", [-1, 1])
     def test_posting_count_must_count_the_doc_ids(self, tmp_path, delta):
@@ -900,6 +925,7 @@ class TestPostingsRoundTrip:
         assert len(rows) == len({(token, field, tf) for token, field, _doc, tf in postings})
         loaded = read_index(idx_dir)
         assert list(loaded.posting_lists.items()) == list(group_postings(postings).items())
+        assert posting_rows(loaded) == postings
         assert (loaded.docs, loaded.manifest) == (docs, manifest)
 
 
@@ -1018,7 +1044,7 @@ class TestManyKeys:
         loaded = read_index(tmp_path / "idx")
         expected = group_postings(postings)
         assert len(expected) > 2000
-        assert any(tf > 1 for posting_list in expected.values() for tf in posting_list.tfs)
+        assert any(len(posting_list.rows) > 1 for posting_list in expected.values())
         assert list(loaded.posting_lists.items()) == list(expected.items())
 
         for _ in range(40):
@@ -1039,7 +1065,7 @@ class TestRecordContracts:
             property_count=0,
             relation_count=0,
         )
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             doc.byte_size = 2
         assert not hasattr(doc, "__dict__")
 

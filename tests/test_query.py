@@ -193,6 +193,28 @@ class TestExplain:
             total += c.contribution
         assert total == result.score
 
+    def test_contributions_sum_to_search_score_in_a_key_of_several_tf_rows(self):
+        summaries = [
+            _summary("http://h.test/a.owl", classes={"Part", "SparePart", "PartOfOrganization"}),
+            _summary("http://h.test/b.owl", classes={"Part"}, properties={"hasPart"}),
+            _summary("http://h.test/c.owl", classes={"Part", "BodyPart"}, relations={"partOf"}),
+        ]
+        index = make_index(summaries)
+        assert index.posting_lists["part", "class"].rows == [(1, [1]), (2, [2]), (3, [0])]
+        query = parse_query("part organization")
+        results = search(index, query, top_k=10)
+        assert len(results) == 3
+        for result in results:
+            contributions = explain(index, query, result.url)
+            total = 0.0
+            for c in contributions:
+                total += c.contribution
+            assert total == result.score
+        explained = explain(index, query, "http://h.test/a.owl")
+        assert [(c.token, c.field, c.tf) for c in explained] == [
+            ("part", "class", 3), ("organization", "class", 1)
+        ]
+
     @pytest.mark.parametrize(
         "url", ["HTTP://H.Test:80/a.owl", "http://h.test/a.owl#top", " http://h.test/a.owl"]
     )

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import re
 from urllib.parse import urljoin, urlsplit, urlunsplit, uses_relative
 
 import pytest
@@ -186,19 +187,84 @@ def _urljoin_keeping_hash(base: str, ref: str):
     """resolve_iri as plain urljoin gives it: InvalidIri for a ValueError, and
     a ref led by "#" or "?" keeps a ";" ending the base's path (urlparse reads
     it as empty params, which urlunparse drops). Against a base of a scheme
-    urljoin does not resolve against, such a ref replaces the base's fragment
-    ("#") or query and fragment ("?"), as RFC 3986 section 5.2.2 has it."""
+    urljoin does not resolve against, a non-empty relative ref (no ":" before
+    its first "/", "?" or "#") resolves as RFC 3986 section 5.2 has it."""
     try:
         out = urljoin(base, ref)
     except ValueError:
         return InvalidIri
-    if ref[:1] in ("#", "?") and base and urlsplit(base).scheme not in uses_relative:
-        return base.split("#", 1)[0].split(ref[0], 1)[0] + ref
+    relative = ref and ":" not in re.split("[/?#]", ref, maxsplit=1)[0]
+    if relative and base and urlsplit(base).scheme not in uses_relative:
+        return _rfc3986_join(base, ref)
     if ref[:1] in ("#", "?"):
         path = urlsplit(base).path
         if path.endswith(";") and urlsplit(out).path == path[:-1]:
             out = urlunsplit(urlsplit(out)._replace(path=path))
     return out + "#" if ref.endswith("#") and not out.endswith("#") else out
+
+
+def _rfc3986_parts(iri: str):
+    """(scheme, authority, path, query, fragment) as RFC 3986 appendix B
+    splits them, None where the delimiter is absent."""
+    rest, has_fragment, fragment = iri.partition("#")
+    rest, has_query, query = rest.partition("?")
+    scheme, colon, tail = rest.partition(":")
+    if not colon or not scheme or "/" in scheme:
+        scheme, tail = None, rest
+    authority = None
+    if tail.startswith("//"):
+        authority, slash, path = tail[2:].partition("/")
+        tail = slash + path
+    return scheme, authority, tail, query if has_query else None, fragment if has_fragment else None
+
+
+def _rfc3986_join(base: str, ref: str) -> str:
+    """RFC 3986 sections 5.2.2, 5.2.3 and 5.3, as the pseudo-code reads."""
+    b_scheme, b_authority, b_path, b_query, _ = _rfc3986_parts(base)
+    _, r_authority, r_path, r_query, r_fragment = _rfc3986_parts(ref)
+    if r_authority is not None:
+        authority, path, query = r_authority, _remove_dots(r_path), r_query
+    else:
+        if r_path == "":
+            path, query = b_path, b_query if r_query is None else r_query
+        else:
+            if r_path.startswith("/"):
+                path = _remove_dots(r_path)
+            elif b_authority is not None and b_path == "":
+                path = _remove_dots("/" + r_path)
+            else:
+                path = _remove_dots(b_path[: b_path.rfind("/") + 1] + r_path)
+            query = r_query
+        authority = b_authority
+    out = "" if b_scheme is None else b_scheme + ":"
+    if authority is not None:
+        out += "//" + authority
+    out += path
+    if query is not None:
+        out += "?" + query
+    if r_fragment is not None:
+        out += "#" + r_fragment
+    return out
+
+
+def _remove_dots(path: str) -> str:
+    """RFC 3986 section 5.2.4 on a string output buffer."""
+    out = ""
+    while path:
+        if path.startswith("../") or path.startswith("./"):
+            path = re.sub(r"^\.\.?/", "", path)
+        elif re.match(r"/\.(/|$)", path):
+            path = "/" + path[3:]
+        elif re.match(r"/\.\.(/|$)", path):
+            path = "/" + path[4:]
+            out = out[: max(out.rfind("/"), 0)]
+        elif path in (".", ".."):
+            path = ""
+        else:
+            end = path.find("/", 1)
+            end = len(path) if end < 0 else end
+            out, path = out + path[:end], path[end:]
+    return out
 
 
 def _resolved(base: str, ref: str):
@@ -267,6 +333,45 @@ class TestResolveIri:
     )
     def test_fragment_or_query_ref_against_a_non_hierarchical_base(self, base, ref, expected):
         assert resolve_iri(base, ref) == expected
+
+    # A path or network-path ref against such a base: merged with the base's
+    # path, dot segments removed (RFC 3986 sections 5.2.2 to 5.2.4).
+    @pytest.mark.parametrize(
+        "base, ref, expected",
+        [
+            ("urn:example:o", "Person", "urn:Person"),
+            ("tag:a.example,2020:dir/o", "x/y", "tag:a.example,2020:dir/x/y"),
+            ("urn:example:o", "//h/p", "urn://h/p"),
+        ],
+    )
+    def test_path_ref_against_a_non_hierarchical_base(self, base, ref, expected):
+        assert resolve_iri(base, ref) == expected
+        assert _urljoin_keeping_hash(base, ref) == expected
+
+    # RFC 3986 section 5.4's examples, whose base is http://a/b/c/d;p?q: the
+    # algorithm does not depend on the scheme, so a tag: base gives the same
+    # answers with tag: in front.
+    @pytest.mark.parametrize(
+        "ref, expected",
+        [
+            ("g", "//a/b/c/g"), ("./g", "//a/b/c/g"), ("g/", "//a/b/c/g/"), ("/g", "//a/g"),
+            ("//g", "//g"), ("?y", "//a/b/c/d;p?y"), ("g?y", "//a/b/c/g?y"),
+            ("#s", "//a/b/c/d;p?q#s"), ("g#s", "//a/b/c/g#s"), ("g?y#s", "//a/b/c/g?y#s"),
+            (";x", "//a/b/c/;x"), ("g;x", "//a/b/c/g;x"), ("g;x?y#s", "//a/b/c/g;x?y#s"),
+            (".", "//a/b/c/"), ("./", "//a/b/c/"), ("..", "//a/b/"), ("../", "//a/b/"),
+            ("../g", "//a/b/g"), ("../..", "//a/"), ("../../", "//a/"), ("../../g", "//a/g"),
+            ("../../../g", "//a/g"), ("../../../../g", "//a/g"), ("/./g", "//a/g"),
+            ("/../g", "//a/g"), ("g.", "//a/b/c/g."), (".g", "//a/b/c/.g"),
+            ("g..", "//a/b/c/g.."), ("..g", "//a/b/c/..g"), ("./../g", "//a/b/g"),
+            ("./g/.", "//a/b/c/g/"), ("g/./h", "//a/b/c/g/h"), ("g/../h", "//a/b/c/h"),
+            ("g;x=1/./y", "//a/b/c/g;x=1/y"), ("g;x=1/../y", "//a/b/c/y"),
+            ("g?y/./x", "//a/b/c/g?y/./x"), ("g?y/../x", "//a/b/c/g?y/../x"),
+            ("g#s/./x", "//a/b/c/g#s/./x"), ("g#s/../x", "//a/b/c/g#s/../x"),
+        ],
+    )
+    def test_rfc_3986_examples_against_a_non_hierarchical_base(self, ref, expected):
+        assert resolve_iri("tag://a/b/c/d;p?q", ref) == "tag:" + expected
+        assert _urljoin_keeping_hash("tag://a/b/c/d;p?q", ref) == "tag:" + expected
 
     def test_fragment_ref_against_a_urn_base_in_turtle(self):
         triples = parse_turtle(
