@@ -45,7 +45,7 @@ from .indexer import (
     triage_url_lines,
 )
 from .netfetch import DEFAULT_POLITENESS_MS, DEFAULT_TIMEOUT_S, LiveTransport, MalformedUrl, Url
-from .query import EmptyQuery, Query, UnknownUrl, check_top_k, explain, format_explain
+from .query import EmptyQuery, UnknownUrl, check_top_k, explain, format_explain
 from .query import format_results, parse_query, search
 
 DEFAULT_SEED_URL = "http://www.ontologyportal.org"
@@ -199,12 +199,6 @@ def _index_limits(args) -> IndexLimits:
     )
 
 
-def _parsed_query(args) -> Query:
-    """Parse --query after checking --top-k; either failing is a usage error."""
-    _checked(check_top_k, args.top_k)
-    return parse_query(args.query)
-
-
 def _crawl_config(args) -> CrawlConfig:
     return _checked(
         CrawlConfig,
@@ -248,7 +242,8 @@ def cmd_index(args, transport=None) -> None:
 def cmd_query(args) -> None:
     # Flags before the index, as index checks them before the URL list, and
     # every input before the first line is printed.
-    query = _parsed_query(args)
+    _checked(check_top_k, args.top_k)
+    query = parse_query(args.query)
     index = read_index(args.index_dir)
     explained = format_explain(explain(index, query, args.explain_url)) if args.explain_url else []
     results = search(index, query, top_k=args.top_k, match_all=args.match_all)
@@ -261,8 +256,11 @@ def cmd_pipeline(args) -> None:
     # A bad flag of any stage is rejected before the corpus loads.
     seed_host = _crawl_config(args).seed_urls[0].host
     _index_limits(args)
+    _checked(check_top_k, args.top_k)
     if args.query is not None:
-        _parsed_query(args)
+        parse_query(args.query)
+    elif args.explain_url is not None or args.match_all:
+        raise _UsageError("--explain-url and --match-all need --query")
     # Both stages share one transport, so a corpus directory loads once and a
     # plain one answers for the first seed's host in the index stage too.
     transport = _make_transport(args, lambda: seed_host)

@@ -20,6 +20,7 @@ import contextlib
 import json
 import os
 import re
+from bisect import bisect_left
 from collections import Counter, defaultdict, deque, namedtuple
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
@@ -175,6 +176,14 @@ class PostingList:
 
     def __iter__(self):  # (doc_id, tf) items, as perfbench/tracing.py reads them
         return (DocTf(doc_id, tf) for tf, doc_ids in self.rows for doc_id in doc_ids)
+
+    def tf_of(self, doc_id: int) -> int:
+        """The doc's tf in this key, or 0 if it has no posting here."""
+        for tf, doc_ids in self.rows:
+            at = bisect_left(doc_ids, doc_id)
+            if at < len(doc_ids) and doc_ids[at] == doc_id:
+                return tf
+        return 0
 
 
 @dataclass

@@ -7,14 +7,14 @@ that declare it. Ties are broken by URL so output is totally ordered.
 
 Every matching document is scored, with each posting list's contribution
 computed once per tf row. The top_k are cut at the k-th best score, every
-tie at the cut kept for the (score desc, URL asc) sort; results (with their
-matched-token sets) are built only for the top_k that are returned.
+tie at the cut kept for the (score desc, URL asc) sort. Only the top_k returned
+get results; PostingList.tf_of gives their matched tokens and explain's postings.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import OntoSeekerError
@@ -33,7 +33,6 @@ class UnknownUrl(OntoSeekerError):
 
 @dataclass(frozen=True)
 class Query:
-    raw: str
     tokens: tuple[str, ...]
 
 
@@ -60,7 +59,7 @@ def parse_query(raw: str) -> Query:
     tokens = tuple(dict.fromkeys(stream))
     if not tokens:
         raise EmptyQuery(f"no searchable tokens in {raw!r}")
-    return Query(raw=raw, tokens=tokens)
+    return Query(tokens)
 
 
 def contribution(field_name: str, tf: int) -> float:
@@ -73,6 +72,16 @@ def check_top_k(top_k: int) -> None:
         raise ValueError("top_k must be >= 1")
 
 
+def _postings(index: Index, query: Query, doc_ids: list[int]) -> Iterator[tuple[str, str, int, int]]:
+    """(token, field, tf, doc_id) per posting of doc_ids, in search's scoring order."""
+    for token in query.tokens:
+        for field_name in FIELDS:
+            if (posting_list := index.posting_lists.get((token, field_name))) is not None:
+                for doc_id in doc_ids:
+                    if tf := posting_list.tf_of(doc_id):
+                        yield token, field_name, tf, doc_id
+
+
 def search(index: Index, query: Query, top_k: int, match_all: bool = False) -> list[QueryResult]:
     """Rank documents matching any query token (all tokens with match_all).
 
@@ -83,8 +92,7 @@ def search(index: Index, query: Query, top_k: int, match_all: bool = False) -> l
     is token-major then field-major, which keeps scores bit-identical with
     the brute-force scan oracle. The k-th best score is the cut: every
     candidate at or above it is kept, so ties at the cut all reach the
-    (score, URL) sort that picks the top_k. Matched tokens are collected for
-    those winners only.
+    (score, URL) sort that picks the top_k, whose matched tokens tf_of looks up.
     """
     if not query.tokens:
         raise EmptyQuery("query has no tokens")
@@ -117,14 +125,8 @@ def search(index: Index, query: Query, top_k: int, match_all: bool = False) -> l
     docs = index.docs
     winners = sorted(candidates, key=lambda d: (-candidates[d], docs[d].url))[:top_k]
     matched: dict[int, dict[str, set[str]]] = {doc_id: {} for doc_id in winners}
-    for token in query.tokens:
-        for field_name in FIELDS:
-            posting_list = table.get((token, field_name))
-            if posting_list is None:
-                continue
-            for _tf, doc_ids in posting_list.rows:
-                for doc_id in matched.keys() & doc_ids:
-                    matched[doc_id].setdefault(field_name, set()).add(token)
+    for token, field_name, _tf, doc_id in _postings(index, query, winners):
+        matched[doc_id].setdefault(field_name, set()).add(token)
     return [
         QueryResult(
             url=docs[doc_id].url,
@@ -151,19 +153,10 @@ def explain(index: Index, query: Query, url: str) -> list[ScoreContribution]:
         doc = next(doc for doc in index.docs if doc.url == key)
     except (OntoSeekerError, StopIteration):
         raise UnknownUrl(url) from None
-    contributions = []
-    for token in query.tokens:
-        for field_name in FIELDS:
-            posting_list = index.posting_lists.get((token, field_name))
-            if posting_list is None:
-                continue
-            for tf, doc_ids in posting_list.rows:
-                at = bisect_left(doc_ids, doc.doc_id)
-                if at < len(doc_ids) and doc_ids[at] == doc.doc_id:
-                    c = contribution(field_name, tf)
-                    contributions.append(ScoreContribution(token, field_name, tf, c))
-                    break
-    return contributions
+    return [
+        ScoreContribution(token, field_name, tf, contribution(field_name, tf))
+        for token, field_name, tf, _doc_id in _postings(index, query, [doc.doc_id])
+    ]
 
 
 def format_results(results: list[QueryResult], machine: bool = False) -> list[str]:

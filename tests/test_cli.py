@@ -768,8 +768,13 @@ class TestCmdPipeline:
             (["--max-body-bytes", "0"], "max_body_bytes"),
             (["--query", "Anchor", "--top-k", "0"], "error: "),
             (["--query", " "], "unusable query"),
+            # The query-only flags are checked without --query too.
+            (["--top-k", "0"], "top_k must be >= 1"),
+            (["--explain-url", "http://nowhere.test/x.owl"], "need --query"),
+            (["--match-all"], "need --query"),
         ],
-        ids=["max-bytes", "max-body-bytes", "top-k", "blank-query"],
+        ids=["max-bytes", "max-body-bytes", "top-k", "blank-query",
+             "top-k-without-query", "explain-url-without-query", "match-all-without-query"],
     )
     def test_bad_later_stage_flag_stops_before_crawl(self, tmp_path, capsys, flags, message):
         code = main(

@@ -255,7 +255,7 @@ class TestScanOracle:
 
     def test_empty_query_rejected(self):
         with pytest.raises(EmptyQuery):
-            scan_oracle([], Query(raw="", tokens=()), top_k=5)
+            scan_oracle([], Query(tokens=()), top_k=5)
 
     def test_agrees_with_search_on_generated_corpus(self, site42):
         _spec, (_corpus, gt) = site42

@@ -875,6 +875,17 @@ class TestReadIndexRowChecks:
         assert [(p.doc_id, p.tf) for p in posting_list] == list(posting_list)
         assert len(posting_list) == 4
 
+    def test_tf_of_finds_the_docs_row_or_gives_0(self):
+        # Ids in the first, middle and last tf row (first, middle and last of
+        # each); ids below, between and above them; then a key of one row.
+        three_rows = PostingList([(1, [3, 6, 10]), (2, [4, 8]), (5, [5, 12])])
+        tfs = [three_rows.tf_of(doc_id) for doc_id in range(14)]
+        assert tfs == [0, 0, 0, 1, 2, 5, 1, 0, 2, 0, 1, 0, 5, 0]
+        assert tfs == [dict(three_rows).get(doc_id, 0) for doc_id in range(14)]
+        assert three_rows.tf_of(100) == 0
+        one_row = PostingList([(3, [1, 4])])
+        assert [one_row.tf_of(doc_id) for doc_id in range(6)] == [0, 3, 0, 0, 3, 0]
+
     @pytest.mark.parametrize("delta", [-1, 1])
     def test_posting_count_must_count_the_doc_ids(self, tmp_path, delta):
         write_index(tmp_path / "idx", *build_parts(_ROW_CHECK_SUMMARIES))

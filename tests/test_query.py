@@ -52,9 +52,6 @@ class TestParseQuery:
         expected = tuple(sorted(set(stream), key=stream.index))
         assert parse_query(" ".join(keywords)).tokens == expected
 
-    def test_raw_preserved(self):
-        assert parse_query("Person ").raw == "Person "
-
     def test_separator_only_keyword_is_empty(self):
         with pytest.raises(EmptyQuery):
             parse_query("___ ---")
@@ -319,6 +316,9 @@ def test_search_never_exceeds_top_k(corpus, match_all):
         assert results == scan_oracle(summaries, query, top_k=top_k, match_all=match_all)
     for result in everything:
         total = 0.0
+        explained: dict[str, set[str]] = {}
         for c in explain(index, query, result.url):
             total += c.contribution
+            explained.setdefault(c.field, set()).add(c.token)
         assert total == result.score
+        assert explained == result.matched
