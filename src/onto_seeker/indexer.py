@@ -22,7 +22,7 @@ import os
 import re
 from bisect import bisect_left
 from collections import Counter, defaultdict, deque, namedtuple
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from functools import cached_property
 from itertools import chain, groupby, zip_longest
@@ -170,6 +170,8 @@ class PostingList:
     (tf, ascending doc ids) rows, ascending by tf, no doc id in two rows."""
 
     rows: list[tuple[int, list[int]]]
+    # Derived from rows by row_bitmaps on first use, never read from disk.
+    bitmaps: list[int] | None = field(default=None, compare=False, repr=False)
 
     def __len__(self) -> int:
         return sum(len(doc_ids) for _tf, doc_ids in self.rows)
@@ -184,6 +186,20 @@ class PostingList:
             if at < len(doc_ids) and doc_ids[at] == doc_id:
                 return tf
         return 0
+
+    def row_bitmaps(self) -> list[int]:
+        """One int per row, bit d set iff doc d is in that row. Built on the
+        first call and kept; two threads racing here build equal ints."""
+        if self.bitmaps is None:
+            self.bitmaps = [_bitmap(doc_ids) for _tf, doc_ids in self.rows]
+        return self.bitmaps
+
+
+def _bitmap(doc_ids: list[int]) -> int:
+    digits = bytearray(b"0") * (doc_ids[-1] + 1)  # digit d is bit d: reversed below
+    for doc_id in doc_ids:
+        digits[doc_id] = 49  # ord("1")
+    return int(digits[::-1], 2)
 
 
 @dataclass

@@ -115,8 +115,6 @@ class Url:
         if port is None:
             port = DEFAULT_PORTS[scheme]
         path = parts.path or "/"
-        if not path.startswith("/"):
-            raise MalformedUrl(f"non-rooted path in {raw!r}")
         query = parts.query if "?" in raw else None
         return cls(scheme=scheme, host=host, port=port, path=path, query=query)
 

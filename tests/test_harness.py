@@ -198,6 +198,20 @@ class TestCorpusFromDir:
         with pytest.raises(PathUnreadable):
             corpus_from_dir(tmp_path / "absent", "h.test")
 
+    def test_unreadable_file(self, tmp_path, monkeypatch):
+        # Permission bits do not stop root, so the read itself fails here.
+        (tmp_path / "a.owl").write_bytes(b"<rdf/>")
+        read_bytes = Path.read_bytes
+
+        def refuse_a_owl(path):
+            if path.name == "a.owl":
+                raise PermissionError(13, "Permission denied", str(path))
+            return read_bytes(path)
+
+        monkeypatch.setattr(Path, "read_bytes", refuse_a_owl)
+        with pytest.raises(PathUnreadable, match="a.owl: .*Permission denied"):
+            corpus_from_dir(tmp_path, "h.test")
+
 
 class TestSiteDirRoundTrip:
     def test_write_then_load_preserves_corpus(self, tmp_path):

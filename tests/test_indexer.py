@@ -633,6 +633,15 @@ class TestWriteReadRoundTrip:
             read_index(tmp_path / "idx")
         assert "not a JSON object" in str(err.value)
 
+    def test_skip_counts_not_an_object_rejected(self, tmp_path):
+        write_index(tmp_path / "idx", *build_parts([_summary("http://h.test/a.owl", {"A"})]))
+        manifest_path = tmp_path / "idx" / "manifest.json"
+        data = json.loads(manifest_path.read_text())
+        data["skip_counts"] = list(data["skip_counts"].values())
+        manifest_path.write_text(json.dumps(data))
+        with pytest.raises(CorruptIndex, match="manifest.json missing or malformed field"):
+            read_index(tmp_path / "idx")
+
     def test_missing_file(self, tmp_path):
         summaries = [_summary("http://h.test/a.owl", classes={"A"})]
         write_index(tmp_path / "idx", *build_parts(summaries))
@@ -885,6 +894,21 @@ class TestReadIndexRowChecks:
         assert three_rows.tf_of(100) == 0
         one_row = PostingList([(3, [1, 4])])
         assert [one_row.tf_of(doc_id) for doc_id in range(6)] == [0, 3, 0, 0, 3, 0]
+
+    def test_row_bitmaps_are_built_on_first_use_and_kept(self, tmp_path):
+        write_index(tmp_path / "idx", *build_parts(_ROW_CHECK_SUMMARIES))
+        posting_list = read_index(tmp_path / "idx").posting_lists["agent", "property"]
+        assert posting_list.bitmaps is None
+        bitmaps = posting_list.row_bitmaps()
+        assert bitmaps == [0b1100, 0b0011]
+        assert posting_list.row_bitmaps() is bitmaps
+        # Derived, so two lists of the same rows are equal however far each got.
+        assert posting_list == PostingList([(1, [2, 3]), (2, [0, 1])])
+
+    @given(st.lists(st.sets(st.integers(0, 300), min_size=1), min_size=1, max_size=4))
+    def test_each_row_bitmap_sets_bit_d_for_each_doc_d_of_the_row(self, id_sets):
+        rows = [(tf, sorted(ids)) for tf, ids in enumerate(id_sets, 1)]
+        assert PostingList(rows).row_bitmaps() == [sum(1 << d for d in ids) for _tf, ids in rows]
 
     @pytest.mark.parametrize("delta", [-1, 1])
     def test_posting_count_must_count_the_doc_ids(self, tmp_path, delta):

@@ -3,14 +3,19 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import make_index
 from onto_seeker.harness import scan_oracle
 from onto_seeker.query import (
+    CLASS_PATH_MIN_ROW_LENGTH,
     EmptyQuery,
+    Query,
     UnknownUrl,
+    _scores_by_class,
+    _scores_by_posting,
+    _token_lists,
     explain,
     format_explain,
     format_results,
@@ -65,6 +70,11 @@ class TestSearch:
         assert results[0].url == "http://h.test/a.owl"
         assert results[0].matched == {"class": frozenset({"person"})}
         assert results[0].score == pytest.approx(3.0)
+
+    def test_hand_built_empty_query_raises(self):
+        index = make_index([_summary("http://h.test/a.owl", classes={"Person"})])
+        with pytest.raises(EmptyQuery):
+            search(index, Query(()), top_k=10)
 
     def test_unmatched_token_returns_nothing(self):
         index = make_index([_summary("http://h.test/a.owl", classes={"Person"})])
@@ -322,3 +332,81 @@ def test_search_never_exceeds_top_k(corpus, match_all):
             explained.setdefault(c.field, set()).add(c.token)
         assert total == result.score
         assert explained == result.matched
+
+
+def _scored(index, scorer, query, top_k, match_all):
+    """A scorer's candidates as {url: score bits}."""
+    token_lists, _long_rows = _token_lists(index, query)
+    candidates = scorer(token_lists, top_k, match_all)
+    return {index.docs[d].url: score.hex() for d, score in candidates.items()}
+
+
+def _oracle_at_the_cut(summaries, query, top_k, match_all):
+    """scan_oracle's matches scoring at or above the k-th best, as {url: score bits}."""
+    every = scan_oracle(summaries, query, top_k=max(len(summaries), 1), match_all=match_all)
+    if len(every) > top_k:
+        every = [r for r in every if r.score >= every[top_k - 1].score]
+    return {r.url: r.score.hex() for r in every}
+
+
+@given(st.one_of(_single_class_corpora(), _tied_corpora()), st.booleans())
+@example(  # match_all with a token no document has
+    ([_summary("http://h.test/o0.owl", classes={"PartOne"})], ["part", "zzz"]), True
+)
+@example(  # every candidate tied at the cut
+    ([_summary(f"http://h.test/o{i}.owl", classes={"Wheel"}) for i in (2, 0, 1)], ["wheel"]),
+    False,
+)
+def test_both_scorers_keep_the_oracles_candidates_bitwise(corpus, match_all):
+    # Small indexes never reach the class path through search, so each
+    # scorer is called directly; top_k runs from 1 past the match count.
+    summaries, words = corpus
+    index = make_index(summaries)
+    query = parse_query(" ".join(words))
+    for top_k in range(1, len(summaries) + 2):
+        want = _oracle_at_the_cut(summaries, query, top_k, match_all)
+        for scorer in (_scores_by_class, _scores_by_posting):
+            assert _scored(index, scorer, query, top_k, match_all) == want
+
+
+def test_class_path_merges_two_folds_that_reach_one_score():
+    # Token-major, field-major: a folds 3.0 (class) + 1.0 (relation) and b
+    # folds 2.0 (property) + 2.0 (property); both reach 4.0, and the merged
+    # class then takes one shared row: both must reach 7.0.
+    summaries = [
+        _summary("http://h.test/a.owl", classes={"Alpha", "Gamma"}, relations={"beta"}),
+        _summary("http://h.test/b.owl", classes={"Gamma"}, properties={"alpha", "beta"}),
+    ]
+    index = make_index(summaries)
+    query = parse_query("alpha beta gamma")
+    for top_k in (1, 2):
+        assert _scored(index, _scores_by_class, query, top_k, False) == {
+            "http://h.test/a.owl": (7.0).hex(),
+            "http://h.test/b.owl": (7.0).hex(),
+        }
+
+
+def test_search_scores_long_rows_by_class_and_short_rows_by_posting():
+    # 200 docs: the "part" and "wheel" rows hold 40-133 doc ids, "rare" one.
+    summaries = [
+        _summary(
+            f"http://h.test/o{(i * 7) % 200}.owl",
+            classes={"Part", "SparePart" if i % 3 == 0 else "Part", "Rare" if i == 5 else "Part"},
+            properties={"hasWheel"} if i % 2 else (),
+            relations={"partOf"} if i % 5 == 0 else (),
+        )
+        for i in range(200)
+    ]
+    index = make_index(summaries)
+    wide = parse_query("part wheel")
+    token_lists, long_rows = _token_lists(index, wide)
+    rows = [ids for _t, lists in token_lists for _f, pl in lists for _tf, ids in pl.rows]
+    assert sum(map(len, rows)) >= CLASS_PATH_MIN_ROW_LENGTH * len(rows) and long_rows
+    for match_all in (False, True):
+        for top_k in (1, 10, 200):
+            want = scan_oracle(summaries, wide, top_k=top_k, match_all=match_all)
+            assert search(index, wide, top_k=top_k, match_all=match_all) == want
+    assert index.posting_lists["part", "class"].bitmaps is not None
+    narrow = parse_query("rare")
+    assert search(index, narrow, top_k=10) == scan_oracle(summaries, narrow, top_k=10)
+    assert index.posting_lists["rare", "class"].bitmaps is None

@@ -148,6 +148,8 @@ class TestParseTurtle:
             ("<a> <p> <o b\n> .", TurtleSyntaxError, "line 1, column 9: newline inside IRI"),
             ('<a> <p> "a\\\nb', TurtleSyntaxError, "line 1, column 9: unterminated string literal"),
             ("<a> <p> -x .", TurtleSyntaxError, "line 1, column 9: unexpected character '-'"),
+            ('<s> "x" <o> .', TurtleSyntaxError,
+             "line 1, column 5: expected IRI as predicate, found 'x'"),
             ("# c\n<a> <p> <o> . # x\n~", TurtleSyntaxError,
              "line 3, column 1: unexpected character '~'"),
             ("<a> <p>\n  [ ] .", UnsupportedConstruct,
