@@ -28,11 +28,6 @@ _OUT_VAR = "LINE_COVERAGE_OUT"  # the folder each process writes its hits to
 # Lines that may stay unrun, as (path under src/, qualified name of the
 # function holding the line, the line's text stripped).
 ALLOWED = {
-    # ROADMAP item 12: RFC 3986 branches of resolve_iri that no tier-1 input
-    # reaches; that item keeps and tests them, or replaces them.
-    ("onto_seeker/rdf/model.py", "_resolve_reference", 'ref_path = "/" + ref_path'),
-    ("onto_seeker/rdf/model.py", "_remove_dot_segments", 'path = path[path.index("/") + 1 :]'),
-    ("onto_seeker/rdf/model.py", "_remove_dot_segments", 'path = ""'),
     # ROADMAP item 13: serializer branches for terms the synthetic web does
     # not write yet (blank-node objects, un-prefixable IRIs).
     ("onto_seeker/harness/synth.py", "_split_iri", "return None"),

@@ -111,7 +111,7 @@ def corpus_from_dir(path: str | Path, host: str) -> Corpus:
     its directory URL so a bare seed like http://host/ resolves.
     """
     prefix = str(Url.parse(f"http://{host}/"))
-    if prefix.count("/") != 3 or "#" in host:  # a path, a query or a fragment
+    if any(char in host for char in "/?#"):  # a path, a query or a fragment
         raise MalformedUrl(f"not a host[:port]: {host!r}")
     root = Path(path)
     if not root.is_dir():

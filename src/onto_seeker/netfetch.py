@@ -27,20 +27,21 @@ import time
 from collections import deque
 from collections.abc import Iterator
 from concurrent import futures
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Protocol, TypeVar
-from urllib.parse import quote, unquote, urlsplit
+from urllib.parse import quote, unquote
 from urllib.request import getproxies, proxy_bypass
 
 from . import __version__
 from .errors import OntoSeekerError
-from .rdf.model import InvalidIri, resolve_iri
+from .rdf.model import IRI_PARTS, merge_reference, remove_dot_segments
 
 DEFAULT_PORTS = {"http": 80, "https": 443}
 SUPPORTED_SCHEMES = frozenset(DEFAULT_PORTS)
 
-_HOST_CHARS = frozenset("abcdefghijklmnopqrstuvwxyz0123456789._-")
-# Line breaks to str.splitlines that urlsplit keeps; Url.parse percent-encodes them.
+_HOST = re.compile("[a-z0-9._-]+")
+_C0_OR_SPACE = "".join(map(chr, range(0x21)))
+# str.splitlines' line breaks but CR and LF; percent-encoded, so a URL is one line.
 _LINE_BREAKS = re.compile("[\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
 
 DEFAULT_POLITENESS_MS = 300
@@ -90,33 +91,8 @@ class Url:
 
     @classmethod
     def parse(cls, raw: str) -> "Url":
-        # Strip after dropping the fragment, so no whitespace that stood before
-        # a '#' ends the URL and str() of the result parses back to it.
-        raw = raw.split("#", 1)[0].strip()
-        raw = _LINE_BREAKS.sub(lambda match: quote(match.group()), raw)
-        try:
-            parts = urlsplit(raw)
-        except ValueError as exc:
-            raise MalformedUrl(f"unparseable URL {raw!r}: {exc}") from None
-        scheme = parts.scheme.lower()
-        if scheme not in SUPPORTED_SCHEMES:
-            raise UnsupportedScheme(f"scheme {scheme or '(none)'!r} in {raw!r}")
-        if parts.username is not None or parts.password is not None:
-            raise MalformedUrl(f"userinfo not allowed in {raw!r}")
-        host = (parts.hostname or "").lower()
-        # A bracketed host is an IP literal, refused though urlsplit takes
-        # "[::1]" and "[v1.x]".
-        if not host or "[" in parts.netloc or not set(host) <= _HOST_CHARS:
-            raise MalformedUrl(f"bad host in {raw!r}")
-        try:
-            port = parts.port
-        except ValueError:
-            raise MalformedUrl(f"bad port in {raw!r}") from None
-        if port is None:
-            port = DEFAULT_PORTS[scheme]
-        path = parts.path or "/"
-        query = parts.query if "?" in raw else None
-        return cls(scheme=scheme, host=host, port=port, path=path, query=query)
+        raw = _clean(raw)
+        return _checked_url(raw, *IRI_PARTS.fullmatch(raw).groups()[:4])
 
     def __str__(self) -> str:
         port = "" if self.port == DEFAULT_PORTS[self.scheme] else f":{self.port}"
@@ -124,60 +100,49 @@ class Url:
         return f"{self.scheme}://{self.host}{port}{self.path}{query}"
 
 
-# Two href shapes whose Url is built without urljoin: a rooted path
-# ("/a/b?q", not "//host"), or an absolute http(s) URL with a lower-case host
-# of _HOST_CHARS, no port and no userinfo. Path and query hold unreserved and
-# sub-delim characters only: no ";" (urljoin splits it off as params) and no
-# segment led by "." (no dot segments). A "?" needs a non-empty query, as
-# urljoin drops an empty one. The fragment is dropped. A rooted path keeps the
-# base's scheme, host and port, all urljoin keeps of str(base) for it.
-_SEGMENT = r"/(?:[-\w~!$&'()*+,=][-.\w~!$&'()*+,=]*)?"
-_SIMPLE_HREF = re.compile(
-    rf"(?:(https?)://([a-z0-9._-]+)((?:{_SEGMENT})*)|(?!//)((?:{_SEGMENT})+))"
-    r"(?:\?([-.\w~!$&'()*+,=/?]+))?(?:#.*)?",
-    re.ASCII | re.DOTALL,
-)
-# Two more shapes are answered without urljoin. A fragment-only href is the
-# base less an empty query, as resolve_iri gives it. A letter-led scheme
-# other than http(s), with no "//" after its colon once urlsplit has dropped
-# tabs and line feeds, comes back from urljoin as it is, and Url.parse
-# refuses it.
-_OTHER_SCHEME = re.compile(r"(?!(?i:https?):)[A-Za-z][-+.A-Za-z0-9]*:(?![\t\n\r]*/[\t\n\r]*/)")
+def _clean(raw: str) -> str:
+    """``raw`` less its fragment, then less whitespace at either end (so none
+    ends str() of its Url), leading C0 controls and spaces, and TAB, CR and
+    LF; _LINE_BREAKS percent-encoded."""
+    raw = raw.partition("#")[0].strip().lstrip(_C0_OR_SPACE)
+    if raw.isprintable():  # so no TAB, CR, LF or line break
+        return raw
+    raw = raw.replace("\t", "").replace("\r", "").replace("\n", "")
+    return _LINE_BREAKS.sub(lambda match: quote(match.group()), raw)
 
 
-def _join_simple(base: Url, ref: str) -> Url | None:
-    """The Url ``_join_stdlib`` gives for a simple ``ref``, or the
-    UnsupportedScheme it raises; None for any other ref."""
-    match = _SIMPLE_HREF.fullmatch(ref)
-    if match is not None:
-        scheme, host, path, rooted_path, query = match.groups()
-        if scheme is None:
-            return Url(base.scheme, base.host, base.port, rooted_path, query)
-        return Url(scheme, host, DEFAULT_PORTS[scheme], path or "/", query)
-    if ref.startswith("#"):
-        return base if base.query != "" else replace(base, query=None)
-    if _OTHER_SCHEME.match(ref):
-        return Url.parse(ref)
-    return None
-
-
-def _join_stdlib(base: Url, ref: str) -> Url:
-    """resolve_iri + Url.parse: the fallback for every href and the fast path's oracle."""
-    try:
-        return Url.parse(resolve_iri(str(base), ref))
-    except InvalidIri as exc:
-        raise MalformedUrl(f"unjoinable href {ref!r}: {exc}") from None
+def _checked_url(
+    raw: str, scheme: str | None, authority: str | None, path: str, query: str | None
+) -> Url:
+    """The Url of ``raw``'s parts: http(s), a _HOST (so no IP literal), no
+    userinfo; its path without dot segments, so each page has one Url."""
+    authority = authority or ""
+    scheme = (scheme or "").lower()
+    if scheme not in SUPPORTED_SCHEMES:
+        raise UnsupportedScheme(f"scheme {scheme or '(none)'!r} in {raw!r}")
+    if "@" in authority:
+        raise MalformedUrl(f"userinfo not allowed in {raw!r}")
+    host, _, port = authority.lower().partition(":")
+    if not _HOST.fullmatch(host):
+        raise MalformedUrl(f"bad host in {raw!r}")
+    if port and not (port.isascii() and port.isdigit() and int(port) <= 65535):
+        raise MalformedUrl(f"bad port in {raw!r}")
+    path = remove_dot_segments(path) or "/"
+    return Url(scheme, host, int(port) if port else DEFAULT_PORTS[scheme], path, query)
 
 
 def normalize_url(base: Url, href: str) -> Url:
-    """Resolve ``href`` against ``base`` into an absolute, fragment-free Url.
-
-    Raises UnsupportedScheme for non-http(s) targets (mailto:, javascript:,
-    ftp:, data:, ...) and MalformedUrl for anything urlsplit cannot stomach.
-    """
-    ref = href.strip()
-    url = _join_simple(base, ref)
-    return url if url is not None else _join_stdlib(base, ref)
+    """``href``, cleaned as Url.parse cleans a URL, resolved by resolve_iri's rule
+    against ``base``'s fields. UnsupportedScheme for a non-http(s) target
+    (mailto:, javascript:, ...), MalformedUrl for a bad host or port."""
+    ref = _clean(href)
+    scheme, authority, path, query, _ = IRI_PARTS.fullmatch(ref).groups()
+    if scheme is None and authority is None:
+        if not path and query is None:  # a fragment, or nothing: the base itself
+            return base
+        path, query = merge_reference(base.path, base.query, True, path, query)
+        return Url(base.scheme, base.host, base.port, path, query)
+    return _checked_url(ref, scheme or base.scheme, authority, path, query)
 
 
 @dataclass(frozen=True)

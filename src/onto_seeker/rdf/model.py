@@ -7,9 +7,9 @@ are always IRIs.
 
 from __future__ import annotations
 
+import ipaddress
 import re
 from dataclasses import dataclass
-from urllib.parse import urljoin
 
 from ..errors import OntoSeekerError
 
@@ -100,93 +100,71 @@ class OntologySummary:
         )
 
 
-# A plain absolute IRI, which urljoin returns as it is: a lower-case,
-# letter-led scheme and "//", a host of [a-z0-9._~-], then a path, query and
-# fragment of unreserved characters, sub-delims, ":", "@", "/" and "%". The
-# path may not end in ";" (urlparse would read an empty params and drop it),
-# and a "?" needs a non-empty query (urlunsplit drops an empty one).
-_IRI_CHAR = r"[-\w.~!$&'()*+,;=:@/%]"
-_PLAIN_IRI = re.compile(
-    rf"[a-z][a-z0-9+.-]*://[a-z0-9._~-]+(?:/{_IRI_CHAR}*)?(?<!;)"
-    rf"(?:\?{_IRI_CHAR}+)?(?:#{_IRI_CHAR}*)?",
-    re.ASCII,
+# RFC 3986 appendix B with the scheme grammar of section 3.1, so "1x:P" is a
+# path: scheme, authority, path, query and fragment, None where absent.
+IRI_PARTS = re.compile(
+    r"(?:([A-Za-z][A-Za-z0-9+.-]*):)?(?://([^/?#]*))?([^?#]*)(?:\?([^#]*))?(?:#(.*))?", re.S
 )
-
-# RFC 3986 appendix B: scheme, authority, path, query and fragment, each None
-# where its delimiter is absent.
-_IRI_PARTS = re.compile(r"(?:([^:/?#]+):)?(?://([^/?#]*))?([^?#]*)(?:\?([^#]*))?(?:#(.*))?", re.S)
-# A relative reference: no ":" before its first "/", "?" or "#" (section 4.2).
-_RELATIVE_REF = re.compile(r"[^:/?#]*(?:[/?#]|\Z)")
+_IP_FUTURE = re.compile(r"v[0-9A-Fa-f]+\..+")
 _FIRST_SEGMENT = re.compile(r"/?[^/]*")
 
 
 def resolve_iri(base: str, ref: str) -> str:
-    """urljoin that keeps a bare trailing '#' (urljoin drops empty fragments,
-    which would corrupt namespace IRIs like ...rdf-syntax-ns#), and keeps a
-    ';' that ends the base's path for a ref that starts with '#' or '?'
-    (urlparse reads that ';' as empty params, which urlunparse drops; RFC
-    3986 section 5.2.2 keeps the base's path whole). Against a base whose
-    scheme urljoin does not resolve against (``urn:``, ``tag:``), which
-    gives a relative ref back bare, the ref resolves by RFC 3986 section
-    5.2.2: a path is merged with the base's and its dot segments removed.
-
-    An empty ref is the base and a plain absolute ref is itself, as urljoin
-    gives them, so neither goes through urljoin. That holds for any base
-    urlsplit takes, and the parsers pass only such bases: ``str()`` of a
-    netfetch ``Url``, or an earlier ``resolve_iri`` result.
-    """
+    """``ref`` resolved against ``base`` as Turtle (section 6.3) asks: by RFC
+    3986 section 5.2, strict (``http:g`` keeps its scheme), with an empty
+    query kept, dot segments removed and no normalisation, composed by
+    section 5.3. An empty ref is the base as it is. InvalidIri for a
+    bracketed host that is not an IPv6 or IPvFuture literal."""
     if not ref:
         return base
-    if _PLAIN_IRI.fullmatch(ref):
-        return ref
+    scheme, authority, path, query, fragment = IRI_PARTS.fullmatch(ref).groups()
+    if scheme is None and authority is None:
+        scheme, authority, base_path, base_query, _ = IRI_PARTS.fullmatch(base).groups()
+        path, query = merge_reference(base_path, base_query, authority is not None, path, query)
+    else:
+        dotless = remove_dot_segments(path)
+        if scheme is not None and dotless == path and not _bad_ip_literal(authority or ""):
+            return ref  # section 5.3 composes the parts of ref back into ref
+        scheme, path = scheme or IRI_PARTS.fullmatch(base)[1], dotless
+    if authority is not None:
+        if _bad_ip_literal(authority):
+            raise InvalidIri(f"cannot resolve {ref!r} against {base!r}: bad host {authority!r}")
+        path = f"//{authority}{path}"
+    iri = path if scheme is None else f"{scheme}:{path}"
+    if query is not None:
+        iri = f"{iri}?{query}"
+    return iri if fragment is None else f"{iri}#{fragment}"
+
+
+def _bad_ip_literal(authority: str) -> bool:
+    """Whether ``authority`` holds a bracket but no IPv6 or IPvFuture literal in brackets."""
+    if "[" not in authority or "]" not in authority:
+        return "[" in authority or "]" in authority
+    host = authority.partition("[")[2].partition("]")[0]
+    if host.startswith("v"):
+        return not _IP_FUTURE.fullmatch(host)
     try:
-        out = urljoin(base, ref)
-    except ValueError as exc:
-        raise InvalidIri(f"cannot resolve {ref!r} against {base!r}: {exc}") from None
-    if out == ref and base and _RELATIVE_REF.match(ref):
-        return _resolve_reference(base, ref)  # urljoin does not resolve against the base's scheme
-    if ref[0] in "#?":
-        # The base up to its query or fragment; urljoin gives it back less the
-        # ';' (and with a lower-case scheme) when it dropped that ';'.
-        head = base.split("#", 1)[0].split("?", 1)[0]
-        cut = len(head) - 1
-        if (
-            head.endswith(";")
-            and out[cut : cut + 1] in ("", "?", "#")
-            and out[:cut].lower() == head[:cut].lower()
-        ):
-            out = out[:cut] + ";" + out[cut:]
-    if ref.endswith("#") and not out.endswith("#"):
-        out += "#"
-    return out
+        ipaddress.IPv6Address(host)
+    except ValueError:
+        return True
+    return False
 
 
-def _resolve_reference(base: str, ref: str) -> str:
-    """RFC 3986 section 5.2.2 for a relative ``ref``, recomposed by section 5.3."""
-    scheme, authority, path, query, _fragment = _IRI_PARTS.fullmatch(base).groups()
-    _scheme, ref_authority, ref_path, ref_query, fragment = _IRI_PARTS.fullmatch(ref).groups()
-    if ref_authority is not None:
-        authority, path, query = ref_authority, _remove_dot_segments(ref_path), ref_query
-    elif ref_path:
-        if not ref_path.startswith("/"):  # section 5.2.3: merge with the base's path
-            if authority is not None and not path:
-                ref_path = "/" + ref_path
-            else:
-                ref_path = path[: path.rfind("/") + 1] + ref_path
-        path, query = _remove_dot_segments(ref_path), ref_query
-    elif ref_query is not None:
-        query = ref_query
-    return "".join((
-        "" if scheme is None else scheme + ":",
-        "" if authority is None else "//" + authority,
-        path,
-        "" if query is None else "?" + query,
-        "" if fragment is None else "#" + fragment,
-    ))
+def merge_reference(
+    base_path: str, base_query: str | None, base_has_authority: bool, path: str, query: str | None
+) -> tuple[str, str | None]:
+    """Section 5.2.2's path and query for a reference with no scheme and no authority."""
+    if not path:
+        return base_path, base_query if query is None else query
+    if path[0] != "/":  # section 5.2.3: after the base's last "/", or the root of an empty path
+        path = (base_path[: base_path.rfind("/") + 1] or ("/" if base_has_authority else "")) + path
+    return remove_dot_segments(path), query
 
 
-def _remove_dot_segments(path: str) -> str:
-    """RFC 3986 section 5.2.4, step by step."""
+def remove_dot_segments(path: str) -> str:
+    """RFC 3986 section 5.2.4, step by step; at once for a path with no dot segment."""
+    if "/." not in path and path[:1] != ".":
+        return path
     out: list[str] = []
     while path:
         if path.startswith(("../", "./")):  # A
@@ -195,8 +173,7 @@ def _remove_dot_segments(path: str) -> str:
             path = "/" + path[3:]
         elif path.startswith("/../") or path == "/..":  # C
             path = "/" + path[4:]
-            if out:
-                out.pop()
+            del out[-1:]
         elif path in (".", ".."):  # D
             path = ""
         else:  # E

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import ipaddress
+import re
 import ssl
 import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
+from urllib.parse import quote, urljoin, urlsplit, urlunsplit, uses_relative
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -23,8 +26,8 @@ from onto_seeker.indexer import (
     SKIP_REASONS,
     index_summaries,
 )
-from onto_seeker.netfetch import MalformedUrl, UnsupportedScheme
-from onto_seeker.rdf import Literal, OntologySummary, Triple
+from onto_seeker.netfetch import MalformedUrl, UnsupportedScheme, Url
+from onto_seeker.rdf import InvalidIri, Literal, OntologySummary, Triple
 
 settings.register_profile(
     "fast", max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -199,13 +202,238 @@ def mutants(draw, seed: bytes) -> bytes:
     return bytes(body)
 
 
-def join_outcome(join, base, href):
-    """What ``join(base, href)`` gives: its Url, or the class and message of
-    the UnsupportedScheme or MalformedUrl it raises."""
+# Two oracles. The program resolves hrefs and IRIs by RFC 3986 section 5.2
+# alone. urljoin_iri and urljoin_url answer as urljoin and urlsplit (Python
+# 3.11.4+) do, with the patches the program once put on them, and
+# urljoin_departures names the inputs where the two may differ. rfc_iri and
+# rfc_url answer as the RFC's pseudo-code reads, for every input.
+
+_RFC3986_SPLIT = re.compile(
+    r"(?:([A-Za-z][A-Za-z0-9+.-]*):)?(?://([^/?#]*))?([^?#]*)(?:\?([^#]*))?(?:#(.*))?", re.S
+)
+_C0_OR_SPACE = "".join(map(chr, range(0x21)))
+_OLD_HOST = re.compile(r"[a-z0-9._-]+")
+_OLD_LINE_BREAKS = re.compile("[\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
+_SCHEME_PORTS = {"http": 80, "https": 443}
+
+
+def outcome(resolve, *args):
+    """What ``resolve(*args)`` gives: its value, or the class of the
+    UnsupportedScheme, MalformedUrl or InvalidIri it raises."""
     try:
-        return join(base, href)
-    except (UnsupportedScheme, MalformedUrl) as exc:
-        return type(exc), str(exc)
+        return resolve(*args)
+    except (UnsupportedScheme, MalformedUrl, InvalidIri) as exc:
+        return type(exc)
+
+
+def urljoin_iri(base: str, ref: str):
+    """urljoin(base, ref), or InvalidIri for its ValueError, patched as the
+    program patched it: a ref ending in a bare "#" keeps it; a ref led by "#"
+    or "?" keeps a ";" ending the base's path (urlparse reads it as empty
+    params, which urlunparse drops); and against a base of a scheme urljoin
+    does not resolve against (urn:, tag:), a non-empty ref with no ":" before
+    its first "/", "?" or "#" resolves as RFC 3986 section 5.2 reads."""
+    try:
+        out = urljoin(base, ref)
+    except ValueError:
+        return InvalidIri
+    relative = ref and ":" not in re.split("[/?#]", ref, maxsplit=1)[0]
+    if relative and base and urlsplit(base).scheme not in uses_relative:
+        return rfc3986_join(base, ref)
+    if ref[:1] in ("#", "?"):
+        path = urlsplit(base).path
+        if path.endswith(";") and urlsplit(out).path == path[:-1]:
+            out = urlunsplit(urlsplit(out)._replace(path=path))
+    return out + "#" if ref.endswith("#") and not out.endswith("#") else out
+
+
+def urljoin_url(base: Url, href: str):
+    """normalize_url(base, href) as urljoin and urlsplit give it: the Url
+    that Url.parse's checks, made on urlsplit's parts, give of
+    ``urljoin_iri(str(base), href.strip())``, or UnsupportedScheme or
+    MalformedUrl. Where urljoin or urlsplit refuses a bad IP literal
+    (ValueError) under a scheme other than http(s), the answer is
+    UnsupportedScheme, as the program reads the scheme first."""
+    joined = urljoin_iri(str(base), href.strip())
+    try:
+        if joined is InvalidIri:
+            raise ValueError(href)
+        raw = joined.split("#", 1)[0].strip()
+        raw = _OLD_LINE_BREAKS.sub(lambda match: quote(match.group()), raw)
+        parts = urlsplit(raw)
+    except ValueError:
+        scheme = _RFC3986_SPLIT.fullmatch(clean_href(href))[1]
+        return MalformedUrl if (scheme or "http").lower() in _SCHEME_PORTS else UnsupportedScheme
+    if parts.scheme not in ("http", "https"):
+        return UnsupportedScheme
+    if "@" in parts.netloc or "[" in parts.netloc:
+        return MalformedUrl
+    if not _OLD_HOST.fullmatch(parts.hostname or ""):
+        return MalformedUrl
+    try:
+        port = parts.port
+    except ValueError:
+        return MalformedUrl
+    if port is None:
+        port = _SCHEME_PORTS[parts.scheme]
+    query = parts.query if "?" in raw else None
+    return Url(parts.scheme, parts.hostname, port, parts.path or "/", query)
+
+
+def clean_href(href: str) -> str:
+    """``href`` as urlsplit reads it: stripped of whitespace and of leading C0
+    controls and spaces, TAB, CR and LF dropped."""
+    href = href.strip().lstrip(_C0_OR_SPACE)
+    return href.replace("\t", "").replace("\r", "").replace("\n", "")
+
+
+def urljoin_departures(base: str, ref: str) -> list[str]:
+    """The classes of (base, ref) in which RFC 3986 section 5.2, strict, may
+    resolve otherwise than ``urljoin_iri``: none where the two must agree."""
+    base_scheme, _, base_path, base_query, _ = _RFC3986_SPLIT.fullmatch(base).groups()
+    scheme, authority, path, query, _ = _RFC3986_SPLIT.fullmatch(ref).groups()
+    relative = scheme is None and authority is None
+    if not relative:
+        merged = ""
+    elif path.startswith("/"):
+        merged = path
+    else:
+        merged = base_path[: base_path.rfind("/") + 1] + path
+    head, semicolon, params = path.rsplit("/", 1)[-1].partition(";")
+    params = params if semicolon else None
+    classes = {
+        # urlunsplit drops an empty query, and urljoin gives "?" the base's query.
+        "an empty query": (
+            query == "" or (relative and not path and query is None and base_query == "")
+        ),
+        # urljoin reads "http:g" against an http base as the relative "g".
+        "a strict same-scheme ref": (
+            scheme is not None
+            and authority is None
+            and scheme.lower() == (base_scheme or "").lower()
+        ),
+        # urljoin gives such a ref back bare against a urn: or tag: base.
+        "a ':' in the first segment": relative and ":" in path.split("/", 1)[0],
+        # urlsplit lower-cases a scheme.
+        "a scheme not in lower case": any(s and s != s.lower() for s in (scheme, base_scheme)),
+        # urljoin removes dot segments only from a path it merges.
+        "dot segments in a URI or network-path ref": (
+            not relative and any(segment in (".", "..") for segment in path.split("/"))
+        ),
+        # urljoin takes the base's authority for an empty one.
+        "an empty authority": authority == "",
+        # urljoin drops empty segments from a path it merges, and a ".." of a
+        # rooted path can remove its root.
+        "an empty segment in a merged or rooted path": "//" in merged,
+        # urlparse splits params off the last segment at its first ";": it
+        # drops empty ones, and reads a "." or ".." before them as a dot segment.
+        "params in the last segment": params == "" or params is not None and head in (".", ".."),
+        # urlsplit drops them; resolve_iri keeps an IRI as written.
+        "TAB, CR, LF, or a leading C0 control or space": (
+            ref.lstrip(_C0_OR_SPACE) != ref or any(char in ref for char in "\t\r\n")
+        ),
+        # urlsplit refuses one whose NFKC form holds a delimiter.
+        "a non-ASCII authority": authority is not None and not authority.isascii(),
+    }
+    return [name for name, hit in classes.items() if hit]
+
+
+def rfc3986_join(base: str, ref: str) -> str:
+    """RFC 3986 sections 5.2.2 (strict), 5.2.3 and 5.3, as the pseudo-code
+    reads."""
+    b_scheme, b_authority, b_path, b_query, _ = _RFC3986_SPLIT.fullmatch(base).groups()
+    scheme, authority, path, query, fragment = _RFC3986_SPLIT.fullmatch(ref).groups()
+    if scheme is not None:
+        path = _remove_dots(path)
+    elif authority is not None:
+        scheme, path = b_scheme, _remove_dots(path)
+    elif path == "":
+        scheme, authority, path = b_scheme, b_authority, b_path
+        query = b_query if query is None else query
+    elif path.startswith("/"):
+        scheme, authority, path = b_scheme, b_authority, _remove_dots(path)
+    elif b_authority is not None and b_path == "":
+        scheme, authority, path = b_scheme, b_authority, _remove_dots("/" + path)
+    else:
+        merged = b_path[: b_path.rfind("/") + 1] + path
+        scheme, authority, path = b_scheme, b_authority, _remove_dots(merged)
+    out = "" if scheme is None else scheme + ":"
+    if authority is not None:
+        out += "//" + authority
+    out += path
+    if query is not None:
+        out += "?" + query
+    if fragment is not None:
+        out += "#" + fragment
+    return out
+
+
+def rfc_iri(base: str, ref: str):
+    """resolve_iri(base, ref) as RFC 3986 reads: rfc3986_join, the base
+    itself for an empty ref, or InvalidIri where the result's authority
+    breaks urlsplit's bracket rule."""
+    if not ref:
+        return base
+    out = rfc3986_join(base, ref)
+    authority = _RFC3986_SPLIT.fullmatch(out)[2]
+    return InvalidIri if authority is not None and _bad_brackets(authority) else out
+
+
+def _bad_brackets(authority: str) -> bool:
+    """Whether ``authority`` holds a "[" or "]" but its first "[...]" (if
+    any) holds no IPv6 address and no "v", hex digits, "." and more."""
+    if "[" not in authority and "]" not in authority:
+        return False
+    match = re.search(r"\[([^\]]*)\]", authority)
+    if match is None:
+        return True
+    if match[1].startswith("v"):
+        return re.fullmatch(r"v[0-9A-Fa-f]+\..+", match[1]) is None
+    try:
+        return not isinstance(ipaddress.ip_address(match[1]), ipaddress.IPv6Address)
+    except ValueError:
+        return True
+
+
+def rfc_url(base: Url, href: str):
+    """normalize_url(base, href) as RFC 3986 reads: ``href`` less its
+    fragment, cleaned by clean_href, its other line breaks percent-encoded,
+    resolved by rfc3986_join against str(base); then an http(s) scheme in
+    any case, no userinfo, a host of [a-z0-9._-] in any case and a port of
+    at most 65535, or UnsupportedScheme or MalformedUrl."""
+    ref = clean_href(href.partition("#")[0])
+    ref = _OLD_LINE_BREAKS.sub(lambda match: quote(match.group()), ref)
+    joined = rfc3986_join(str(base), ref)
+    scheme, authority, path, query, _ = _RFC3986_SPLIT.fullmatch(joined).groups()
+    scheme = scheme.lower()
+    if scheme not in _SCHEME_PORTS:
+        return UnsupportedScheme
+    if authority is None or "@" in authority:
+        return MalformedUrl
+    host, _, port = authority.lower().partition(":")
+    if not _OLD_HOST.fullmatch(host) or not re.fullmatch("[0-9]*", port) or int(port or 0) > 65535:
+        return MalformedUrl
+    return Url(scheme, host, int(port) if port else _SCHEME_PORTS[scheme], path or "/", query)
+
+
+def _remove_dots(path: str) -> str:
+    """RFC 3986 section 5.2.4 on a string output buffer."""
+    out = ""
+    while path:
+        if path.startswith("../") or path.startswith("./"):
+            path = re.sub(r"^\.\.?/", "", path)
+        elif re.match(r"/\.(/|$)", path):
+            path = "/" + path[3:]
+        elif re.match(r"/\.\.(/|$)", path):
+            path = "/" + path[4:]
+            out = out[: max(out.rfind("/"), 0)]
+        elif path in (".", ".."):
+            path = ""
+        else:
+            end = path.find("/", 1)
+            end = len(path) if end < 0 else end
+            out, path = out + path[:end], path[end:]
+    return out
 
 
 class ThreadRecorder:

@@ -404,8 +404,8 @@ class TestCorpusHostSpelling:
         assert (report["doc_count"], report["fetch_error"]) == ("1", "0")
 
     @pytest.mark.parametrize(
-        "host", ["fixture.test:x", "user@fixture.test", "fixture.test/sub", "fix ture.test",
-                 "fixture.test?q", "fixture.test#top", "[x"],
+        "host", ["fixture.test:x", "user@fixture.test", "fixture.test/sub", "fixture.test/..",
+                 "fix ture.test", "fixture.test?q", "fixture.test#top", "[x"],
     )
     def test_a_host_that_does_not_parse_is_a_usage_error(self, tmp_path, capsys, host):
         code, captured = self._index(tmp_path, capsys, host)
@@ -575,7 +575,9 @@ class TestCmdQuery:
         assert captured.out == ""
 
     @pytest.mark.parametrize(
-        "spelling", ["HTTP://Fixture.Test:80/x.owl", "http://fixture.test/x.owl#top"]
+        "spelling",
+        ["HTTP://Fixture.Test:80/x.owl", "http://fixture.test/d/../x.owl",
+         "http://fixture.test/x.owl#top"],
     )
     def test_explain_url_in_any_spelling(self, tmp_path, capsys, spelling):
         idx = _build_index(tmp_path, capsys)

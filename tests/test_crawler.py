@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ThreadRecorder, join_outcome, mutants
-from onto_seeker import crawler, netfetch
+from conftest import ThreadRecorder, mutants, outcome, urljoin_url
+from onto_seeker import crawler
 from onto_seeker.crawler import (
     HTML_PAGE,
     ONTOLOGY_CANDIDATE,
@@ -38,7 +38,6 @@ from onto_seeker.netfetch import (
     LOOKAHEAD_PER_WORKER,
     ConnectionFailed,
     Url,
-    _join_stdlib,
     normalize_url,
 )
 from onto_seeker.rdf import UNSUPPORTED, detect_syntax
@@ -85,10 +84,6 @@ SCAN_SITE = make_synthetic_site(SiteSpec(seed=7, page_count=30, ontology_count=1
 SCAN_PAGES = sorted(
     entry.body for entry in SCAN_SITE.entries.values() if entry.content_type == "text/html"
 )
-
-
-def _no_join_stdlib(base, ref):
-    raise AssertionError(f"_join_stdlib({str(base)!r}, {ref!r})")
 
 
 def _page(body: str) -> CorpusEntry:
@@ -328,8 +323,8 @@ class TestLinkScan:
 
 
 class TestSyntheticWebScan:
-    """The generated site is read as html.parser reads it, and its hrefs take
-    the direct join."""
+    """The generated site is read as html.parser reads it, and its hrefs
+    resolve as urljoin resolves them."""
 
     @pytest.fixture(scope="class")
     def site(self):
@@ -344,16 +339,19 @@ class TestSyntheticWebScan:
         for page in pages:
             assert _scan(page) == _parser_refs(page)
 
-    def test_every_href_takes_a_direct_join(self, site, monkeypatch):
+    def test_every_href_resolves_as_urljoin(self, site):
         joins = [
-            (Url.parse(key), ref.strip())
+            (Url.parse(key), ref)
             for key, entry in site.entries.items()
             if entry.content_type == "text/html"
             for ref in _scan(entry.body)
         ]
-        expected = [join_outcome(_join_stdlib, base, ref) for base, ref in joins]
-        monkeypatch.setattr(netfetch, "_join_stdlib", _no_join_stdlib)
-        assert [join_outcome(normalize_url, base, ref) for base, ref in joins] == expected
+        differences = [
+            (str(base), ref)
+            for base, ref in joins
+            if outcome(normalize_url, base, ref) != urljoin_url(base, ref)
+        ]
+        assert differences == []
         # Each page links at least its /files/data<n>.csv, #top, mailto: and javascript:.
         assert len(joins) >= 4 * 600
 
@@ -437,6 +435,19 @@ class TestCrawl:
         config = _config(tmp_path, ["http://h.test/"])
         report = crawl(config, CorpusTransport(corpus))
         assert report.pages_fetched == 2
+
+    # A seed and an href name a page by one Url, dot segments removed from
+    # both (RFC 3986 section 5.2.4), so the page is fetched once.
+    def test_dotted_seed_and_its_own_links_are_one_page(self, tmp_path):
+        corpus = Corpus()
+        links = ['<a href="p.html">1</a>', '<a href="http://h.test/x/../p.html">2</a>',
+                 '<a href="o.owl">o</a>']
+        corpus.add("http://h.test/p.html", _page("".join(links)))
+        config = _config(tmp_path, ["http://h.test/x/../p.html"])
+        report = crawl(config, CorpusTransport(corpus))
+        assert report.pages_fetched == 1
+        assert [key for key, _ in corpus.request_log] == ["http://h.test/p.html"]
+        assert (tmp_path / "urls.txt").read_text() == "http://h.test/o.owl\n"
 
     def test_non_200_pages_not_parsed(self, tmp_path):
         corpus = Corpus()

@@ -16,7 +16,17 @@ import urllib3
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import TLS_CERT, QuietHandler, ThreadRecorder, corpus_proxy_handler, join_outcome
+from conftest import (
+    TLS_CERT,
+    QuietHandler,
+    ThreadRecorder,
+    clean_href,
+    corpus_proxy_handler,
+    outcome,
+    rfc_url,
+    urljoin_departures,
+    urljoin_url,
+)
 from onto_seeker.crawler import CrawlConfig, crawl
 from onto_seeker.harness import (
     Corpus,
@@ -37,8 +47,6 @@ from onto_seeker.netfetch import (
     TooManyRedirects,
     UnsupportedScheme,
     Url,
-    _join_simple,
-    _join_stdlib,
     fetch_in_order,
     monotonic_ms,
     normalize_url,
@@ -81,7 +89,7 @@ class TestUrl:
         with pytest.raises(MalformedUrl):
             Url.parse(raw)
 
-    # An IP literal in brackets is refused, though urlsplit takes "[v1.x]".
+    # An IP literal in brackets is refused, IPv6 and IPvFuture ones included.
     @pytest.mark.parametrize("raw", ["http://[x]/o.owl", "http://[1.2.3.4]/", "http://[v1.x]/o.owl",
                                      "http://[::1]/", "http://[::1]:8080/o.owl"])
     def test_bracketed_host_is_malformed(self, raw):
@@ -132,7 +140,7 @@ class TestNormalizeUrl:
         assert str(url) == str(url).strip()
         assert normalize_url(BASE, str(url)) == url
 
-    # The characters str.splitlines breaks at that urlsplit keeps.
+    # The characters str.splitlines breaks at, other than CR and LF.
     @pytest.mark.parametrize("char", list("\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"), ids=ascii)
     def test_line_break_inside_href_percent_encoded(self, char):
         url = normalize_url(BASE, f"a{char}b.owl?q={char}c")
@@ -185,10 +193,10 @@ JOIN_BASES = [
         "http://a.example/d/x;",
     )
 ]
-# Hrefs of the fast shapes, about half of them with one piece added that
-# makes urljoin differ from a plain split, needs its checks or leaves the
-# shape: dot segments, params, an empty query, a fragment, escapes, "//",
-# ports, userinfo, brackets, inner whitespace and line breaks.
+# Hrefs of common shapes, about half of them with one piece added that makes
+# urljoin differ from a plain split or needs Url.parse's checks: dot
+# segments, params, an empty query, a fragment, escapes, "//", ports,
+# userinfo, brackets, inner whitespace and line breaks.
 HREF_PREFIXES = ["/", "http://b.example", "https://b.example", "HTTP://b.example",
                  "http://B.Example", "//b.example", "", "\t/", "#", "mailto:", "Mailto:",
                  "javascript:", "ftp://", "data:"]
@@ -207,41 +215,65 @@ def hrefs(draw) -> str:
     return "".join(parts)
 
 
-class TestSimpleHrefJoin:
-    """Hrefs answered without urljoin get what urljoin + Url.parse give."""
+def _agrees_with_the_oracles(base: Url, href: str) -> None:
+    """normalize_url gives the RFC oracle's answer, and urljoin's outside
+    the listed classes."""
+    got = outcome(normalize_url, base, href)
+    assert got == rfc_url(base, href), (base, href, got)
+    if not urljoin_departures(str(base), clean_href(href)):
+        assert got == urljoin_url(base, href), (base, href, got)
+
+
+class TestHrefResolution:
+    """normalize_url resolves by RFC 3986 section 5.2, strict, as resolve_iri
+    does: as the RFC oracle on every href, and as urljoin and urlsplit
+    outside the listed classes."""
 
     @settings(max_examples=500)
     @given(st.sampled_from(JOIN_BASES), hrefs())
-    def test_equals_urljoin_or_declines(self, base, href):
-        expected = join_outcome(_join_stdlib, base, href.strip())
-        assert join_outcome(normalize_url, base, href) == expected
+    def test_agrees_with_the_oracles(self, base, href):
+        _agrees_with_the_oracles(base, href)
 
     @pytest.mark.parametrize("base", JOIN_BASES, ids=str)
     @pytest.mark.parametrize(
         "href",
         ["/", "/a/b.html", "/a//b", "/a?q=1&r=/s?t", "/a#f", "/a?q#f", "http://b.example",
          "http://b.example?q", "https://b.example/a/b.owl#x", "http://b.example/x",
-         "mailto:x@y", "Mailto:x@y", "javascript:void(0)", "data:,x", "urn:isbn:1#f", "ftp:x"],
+         "mailto:x@y", "Mailto:x@y", "javascript:void(0)", "data:,x", "urn:isbn:1#f", "ftp:x",
+         "a.html", "../a.html", "./a/./b.owl", "?q", "1x:y", "/a%2Fb", "/a\u2028b"],
     )
-    def test_common_shapes_skip_urljoin(self, base, href):
-        assert join_outcome(_join_simple, base, href) == join_outcome(_join_stdlib, base, href)
+    def test_common_shapes_resolve_as_urljoin(self, base, href):
+        assert outcome(normalize_url, base, href) == urljoin_url(base, href)
 
-    # urljoin drops a base's empty query; resolve_iri keeps a ";" ending its path.
+    @pytest.mark.parametrize("base", JOIN_BASES, ids=str)
+    @pytest.mark.parametrize(
+        "href",
+        ["//b.example/x", "/a/./b", "/a/../b", "/a/.", "/a;p", "/a;", "/a?", "/a?#f", "/a b",
+         "/a\tb", "/a\nb", "HTTP://b.example/", "http://B.example/", "http://b.example:80/",
+         "http://b.example:+80/", "http://b.example:0/", "http://b.example:65536/",
+         "http://u@b.example/", "http://[::1]/", "", "http:x", "HTTPS:x", "ftp://x/y",
+         "ftp://[x", "x:/\n/[y", "x:\t//[y", "mail\tto:x", "http://b.example/a/../c",
+         "///x", "//", ".;x"],
+    )
+    def test_odd_shapes_agree_with_the_oracles(self, base, href):
+        _agrees_with_the_oracles(base, href)
+
+    # A fragment-only href names the base itself, an empty query included.
     @pytest.mark.parametrize("base", JOIN_BASES, ids=str)
     @pytest.mark.parametrize("href", ["#f", "#", "#a b#c"])
     def test_fragment_only_href_is_the_base(self, base, href):
-        assert _join_simple(base, href) == _join_stdlib(base, href)
-        assert normalize_url(base, href) == _join_stdlib(base, href)
+        assert normalize_url(base, href) == base
 
     # RFC 3986 section 5.2.2: a fragment- or query-only href keeps the whole
-    # path of the base, a ";" ending it included.
+    # path of the base, a ";" ending it included, and an empty query is a
+    # query.
     @pytest.mark.parametrize(
         "base, href, expected",
         [
             ("http://a.example/x;", "#top", "http://a.example/x;"),
             ("http://a.example/x;", "?q", "http://a.example/x;?q"),
             ("http://a.example/x;?b", "#top", "http://a.example/x;?b"),
-            ("http://a.example/x;?", "#top", "http://a.example/x;"),
+            ("http://a.example/x;?", "#top", "http://a.example/x;?"),
             ("http://a.example/d;/x;", "?q#f", "http://a.example/d;/x;?q"),
             ("http://a.example/x;", "y", "http://a.example/y"),
         ],
@@ -249,18 +281,57 @@ class TestSimpleHrefJoin:
     def test_semicolon_ending_the_base_path_is_kept(self, base, href, expected):
         assert normalize_url(Url.parse(base), href) == Url.parse(expected)
 
-    @pytest.mark.parametrize("base", JOIN_BASES, ids=str)
+    # A page's own "#top" is the page: urljoin dropped the empty query, so the
+    # crawl took http://a.example/x for another document.
     @pytest.mark.parametrize(
-        "href",
-        ["//b.example/x", "/a/./b", "/a/../b", "/a/.", "/a;p", "/a;", "/a?", "/a?#f", "/a%2Fb",
-         "/a b", "/a\tb", "/a\nb", "/a\u2028b", "HTTP://b.example/", "http://B.example/",
-         "http://b.example:80/", "http://b.example:+80/", "http://b.example:0/",
-         "http://u@b.example/", "http://[::1]/", "a.html", "?q", "", "http:x", "HTTPS:x",
-         "ftp://x/y", "ftp://[x", "x:/\n/[y", "x:\t//[y", "1x:y", "mail\tto:x"],
+        "base, href, expected",
+        [
+            ("http://a.example/x?", "#top", "http://a.example/x?"),
+            ("http://a.example/x?q", "?", "http://a.example/x?"),
+            ("http://a.example/x", "y?#f", "http://a.example/y?"),
+            ("http://a.example/x", "http://b.example/y?", "http://b.example/y?"),
+        ],
     )
-    def test_other_shapes_go_to_urljoin(self, base, href):
-        assert _join_simple(base, href) is None
-        assert join_outcome(normalize_url, base, href) == join_outcome(_join_stdlib, base, href)
+    def test_empty_query_is_kept(self, base, href, expected):
+        url = normalize_url(Url.parse(base), href)
+        assert str(url) == expected
+        assert Url.parse(expected) == url
+
+    # Strict: a ref with a scheme keeps it, so "http:g" has no host.
+    @pytest.mark.parametrize("href", ["http:g", "HTTP:g", "https:g", "http:/g"])
+    def test_same_scheme_ref_without_authority_is_malformed(self, href):
+        with pytest.raises(MalformedUrl):
+            normalize_url(BASE, href)
+
+    @pytest.mark.parametrize(
+        "href, expected",
+        [
+            ("http://b.example/a/../c", "http://b.example/c"),
+            ("//b.example/./x/..", "http://b.example/"),
+            ("/a/./b/../c", "http://a.example/a/c"),
+        ],
+    )
+    def test_dot_segments_removed_from_every_href(self, href, expected):
+        assert str(normalize_url(BASE, href)) == expected
+
+    # A seed, a URL-file line or an explain URL names a page as an href does.
+    @pytest.mark.parametrize(
+        "raw, expected",
+        [
+            ("http://a.example/x/../p.html", "http://a.example/p.html"),
+            ("http://a.example/./x/..?q", "http://a.example/?q"),
+            ("http://a.example/..", "http://a.example/"),
+            ("http://a.example/.a/..b/c.", "http://a.example/.a/..b/c."),
+        ],
+    )
+    def test_url_parse_removes_dot_segments(self, raw, expected):
+        assert str(Url.parse(raw)) == expected
+        assert Url.parse(raw) == normalize_url(BASE, raw)
+
+    @pytest.mark.parametrize("href", ["//", "///x", "http://", "http://:80/"])
+    def test_empty_host_is_malformed(self, href):
+        with pytest.raises(MalformedUrl):
+            normalize_url(BASE, href)
 
 
 class TestPolitenessGate:
