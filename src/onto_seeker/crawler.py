@@ -156,7 +156,7 @@ _ATTR = re.compile(
     [\t\n\r\f /]*?(?=/?>|[^\t\n\r\f /]|\Z)(/?>)?""",
     re.VERBOSE,
 )
-_ATTR_CHARREF = re.compile(r"&(#[0-9]+|#[xX][0-9a-fA-F]+|[a-zA-Z][a-zA-Z0-9]*)[;=]?")
+_ATTR_CHARREF = re.compile(r"&(#([0-9]+)|#[xX][0-9a-fA-F]+|[a-zA-Z][a-zA-Z0-9]*)[;=]?")
 _COMMENT_CLOSE = re.compile(r"--!?>")
 _COMMENT_ABRUPT_CLOSE = re.compile(r"-?>")
 # The start tags the scan reads: each link tag with the attribute that holds
@@ -170,8 +170,12 @@ _RAW_TEXT_END = {
 
 
 def _decode_charref(match: re.Match) -> str:
-    """A numeric or known named reference, decoded; "&name=" is kept, as "name=" is no entity."""
-    ref = match.group()
+    """A numeric or known named reference, decoded; "&name=" is kept, as "name=" is no entity.
+    Decimal digits reach unescape less leading zeros and cut to 8, so int()'s 4,300-digit
+    limit is never met: 8 digits are already above U+10FFFF, which reads as U+FFFD."""
+    ref, digits = match.group(), match[2]
+    if digits:
+        ref = f"&#{digits.lstrip('0')[:8] or 0}{ref[len(digits) + 2 :]}"
     return unescape(ref) if ref[1] == "#" or ref[1:] in _HTML5_ENTITIES else ref
 
 

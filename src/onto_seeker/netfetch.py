@@ -125,10 +125,13 @@ def _checked_url(
     host, _, port = authority.lower().partition(":")
     if not _HOST.fullmatch(host):
         raise MalformedUrl(f"bad host in {raw!r}")
-    if port and not (port.isascii() and port.isdigit() and int(port) <= 65535):
+    digits = port.lstrip("0")  # at most 5 digits reach int(), whose limit is 4,300
+    if port and not (
+        port.isascii() and port.isdigit() and len(digits) <= 5 and int(digits or 0) <= 65535
+    ):
         raise MalformedUrl(f"bad port in {raw!r}")
     path = remove_dot_segments(path) or "/"
-    return Url(scheme, host, int(port) if port else DEFAULT_PORTS[scheme], path, query)
+    return Url(scheme, host, int(digits or 0) if port else DEFAULT_PORTS[scheme], path, query)
 
 
 def normalize_url(base: Url, href: str) -> Url:

@@ -59,11 +59,9 @@ class QueryResult:
 
 
 def parse_query(raw: str) -> Query:
-    """Whitespace-split keywords, tokenize each, dedup keeping first occurrence."""
-    stream: list[str] = []
-    for keyword in raw.split():
-        stream += tokenize(keyword)
-    tokens = tuple(dict.fromkeys(stream))
+    """The tokens of ``raw``, deduplicated keeping first occurrence; whitespace
+    separates keywords as it separates tokens."""
+    tokens = tuple(dict.fromkeys(tokenize(raw)))
     if not tokens:
         raise EmptyQuery(f"no searchable tokens in {raw!r}")
     return Query(tokens)

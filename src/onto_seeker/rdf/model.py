@@ -192,41 +192,31 @@ def local_name(iri: str) -> str:
     return iri
 
 
+_SEPARATORS = re.compile(r"[._\-\s]+")  # \s is exactly what str.isspace() accepts
+
+
 def tokenize(term: str) -> list[str]:
-    """Split a local name into lowercase search tokens.
-
-    Splits at '_', '-', '.', whitespace (the index's TSV files cannot hold a
-    TAB or a line break in a token), camelCase transitions (acronym runs stay
-    whole: "HTTPServer" gives "http"/"server", "ISBN10" gives "isbn"/"10"),
-    and letter/digit boundaries. Empty fragments are dropped; order is kept.
-    """
+    """Split a term into lowercase search tokens: at runs of '.', '_', '-' and
+    whitespace (no token may carry a TAB or line break into the index's TSV
+    files), then where a letter meets a digit, where a lower-case character
+    meets an upper-case one, and before an upper-case character followed by a
+    lower-case one when the one before it is upper-case too ("HTTPServer"
+    gives "http"/"server", "ISBN10" "isbn"/"10"). Order is kept."""
     tokens: list[str] = []
-    buf: list[str] = []
-
-    def flush() -> None:
-        if buf:
-            tokens.append("".join(buf).lower())
-            buf.clear()
-
-    for i, ch in enumerate(term):
-        if ch in "._-" or ch.isspace():
-            flush()
-            continue
-        if buf:
-            last = buf[-1]
-            if (last.isalpha() and ch.isdigit()) or (last.isdigit() and ch.isalpha()):
-                flush()
-            elif last.islower() and ch.isupper():
-                flush()
-            elif (
-                last.isupper()
-                and ch.isupper()
-                and i + 1 < len(term)
-                and term[i + 1].islower()
+    for run in _SEPARATORS.split(term):
+        start = 0
+        for i in range(1, len(run)):
+            last, ch = run[i - 1], run[i]
+            if (
+                (last.isalpha() and ch.isdigit())
+                or (last.isdigit() and ch.isalpha())
+                or (last.islower() and ch.isupper())
+                or (last.isupper() and ch.isupper() and run[i + 1 : i + 2].islower())
             ):
-                flush()
-        buf.append(ch)
-    flush()
+                tokens.append(run[start:i].lower())
+                start = i
+        if run:
+            tokens.append(run[start:].lower())
     return tokens
 
 

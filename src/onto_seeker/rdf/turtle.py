@@ -60,9 +60,10 @@ _IRI_HEAD = re.compile(r"<[^>\n\r]*")
 _STRING_HEAD = re.compile(
     r'"[^"\\\n\r]*(?:\\[\s\S][^"\\\n\r]*)*' r"|'[^'\\\n\r]*(?:\\[\s\S][^'\\\n\r]*)*"
 )
-# A \u or \U escape takes ASCII hex only; int(x, 16) also takes "+", "_",
-# spaces and non-ASCII digits.
-_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
+# One escape: \u and four or \U and eight ASCII hex digits (int(x, 16) alone
+# would also take "+", "_", spaces and non-ASCII digits), else the character
+# after the backslash, none at the end.
+_ESCAPE = re.compile(r"\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|(.?))", re.S)
 _STRING_ESCAPES = {
     "t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f",
     '"': '"', "'": "'", "\\": "\\",
@@ -144,35 +145,22 @@ class _Parser:
         raise self.error(f"unexpected character {ch!r}", start)
 
     def _unescape(self, raw: str, pos: int, iri: bool = False) -> str:
-        out: list[str] = []
-        i = 0
-        while i < len(raw):
-            c = raw[i]
-            if c != "\\":
-                out.append(c)
-                i += 1
-                continue
-            if i + 1 >= len(raw):
-                raise self.error("dangling backslash", pos)
-            esc = raw[i + 1]
+        def decode(match: re.Match) -> str:
+            esc = match[3]
+            if esc is None:  # \u or \U and its hex digits
+                code = int(match[1] or match[2], 16)
+                if code <= 0x10FFFF and not 0xD800 <= code <= 0xDFFF:  # UTF-8 can hold it
+                    return chr(code)
+                esc = match.group()[1]
             if esc in ("u", "U"):
-                width = 4 if esc == "u" else 8
-                digits = raw[i + 2 : i + 2 + width]
-                if len(digits) != width or not _HEX_DIGITS.issuperset(digits):
-                    raise self.error(f"bad \\{esc} escape", pos)
-                try:
-                    char = chr(int(digits, 16))
-                    char.encode("utf-8")  # a surrogate has no UTF-8 form to index
-                except ValueError:
-                    raise self.error(f"bad \\{esc} escape", pos) from None
-                out.append(char)
-                i += 2 + width
-            elif not iri and esc in _STRING_ESCAPES:
-                out.append(_STRING_ESCAPES[esc])
-                i += 2
-            else:
+                raise self.error(f"bad \\{esc} escape", pos)
+            if not esc:
+                raise self.error("dangling backslash", pos)
+            if iri or esc not in _STRING_ESCAPES:
                 raise self.error(f"unknown escape \\{esc}", pos)
-        return "".join(out)
+            return _STRING_ESCAPES[esc]
+
+        return _ESCAPE.sub(decode, raw)
 
     def peek(self) -> _Token:
         if self._peeked is None:

@@ -37,6 +37,8 @@ settings.load_profile("fast")
 FIXTURES = Path(__file__).parent / "fixtures"
 
 FIXTURE_HOST = "fixture.test"
+# A port past int()'s 4,300-digit limit: a bad port, as :65536 is.
+LONG_PORT_URL = "http://h.test:" + "1" * 5000 + "/x.owl"
 
 # A self-signed certificate for 127.0.0.1, valid until 2126.
 TLS_CERT = FIXTURES / "tls" / "cert.pem"
@@ -411,9 +413,11 @@ def rfc_url(base: Url, href: str):
     if authority is None or "@" in authority:
         return MalformedUrl
     host, _, port = authority.lower().partition(":")
-    if not _OLD_HOST.fullmatch(host) or not re.fullmatch("[0-9]*", port) or int(port or 0) > 65535:
+    number = re.fullmatch("0*([0-9]{0,5})", port)  # int() takes at most 4,300 digits
+    if not _OLD_HOST.fullmatch(host) or not number or int(number[1] or 0) > 65535:
         return MalformedUrl
-    return Url(scheme, host, int(port) if port else _SCHEME_PORTS[scheme], path or "/", query)
+    port_number = int(number[1] or 0) if port else _SCHEME_PORTS[scheme]
+    return Url(scheme, host, port_number, path or "/", query)
 
 
 def _remove_dots(path: str) -> str:

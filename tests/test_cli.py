@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import QuietHandler, build_parts
+from conftest import LONG_PORT_URL, QuietHandler, build_parts
 from onto_seeker import cli
 from onto_seeker.cli import main
 from onto_seeker.indexer import FIELD_RANK, read_index, write_index
@@ -874,6 +874,13 @@ class TestCmdBench:
     def test_bad_matrix_usage_error(self):
         assert main(["bench", "--matrix", "1-500"]) == 1
 
+    @pytest.mark.parametrize("cell", ["x:1", "1:y"])
+    def test_cell_that_is_no_integer_is_usage_error(self, capsys, cell):
+        code = main(["bench", "--matrix", cell])
+        captured = capsys.readouterr()
+        _assert_error_exit(captured, code, 1)
+        assert captured.err.startswith(f"error: bad matrix cell {cell!r}")
+
     @pytest.mark.parametrize(
         "flags, message",
         [
@@ -903,8 +910,11 @@ _NEGATIVE_INTS = st.integers(-3, -1).map(str)
 _DEPTHS_BELOW_MINUS_1 = st.integers(-5, -2).map(str)
 _BAD_TIMEOUTS = st.sampled_from(["nan", "inf", "-inf", "0", "-1", "-0.5"])
 _BLANK_QUERIES = st.sampled_from(["", " ", "  _ ", "-", "_-_"])
-_BAD_SEEDS = st.sampled_from(["not a url", "ftp://x/", "http://", "http://[x/"])
-_BAD_HOSTS = st.sampled_from(["h.test:x", "u@h.test", "h.test/x", "h test", "h.test?q", "[x"])
+_LONG_PORT_HOST = LONG_PORT_URL.split("/")[2]
+_BAD_SEEDS = st.sampled_from(["not a url", "ftp://x/", "http://", "http://[x/", LONG_PORT_URL])
+_BAD_HOSTS = st.sampled_from(
+    ["h.test:x", "u@h.test", "h.test/x", "h test", "h.test?q", "[x", _LONG_PORT_HOST]
+)
 _BAD_CELLS = st.one_of(
     st.builds("{}:{}".format, st.integers(-2, 0), st.integers(1, 50)),
     st.builds("{}:{}".format, st.integers(1, 4), st.integers(-2, 0)),
@@ -956,7 +966,7 @@ _BAD_FLAGS = [
     ("query", "--top-k", _INTS_BELOW_1, 1),
     ("query", "--query", _BLANK_QUERIES, 1),
     ("query", "--index-dir", st.sampled_from(["{work}/noidx", "{work}"]), 2),
-    ("query", "--explain-url", st.just("http://h.test/none.owl"), 3),
+    ("query", "--explain-url", st.sampled_from(["http://h.test/none.owl", LONG_PORT_URL]), 3),
     ("pipeline", "--max-pages", _INTS_BELOW_1, 1),
     ("pipeline", "--workers", _INTS_BELOW_1, 1),
     ("pipeline", "--max-bytes", _INTS_BELOW_1, 1),
@@ -986,6 +996,28 @@ def query_index(tmp_path_factory):
     return idx
 
 
+def _assert_bad_value_exit(query_index, tmp_path_factory, command, flag, value, expected):
+    """``command`` with ``flag=value`` exits with ``expected``, one error line
+    and no traceback, and writes nothing."""
+    argv = [*_BASES[command], f"{flag}={value}"]
+    work = Path(tempfile.mkdtemp(dir=tmp_path_factory.getbasetemp()))
+    try:
+        (work / "list.txt").write_text("http://fixture.test/x.owl\n")
+        (work / "plain").write_text("")
+        argv = [arg.replace("{work}", str(work)).replace("{index}", str(query_index))
+                for arg in argv]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code == expected, err.getvalue()
+        assert err.getvalue().startswith("error: ")
+        assert "Traceback" not in err.getvalue()
+        assert sorted(p.name for p in work.iterdir()) == ["list.txt", "plain"]
+        assert (work / "plain").read_text() == ""
+    finally:
+        shutil.rmtree(work)
+
+
 class TestFailureContract:
     @pytest.mark.parametrize(
         "command, flag, values, expected", _BAD_FLAGS,
@@ -996,23 +1028,24 @@ class TestFailureContract:
     def test_one_bad_value_exits_with_its_code_and_writes_nothing(
         self, query_index, tmp_path_factory, command, flag, values, expected, data
     ):
-        argv = [*_BASES[command], f"{flag}={data.draw(values)}"]
-        work = Path(tempfile.mkdtemp(dir=tmp_path_factory.getbasetemp()))
-        try:
-            (work / "list.txt").write_text("http://fixture.test/x.owl\n")
-            (work / "plain").write_text("")
-            argv = [arg.replace("{work}", str(work)).replace("{index}", str(query_index))
-                    for arg in argv]
-            err = io.StringIO()
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-                code = main(argv)
-            assert code == expected, err.getvalue()
-            assert err.getvalue().startswith("error: ")
-            assert "Traceback" not in err.getvalue()
-            assert sorted(p.name for p in work.iterdir()) == ["list.txt", "plain"]
-            assert (work / "plain").read_text() == ""
-        finally:
-            shutil.rmtree(work)
+        _assert_bad_value_exit(
+            query_index, tmp_path_factory, command, flag, data.draw(values), expected
+        )
+
+    # A port past int()'s 4,300-digit limit, in every flag that takes a URL
+    # or host, whichever values the draws above reach.
+    @pytest.mark.parametrize(
+        "command, flag, value, expected",
+        [("crawl", "--seed-url", LONG_PORT_URL, 1),
+         ("crawl", "--corpus-host", _LONG_PORT_HOST, 1),
+         ("index", "--corpus-host", _LONG_PORT_HOST, 1),
+         ("query", "--explain-url", LONG_PORT_URL, 3)],
+        ids=["crawl--seed-url", "crawl--corpus-host", "index--corpus-host", "query--explain-url"],
+    )
+    def test_a_long_port_exits_with_its_code(
+        self, query_index, tmp_path_factory, command, flag, value, expected
+    ):
+        _assert_bad_value_exit(query_index, tmp_path_factory, command, flag, value, expected)
 
 
 class TestDemoScript:

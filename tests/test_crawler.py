@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ThreadRecorder, mutants, outcome, urljoin_url
+from conftest import LONG_PORT_URL, ThreadRecorder, mutants, outcome, urljoin_url
 from onto_seeker import crawler
 from onto_seeker.crawler import (
     HTML_PAGE,
@@ -169,6 +169,16 @@ class TestExtractLinks:
     def test_unjoinable_href_skipped(self):
         links = extract_links(b'<a href="http://[::1">v6</a><a href="/ok.html">ok</a>', BASE)
         assert [str(u) for u in links] == ["http://a.example/ok.html"]
+
+    # html.unescape's int() refuses more than 4,300 digits; leading zeros do
+    # not count, and a value above U+10FFFF is U+FFFD however long.
+    @pytest.mark.parametrize(
+        "digits, path", [("1" * 5000, "/\ufffd.owl"), ("0" * 5000 + "65", "/A.owl")],
+        ids=["above-U+10FFFF", "zero-padded"],
+    )
+    def test_a_decimal_reference_of_any_length_decodes(self, digits, path):
+        html = f'<a href="/&#{digits};.owl">x</a><a href="/&#{digits}.html">y</a>'.encode()
+        assert [u.path for u in extract_links(html, BASE)] == [path, path.replace("owl", "html")]
 
     def test_href_without_value_skipped(self):
         assert extract_links(b"<a href>x</a>", BASE) == []
@@ -448,6 +458,18 @@ class TestCrawl:
         assert report.pages_fetched == 1
         assert [key for key, _ in corpus.request_log] == ["http://h.test/p.html"]
         assert (tmp_path / "urls.txt").read_text() == "http://h.test/o.owl\n"
+
+    def test_links_past_int_digit_limits_do_not_stop_the_crawl(self, tmp_path):
+        corpus = Corpus()
+        links = [f'<a href="{LONG_PORT_URL}">port</a>', f'<a href="/&#{"1" * 5000};.owl">r</a>',
+                 '<a href="/p.html">p</a>']
+        corpus.add("http://h.test/", _page("".join(links)))
+        corpus.add("http://h.test/p.html", _page('<a href="/o.owl">o</a>'))
+        report = crawl(_config(tmp_path, ["http://h.test/"]), CorpusTransport(corpus))
+        assert (report.pages_fetched, report.errors) == (2, 0)
+        assert (tmp_path / "urls.txt").read_text(encoding="utf-8") == (
+            "http://h.test/o.owl\nhttp://h.test/\ufffd.owl\n"
+        )
 
     def test_non_200_pages_not_parsed(self, tmp_path):
         corpus = Corpus()

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from conftest import (
     EXPECTED_SIXTEEN_SKIPS,
     GOOD_FIXTURE_SUMMARIES,
+    LONG_PORT_URL,
     build_parts,
     group_postings,
     make_index,
@@ -127,11 +128,13 @@ class TestBuildIndex:
         assert index.docs == [] and index.posting_lists == {}
 
     def test_unparseable_line_counts_as_fetch_error(self, tmp_path):
-        path = _write_lines(tmp_path, ["not a url at all", "ftp://old.example/x.owl"])
+        path = _write_lines(
+            tmp_path, ["not a url at all", "ftp://old.example/x.owl", LONG_PORT_URL]
+        )
         manifest = build_index(
             path, CorpusTransport(Corpus()), IndexLimits(politeness_ms=0), tmp_path / "idx"
         )
-        assert manifest.skip_counts["fetch_error"] == 2
+        assert manifest.skip_counts["fetch_error"] == 3
 
     def test_duplicate_of_skipped_line_still_duplicate(self, tmp_path):
         url = "http://h.test/gone.owl"
@@ -156,6 +159,18 @@ class TestBuildIndex:
             path, CorpusTransport(corpus), IndexLimits(politeness_ms=0), tmp_path / "idx"
         )
         assert manifest.skip_counts["parse_error"] == 1
+
+    def test_an_escape_past_u10ffff_counts_as_parse_error(self, tmp_path):
+        corpus = Corpus()
+        for name, value in (("good", "ok"), ("bad", "\\UFFFFFFFF")):
+            body = f'@prefix owl: <{OWL_NS}> .\n<#C> a owl:Class ; <#p> "{value}" .'
+            corpus.add(f"http://h.test/{name}.ttl", CorpusEntry(200, "text/turtle", body.encode()))
+        path = _write_lines(tmp_path, ["http://h.test/good.ttl", "http://h.test/bad.ttl"])
+        manifest = build_index(
+            path, CorpusTransport(corpus), IndexLimits(politeness_ms=0), tmp_path / "idx"
+        )
+        assert (manifest.doc_count, manifest.skip_counts["parse_error"]) == (1, 1)
+        assert [doc.url for doc in read_index(tmp_path / "idx").docs] == ["http://h.test/good.ttl"]
 
     def test_deeply_nested_rdf_xml_counts_as_parse_error(self, tmp_path):
         corpus = Corpus()

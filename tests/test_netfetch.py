@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    LONG_PORT_URL,
     TLS_CERT,
     QuietHandler,
     ThreadRecorder,
@@ -88,6 +89,15 @@ class TestUrl:
     def test_malformed(self, raw):
         with pytest.raises(MalformedUrl):
             Url.parse(raw)
+
+    # Leading zeros do not count, so ":0080" is port 80, and any other run of
+    # more than 5 digits is a bad port before int() meets its digit limit.
+    def test_a_port_of_any_length_is_read_or_malformed(self):
+        assert Url.parse("http://a.example:0080/").port == 80
+        assert Url.parse("http://a.example:" + "0" * 5000 + "8080/").port == 8080
+        for raw in (LONG_PORT_URL, "http://a.example:0123456/"):
+            with pytest.raises(MalformedUrl, match="bad port"):
+                Url.parse(raw)
 
     # An IP literal in brackets is refused, IPv6 and IPvFuture ones included.
     @pytest.mark.parametrize("raw", ["http://[x]/o.owl", "http://[1.2.3.4]/", "http://[v1.x]/o.owl",
@@ -257,6 +267,14 @@ class TestHrefResolution:
     )
     def test_odd_shapes_agree_with_the_oracles(self, base, href):
         _agrees_with_the_oracles(base, href)
+
+    # A port run past int()'s 4,300-digit limit, long or only zero-padded.
+    @pytest.mark.parametrize("base", JOIN_BASES, ids=str)
+    def test_a_long_port_agrees_with_the_oracles(self, base):
+        _agrees_with_the_oracles(base, LONG_PORT_URL)
+        href = "//b.example:" + "0" * 5000 + "80/"
+        assert outcome(normalize_url, base, href) == rfc_url(base, href)
+        assert normalize_url(base, href).port == 80
 
     # A fragment-only href names the base itself, an empty query included.
     @pytest.mark.parametrize("base", JOIN_BASES, ids=str)
@@ -509,6 +527,7 @@ REDIRECTS = {
     "http://h.test/ftp": CorpusEntry(302, None, b"", location="ftp://files.test/o.owl"),
     "http://h.test/bracket": CorpusEntry(302, None, b"", location="http://[::1"),
     "http://h.test/to-missing": CorpusEntry(302, None, b"", location="/missing"),
+    "http://h.test/long-port": CorpusEntry(302, None, b"", location=LONG_PORT_URL),
     "http://h.test/404": CorpusEntry(404, "text/html", b"gone"),
     "http://h.test/hang": CorpusEntry(hang=True),
     **{
@@ -549,6 +568,7 @@ class TestRedirectParity:
             ("http://h.test/ftp", ConnectionFailed),
             ("http://h.test/bracket", ConnectionFailed),
             ("http://h.test/to-missing", ConnectionFailed),
+            ("http://h.test/long-port", ConnectionFailed),
             ("http://h.test/loop0", TooManyRedirects),
         ],
     )

@@ -57,6 +57,16 @@ class TestParseQuery:
         expected = tuple(sorted(set(stream), key=stream.index))
         assert parse_query(" ".join(keywords)).tokens == expected
 
+    # Whitespace separates tokens as str.split() separates keywords.
+    @given(st.text(alphabet=st.sampled_from("aB9._- \t\n\x85\u2028\u3000") | st.characters()))
+    def test_equals_tokenizing_each_keyword(self, raw):
+        stream = [token for keyword in raw.split() for token in tokenize(keyword)]
+        if not stream:
+            with pytest.raises(EmptyQuery):
+                parse_query(raw)
+        else:
+            assert parse_query(raw).tokens == tuple(dict.fromkeys(stream))
+
     def test_separator_only_keyword_is_empty(self):
         with pytest.raises(EmptyQuery):
             parse_query("___ ---")

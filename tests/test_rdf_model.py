@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -129,6 +131,59 @@ class TestTokenize:
     def test_retokenizing_a_token_is_identity(self, term):
         for token in tokenize(term):
             assert tokenize(token) == [token]
+
+    # One character per (separator, isalpha, isdigit, islower, isupper)
+    # signature among all code points: NUL, TAB, "0", "A", "a", U+01BB (a
+    # letter of no case), U+0345 (lower-case, no letter), U+2160 (upper-case,
+    # no letter); then the other separators.
+    SIGNATURES = "\x00\t0Aa\u01bb\u0345\u2160._- "
+
+    def test_the_signatures_are_those_of_every_code_point(self):
+        def signature(ch: str) -> tuple[bool, ...]:
+            separator = ch in "._-" or ch.isspace()
+            cut_at = re.fullmatch(r"[._\-\s]", ch) is not None  # tokenize's separator class
+            return separator, cut_at, ch.isalpha(), ch.isdigit(), ch.islower(), ch.isupper()
+
+        every = {signature(ch) for ch in map(chr, range(0x110000))}
+        assert every == {signature(ch) for ch in self.SIGNATURES}
+
+    def test_equals_the_character_loop_on_every_short_string(self):
+        for length in range(6):
+            for chars in itertools.product(self.SIGNATURES, repeat=length):
+                term = "".join(chars)
+                assert tokenize(term) == loop_tokenize(term), ascii(term)
+
+    @given(st.text(alphabet=st.sampled_from(SIGNATURES + "\u00b2Bb9") | st.characters(), max_size=20))
+    def test_equals_the_character_loop(self, term):
+        assert tokenize(term) == loop_tokenize(term)
+
+
+def loop_tokenize(term: str) -> list[str]:
+    """tokenize's rule as a loop over the characters of ``term``, the reference
+    the split-then-cut form is checked against."""
+    tokens: list[str] = []
+    buf: list[str] = []
+
+    def flush() -> None:
+        if buf:
+            tokens.append("".join(buf).lower())
+            buf.clear()
+
+    for i, ch in enumerate(term):
+        if ch in "._-" or ch.isspace():
+            flush()
+            continue
+        if buf:
+            last = buf[-1]
+            if (last.isalpha() and ch.isdigit()) or (last.isdigit() and ch.isalpha()):
+                flush()
+            elif last.islower() and ch.isupper():
+                flush()
+            elif last.isupper() and ch.isupper() and i + 1 < len(term) and term[i + 1].islower():
+                flush()
+        buf.append(ch)
+    flush()
+    return tokens
 
 
 # Bases as the parsers pass them: str() of a Url, or an xml:base or @base

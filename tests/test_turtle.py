@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import FIXTURES, mutants
@@ -192,6 +192,26 @@ class TestParseTurtle:
     def test_surrogate_escape_rejected(self, text):
         with pytest.raises(TurtleSyntaxError, match=r"bad \\[uU] escape"):
             _parse(text)
+
+    # A \U escape names a code point or is a bad escape: \U80000000 and up
+    # must not escape as chr()'s OverflowError.
+    @given(st.integers(0, 0x10FFFF) | st.integers(0, 0xFFFFFFFF))
+    @example(0x10FFFF)
+    @example(0x110000)
+    @example(0xD800)
+    @example(0x80000000)
+    @example(0xFFFFFFFF)
+    def test_a_u_escape_decodes_or_is_a_bad_escape(self, n):
+        escape = f"\\U{n:08X}"
+        texts = [f'<http://h/a> <http://h/p> "{escape}" .',
+                 f"<http://h/a{escape}> <http://h/p> <http://h/o> ."]
+        if 0xD800 <= n <= 0xDFFF or n > 0x10FFFF:
+            for text in texts:
+                with pytest.raises(TurtleSyntaxError, match=r"bad \\U escape"):
+                    _parse(text)
+        else:
+            literal, iri = (_parse(text)[0] for text in texts)
+            assert (literal.object, iri.subject) == (Literal(chr(n)), "http://h/a" + chr(n))
 
     def test_unterminated_string(self):
         with pytest.raises(TurtleSyntaxError):
