@@ -10,7 +10,8 @@ Python process started with that PYTHONPATH (the tests' CLI child
 processes) record the src/ lines they run, each line's LINE event disabled
 after its first hit. A line is executable when an instruction of a code
 object compiled from its file is on it. The exit code is the command's if
-that is not 0, else 1 when a line outside ALLOWED never ran, else 0.
+that is not 0, else 1 when a line outside ALLOWED never ran or an ALLOWED
+entry matches no executable src/ line, else 0.
 """
 
 from __future__ import annotations
@@ -88,22 +89,32 @@ def executable_lines(path: Path) -> dict[int, str]:
     return owners
 
 
-def unrun_lines(out_dir: Path) -> list[tuple[str, int, str, str]]:
+def src_lines() -> list[tuple[str, int, str, str]]:
     """(path under src/, line number, function, text) of each executable
-    line no process ran."""
+    src/ line."""
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        text = path.read_text(encoding="utf-8").splitlines()
+        name = path.relative_to(SRC).as_posix()
+        for line, owner in sorted(executable_lines(path).items()):
+            found.append((name, line, owner, text[line - 1].strip()))
+    return found
+
+
+def unrun_lines(out_dir: Path) -> list[tuple[str, int, str, str]]:
+    """The ``src_lines`` entries no process ran."""
     ran: set[tuple[str, int]] = set()
     for hits in out_dir.glob("*.hits"):
         for entry in hits.read_text(encoding="utf-8").splitlines():
             name, line = entry.rsplit("\t", 1)
             ran.add((name, int(line)))
-    unrun = []
-    for path in sorted(SRC.rglob("*.py")):
-        text = path.read_text(encoding="utf-8").splitlines()
-        for line, owner in sorted(executable_lines(path).items()):
-            if (str(path), line) not in ran:
-                name = path.relative_to(SRC).as_posix()
-                unrun.append((name, line, owner, text[line - 1].strip()))
-    return unrun
+    return [entry for entry in src_lines() if (str(SRC / entry[0]), entry[1]) not in ran]
+
+
+def stale_entries(allowed: set[tuple[str, str, str]]) -> list[tuple[str, str, str]]:
+    """The entries of ``allowed`` that no executable src/ line matches; the
+    check is static, so it does not depend on what the command ran."""
+    return sorted(allowed - {(name, owner, text) for name, _line, owner, text in src_lines()})
 
 
 def main(argv: list[str]) -> int:
@@ -133,10 +144,13 @@ def main(argv: list[str]) -> int:
         unrun = unrun_lines(out_dir)
     failing = [(n, line, f, t) for n, line, f, t in unrun if (n, f, t) not in ALLOWED]
     allowed = len(unrun) - len(failing)
+    stale = stale_entries(ALLOWED)
     for name, line, owner, text in failing:
         print(f"unrun: src/{name}:{line} ({owner}): {text}")
+    for name, owner, text in stale:
+        print(f"stale allowlist entry: src/{name} ({owner}): {text}")
     print(f"line_coverage: {len(failing)} unrun src/ lines, {allowed} more allowed")
-    return status or (1 if failing else 0)
+    return status or (1 if failing or stale else 0)
 
 
 if __name__ == "__main__":

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
 from collections.abc import Callable
 from pathlib import Path
 
@@ -40,9 +41,8 @@ from .indexer import (
     VersionMismatch,
     build_index,
     read_index,
-    read_url_lines,
+    read_url_list,
     render_skip_report,
-    triage_url_lines,
 )
 from .netfetch import DEFAULT_POLITENESS_MS, DEFAULT_TIMEOUT_S, LiveTransport, MalformedUrl, Url
 from .query import EmptyQuery, UnknownUrl, check_top_k, explain, format_explain
@@ -229,7 +229,7 @@ def cmd_index(args, transport=None) -> None:
     if transport is None:
         # A plain corpus folder answers for the host of the first line to fetch.
         transport = _make_transport(
-            args, lambda: next(iter(triage_url_lines(read_url_lines(args.urls))[1]), "localhost")
+            args, lambda: next((url.host for url, _ in read_url_list(args.urls)[1]), "localhost")
         )
     manifest = build_index(args.urls, transport, limits, args.index_dir, created_at=args.created_at)
     print(render_skip_report(manifest))
@@ -265,6 +265,8 @@ def cmd_pipeline(args) -> None:
     # plain one answers for the first seed's host in the index stage too.
     transport = _make_transport(args, lambda: seed_host)
     cmd_crawl(args, transport)
+    # Every crawl grant is past; the index stage's own gate starts one gap on.
+    time.sleep(args.politeness_ms / 1000)
     args.urls = args.out
     cmd_index(args, transport)
     if args.query is not None:
@@ -352,6 +354,8 @@ def build_parser() -> _Parser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    if hasattr(sys.stdout, "reconfigure"):  # echo a path that is not UTF-8 as its bytes
+        sys.stdout.reconfigure(errors="surrogateescape")
     try:
         args = parser.parse_args(argv)
         args.func(args)

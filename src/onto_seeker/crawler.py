@@ -112,7 +112,7 @@ class CrawlReport:
         return lines
 
     def human_table(self) -> str:
-        rows = [line.split("\t") for line in self.machine_lines()]
+        rows = [line.split("\t", 1) for line in self.machine_lines()]
         width = max(len(key) for key, _ in rows)
         return "\n".join(f"{key:<{width}}  {value}" for key, value in rows)
 

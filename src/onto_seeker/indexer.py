@@ -251,14 +251,6 @@ def index_summaries(summaries: list[OntologySummary]) -> tuple[list[DocRecord], 
     return docs, postings
 
 
-def read_url_lines(url_list_path: str | Path) -> list[str]:
-    """The URL list's lines; InputUnreadable if it is not readable UTF-8 text."""
-    try:
-        return Path(url_list_path).read_text(encoding="utf-8").splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InputUnreadable(f"{url_list_path}: {exc}") from exc
-
-
 def _summarise(
     key: str, resp: FetchResponse | FetchError, limits: IndexLimits
 ) -> OntologySummary | str:
@@ -282,14 +274,18 @@ def _summarise(
     return "empty_ontology" if summary.is_empty() else summary
 
 
-def triage_url_lines(lines: list[str]) -> tuple[list[str | None], dict[str, list[int]]]:
-    """Each line's blank/null, duplicate or unparseable-line skip reason (None
-    for a line to fetch), and the lines to fetch by host, all in file order."""
+def read_url_list(url_list_path: str | Path) -> tuple[list[str | None], deque[tuple[Url, int]]]:
+    """Each line's blank/null, duplicate or unparseable skip reason (None to
+    fetch it), and the lines to fetch as (Url, line number) in host turns: one
+    line from each host, hosts in the order of their first line, each host's
+    lines in file order. InputUnreadable if the list is not readable UTF-8."""
+    try:
+        lines = Path(url_list_path).read_text(encoding="utf-8").splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputUnreadable(f"{url_list_path}: {exc}") from exc
     reasons: list[str | None] = [None] * len(lines)
     seen: set[str] = set()
-    # Line numbers only: building a Url per pending line slowed the site-cpu
-    # build, so each line is parsed again when it is fetched.
-    host_lines: dict[str, list[int]] = {}
+    host_lines: dict[str, list[tuple[Url, int]]] = {}
     for lineno, line in enumerate(lines):
         line = line.strip()
         if not line or line == "null":
@@ -297,19 +293,18 @@ def triage_url_lines(lines: list[str]) -> tuple[list[str | None], dict[str, list
             continue
         try:
             url = Url.parse(line)
-            key = str(url)
         except OntoSeekerError:
             url = None
-            key = line
+        key = line if url is None else str(url)
         if key in seen:
             reasons[lineno] = "duplicate"
-            continue
-        seen.add(key)
-        if url is None:
+        elif url is None:
             reasons[lineno] = "fetch_error"
-            continue
-        host_lines.setdefault(url.host, []).append(lineno)
-    return reasons, host_lines
+        else:
+            host_lines.setdefault(url.host, []).append((url, lineno))
+        seen.add(key)
+    turns = chain.from_iterable(zip_longest(*host_lines.values()))
+    return reasons, deque(entry for entry in turns if entry is not None)
 
 
 def build_index(
@@ -324,19 +319,12 @@ def build_index(
 
     Each line gets one outcome, its summary or its skip reason; the docs, the
     skip counts and the input line count are read off that list, so doc_count
-    + skips == input lines by construction. The lines ``triage_url_lines``
-    keeps are fetched taking hosts in turn (one line from each host, hosts in
-    the order of their first line, each host's lines in file order), so one
-    host's politeness wait overlaps the other hosts' fetches. Doc ids and the
-    bytes written follow file order, whatever the fetch order.
+    + skips == input lines by construction. The lines ``read_url_list``
+    queues are fetched in its host turns, so one host's politeness wait
+    overlaps the other hosts' fetches. Doc ids and the bytes written follow
+    file order, whatever the fetch order.
     """
-    lines = read_url_lines(url_list_path)
-    outcomes, host_lines = triage_url_lines(lines)
-    pending = deque(
-        (Url.parse(lines[lineno].strip()), lineno)
-        for lineno in chain.from_iterable(zip_longest(*host_lines.values()))
-        if lineno is not None
-    )
+    outcomes, pending = read_url_list(url_list_path)
     gate = PolitenessGate(limits.politeness_ms)
     fetched = fetch_in_order(transport, gate, pending, limits.max_ontology_bytes + 1, 1)
     for url, lineno, resp in fetched:

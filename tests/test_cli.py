@@ -798,6 +798,91 @@ class TestCmdPipeline:
         assert not (tmp_path / "idx").exists()
 
 
+    def test_politeness_holds_across_the_stage_boundary(self, tmp_path, capsys, monkeypatch):
+        politeness_ms = 100
+        main(["gen-corpus", "--seed", "3", "--pages", "4", "--ontologies", "2", "--hosts", "1",
+              "--out-dir", str(tmp_path / "site")])
+        root_url = json.loads((tmp_path / "site" / "site.json").read_text())["root_url"]
+        grants = []
+
+        class GrantLoggingTransport(cli.CorpusTransport):
+            def fetch(self, url, max_body_bytes, issued_at_ms=None):
+                grants.append((url.host, issued_at_ms))
+                return super().fetch(url, max_body_bytes, issued_at_ms)
+
+        monkeypatch.setattr(cli, "CorpusTransport", GrantLoggingTransport)
+        code = main(
+            [
+                "pipeline",
+                "--corpus-dir", str(tmp_path / "site"),
+                "--seed-url", root_url,
+                "--max-pages", "10",
+                "--politeness-ms", str(politeness_ms),
+                "--out", str(tmp_path / "urls.txt"),
+                "--index-dir", str(tmp_path / "idx"),
+            ]
+        )
+        assert code == 0
+        assert len(grants) == 6  # the crawl's 4 pages, then the index's 2 ontologies
+        for host in {host for host, _ in grants}:
+            times = sorted(grant for grant_host, grant in grants if grant_host == host)
+            assert all(b - a >= politeness_ms for a, b in zip(times, times[1:]))
+
+
+def _run_cli_strict_stdout(*args: str | bytes) -> subprocess.CompletedProcess:
+    """Run the CLI in a child whose stdout is strict UTF-8, as under a UTF-8
+    desktop locale; a bytes argument passes a path that is not UTF-8."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "onto_seeker.cli", *args], capture_output=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": path, "PYTHONIOENCODING": "utf-8:strict"},
+    )
+
+
+class TestReportsEchoPaths:
+    def _crawl(self, out: bytes) -> subprocess.CompletedProcess:
+        return _run_cli_strict_stdout(
+            "crawl", "--corpus-dir", str(SITE1), "--seed-url", "http://fixture.test/",
+            "--max-pages", "50", "--politeness-ms", "0", "--out", out,
+        )
+
+    def test_crawl_out_with_a_tab(self, tmp_path):
+        out = os.fsencode(tmp_path) + b"/u\tx.txt"
+        done = self._crawl(out)
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert done.stdout.splitlines()[-1].split(None, 1) == [b"output_path", out]
+        assert Path(os.fsdecode(out)).is_file()
+
+    def test_crawl_out_not_in_utf8(self, tmp_path):
+        out = os.fsencode(tmp_path) + b"/\xff.txt"
+        done = self._crawl(out)
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert done.stdout.splitlines()[-1].split(None, 1) == [b"output_path", out]
+        assert Path(os.fsdecode(out)).is_file()
+
+    def test_index_dir_not_in_utf8(self, tmp_path):
+        urls = tmp_path / "urls.txt"
+        urls.write_text("http://fixture.test/x.owl\n")
+        index_dir = os.fsencode(tmp_path) + b"/i\xff"
+        done = _run_cli_strict_stdout(
+            "index", "--urls", str(urls), "--corpus-dir", str(SITE1), "--politeness-ms", "0",
+            "--index-dir", index_dir,
+        )
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert done.stdout.splitlines()[-1] == b"index_dir\t" + index_dir
+        assert read_index(os.fsdecode(index_dir)).manifest.doc_count == 1
+
+    def test_gen_corpus_out_dir_not_in_utf8(self, tmp_path):
+        out_dir = os.fsencode(tmp_path) + b"/s\xff"
+        done = _run_cli_strict_stdout(
+            "gen-corpus", "--pages", "10", "--ontologies", "2", "--out-dir", out_dir
+        )
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert done.stdout.splitlines()[-1] == b"out_dir\t" + out_dir
+        assert Path(os.fsdecode(out_dir), "site.json").is_file()
+
+
 class TestCmdGenCorpus:
     def test_writes_site_and_ground_truth(self, tmp_path, capsys):
         code = main(

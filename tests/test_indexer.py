@@ -45,9 +45,11 @@ from onto_seeker.indexer import (
     build_index,
     index_summaries,
     read_index,
+    read_url_list,
     render_skip_report,
     write_index,
 )
+from onto_seeker.netfetch import Url
 from onto_seeker.query import EmptyQuery, parse_query, search
 from onto_seeker.rdf import OWL_NS, RDF_NS, OntologySummary, tokenize
 
@@ -322,6 +324,67 @@ class TestFetchOrder:
         # Fetched in file order, host b would start only after host a's five
         # gaps: a span of at least 10 gaps. Taken in turn, the hosts overlap.
         assert max(issued) - min(issued) <= 5 * politeness_ms + 2 * politeness_ms
+
+
+# One page on each of three hosts in several spellings, lines no URL list
+# should hold, and lines that do not parse as an http(s) URL.
+_URL_LIST_LINES = st.sampled_from(
+    ["", "   ", " null ", "null"]
+    + [
+        spelling.format(host=host, page=page)
+        for host in ("a.test", "b.test", "c.test")
+        for page in ("p", "q")
+        for spelling in (
+            "http://{host}/{page}", " HTTP://{host}/{page}", "http://{host}:80/{page}",
+            "http://{host}/{page}#frag", "http://{host}/a/../{page}",
+        )
+    ]
+    + ["http://A.TEST/p", "ftp://x", "http://[x", "u@h.test", " ftp://x "]
+)
+
+
+class TestReadUrlList:
+    @given(st.lists(_URL_LIST_LINES, max_size=30))
+    def test_one_reason_per_line_and_the_queue_in_host_turns(self, tmp_path_factory, lines):
+        path = tmp_path_factory.mktemp("urls") / "urls.txt"
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        reasons, queue = read_url_list(path)
+        assert len(reasons) == len(lines)
+        for line, reason in zip(lines, reasons):
+            blank = line.strip() in ("", "null")
+            assert (reason == "blank_or_null") == blank
+            assert reason in (None, "blank_or_null", "duplicate", "fetch_error")
+            if reason == "fetch_error":
+                with pytest.raises(OntoSeekerError):
+                    Url.parse(line.strip())
+        fetched = [lineno for lineno, reason in enumerate(reasons) if reason is None]
+        assert sorted(lineno for _url, lineno in queue) == fetched
+        for url, lineno in queue:
+            assert url == Url.parse(lines[lineno].strip())
+        assert len({str(url) for url, _lineno in queue}) == len(queue)
+        by_host: dict[str, list[int]] = {}
+        for lineno in fetched:
+            by_host.setdefault(Url.parse(lines[lineno].strip()).host, []).append(lineno)
+        turns = [lines_of[turn] for turn in range(len(fetched))
+                 for lines_of in by_host.values() if turn < len(lines_of)]
+        assert [lineno for _url, lineno in queue] == turns
+
+    def test_build_index_parses_each_fetchable_line_once(self, tmp_path, monkeypatch):
+        lines = [f"http://h{i % 3}.test/{i}.owl" for i in range(7)] + ["", "ftp://x"]
+        parse = Url.parse
+        parsed = []
+
+        def counting_parse(raw):
+            parsed.append(raw)
+            return parse(raw)
+
+        monkeypatch.setattr(Url, "parse", counting_parse)
+        manifest = build_index(
+            _write_lines(tmp_path, lines), CorpusTransport(Corpus()),
+            IndexLimits(politeness_ms=0), tmp_path / "idx",
+        )
+        assert manifest.skip_counts["fetch_error"] == 8
+        assert sorted(parsed) == sorted(lines[:7] + ["ftp://x"])
 
 
 class TestIndexSummaries:
