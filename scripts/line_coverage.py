@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Run a command and list every src/ line it never ran; exit 1 if one is
-not in ALLOWED.
+"""Run a command and list every src/ line it never ran; exit 1 if it left
+any.
 
     python3.12 scripts/line_coverage.py -- python -m pytest -q
 
@@ -10,8 +10,7 @@ Python process started with that PYTHONPATH (the tests' CLI child
 processes) record the src/ lines they run, each line's LINE event disabled
 after its first hit. A line is executable when an instruction of a code
 object compiled from its file is on it. The exit code is the command's if
-that is not 0, else 1 when a line outside ALLOWED never ran or an ALLOWED
-entry matches no executable src/ line, else 0.
+that is not 0, else 1 when a line never ran, else 0.
 """
 
 from __future__ import annotations
@@ -25,28 +24,6 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 _OUT_VAR = "LINE_COVERAGE_OUT"  # the folder each process writes its hits to
-
-# Lines that may stay unrun, as (path under src/, qualified name of the
-# function holding the line, the line's text stripped).
-ALLOWED = {
-    # ROADMAP item 13: serializer branches for terms the synthetic web does
-    # not write yet (blank-node objects, un-prefixable IRIs).
-    ("onto_seeker/harness/synth.py", "_split_iri", "return None"),
-    (
-        "onto_seeker/harness/synth.py",
-        "serialize_rdf_xml",
-        'raise ValueError(f"predicate {t.predicate} has no declared namespace")',
-    ),
-    (
-        "onto_seeker/harness/synth.py",
-        "serialize_rdf_xml",
-        'lines.append(f"    <{tag} rdf:nodeID={quoteattr(obj[2:])}/>")',
-    ),
-    ("onto_seeker/harness/synth.py", "serialize_turtle.<locals>.render", "return quoted"),
-    ("onto_seeker/harness/synth.py", "serialize_turtle.<locals>.render", "return node"),
-    ("onto_seeker/harness/synth.py", "serialize_turtle.<locals>.render_iri", 'return f"<{iri}>"'),
-}
-
 
 def record() -> None:
     """Record the src/ lines this process runs, and write them at exit."""
@@ -111,12 +88,6 @@ def unrun_lines(out_dir: Path) -> list[tuple[str, int, str, str]]:
     return [entry for entry in src_lines() if (str(SRC / entry[0]), entry[1]) not in ran]
 
 
-def stale_entries(allowed: set[tuple[str, str, str]]) -> list[tuple[str, str, str]]:
-    """The entries of ``allowed`` that no executable src/ line matches; the
-    check is static, so it does not depend on what the command ran."""
-    return sorted(allowed - {(name, owner, text) for name, _line, owner, text in src_lines()})
-
-
 def main(argv: list[str]) -> int:
     if sys.version_info < (3, 12):
         print("line_coverage: needs Python 3.12+ (sys.monitoring)", file=sys.stderr)
@@ -142,15 +113,10 @@ def main(argv: list[str]) -> int:
         env = {**os.environ, "PYTHONPATH": path, _OUT_VAR: str(out_dir)}
         status = subprocess.run(command, env=env).returncode
         unrun = unrun_lines(out_dir)
-    failing = [(n, line, f, t) for n, line, f, t in unrun if (n, f, t) not in ALLOWED]
-    allowed = len(unrun) - len(failing)
-    stale = stale_entries(ALLOWED)
-    for name, line, owner, text in failing:
+    for name, line, owner, text in unrun:
         print(f"unrun: src/{name}:{line} ({owner}): {text}")
-    for name, owner, text in stale:
-        print(f"stale allowlist entry: src/{name} ({owner}): {text}")
-    print(f"line_coverage: {len(failing)} unrun src/ lines, {allowed} more allowed")
-    return status or (1 if failing or stale else 0)
+    print(f"line_coverage: {len(unrun)} unrun src/ lines")
+    return status or (1 if unrun else 0)
 
 
 if __name__ == "__main__":

@@ -354,8 +354,9 @@ def build_parser() -> _Parser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    if hasattr(sys.stdout, "reconfigure"):  # echo a path that is not UTF-8 as its bytes
-        sys.stdout.reconfigure(errors="surrogateescape")
+    for stream in (sys.stdout, sys.stderr):
+        if hasattr(stream, "reconfigure"):  # echo a path that is not UTF-8 as its bytes
+            stream.reconfigure(errors="surrogateescape")
     try:
         args = parser.parse_args(argv)
         args.func(args)

@@ -13,15 +13,16 @@ URL file does not depend on the worker count.
 
 from __future__ import annotations
 
+import os
 import re
 from collections import deque
-from contextlib import closing
+from contextlib import closing, suppress
 from dataclasses import dataclass
 from html import unescape
 from html.entities import html5 as _HTML5_ENTITIES
 from pathlib import Path
 
-from .errors import OntoSeekerError
+from .errors import OntoSeekerError, reason_of
 from .netfetch import (
     DEFAULT_POLITENESS_MS,
     FetchError,
@@ -246,14 +247,23 @@ def extract_links(html: bytes, base: Url) -> list[Url]:
 
 
 def write_url_list(urls: set[Url] | set[str], path: str | Path) -> int:
-    """Write one URL per line: UTF-8, LF, sorted, no duplicates. Returns line count."""
+    """Write one URL per line: UTF-8, LF, sorted, no duplicates. Returns line count.
+
+    The lines go to a ``.tmp`` sibling, fsynced, which then replaces ``path``,
+    so a failed write keeps the previous list."""
     lines = sorted({str(u) for u in urls})
+    temp = f"{path}.tmp"
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        with open(temp, "w", encoding="utf-8", newline="\n") as fh:
             for line in lines:
                 fh.write(line + "\n")
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(temp, path)
     except OSError as exc:
-        raise OutputUnwritable(f"{path}: {exc}") from exc
+        with suppress(OSError):
+            os.unlink(temp)
+        raise OutputUnwritable(f"{path}: {reason_of(exc)}") from exc
     return len(lines)
 
 

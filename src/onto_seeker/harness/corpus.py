@@ -7,7 +7,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..errors import OntoSeekerError
+from ..errors import OntoSeekerError, reason_of
 from ..netfetch import (
     ConnectionFailed,
     FetchResponse,
@@ -122,7 +122,7 @@ def corpus_from_dir(path: str | Path, host: str) -> Corpus:
         try:
             body = file.read_bytes()
         except OSError as exc:
-            raise PathUnreadable(f"{file}: {exc}") from exc
+            raise PathUnreadable(f"{file}: {reason_of(exc)}") from exc
         media_type = EXTENSION_TYPES.get(file.suffix.lower(), DEFAULT_TYPE)
         entry = CorpusEntry(status=200, content_type=media_type, body=body)
         corpus.add(prefix + rel, entry)

@@ -12,6 +12,7 @@ from pathlib import Path
 from xml.sax.saxutils import escape, quoteattr
 
 from ..crawler import OutputUnwritable
+from ..errors import reason_of
 from ..netfetch import Url
 from ..rdf.model import (
     Literal,
@@ -444,7 +445,7 @@ def write_site_dir(
             (out / rel).parent.mkdir(parents=True, exist_ok=True)
             (out / rel).write_bytes(body)
     except OSError as exc:
-        raise SiteDirUnwritable(f"{out_dir}: {exc}") from exc
+        raise SiteDirUnwritable(f"{out_dir}: {reason_of(exc)}") from exc
 
 
 def load_site_dir(site_dir: str | Path) -> tuple[Corpus, str]:

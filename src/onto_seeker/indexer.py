@@ -30,7 +30,7 @@ from operator import itemgetter, lt
 from pathlib import Path
 from typing import NamedTuple
 
-from .errors import OntoSeekerError
+from .errors import OntoSeekerError, reason_of
 from .netfetch import (
     DEFAULT_POLITENESS_MS,
     FetchError,
@@ -278,11 +278,12 @@ def read_url_list(url_list_path: str | Path) -> tuple[list[str | None], deque[tu
     """Each line's blank/null, duplicate or unparseable skip reason (None to
     fetch it), and the lines to fetch as (Url, line number) in host turns: one
     line from each host, hosts in the order of their first line, each host's
-    lines in file order. InputUnreadable if the list is not readable UTF-8."""
+    lines in file order. InputUnreadable if the list is not readable UTF-8; a
+    leading byte order mark is dropped."""
     try:
-        lines = Path(url_list_path).read_text(encoding="utf-8").splitlines()
+        lines = Path(url_list_path).read_text(encoding="utf-8-sig").splitlines()
     except (OSError, UnicodeDecodeError) as exc:
-        raise InputUnreadable(f"{url_list_path}: {exc}") from exc
+        raise InputUnreadable(f"{url_list_path}: {reason_of(exc)}") from exc
     reasons: list[str | None] = [None] * len(lines)
     seen: set[str] = set()
     host_lines: dict[str, list[tuple[Url, int]]] = {}
@@ -395,7 +396,7 @@ def write_index(
         for temp in temps.values():
             with contextlib.suppress(OSError):
                 temp.unlink()
-        raise IndexDirUnwritable(f"{index_dir}: {exc}") from exc
+        raise IndexDirUnwritable(f"{index_dir}: {reason_of(exc)}") from exc
 
 
 def _postings_lines(postings: list[PostingRow]):

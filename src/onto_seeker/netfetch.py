@@ -43,6 +43,9 @@ _HOST = re.compile("[a-z0-9._-]+")
 _C0_OR_SPACE = "".join(map(chr, range(0x21)))
 # str.splitlines' line breaks but CR and LF; percent-encoded, so a URL is one line.
 _LINE_BREAKS = re.compile("[\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
+# Percent-encoded as the byte surrogateescape read U+DC80..U+DCFF from (a
+# command-line argument that is not UTF-8); any other surrogate is refused.
+_SURROGATES = re.compile("[\ud800-\udfff]")
 
 DEFAULT_POLITENESS_MS = 300
 DEFAULT_TIMEOUT_S = 20.0
@@ -103,12 +106,17 @@ class Url:
 def _clean(raw: str) -> str:
     """``raw`` less its fragment, then less whitespace at either end (so none
     ends str() of its Url), leading C0 controls and spaces, and TAB, CR and
-    LF; _LINE_BREAKS percent-encoded."""
+    LF; _LINE_BREAKS and _SURROGATES percent-encoded, so str() of its Url is
+    one line of UTF-8. MalformedUrl for a surrogate that is not a byte."""
     raw = raw.partition("#")[0].strip().lstrip(_C0_OR_SPACE)
-    if raw.isprintable():  # so no TAB, CR, LF or line break
+    if raw.isprintable():  # so no TAB, CR, LF, line break or surrogate
         return raw
     raw = raw.replace("\t", "").replace("\r", "").replace("\n", "")
-    return _LINE_BREAKS.sub(lambda match: quote(match.group()), raw)
+    raw = _LINE_BREAKS.sub(lambda match: quote(match.group()), raw)
+    try:
+        return _SURROGATES.sub(lambda match: quote(match.group(), errors="surrogateescape"), raw)
+    except UnicodeEncodeError:
+        raise MalformedUrl(f"lone surrogate in {raw!r}") from None
 
 
 def _checked_url(

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import errno
 import io
 import json
 import os
@@ -840,6 +841,10 @@ def _run_cli_strict_stdout(*args: str | bytes) -> subprocess.CompletedProcess:
     )
 
 
+def _strerror(code: int) -> bytes:
+    return os.strerror(code).encode()
+
+
 class TestReportsEchoPaths:
     def _crawl(self, out: bytes) -> subprocess.CompletedProcess:
         return _run_cli_strict_stdout(
@@ -872,6 +877,48 @@ class TestReportsEchoPaths:
         assert (done.returncode, done.stderr) == (0, b"")
         assert done.stdout.splitlines()[-1] == b"index_dir\t" + index_dir
         assert read_index(os.fsdecode(index_dir)).manifest.doc_count == 1
+
+    def test_crawl_seed_not_in_utf8(self, tmp_path):
+        out = tmp_path / "urls.txt"
+        done = _run_cli_strict_stdout(
+            "crawl", "--corpus-dir", str(SITE1), "--seed-url", b"http://fixture.test/\xff.owl",
+            "--max-pages", "5", "--politeness-ms", "0", "--out", str(out),
+        )
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert out.read_bytes() == b"http://fixture.test/%FF.owl\n"
+
+    # A path that cannot be read or written is named once, as its bytes, and
+    # the OSError by its strerror, as the error's own text repeats the path.
+    def test_unwritable_url_list_not_in_utf8(self, tmp_path):
+        out = os.fsencode(tmp_path) + b"/\xff"
+        os.mkdir(out)
+        done = self._crawl(out)
+        assert (done.returncode, done.stderr) == (
+            2, b"error: cannot write URL list: " + out + b": " + _strerror(errno.EISDIR) + b"\n"
+        )
+
+    def test_unreadable_url_list_not_in_utf8(self, tmp_path):
+        urls = os.fsencode(tmp_path) + b"/\xff"
+        done = _run_cli_strict_stdout(
+            "index", "--urls", urls, "--corpus-dir", str(SITE1), "--index-dir", str(tmp_path / "i")
+        )
+        assert (done.returncode, done.stderr) == (
+            2, b"error: cannot read URL list: " + urls + b": " + _strerror(errno.ENOENT)
+            + b"; run the crawl command first (onto-seeker crawl writes it)\n"
+        )
+
+    def test_unwritable_index_dir_not_in_utf8(self, tmp_path):
+        urls = tmp_path / "urls.txt"
+        urls.write_text("http://fixture.test/x.owl\n")
+        index_dir = os.fsencode(tmp_path) + b"/i\xff"
+        Path(os.fsdecode(index_dir)).touch()
+        done = _run_cli_strict_stdout(
+            "index", "--urls", str(urls), "--corpus-dir", str(SITE1), "--politeness-ms", "0",
+            "--index-dir", index_dir,
+        )
+        assert (done.returncode, done.stderr) == (
+            2, b"error: cannot write index: " + index_dir + b": " + _strerror(errno.EEXIST) + b"\n"
+        )
 
     def test_gen_corpus_out_dir_not_in_utf8(self, tmp_path):
         out_dir = os.fsencode(tmp_path) + b"/s\xff"

@@ -390,6 +390,20 @@ class TestWriteUrlList:
         with pytest.raises(OutputUnwritable):
             write_url_list(set(), tmp_path / "nope" / "urls.txt")
 
+    def test_failed_write_keeps_the_previous_list(self, tmp_path, monkeypatch):
+        path = tmp_path / "urls.txt"
+        write_url_list({Url.parse("http://a.example/old.owl")}, path)
+        before = path.read_bytes()
+
+        def no_space(_fd):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(crawler.os, "fsync", no_space)
+        with pytest.raises(OutputUnwritable, match="urls.txt: No space left on device$"):
+            write_url_list({Url.parse("http://a.example/new.owl")}, path)
+        assert path.read_bytes() == before
+        assert sorted(tmp_path.iterdir()) == [path]
+
 
 def _two_level_corpus() -> Corpus:
     corpus = Corpus()

@@ -9,7 +9,7 @@ from urllib.parse import urljoin
 
 import pytest
 
-from conftest import build_parts, make_index
+from conftest import build_parts, canonical_triples, make_index
 from onto_seeker import crawler, indexer, query
 from onto_seeker.crawler import CrawlConfig, crawl
 from onto_seeker.harness import (
@@ -34,6 +34,8 @@ from onto_seeker.query import EmptyQuery, Query, parse_query, search
 from onto_seeker.rdf import (
     OWL_NS,
     RDF_NS,
+    XSD_NS,
+    Literal,
     OntologySummary,
     Triple,
     parse_rdf_xml,
@@ -236,25 +238,38 @@ class TestSiteDirRoundTrip:
             load_site_dir(tmp_path)
 
 
+_NS = "http://x/o.owl#"
+# Every term form both serializers write: blank subject and object, IRIs
+# inside and outside the declared prefixes (a local name may not start with a
+# digit), and typed, tagged and plain literals.
+_EVERY_TERM_FORM = [
+    Triple(_NS + "A", RDF_NS + "type", OWL_NS + "Class"),
+    Triple("_:b0", _NS + "sees", _NS + "A"),
+    Triple(_NS + "A", _NS + "sees", "_:b0"),
+    Triple(_NS + "A", _NS + "sees", "http://elsewhere.test/B"),
+    Triple(_NS + "A", _NS + "sees", _NS + "1st"),
+    Triple(_NS + "A", _NS + "says", Literal("1", datatype=XSD_NS + "integer")),
+    Triple(_NS + "A", _NS + "says", Literal("one", lang="en")),
+    Triple(_NS + "A", _NS + "says", Literal('a "plain"\tone')),
+]
+_PREFIXES = {"o": _NS, "owl": OWL_NS, "xsd": XSD_NS}
+
+
 class TestSerializers:
     def test_rdf_xml_round_trip(self):
-        ns = "http://x/o.owl#"
-        triples = [
-            Triple(ns + "A", RDF_NS + "type", OWL_NS + "Class"),
-            Triple("_:b0", ns + "sees", ns + "A"),
-        ]
-        body = serialize_rdf_xml(triples, {"o": ns, "owl": OWL_NS})
-        assert set(parse_rdf_xml(body, "http://x/o.owl")) == set(triples)
+        body = serialize_rdf_xml(_EVERY_TERM_FORM, _PREFIXES)
+        parsed = parse_rdf_xml(body, "http://x/o.owl")
+        assert canonical_triples(parsed) == canonical_triples(_EVERY_TERM_FORM)
+
+    def test_rdf_xml_refuses_a_predicate_outside_every_namespace(self):
+        with pytest.raises(ValueError, match="no declared namespace"):
+            serialize_rdf_xml([Triple(_NS + "A", "http://elsewhere.test/p", _NS + "B")], _PREFIXES)
 
     def test_turtle_round_trip(self):
-        ns = "http://x/o.owl#"
-        triples = [
-            Triple(ns + "A", RDF_NS + "type", OWL_NS + "Class"),
-            Triple("_:b0", ns + "sees", ns + "A"),
-        ]
-        body = serialize_turtle(triples, {"o": ns, "owl": OWL_NS})
+        body = serialize_turtle(_EVERY_TERM_FORM, _PREFIXES)
         assert body.startswith(b"@prefix")
-        assert set(parse_turtle(body, "http://x/o.owl")) == set(triples)
+        parsed = parse_turtle(body, "http://x/o.owl")
+        assert canonical_triples(parsed) == canonical_triples(_EVERY_TERM_FORM)
 
 
 class TestScanOracle:

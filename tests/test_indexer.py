@@ -369,6 +369,13 @@ class TestReadUrlList:
                  for lines_of in by_host.values() if turn < len(lines_of)]
         assert [lineno for _url, lineno in queue] == turns
 
+    def test_a_leading_byte_order_mark_is_not_part_of_the_first_url(self, tmp_path):
+        path = tmp_path / "urls.txt"
+        path.write_bytes(b"\xef\xbb\xbfhttp://h.test/a.owl\nhttp://h.test/b.owl\n")
+        reasons, queue = read_url_list(path)
+        assert reasons == [None, None]
+        assert [str(url) for url, _lineno in queue] == ["http://h.test/a.owl", "http://h.test/b.owl"]
+
     def test_build_index_parses_each_fetchable_line_once(self, tmp_path, monkeypatch):
         lines = [f"http://h{i % 3}.test/{i}.owl" for i in range(7)] + ["", "ftp://x"]
         parse = Url.parse

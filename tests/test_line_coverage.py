@@ -9,19 +9,20 @@ line_coverage = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(line_coverage)
 
 
-class TestStaleAllowlist:
-    def test_every_allowed_entry_names_an_executable_src_line(self):
-        assert line_coverage.stale_entries(line_coverage.ALLOWED) == []
+def _write_hits(folder: Path, name: str, entries) -> None:
+    rows = (f"{line_coverage.SRC / path}\t{line}\n" for path, line, _owner, _text in entries)
+    (folder / name).write_text("".join(rows), encoding="utf-8")
 
-    def test_an_entry_that_matches_no_line_is_stale(self):
-        made_up = ("onto_seeker/harness/synth.py", "_split_iri", "return 'no such line'")
-        assert line_coverage.stale_entries(line_coverage.ALLOWED | {made_up}) == [made_up]
 
-    def test_each_part_of_an_entry_must_match(self):
-        real = ("onto_seeker/harness/synth.py", "_split_iri", "return None")
-        moved = [
-            ("onto_seeker/harness/corpus.py", *real[1:]),
-            (real[0], "serialize_turtle", real[2]),
-            ("onto_seeker/gone.py", *real[1:]),
-        ]
-        assert line_coverage.stale_entries({real, *moved}) == sorted(moved)
+class TestUnrunLines:
+    def test_the_one_line_no_process_ran_is_reported(self, tmp_path):
+        lines = line_coverage.src_lines()
+        missing = lines[len(lines) // 2]
+        _write_hits(tmp_path, "a.hits", [entry for entry in lines if entry != missing])
+        assert line_coverage.unrun_lines(tmp_path) == [missing]
+
+    def test_lines_run_across_processes_leave_none(self, tmp_path):
+        lines = line_coverage.src_lines()
+        _write_hits(tmp_path, "a.hits", lines[::2])
+        _write_hits(tmp_path, "b.hits", lines[1::2])
+        assert line_coverage.unrun_lines(tmp_path) == []

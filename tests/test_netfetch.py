@@ -108,6 +108,19 @@ class TestUrl:
         with pytest.raises(MalformedUrl):
             normalize_url(BASE, raw)
 
+    # A byte surrogateescape decoded (an argument that is not UTF-8) is
+    # percent-encoded as that byte, so str() of the Url is UTF-8.
+    def test_surrogate_escaped_bytes_percent_encoded(self):
+        url = Url.parse("http://a.example/\udcff.owl?q=\udcc3\udca9")
+        assert str(url) == "http://a.example/%FF.owl?q=%C3%A9"
+        assert Url.parse(str(url)) == url
+        assert str(normalize_url(BASE, "\udc80")) == "http://a.example/dir/%80"
+
+    @pytest.mark.parametrize("char", ["\ud800", "\udbff", "\udc00", "\udc7f", "\udfff"], ids=ascii)
+    def test_other_lone_surrogates_are_malformed(self, char):
+        with pytest.raises(MalformedUrl, match="lone surrogate"):
+            Url.parse(f"http://a.example/{char}.owl")
+
     @pytest.mark.parametrize("raw", ["ftp://a.example/x", "mailto:x@y", "javascript:void(0)",
                                      "data:text/plain,hi", "file:///etc/passwd"])
     def test_unsupported_scheme(self, raw):
