@@ -236,14 +236,14 @@ def extract_links(html: bytes, base: Url) -> list[Url]:
     silently.
     """
     text = html.decode("utf-8", errors="replace")
-    out: dict[str, Url] = {}
+    out: dict[Url, None] = {}
     for ref in _link_refs(text):
         try:
             url = normalize_url(base, ref)
         except OntoSeekerError:
             continue
-        out.setdefault(str(url), url)
-    return list(out.values())
+        out[url] = None
+    return list(out)
 
 
 def write_url_list(urls: set[Url] | set[str], path: str | Path) -> int:
@@ -292,29 +292,28 @@ def crawl(config: CrawlConfig, transport: Transport) -> CrawlReport:
 
     gate = PolitenessGate(config.politeness_ms, per_host=config.per_host_politeness)
     frontier: deque[tuple[Url, int]] = deque()  # (url, depth), fetched in order
-    seen: set[str] = set()
-    found: set[str] = set()
-    seed_keys = {str(seed) for seed in config.seed_urls}
-    seeds_failed: set[str] = set()
+    seen: set[Url] = set()
+    found: set[Url] = set()
+    seeds = set(config.seed_urls)
+    seeds_failed: set[Url] = set()
     status_histogram: dict[int, int] = {}
     admitted = errors = 0
 
     def admit(url: Url, depth: int) -> None:
         """Route a discovered URL: record candidates, enqueue pages up to max_pages."""
         nonlocal admitted
-        key = str(url)
-        if key in seen:
+        if url in seen:
             return
-        seen.add(key)
+        seen.add(url)
         kind = classify_url(url)
         if kind == ONTOLOGY_CANDIDATE:
-            found.add(key)
+            found.add(url)
         elif kind == HTML_PAGE and (config.max_depth == -1 or depth <= config.max_depth):
             if admitted < config.max_pages:
                 admitted += 1
                 frontier.append((url, depth))
-        elif key in seed_keys:
-            seeds_failed.add(key)
+        elif url in seeds:
+            seeds_failed.add(url)
 
     started = monotonic_ms()
     for seed in config.seed_urls:
@@ -324,19 +323,19 @@ def crawl(config: CrawlConfig, transport: Transport) -> CrawlReport:
         for url, depth, resp in fetched:
             if isinstance(resp, FetchError):
                 errors += 1
-                if str(url) in seed_keys:
-                    seeds_failed.add(str(url))
+                if url in seeds:
+                    seeds_failed.add(url)
                 continue
             status_histogram[resp.status] = status_histogram.get(resp.status, 0) + 1
             ontology, links = _scan(resp)
             if ontology is not None:
-                seen.add(str(ontology))
-                found.add(str(ontology))
+                seen.add(ontology)
+                found.add(ontology)
             for child in links:
                 admit(child, depth + 1)
     elapsed = int(monotonic_ms() - started)
 
-    if seeds_failed == seed_keys:
+    if seeds_failed == seeds:
         raise AllSeedsInvalid("no seed could be classified or fetched")
 
     write_url_list(found, config.output_path)

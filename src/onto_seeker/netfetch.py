@@ -28,7 +28,7 @@ from collections import deque
 from collections.abc import Iterator
 from concurrent import futures
 from dataclasses import dataclass, field
-from typing import Callable, Protocol, TypeVar
+from typing import Callable, NamedTuple, Protocol, TypeVar
 from urllib.parse import quote, unquote
 from urllib.request import getproxies, proxy_bypass
 
@@ -82,9 +82,11 @@ class TooManyRedirects(FetchError):
     pass
 
 
-@dataclass(frozen=True)
-class Url:
-    """An absolute http(s) address with the fragment already stripped."""
+class Url(NamedTuple):
+    """An absolute http(s) address with the fragment already stripped. Its
+    host is lower-case with no ":", its path starts with "/", str() leaves
+    out the default port and tells a None query from "", so two Urls are
+    equal exactly when their str() are."""
 
     scheme: str
     host: str

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ipaddress
+import json
 import re
 import ssl
 import sys
@@ -14,12 +15,15 @@ import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
+from onto_seeker import crawler, indexer
+from onto_seeker.crawler import CrawlConfig, CrawlReport
 from onto_seeker.harness import Corpus, CorpusEntry, SiteSpec, make_synthetic_site
 from onto_seeker.indexer import (
     FIELD_WEIGHTS,
     FORMAT_VERSION,
     DocRecord,
     Index,
+    IndexLimits,
     IndexManifest,
     PostingList,
     PostingRow,
@@ -440,6 +444,47 @@ def _remove_dots(path: str) -> str:
     return out
 
 
+INDEX_FILES = ("docs.tsv", "manifest.json", "postings.tsv")
+
+
+def crawl_config(folder: Path, seeds: list[str], **fields) -> CrawlConfig:
+    """A CrawlConfig from ``seeds`` into ``folder``/urls.txt: at most 100
+    pages, no depth limit, one worker, no politeness wait; ``fields``
+    override any of these."""
+    defaults = dict(
+        seed_urls=tuple(Url.parse(seed) for seed in seeds),
+        max_pages=100,
+        max_depth=-1,
+        worker_count=1,
+        politeness_ms=0,
+        output_path=str(folder / "urls.txt"),
+    )
+    return CrawlConfig(**(defaults | fields))
+
+
+def run_pipeline(
+    folder: Path,
+    transport,
+    seed: str,
+    limits: IndexLimits = IndexLimits(politeness_ms=0),
+    created_at: str = "fixed",
+    **fields,
+) -> tuple[CrawlReport, IndexManifest, dict[str, bytes]]:
+    """Crawl ``transport`` from ``seed`` into ``folder``/urls.txt (crawl_config,
+    ``fields`` overriding), build ``folder``/idx from that list with
+    ``limits`` and ``created_at``, and return the crawl report, the manifest
+    and the bytes of the URL list and of each index file, keyed by file
+    name. Both stages are called through their module attributes, which
+    perfbench's tracer patches."""
+    folder.mkdir(exist_ok=True)
+    report = crawler.crawl(crawl_config(folder, [seed], **fields), transport)
+    manifest = indexer.build_index(
+        folder / "urls.txt", transport, limits, folder / "idx", created_at=created_at
+    )
+    files = [folder / "urls.txt"] + [folder / "idx" / name for name in INDEX_FILES]
+    return report, manifest, {path.name: path.read_bytes() for path in files}
+
+
 class ThreadRecorder:
     """Wraps a transport and records the thread of every fetch."""
 
@@ -450,6 +495,26 @@ class ThreadRecorder:
     def fetch(self, url, max_body_bytes, issued_at_ms=None):
         self.threads.append(threading.current_thread())
         return self.inner.fetch(url, max_body_bytes, issued_at_ms=issued_at_ms)
+
+
+def make_summary(url: str, classes=(), properties=(), relations=()) -> OntologySummary:
+    """An OntologySummary with these terms, of 1 triple and 10 bytes."""
+    return OntologySummary(
+        url=url,
+        classes=frozenset(classes),
+        properties=frozenset(properties),
+        relations=frozenset(relations),
+        triple_count=1,
+        byte_size=10,
+    )
+
+
+def edit_manifest(index_dir: Path, edit) -> None:
+    """Load ``index_dir``/manifest.json, apply ``edit`` to the dict, write it back."""
+    path = index_dir / "manifest.json"
+    data = json.loads(path.read_text())
+    edit(data)
+    path.write_text(json.dumps(data))
 
 
 def build_parts(

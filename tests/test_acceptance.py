@@ -15,12 +15,13 @@ import pytest
 from conftest import (
     EXPECTED_SIXTEEN_SKIPS,
     canonical_triples,
+    crawl_config,
     make_index,
     sixteen_line_fixture,
 )
 from test_harness import independent_reachable_ontologies
 from onto_seeker.cli import main
-from onto_seeker.crawler import CrawlConfig, crawl, write_url_list
+from onto_seeker.crawler import crawl, write_url_list
 from onto_seeker.harness import (
     Corpus,
     CorpusEntry,
@@ -43,14 +44,9 @@ from onto_seeker.rdf import (
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
-def _crawl_site42(corpus, root_url, out_path, max_depth=-1, workers=1, max_pages=500):
-    config = CrawlConfig(
-        seed_urls=(Url.parse(root_url),),
-        max_pages=max_pages,
-        max_depth=max_depth,
-        worker_count=workers,
-        politeness_ms=0,
-        output_path=str(out_path),
+def _crawl_site42(corpus, root_url, out_path, max_depth=-1):
+    config = crawl_config(
+        out_path.parent, [root_url], max_pages=500, max_depth=max_depth, output_path=str(out_path)
     )
     return crawl(config, CorpusTransport(corpus))
 
@@ -115,12 +111,8 @@ def test_criterion_03_politeness_gaps(tmp_path):
     corpus.add("http://polite.test/", CorpusEntry(200, "text/html", f"<html>{links}</html>".encode()))
     for i in range(1, 40):
         corpus.add(f"http://polite.test/p{i}.html", CorpusEntry(200, "text/html", b"<html></html>"))
-    config = CrawlConfig(
-        seed_urls=(Url.parse("http://polite.test/"),),
-        max_pages=40,
-        worker_count=4,
-        politeness_ms=50,
-        output_path=str(tmp_path / "urls.txt"),
+    config = crawl_config(
+        tmp_path, ["http://polite.test/"], max_pages=40, worker_count=4, politeness_ms=50
     )
     crawl(config, CorpusTransport(corpus))
     times = corpus.per_host_issue_times()["polite.test"]

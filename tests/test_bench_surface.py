@@ -6,7 +6,8 @@ attributes (``indexer.parse_turtle``, ``crawler.extract_links``,
 time instead, say through a module-level dispatch table, reads as zero calls
 in a ``--trace 1`` run while every other test passes. This test runs a small
 generated site through each stage under the tracer, calling each stage
-through its module attribute as perfbench does, and requires every span.
+through its module attribute as perfbench does (conftest's run_pipeline
+does so for the crawl and the index build), and requires every span.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 from tracing import Tracer  # noqa: E402  (perfbench is not a package)
 
-from onto_seeker import crawler, indexer, query  # noqa: E402
+from conftest import run_pipeline  # noqa: E402
+from onto_seeker import indexer, query  # noqa: E402
 from onto_seeker.harness import CorpusTransport, SiteSpec, make_synthetic_site  # noqa: E402
-from onto_seeker.netfetch import Url  # noqa: E402
 
 SPANS = (
     "crawler.crawl",
@@ -53,16 +54,9 @@ def traced_run(tmp_path_factory):
     corpus, ground_truth = make_synthetic_site(spec)
     tracer = Tracer(run_id="surface")
     with tracer.installed():
-        transport = tracer.transport(CorpusTransport(corpus))
-        config = crawler.CrawlConfig(
-            seed_urls=(Url.parse(ground_truth.root_url),),
-            max_pages=spec.page_count,
-            politeness_ms=1,
-            output_path=str(workdir / "urls.txt"),
-        )
-        crawler.crawl(config, transport)
-        indexer.build_index(
-            workdir / "urls.txt", transport, indexer.IndexLimits(politeness_ms=1), workdir / "idx"
+        run_pipeline(
+            workdir, tracer.transport(CorpusTransport(corpus)), ground_truth.root_url,
+            indexer.IndexLimits(politeness_ms=1), max_pages=spec.page_count, politeness_ms=1,
         )
         index = indexer.read_index(workdir / "idx")
         token, _field = next(iter(index.posting_lists))

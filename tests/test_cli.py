@@ -15,14 +15,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import LONG_PORT_URL, QuietHandler, build_parts
+from conftest import LONG_PORT_URL, QuietHandler, build_parts, edit_manifest, make_summary
 from onto_seeker import cli
 from onto_seeker.cli import main
 from onto_seeker.indexer import FIELD_RANK, read_index, write_index
-from onto_seeker.rdf import OntologySummary
 
+ROOT = Path(__file__).resolve().parents[1]
 FIXTURES = Path(__file__).parent / "fixtures"
 SITE1 = FIXTURES / "site1"
+
+
+def _launch(*args: str | bytes, start=subprocess.run, env=None, **kw):
+    """``start`` (subprocess.run or Popen) of this Python with ``args``, in
+    this environment plus ``env``, src/ put in front of the inherited
+    PYTHONPATH: the sitecustomize that scripts/line_coverage.py puts first on
+    that path records the child."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, **(env or {})}
+    return start([sys.executable, *args], env=env, **kw)
 
 
 def _assert_error_exit(captured, code, expected):
@@ -185,13 +195,11 @@ class TestCmdCrawl:
         (site / "p1.html").write_text('<![CDAT[ x ]]><a href="later.owl">o</a>')
         (site / "p2.html").write_text("<p>end</p>")
         out = tmp_path / "urls.txt"
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        done = subprocess.run(
-            [sys.executable, "-m", "onto_seeker.cli", "crawl", "--corpus-dir", str(site),
-             "--seed-url", "http://fixture.test/", "--max-pages", "10", "--workers", workers,
-             "--politeness-ms", "0", "--out", str(out), "--format", "tsv"],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=60,
+        done = _launch(
+            "-m", "onto_seeker.cli", "crawl", "--corpus-dir", str(site),
+            "--seed-url", "http://fixture.test/", "--max-pages", "10", "--workers", workers,
+            "--politeness-ms", "0", "--out", str(out), "--format", "tsv",
+            capture_output=True, text=True, timeout=60,
         )
         assert "Traceback" not in done.stderr
         assert done.returncode == 0
@@ -226,12 +234,7 @@ print(LiveTransport(timeout_s=5.0).fetch(Url.parse(sys.argv[1]), 1024).body.deco
 
 
 def _run_python(code: str, *args: str) -> subprocess.CompletedProcess:
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-c", code, *args],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=60,
-    )
+    return _launch("-c", code, *args, capture_output=True, text=True, timeout=60)
 
 
 class TestWithoutRequests:
@@ -524,9 +527,7 @@ class TestCmdQuery:
 
     def test_boolean_format_version_is_an_input_error(self, tmp_path, capsys):
         idx = _build_index(tmp_path, capsys)
-        data = json.loads((idx / "manifest.json").read_text())
-        data["format_version"] = True
-        (idx / "manifest.json").write_text(json.dumps(data))
+        edit_manifest(idx, lambda m: m.update(format_version=True))
         code = main(["query", "--index-dir", str(idx), "--query", "anchor"])
         captured = capsys.readouterr()
         _assert_error_exit(captured, code, 2)
@@ -536,8 +537,7 @@ class TestCmdQuery:
     def test_a_format_1_folder_asks_for_the_index_command(self, tmp_path, capsys):
         idx = tmp_path / "idx"
         summaries = [
-            OntologySummary(f"http://h.test/{name}.owl", frozenset(classes), frozenset(),
-                            frozenset(), triple_count=1, byte_size=10)
+            make_summary(f"http://h.test/{name}.owl", classes)
             for name, classes in (("a", {"Anchor", "Ship"}), ("b", {"Anchor"}))
         ]
         write_index(idx, *build_parts(summaries))
@@ -553,10 +553,9 @@ class TestCmdQuery:
             "".join(f"{t}\t{f}\t{d}\t{tf}\n" for t, _rank, d, f, tf in sorted(rows)),
             encoding="utf-8",
         )
-        data = json.loads((idx / "manifest.json").read_text())
-        assert data["posting_count"] == len(rows) > len(lines)
-        data["format_version"] = 1
-        (idx / "manifest.json").write_text(json.dumps(data))
+        posting_count = json.loads((idx / "manifest.json").read_text())["posting_count"]
+        assert posting_count == len(rows) > len(lines)
+        edit_manifest(idx, lambda m: m.update(format_version=1))
         code = main(["query", "--index-dir", str(idx), "--query", "anchor"])
         captured = capsys.readouterr()
         _assert_error_exit(captured, code, 2)
@@ -608,12 +607,9 @@ class TestCmdQuery:
 def _run_with_early_closing_reader(args: list[str], lines_read: int) -> tuple[list[str], int, str]:
     """Run the CLI in a child process whose stdout reader closes after
     ``lines_read`` lines; returns those lines, the exit code and stderr."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "onto_seeker.cli", *args],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-        env={**os.environ, "PYTHONPATH": path},
+    proc = _launch(
+        "-m", "onto_seeker.cli", *args,
+        start=subprocess.Popen, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
     )
     lines = [proc.stdout.readline() for _ in range(lines_read)]
     proc.stdout.close()
@@ -627,8 +623,7 @@ class TestClosedStdout:
         # 5,000 result lines are more than a pipe holds, so the child is
         # still writing when the reader goes away.
         summaries = [
-            OntologySummary(f"http://h.test/o{i}.owl", frozenset({"Person"}), frozenset(),
-                            frozenset(), triple_count=1, byte_size=10)
+            make_summary(f"http://h.test/o{i}.owl", {"Person"})
             for i in range(5000)
         ]
         write_index(tmp_path / "idx", *build_parts(summaries))
@@ -833,11 +828,9 @@ class TestCmdPipeline:
 def _run_cli_strict_stdout(*args: str | bytes) -> subprocess.CompletedProcess:
     """Run the CLI in a child whose stdout is strict UTF-8, as under a UTF-8
     desktop locale; a bytes argument passes a path that is not UTF-8."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-m", "onto_seeker.cli", *args], capture_output=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": path, "PYTHONIOENCODING": "utf-8:strict"},
+    return _launch(
+        "-m", "onto_seeker.cli", *args,
+        env={"PYTHONIOENCODING": "utf-8:strict"}, capture_output=True, timeout=60,
     )
 
 
@@ -1122,9 +1115,7 @@ _BAD_FLAGS = [
 @pytest.fixture(scope="module")
 def query_index(tmp_path_factory):
     idx = tmp_path_factory.mktemp("contract") / "idx"
-    summary = OntologySummary("http://h.test/a.owl", frozenset({"Anchor"}), frozenset(),
-                              frozenset(), triple_count=1, byte_size=10)
-    write_index(idx, *build_parts([summary]))
+    write_index(idx, *build_parts([make_summary("http://h.test/a.owl", {"Anchor"})]))
     return idx
 
 
@@ -1182,11 +1173,9 @@ class TestFailureContract:
 
 class TestDemoScript:
     def test_demo_pipeline_answers_every_query(self, tmp_path):
-        root = Path(__file__).resolve().parents[1]
-        path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
-        done = subprocess.run(
-            [sys.executable, str(root / "scripts" / "demo_pipeline.py"), str(tmp_path)],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120,
+        done = _launch(
+            str(ROOT / "scripts" / "demo_pipeline.py"), str(tmp_path),
+            capture_output=True, text=True, timeout=120,
         )
         assert done.returncode == 0, done.stderr
         sections = done.stdout.split("\n== query ")[1:]

@@ -10,7 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import LONG_PORT_URL, ThreadRecorder, mutants, outcome, urljoin_url
+from conftest import (
+    LONG_PORT_URL,
+    ThreadRecorder,
+    crawl_config,
+    mutants,
+    outcome,
+    run_pipeline,
+    urljoin_url,
+)
 from onto_seeker import crawler
 from onto_seeker.crawler import (
     HTML_PAGE,
@@ -33,7 +41,6 @@ from onto_seeker.harness import (
     SiteSpec,
     make_synthetic_site,
 )
-from onto_seeker.indexer import IndexLimits, build_index
 from onto_seeker.netfetch import (
     LOOKAHEAD_PER_WORKER,
     ConnectionFailed,
@@ -88,19 +95,6 @@ SCAN_PAGES = sorted(
 
 def _page(body: str) -> CorpusEntry:
     return CorpusEntry(200, "text/html", body.encode())
-
-
-def _config(tmp_path, seeds, **kw) -> CrawlConfig:
-    defaults = dict(
-        seed_urls=tuple(Url.parse(s) for s in seeds),
-        max_pages=100,
-        max_depth=-1,
-        worker_count=1,
-        politeness_ms=0,
-        output_path=str(tmp_path / "urls.txt"),
-    )
-    defaults.update(kw)
-    return CrawlConfig(**defaults)
 
 
 class TestClassifyUrl:
@@ -421,33 +415,33 @@ def _two_level_corpus() -> Corpus:
 
 class TestCrawl:
     def test_depth_zero_fetches_only_seeds(self, tmp_path):
-        config = _config(tmp_path, ["http://h.test/"], max_depth=0)
+        config = crawl_config(tmp_path, ["http://h.test/"], max_depth=0)
         report = crawl(config, CorpusTransport(_two_level_corpus()))
         assert report.pages_fetched == 1
         assert report.ontologies_found == 1  # the .owl link on the seed page
         assert (tmp_path / "urls.txt").read_text() == "http://h.test/top.owl\n"
 
     def test_depth_one_adds_next_stratum(self, tmp_path):
-        config = _config(tmp_path, ["http://h.test/"], max_depth=1)
+        config = crawl_config(tmp_path, ["http://h.test/"], max_depth=1)
         report = crawl(config, CorpusTransport(_two_level_corpus()))
         assert report.pages_fetched == 2
         assert report.ontologies_found == 2
 
     def test_unlimited_depth_finds_all(self, tmp_path):
-        config = _config(tmp_path, ["http://h.test/"])
+        config = crawl_config(tmp_path, ["http://h.test/"])
         report = crawl(config, CorpusTransport(_two_level_corpus()))
         assert report.pages_fetched == 3
         assert report.ontologies_found == 3
 
     def test_budget_counts_issued_fetches(self, tmp_path):
-        config = _config(tmp_path, ["http://h.test/"], max_pages=2)
+        config = crawl_config(tmp_path, ["http://h.test/"], max_pages=2)
         report = crawl(config, CorpusTransport(_two_level_corpus()))
         assert report.pages_fetched == 2
 
     def test_budget_counts_error_fetches_too(self, tmp_path):
         corpus = Corpus()
         corpus.add("http://h.test/", _page('<a href="/gone1.html">1</a><a href="/gone2.html">2</a>'))
-        config = _config(tmp_path, ["http://h.test/"], max_pages=2)
+        config = crawl_config(tmp_path, ["http://h.test/"], max_pages=2)
         report = crawl(config, CorpusTransport(corpus))
         assert report.pages_fetched == 2
         assert report.errors == 1  # second child never issued
@@ -456,7 +450,7 @@ class TestCrawl:
         corpus = Corpus()
         corpus.add("http://h.test/", _page('<a href="/b.html">b</a>'))
         corpus.add("http://h.test/b.html", _page('<a href="/">home</a>'))
-        config = _config(tmp_path, ["http://h.test/"])
+        config = crawl_config(tmp_path, ["http://h.test/"])
         report = crawl(config, CorpusTransport(corpus))
         assert report.pages_fetched == 2
 
@@ -467,7 +461,7 @@ class TestCrawl:
         links = ['<a href="p.html">1</a>', '<a href="http://h.test/x/../p.html">2</a>',
                  '<a href="o.owl">o</a>']
         corpus.add("http://h.test/p.html", _page("".join(links)))
-        config = _config(tmp_path, ["http://h.test/x/../p.html"])
+        config = crawl_config(tmp_path, ["http://h.test/x/../p.html"])
         report = crawl(config, CorpusTransport(corpus))
         assert report.pages_fetched == 1
         assert [key for key, _ in corpus.request_log] == ["http://h.test/p.html"]
@@ -479,7 +473,7 @@ class TestCrawl:
                  '<a href="/p.html">p</a>']
         corpus.add("http://h.test/", _page("".join(links)))
         corpus.add("http://h.test/p.html", _page('<a href="/o.owl">o</a>'))
-        report = crawl(_config(tmp_path, ["http://h.test/"]), CorpusTransport(corpus))
+        report = crawl(crawl_config(tmp_path, ["http://h.test/"]), CorpusTransport(corpus))
         assert (report.pages_fetched, report.errors) == (2, 0)
         assert (tmp_path / "urls.txt").read_text(encoding="utf-8") == (
             "http://h.test/o.owl\nhttp://h.test/\ufffd.owl\n"
@@ -489,7 +483,7 @@ class TestCrawl:
         corpus = Corpus()
         corpus.add("http://h.test/", _page('<a href="/gone.html">x</a>'))
         corpus.add("http://h.test/gone.html", CorpusEntry(404, "text/html", b'<a href="/o.owl">x</a>'))
-        config = _config(tmp_path, ["http://h.test/"])
+        config = crawl_config(tmp_path, ["http://h.test/"])
         report = crawl(config, CorpusTransport(corpus))
         assert report.ontologies_found == 0
         assert report.status_histogram == {200: 1, 404: 1}
@@ -498,19 +492,19 @@ class TestCrawl:
         corpus = Corpus()
         corpus.add("http://h.test/", _page('<a href="/api/onto">x</a>'))
         corpus.add("http://h.test/api/onto", CorpusEntry(200, "text/turtle", b"@prefix a: <http://x/> ."))
-        config = _config(tmp_path, ["http://h.test/"])
+        config = crawl_config(tmp_path, ["http://h.test/"])
         report = crawl(config, CorpusTransport(corpus))
         assert report.ontologies_found == 1
         assert (tmp_path / "urls.txt").read_text() == "http://h.test/api/onto\n"
 
     def test_seed_that_is_an_ontology_is_recorded_without_fetch(self, tmp_path):
-        config = _config(tmp_path, ["http://h.test/direct.owl"])
+        config = crawl_config(tmp_path, ["http://h.test/direct.owl"])
         report = crawl(config, CorpusTransport(Corpus()))
         assert report.pages_fetched == 0
         assert report.ontologies_found == 1
 
     def test_all_seeds_invalid_on_dead_transport(self, tmp_path):
-        config = _config(tmp_path, ["http://h.test/", "http://g.test/x.html"])
+        config = crawl_config(tmp_path, ["http://h.test/", "http://g.test/x.html"])
         with pytest.raises(AllSeedsInvalid):
             crawl(config, CorpusTransport(Corpus()))
 
@@ -518,13 +512,13 @@ class TestCrawl:
         corpus = Corpus()
         corpus.add("http://h.test/data.csv", CorpusEntry(200, "text/csv", b"a,b"))
         with pytest.raises(AllSeedsInvalid):
-            crawl(_config(tmp_path, ["http://h.test/data.csv"]), CorpusTransport(corpus))
+            crawl(crawl_config(tmp_path, ["http://h.test/data.csv"]), CorpusTransport(corpus))
         assert corpus.request_log == []
 
     def test_one_live_seed_is_enough(self, tmp_path):
         corpus = Corpus()
         corpus.add("http://h.test/", _page("<p>empty</p>"))
-        config = _config(tmp_path, ["http://h.test/", "http://dead.test/"])
+        config = crawl_config(tmp_path, ["http://h.test/", "http://dead.test/"])
         report = crawl(config, CorpusTransport(corpus))
         assert report.pages_fetched == 2
         assert report.errors == 1
@@ -535,7 +529,7 @@ class TestCrawl:
         corpus.add("http://h.test/", _page('<a href="/p1.html">1</a><a href="/p2.html">2</a>'))
         corpus.add("http://h.test/p1.html", _page('<![CDAT[ x ]]><a href="/later.owl">o</a>'))
         corpus.add("http://h.test/p2.html", _page("<p>end</p>"))
-        config = _config(tmp_path, ["http://h.test/"], worker_count=workers)
+        config = crawl_config(tmp_path, ["http://h.test/"], worker_count=workers)
         report = crawl(config, CorpusTransport(corpus))
         assert report.pages_fetched == 3
         assert report.errors == 0
@@ -558,7 +552,7 @@ class TestCrawl:
             ),
         )
         corpus.add("http://h.test/p.html", _page('<a href="/deep.owl">d</a>'))
-        config = _config(tmp_path, ["http://h.test/"], worker_count=workers)
+        config = crawl_config(tmp_path, ["http://h.test/"], worker_count=workers)
         report = crawl(config, CorpusTransport(corpus))
         assert (report.pages_fetched, report.errors) == (2, 0)
         assert (tmp_path / "urls.txt").read_text() == (
@@ -574,14 +568,14 @@ class TestCrawl:
             CorpusEntry(301, None, b"", location="ftp://files.test/o.owl"),
         )
         corpus.add("http://h.test/p1.html", _page('<a href="/deep.owl">o</a>'))
-        config = _config(tmp_path, ["http://h.test/"], worker_count=workers)
+        config = crawl_config(tmp_path, ["http://h.test/"], worker_count=workers)
         report = crawl(config, CorpusTransport(corpus))
         assert report.errors == 1
         assert report.pages_fetched == 3
         assert (tmp_path / "urls.txt").read_text() == "http://h.test/deep.owl\n"
 
     def test_output_dir_missing(self, tmp_path):
-        config = _config(tmp_path, ["http://h.test/"], output_path=str(tmp_path / "no" / "urls.txt"))
+        config = crawl_config(tmp_path / "no", ["http://h.test/"])
         with pytest.raises(OutputUnwritable):
             crawl(config, CorpusTransport(_two_level_corpus()))
 
@@ -590,7 +584,7 @@ class TestCrawl:
         files: list[bytes] = []
         for run in range(2):
             out = tmp_path / f"urls{run}.txt"
-            config = _config(tmp_path, ["http://h.test/"], output_path=str(out))
+            config = crawl_config(tmp_path, ["http://h.test/"], output_path=str(out))
             reports.append(crawl(config, CorpusTransport(_two_level_corpus())))
             files.append(out.read_bytes())
         assert files[0] == files[1]
@@ -607,7 +601,7 @@ class TestCrawl:
         outs = []
         for workers in (1, 4):
             out = tmp_path / f"urls-w{workers}.txt"
-            config = _config(
+            config = crawl_config(
                 tmp_path,
                 ["http://host0.example/"],
                 worker_count=workers,
@@ -634,7 +628,7 @@ class TestCrawl:
         for workers in (1, 2, 4):
             corpus.request_log.clear()
             out = tmp_path / f"urls-w{workers}.txt"
-            config = _config(
+            config = crawl_config(
                 tmp_path, ["http://h.test/"], max_pages=4, worker_count=workers, output_path=str(out)
             )
             report = crawl(config, CorpusTransport(corpus))
@@ -655,7 +649,7 @@ class TestCrawl:
         corpus.add("http://h.test/slow.html", CorpusEntry(200, "text/html", b"", latency_ms=400))
         for path in fast:
             corpus.add(f"http://h.test{path}", _page(""))
-        config = _config(tmp_path, ["http://h.test/"], worker_count=2)
+        config = crawl_config(tmp_path, ["http://h.test/"], worker_count=2)
         report = crawl(config, CorpusTransport(corpus))
         assert report.pages_fetched == 22
         issued = dict(corpus.request_log)
@@ -673,7 +667,7 @@ class TestCrawl:
         corpus.add("http://h.test/slow.html", CorpusEntry(200, "text/html", b"", latency_ms=1000))
         for path in fast:
             corpus.add(f"http://h.test{path}", _page(""))
-        config = _config(tmp_path, ["http://h.test/"], worker_count=workers, max_pages=1000)
+        config = crawl_config(tmp_path, ["http://h.test/"], worker_count=workers, max_pages=1000)
         report = crawl(config, CorpusTransport(corpus))
         assert report.pages_fetched == 202
         issued = dict(corpus.request_log)
@@ -683,30 +677,30 @@ class TestCrawl:
 
     def test_every_output_line_classifies_as_candidate(self, tmp_path, site42):
         _spec, (corpus, _gt) = site42
-        config = _config(tmp_path, ["http://host0.example/"], max_pages=500)
+        config = crawl_config(tmp_path, ["http://host0.example/"], max_pages=500)
         crawl(config, CorpusTransport(corpus))
         for line in (tmp_path / "urls.txt").read_text().splitlines():
             assert classify_url(Url.parse(line)) == ONTOLOGY_CANDIDATE
 
     def test_validation_rejects_bad_config(self, tmp_path):
         with pytest.raises(ValueError):
-            _config(tmp_path, ["http://h.test/"], max_depth=-2)
+            crawl_config(tmp_path, ["http://h.test/"], max_depth=-2)
         with pytest.raises(ValueError):
-            _config(tmp_path, ["http://h.test/"], max_pages=0)
+            crawl_config(tmp_path, ["http://h.test/"], max_pages=0)
         with pytest.raises(ValueError):
-            _config(tmp_path, ["http://h.test/"], worker_count=0)
+            crawl_config(tmp_path, ["http://h.test/"], worker_count=0)
         with pytest.raises(ValueError):
             CrawlConfig(seed_urls=(), max_pages=1)
 
     @pytest.mark.parametrize("max_body_bytes", [0, -1, -50])
     def test_validation_rejects_max_body_bytes_below_one(self, tmp_path, max_body_bytes):
         with pytest.raises(ValueError, match="max_body_bytes must be >= 1"):
-            _config(tmp_path, ["http://h.test/"], max_body_bytes=max_body_bytes)
+            crawl_config(tmp_path, ["http://h.test/"], max_body_bytes=max_body_bytes)
 
 
 class TestCrawlReport:
     def test_machine_lines_echo_config(self, tmp_path):
-        config = _config(
+        config = crawl_config(
             tmp_path,
             ["http://www.ontologyportal.org"],
             politeness_ms=300,
@@ -722,7 +716,7 @@ class TestCrawlReport:
         assert all(len(line.split("\t")) == 2 for line in lines)
 
     def test_human_table_mentions_counts(self, tmp_path):
-        config = _config(tmp_path, ["http://h.test/"])
+        config = crawl_config(tmp_path, ["http://h.test/"])
         report = crawl(config, CorpusTransport(_two_level_corpus()))
         table = report.human_table()
         assert "pages_fetched" in table and "ontologies_found" in table
@@ -750,9 +744,7 @@ class TestFetchThreads:
     def test_one_worker_crawl_and_index_fetch_on_the_calling_thread(self, tmp_path, small_site):
         corpus, truth = small_site
         transport = ThreadRecorder(CorpusTransport(corpus, sleep_latency=False))
-        config = _config(tmp_path, [truth.root_url], worker_count=1)
-        pages = crawl(config, transport).pages_fetched
-        build_index(config.output_path, transport, IndexLimits(politeness_ms=0), tmp_path / "idx")
+        pages = run_pipeline(tmp_path, transport, truth.root_url)[0].pages_fetched
         assert len(transport.threads) > pages > 1
         assert set(transport.threads) == {threading.current_thread()}
 
@@ -766,7 +758,7 @@ class TestFetchThreads:
             return extract_links(html, base)
 
         monkeypatch.setattr(crawler, "extract_links", scan_then_fail)
-        config = _config(tmp_path, [truth.root_url], worker_count=2)
+        config = crawl_config(tmp_path, [truth.root_url], worker_count=2)
         with pytest.raises(RuntimeError, match="scan failed") as failure:
             crawl(config, transport)
         # The pool is gone while the traceback, and with it the crawl's frame, lives on.
@@ -782,12 +774,8 @@ class TestCrawlThenIndex:
         corpus.add(BASE, _page('<a href="/a&#x2028;b.owl">x</a><a href="/ok.owl">ok</a>'))
         corpus.add("http://a.example/a%E2%80%A8b.owl", CorpusEntry(200, "text/turtle", turtle))
         corpus.add("http://a.example/ok.owl", CorpusEntry(200, "text/turtle", turtle))
-        transport = CorpusTransport(corpus)
-        config = _config(tmp_path, [str(BASE)])
-        assert crawl(config, transport).ontologies_found == 2
-        manifest = build_index(
-            config.output_path, transport, IndexLimits(politeness_ms=0), tmp_path / "idx"
-        )
+        report, manifest, _written = run_pipeline(tmp_path, CorpusTransport(corpus), str(BASE))
+        assert report.ontologies_found == 2
         assert (manifest.doc_count, manifest.input_line_count) == (2, 2)
 
 
@@ -800,18 +788,16 @@ class TestFailureContainment:
             st.sets(st.sampled_from(sorted(set(corpus.entries) - {truth.root_url})))
         )
         transport = _FlakyTransport(CorpusTransport(corpus, sleep_latency=False), failing)
+        runs = []
         with tempfile.TemporaryDirectory() as tmp:
-            runs = []
             for workers in (1, 2):
-                config = _config(Path(tmp), [truth.root_url], worker_count=workers)
-                report = crawl(config, transport)
-                lines = Path(config.output_path).read_text().splitlines()
+                report, manifest, written = run_pipeline(
+                    Path(tmp) / str(workers), transport, truth.root_url, worker_count=workers
+                )
                 counts = (report.pages_fetched, report.ontologies_found, report.errors)
-                runs.append((counts, report.status_histogram, lines))
-            manifest = build_index(
-                config.output_path, transport, IndexLimits(politeness_ms=0), Path(tmp) / "idx"
-            )
-        assert runs[1] == runs[0]  # the worker count changes nothing
+                runs.append((counts, report.status_histogram, written))
+        lines = written["urls.txt"].decode().splitlines()
+        assert runs[1] == runs[0]  # the worker count changes nothing, index bytes included
         assert report.errors <= len(failing)
         assert set(lines) <= truth.reachable_ontology_urls
         assert manifest.input_line_count == len(lines)

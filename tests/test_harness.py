@@ -9,9 +9,9 @@ from urllib.parse import urljoin
 
 import pytest
 
-from conftest import build_parts, canonical_triples, make_index
+from conftest import build_parts, canonical_triples, crawl_config, make_index, make_summary
 from onto_seeker import crawler, indexer, query
-from onto_seeker.crawler import CrawlConfig, crawl
+from onto_seeker.crawler import crawl
 from onto_seeker.harness import (
     Corpus,
     CorpusEntry,
@@ -29,14 +29,12 @@ from onto_seeker.harness import (
     serialize_turtle,
 )
 from onto_seeker.indexer import FIELDS
-from onto_seeker.netfetch import Url
 from onto_seeker.query import EmptyQuery, Query, parse_query, search
 from onto_seeker.rdf import (
     OWL_NS,
     RDF_NS,
     XSD_NS,
     Literal,
-    OntologySummary,
     Triple,
     parse_rdf_xml,
     parse_turtle,
@@ -68,17 +66,6 @@ def independent_reachable_ontologies(corpus: Corpus, root: str) -> dict[str, int
                 depths[target] = depths[page] + 1
                 queue.append(target)
     return found
-
-
-def _summary(url, classes=(), properties=(), relations=()):
-    return OntologySummary(
-        url=url,
-        classes=frozenset(classes),
-        properties=frozenset(properties),
-        relations=frozenset(relations),
-        triple_count=1,
-        byte_size=1,
-    )
 
 
 class TestMakeSyntheticSite:
@@ -274,7 +261,7 @@ class TestSerializers:
 
 class TestScanOracle:
     def test_single_class_scores_three(self):
-        results = scan_oracle([_summary("http://h.test/a.owl", classes={"Person"})],
+        results = scan_oracle([make_summary("http://h.test/a.owl", classes={"Person"})],
                               parse_query("person"), top_k=10)
         assert len(results) == 1
         assert results[0].score == pytest.approx(3.0)
@@ -306,12 +293,8 @@ class TestPolitenessEndToEnd:
         corpus.add("http://h.test/", CorpusEntry(200, "text/html", f"<html>{links}</html>".encode()))
         for i in range(1, 10):
             corpus.add(f"http://h.test/p{i}.html", CorpusEntry(200, "text/html", b"<html></html>"))
-        config = CrawlConfig(
-            seed_urls=(Url.parse("http://h.test/"),),
-            max_pages=20,
-            worker_count=3,
-            politeness_ms=20,
-            output_path=str(tmp_path / "urls.txt"),
+        config = crawl_config(
+            tmp_path, ["http://h.test/"], max_pages=20, worker_count=3, politeness_ms=20
         )
         crawl(config, CorpusTransport(corpus))
         times = corpus.per_host_issue_times()["h.test"]
@@ -376,12 +359,8 @@ class TestPolitenessModes:
             CorpusEntry(200, "text/html", b'<a href="http://b.test/p.html">x</a>'),
         )
         corpus.add("http://b.test/p.html", CorpusEntry(200, "text/html", b"<html></html>"))
-        config = CrawlConfig(
-            seed_urls=(Url.parse("http://a.test/"),),
-            max_pages=5,
-            worker_count=2,
-            politeness_ms=30,
-            output_path=str(tmp_path / "urls.txt"),
+        config = crawl_config(
+            tmp_path, ["http://a.test/"], max_pages=5, worker_count=2, politeness_ms=30,
             per_host_politeness=False,
         )
         crawl(config, CorpusTransport(corpus))
@@ -424,8 +403,8 @@ class TestPerfbenchTracer:
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
         tracing = importlib.import_module("tracing")
         summaries = [
-            _summary("http://h.test/a.owl", {"Person", "PartOfPerson"}, {"hasPart"}),
-            _summary("http://h.test/b.owl", {"Vessel"}, {"hasPerson"}, {"part"}),
+            make_summary("http://h.test/a.owl", {"Person", "PartOfPerson"}, {"hasPart"}),
+            make_summary("http://h.test/b.owl", {"Vessel"}, {"hasPerson"}, {"part"}),
         ]
         indexer.write_index(tmp_path / "idx", *build_parts(summaries))
         tracer = tracing.Tracer("t")

@@ -3,7 +3,6 @@ from __future__ import annotations
 import builtins
 import dataclasses
 import errno
-import json
 import os
 import random
 import stat
@@ -16,10 +15,13 @@ from hypothesis import strategies as st
 from conftest import (
     EXPECTED_SIXTEEN_SKIPS,
     GOOD_FIXTURE_SUMMARIES,
+    INDEX_FILES,
     LONG_PORT_URL,
     build_parts,
+    edit_manifest,
     group_postings,
     make_index,
+    make_summary,
     mutants,
     nested_rdf_xml,
     posting_rows,
@@ -51,7 +53,7 @@ from onto_seeker.indexer import (
 )
 from onto_seeker.netfetch import Url
 from onto_seeker.query import EmptyQuery, parse_query, search
-from onto_seeker.rdf import OWL_NS, RDF_NS, OntologySummary, tokenize
+from onto_seeker.rdf import OWL_NS, RDF_NS, tokenize
 
 
 def _write_lines(tmp_path, lines):
@@ -60,15 +62,8 @@ def _write_lines(tmp_path, lines):
     return path
 
 
-def _summary(url: str, classes=(), properties=(), relations=(), byte_size=10) -> OntologySummary:
-    return OntologySummary(
-        url=url,
-        classes=frozenset(classes),
-        properties=frozenset(properties),
-        relations=frozenset(relations),
-        triple_count=len(classes) + len(properties) + len(relations),
-        byte_size=byte_size,
-    )
+def _assert_only_index_files(index_dir):
+    assert sorted(p.name for p in index_dir.iterdir()) == list(INDEX_FILES)
 
 
 class TestBuildIndex:
@@ -396,12 +391,12 @@ class TestReadUrlList:
 
 class TestIndexSummaries:
     def test_single_class_single_posting(self):
-        docs, postings = index_summaries([_summary("http://h.test/a.owl", classes={"Person"})])
+        docs, postings = index_summaries([make_summary("http://h.test/a.owl", classes={"Person"})])
         assert postings == [("person", "class", 0, 1)]
         assert docs[0].class_count == 1
 
     def test_tf_counts_terms_not_token_repeats(self):
-        summary = _summary(
+        summary = make_summary(
             "http://h.test/a.owl", classes={"PartOfPart", "SparePart", "Wheel"}
         )
         _docs, postings = index_summaries([summary])
@@ -410,8 +405,8 @@ class TestIndexSummaries:
 
     def test_posting_sort_order(self):
         summaries = [
-            _summary("http://h.test/a.owl", classes={"Part"}, relations={"part"}),
-            _summary("http://h.test/b.owl", properties={"hasPart"}),
+            make_summary("http://h.test/a.owl", classes={"Part"}, relations={"part"}),
+            make_summary("http://h.test/b.owl", properties={"hasPart"}),
         ]
         _docs, postings = index_summaries(summaries)
         keys = [(token, FIELD_RANK[field], doc_id) for token, field, doc_id, _ in postings]
@@ -420,7 +415,7 @@ class TestIndexSummaries:
 
     def test_tf_matches_brute_force(self):
         summaries = [
-            _summary(
+            make_summary(
                 f"http://h.test/o{i}.owl",
                 classes={"AgentOfOrganization", "Agent"},
                 properties={"hasAgent", "hasPart"},
@@ -441,9 +436,9 @@ class TestIndexSummaries:
         repeat, give the brute-force tf; each distinct term is tokenized once,
         through the module's ``tokenize``."""
         summaries = [
-            _summary("http://h.test/a.owl", classes={"hasPart", "fooFoo"}, relations={"hasPart"}),
-            _summary("http://h.test/b.owl", properties={"hasPart", "foo"}, relations={"fooFoo"}),
-            _summary("http://h.test/c.owl", classes={"fooFoo", "Part"}, relations={"hasPart"}),
+            make_summary("http://h.test/a.owl", classes={"hasPart", "fooFoo"}, relations={"hasPart"}),
+            make_summary("http://h.test/b.owl", properties={"hasPart", "foo"}, relations={"fooFoo"}),
+            make_summary("http://h.test/c.owl", classes={"fooFoo", "Part"}, relations={"hasPart"}),
         ]
         calls: list[str] = []
 
@@ -471,8 +466,8 @@ class TestIndexSummaries:
 class TestWriteReadRoundTrip:
     def test_round_trip_equality(self, tmp_path):
         summaries = [
-            _summary("http://h.test/a.owl", classes={"Person"}, relations={"knows"}),
-            _summary("http://h.test/b.owl", properties={"hasPart"}),
+            make_summary("http://h.test/a.owl", classes={"Person"}, relations={"knows"}),
+            make_summary("http://h.test/b.owl", properties={"hasPart"}),
         ]
         docs, postings, manifest = build_parts(summaries)
         write_index(tmp_path / "idx", docs, postings, manifest)
@@ -488,23 +483,19 @@ class TestWriteReadRoundTrip:
         assert read_index(tmp_path / "idx").manifest.doc_count == 0
 
     def test_single_class_posting_file_line(self, tmp_path):
-        summaries = [_summary("http://h.test/a.owl", classes={"Person"})]
+        summaries = [make_summary("http://h.test/a.owl", classes={"Person"})]
         write_index(tmp_path / "idx", *build_parts(summaries))
         assert (tmp_path / "idx" / "postings.tsv").read_bytes() == b"person\tclass\t0\t1\n"
         docs_line = (tmp_path / "idx" / "docs.tsv").read_text()
         assert docs_line == "0\thttp://h.test/a.owl\t10\t1\t0\t0\n"
 
     def test_exactly_three_files(self, tmp_path):
-        summaries = [_summary("http://h.test/a.owl", classes={"A"})]
+        summaries = [make_summary("http://h.test/a.owl", classes={"A"})]
         write_index(tmp_path / "idx", *build_parts(summaries))
-        assert sorted(p.name for p in (tmp_path / "idx").iterdir()) == [
-            "docs.tsv",
-            "manifest.json",
-            "postings.tsv",
-        ]
+        _assert_only_index_files(tmp_path / "idx")
 
     def test_failed_rewrite_keeps_previous_index(self, tmp_path, monkeypatch):
-        first = build_parts([_summary("http://h.test/a.owl", classes={"Person"})])
+        first = build_parts([make_summary("http://h.test/a.owl", classes={"Person"})])
         write_index(tmp_path / "idx", *first)
 
         class _DiskFullAfterOneWrite:
@@ -530,21 +521,17 @@ class TestWriteReadRoundTrip:
 
         monkeypatch.setattr(indexer, "open", open_failing_in_postings, raising=False)
         second = build_parts(
-            [_summary("http://h.test/b.owl", classes={"Vessel", "Cargo"}, relations={"carries"})]
+            [make_summary("http://h.test/b.owl", classes={"Vessel", "Cargo"}, relations={"carries"})]
         )
         with pytest.raises(IndexDirUnwritable):
             write_index(tmp_path / "idx", *second)
         monkeypatch.undo()
         loaded = read_index(tmp_path / "idx")
         assert (loaded.docs, posting_rows(loaded), loaded.manifest) == first
-        assert sorted(p.name for p in (tmp_path / "idx").iterdir()) == [
-            "docs.tsv",
-            "manifest.json",
-            "postings.tsv",
-        ]
+        _assert_only_index_files(tmp_path / "idx")
 
     def test_files_fsynced_before_replace_and_folder_after(self, tmp_path, monkeypatch):
-        write_index(tmp_path / "idx", *build_parts([_summary("http://h.test/o.owl", {"Old"})]))
+        write_index(tmp_path / "idx", *build_parts([make_summary("http://h.test/o.owl", {"Old"})]))
         calls = []
         real_fsync, real_replace, real_unlink = os.fsync, os.replace, os.unlink
 
@@ -565,7 +552,7 @@ class TestWriteReadRoundTrip:
         monkeypatch.setattr(os, "fsync", fsync)
         monkeypatch.setattr(os, "replace", replace)
         monkeypatch.setattr(os, "unlink", unlink)
-        summaries = [_summary("http://h.test/a.owl", classes={"Person"}, relations={"knows"})]
+        summaries = [make_summary("http://h.test/a.owl", classes={"Person"}, relations={"knows"})]
         write_index(tmp_path / "idx", *build_parts(summaries))
         monkeypatch.undo()
 
@@ -594,8 +581,8 @@ class TestWriteReadRoundTrip:
     ):
         # KeyboardInterrupt stands for the process dying: write_index's OSError
         # clean-up does not run, so the temporaries stay where they are.
-        old = build_parts([_summary("http://h.test/a.owl", classes={"Person"})])
-        new = build_parts([_summary("http://h.test/b.owl", classes={"Vessel"})])
+        old = build_parts([make_summary("http://h.test/a.owl", classes={"Person"})])
+        new = build_parts([make_summary("http://h.test/b.owl", classes={"Vessel"})])
         steps = []  # one entry per write, fsync, unlink or replace done
         stop_after = [0]  # the step after which the fault strikes; 0 for none
 
@@ -655,7 +642,7 @@ class TestWriteReadRoundTrip:
         assert outcomes == {"old", "none", "new"}
 
     def test_failed_fsync_keeps_previous_index_and_removes_temps(self, tmp_path, monkeypatch):
-        first = build_parts([_summary("http://h.test/a.owl", classes={"Person"})])
+        first = build_parts([make_summary("http://h.test/a.owl", classes={"Person"})])
         write_index(tmp_path / "idx", *first)
         synced = []
         real_fsync = os.fsync
@@ -667,21 +654,17 @@ class TestWriteReadRoundTrip:
             real_fsync(fd)
 
         monkeypatch.setattr(os, "fsync", fsync_failing_on_second_file)
-        second = build_parts([_summary("http://h.test/b.owl", classes={"Vessel"})])
+        second = build_parts([make_summary("http://h.test/b.owl", classes={"Vessel"})])
         with pytest.raises(IndexDirUnwritable):
             write_index(tmp_path / "idx", *second)
         monkeypatch.undo()
         loaded = read_index(tmp_path / "idx")
         assert (loaded.docs, posting_rows(loaded), loaded.manifest) == first
-        assert sorted(p.name for p in (tmp_path / "idx").iterdir()) == [
-            "docs.tsv",
-            "manifest.json",
-            "postings.tsv",
-        ]
+        _assert_only_index_files(tmp_path / "idx")
 
     def test_shuffled_postings_corrupt(self, tmp_path):
         summaries = [
-            _summary("http://h.test/a.owl", classes={"Beta", "Alpha"}, relations={"gamma"})
+            make_summary("http://h.test/a.owl", classes={"Beta", "Alpha"}, relations={"gamma"})
         ]
         write_index(tmp_path / "idx", *build_parts(summaries))
         postings_path = tmp_path / "idx" / "postings.tsv"
@@ -690,28 +673,15 @@ class TestWriteReadRoundTrip:
         with pytest.raises(CorruptIndex):
             read_index(tmp_path / "idx")
 
-    def test_version_bump_rejected(self, tmp_path):
-        summaries = [_summary("http://h.test/a.owl", classes={"A"})]
-        write_index(tmp_path / "idx", *build_parts(summaries))
-        manifest_path = tmp_path / "idx" / "manifest.json"
-        data = json.loads(manifest_path.read_text())
-        data["format_version"] = 99
-        manifest_path.write_text(json.dumps(data))
-        with pytest.raises(VersionMismatch):
-            read_index(tmp_path / "idx")
-
-    @pytest.mark.parametrize("version", [True, 2.0, "2", 1])
+    @pytest.mark.parametrize("version", [True, 2.0, "2", 1, 99])
     def test_version_must_be_the_int_format_version(self, tmp_path, version):
-        write_index(tmp_path / "idx", *build_parts([_summary("http://h.test/a.owl", {"A"})]))
-        manifest_path = tmp_path / "idx" / "manifest.json"
-        data = json.loads(manifest_path.read_text())
-        data["format_version"] = version
-        manifest_path.write_text(json.dumps(data))
+        write_index(tmp_path / "idx", *build_parts([make_summary("http://h.test/a.owl", {"A"})]))
+        edit_manifest(tmp_path / "idx", lambda m: m.update(format_version=version))
         with pytest.raises(VersionMismatch):
             read_index(tmp_path / "idx")
 
     def test_non_object_manifest_rejected(self, tmp_path):
-        summaries = [_summary("http://h.test/a.owl", classes={"A"})]
+        summaries = [make_summary("http://h.test/a.owl", classes={"A"})]
         write_index(tmp_path / "idx", *build_parts(summaries))
         (tmp_path / "idx" / "manifest.json").write_text("[1, 2]")
         with pytest.raises(CorruptIndex) as err:
@@ -719,34 +689,30 @@ class TestWriteReadRoundTrip:
         assert "not a JSON object" in str(err.value)
 
     def test_skip_counts_not_an_object_rejected(self, tmp_path):
-        write_index(tmp_path / "idx", *build_parts([_summary("http://h.test/a.owl", {"A"})]))
-        manifest_path = tmp_path / "idx" / "manifest.json"
-        data = json.loads(manifest_path.read_text())
-        data["skip_counts"] = list(data["skip_counts"].values())
-        manifest_path.write_text(json.dumps(data))
+        write_index(tmp_path / "idx", *build_parts([make_summary("http://h.test/a.owl", {"A"})]))
+        edit_manifest(
+            tmp_path / "idx", lambda m: m.update(skip_counts=list(m["skip_counts"].values()))
+        )
         with pytest.raises(CorruptIndex, match="manifest.json missing or malformed field"):
             read_index(tmp_path / "idx")
 
     def test_missing_file(self, tmp_path):
-        summaries = [_summary("http://h.test/a.owl", classes={"A"})]
+        summaries = [make_summary("http://h.test/a.owl", classes={"A"})]
         write_index(tmp_path / "idx", *build_parts(summaries))
         (tmp_path / "idx" / "postings.tsv").unlink()
         with pytest.raises(MissingFile):
             read_index(tmp_path / "idx")
 
     def test_accounting_mismatch_corrupt(self, tmp_path):
-        summaries = [_summary("http://h.test/a.owl", classes={"A"})]
+        summaries = [make_summary("http://h.test/a.owl", classes={"A"})]
         write_index(tmp_path / "idx", *build_parts(summaries))
-        manifest_path = tmp_path / "idx" / "manifest.json"
-        data = json.loads(manifest_path.read_text())
-        data["input_line_count"] = 40
-        manifest_path.write_text(json.dumps(data))
+        edit_manifest(tmp_path / "idx", lambda m: m.update(input_line_count=40))
         with pytest.raises(CorruptIndex) as err:
             read_index(tmp_path / "idx")
         assert "accounting" in str(err.value)
 
     def test_dangling_doc_id_corrupt(self, tmp_path):
-        summaries = [_summary("http://h.test/a.owl", classes={"A"})]
+        summaries = [make_summary("http://h.test/a.owl", classes={"A"})]
         write_index(tmp_path / "idx", *build_parts(summaries))
         postings_path = tmp_path / "idx" / "postings.tsv"
         postings_path.write_text("a\tclass\t7\t1\n")
@@ -779,10 +745,10 @@ def _line_2(lines: list[str], row: str) -> list[str]:
 # "agent<TAB>property<TAB>2,3<TAB>1" and "agent<TAB>property<TAB>0,1<TAB>2";
 # line 2 of its docs.tsv is "1<TAB>http://h.test/b.owl<TAB>10<TAB>0<TAB>2<TAB>0".
 _ROW_CHECK_SUMMARIES = [
-    _summary("http://h.test/a.owl", properties={"hasAgent", "agentOf"}),
-    _summary("http://h.test/b.owl", properties={"hasAgent", "agentOf"}),
-    _summary("http://h.test/c.owl", classes={"Person"}, properties={"hasAgent"}),
-    _summary("http://h.test/d.owl", properties={"agentOf"}, relations={"knows"}),
+    make_summary("http://h.test/a.owl", properties={"hasAgent", "agentOf"}),
+    make_summary("http://h.test/b.owl", properties={"hasAgent", "agentOf"}),
+    make_summary("http://h.test/c.owl", classes={"Person"}, properties={"hasAgent"}),
+    make_summary("http://h.test/d.owl", properties={"agentOf"}, relations={"knows"}),
 ]
 
 
@@ -998,10 +964,9 @@ class TestReadIndexRowChecks:
     @pytest.mark.parametrize("delta", [-1, 1])
     def test_posting_count_must_count_the_doc_ids(self, tmp_path, delta):
         write_index(tmp_path / "idx", *build_parts(_ROW_CHECK_SUMMARIES))
-        manifest_path = tmp_path / "idx" / "manifest.json"
-        data = json.loads(manifest_path.read_text())
-        data["posting_count"] += delta
-        manifest_path.write_text(json.dumps(data))
+        edit_manifest(
+            tmp_path / "idx", lambda m: m.update(posting_count=m["posting_count"] + delta)
+        )
         with pytest.raises(CorruptIndex, match="posting_count does not match the doc ids"):
             read_index(tmp_path / "idx")
 
@@ -1084,7 +1049,7 @@ _BAD_MANIFEST_WEIGHTS = [
 class TestReadIndexRaisesOnlyCorruptIndex:
     @pytest.mark.parametrize("file_name", ["manifest.json", "docs.tsv", "postings.tsv"])
     def test_non_utf8_file_is_corrupt(self, tmp_path, file_name):
-        write_index(tmp_path / "idx", *build_parts([_summary("http://h.test/a.owl", {"A"})]))
+        write_index(tmp_path / "idx", *build_parts([make_summary("http://h.test/a.owl", {"A"})]))
         path = tmp_path / "idx" / file_name
         path.write_bytes(path.read_bytes() + b"\xff")
         with pytest.raises(CorruptIndex) as err:
@@ -1093,37 +1058,29 @@ class TestReadIndexRaisesOnlyCorruptIndex:
 
     @pytest.mark.parametrize("edit, field_name", _BAD_MANIFEST_COUNTS)
     def test_count_that_is_not_a_non_negative_int_is_corrupt(self, tmp_path, edit, field_name):
-        write_index(tmp_path / "idx", *build_parts([_summary("http://h.test/a.owl", {"A"})]))
-        manifest_path = tmp_path / "idx" / "manifest.json"
-        data = json.loads(manifest_path.read_text())
-        edit(data)
-        manifest_path.write_text(json.dumps(data))
+        write_index(tmp_path / "idx", *build_parts([make_summary("http://h.test/a.owl", {"A"})]))
+        edit_manifest(tmp_path / "idx", edit)
         with pytest.raises(CorruptIndex) as err:
             read_index(tmp_path / "idx")
         assert f"manifest.json {field_name} must be an integer >= 0" in str(err.value)
 
     @pytest.mark.parametrize("edit", _BAD_MANIFEST_WEIGHTS)
     def test_weight_other_than_the_scoring_weight_is_corrupt(self, tmp_path, edit):
-        write_index(tmp_path / "idx", *build_parts([_summary("http://h.test/a.owl", {"A"})]))
-        manifest_path = tmp_path / "idx" / "manifest.json"
-        data = json.loads(manifest_path.read_text())
-        edit(data["field_weights"])
-        manifest_path.write_text(json.dumps(data))
+        write_index(tmp_path / "idx", *build_parts([make_summary("http://h.test/a.owl", {"A"})]))
+        edit_manifest(tmp_path / "idx", lambda m: edit(m["field_weights"]))
         with pytest.raises(CorruptIndex, match="manifest.json field_weights must be"):
             read_index(tmp_path / "idx")
 
     def test_integer_weights_equal_to_the_scoring_weights_load(self, tmp_path):
-        write_index(tmp_path / "idx", *build_parts([_summary("http://h.test/a.owl", {"A"})]))
-        manifest_path = tmp_path / "idx" / "manifest.json"
-        data = json.loads(manifest_path.read_text())
-        data["field_weights"] = {"class": 3, "property": 2, "relation": 1}
-        manifest_path.write_text(json.dumps(data))
+        write_index(tmp_path / "idx", *build_parts([make_summary("http://h.test/a.owl", {"A"})]))
+        weights = {"class": 3, "property": 2, "relation": 1}
+        edit_manifest(tmp_path / "idx", lambda m: m.update(field_weights=weights))
         assert read_index(tmp_path / "idx").manifest.field_weights == FIELD_WEIGHTS
 
 
 _CONTRACT_SUMMARIES = [
-    _summary("http://h.test/a.owl", classes={"Person"}, relations={"knows"}),
-    _summary("http://h.test/b.owl", properties={"hasPart"}),
+    make_summary("http://h.test/a.owl", classes={"Person"}, relations={"knows"}),
+    make_summary("http://h.test/b.owl", properties={"hasPart"}),
 ]
 
 
@@ -1156,7 +1113,7 @@ class TestManyKeys:
             return {a + b.capitalize() for a, b in (rng.sample(vocab, 2) for _ in range(count))}
 
         summaries = [
-            _summary(f"http://h.test/o{i}.owl", terms(20), terms(10), terms(5))
+            make_summary(f"http://h.test/o{i}.owl", terms(20), terms(10), terms(5))
             for i in range(150)
         ]
         docs, postings, manifest = build_parts(summaries)
@@ -1207,7 +1164,7 @@ class TestUnicodeTermsContract:
            st.data())
     def test_round_trip_and_search_equal_the_oracle(self, tmp_path_factory, fields, data):
         summaries = [
-            OntologySummary(f"http://h.test/o{i}.owl", *terms, triple_count=1, byte_size=10)
+            make_summary(f"http://h.test/o{i}.owl", *terms)
             for i, terms in enumerate(fields)
         ]
         # build_index skips these as empty_ontology before they reach the index

@@ -23,12 +23,14 @@ from conftest import (
     ThreadRecorder,
     clean_href,
     corpus_proxy_handler,
+    crawl_config,
     outcome,
     rfc_url,
+    run_pipeline,
     urljoin_departures,
     urljoin_url,
 )
-from onto_seeker.crawler import CrawlConfig, crawl
+from onto_seeker.crawler import crawl
 from onto_seeker.harness import (
     Corpus,
     CorpusEntry,
@@ -36,7 +38,7 @@ from onto_seeker.harness import (
     SiteSpec,
     make_synthetic_site,
 )
-from onto_seeker.indexer import IndexLimits, build_index
+from onto_seeker.indexer import IndexLimits
 from onto_seeker.netfetch import (
     _LINE_BREAKS,
     ConnectionFailed,
@@ -673,22 +675,12 @@ def _pipeline_through_both_transports(tmp_path, corpus_proxy, corpus, truth, wor
     corpus_proxy(corpus)
     runs = []
     for name, transport in [("corpus", CorpusTransport(corpus)), ("live", LiveTransport(5.0))]:
-        config = CrawlConfig(
-            seed_urls=(Url.parse(truth.root_url),),
-            max_pages=len(truth.page_depths),
-            worker_count=workers,
-            politeness_ms=0,
-            output_path=str(tmp_path / name / "urls.txt"),
+        report, manifest, written = run_pipeline(
+            tmp_path / name, transport, truth.root_url, limits,
+            max_pages=len(truth.page_depths), worker_count=workers,
         )
-        (tmp_path / name).mkdir()
-        report = crawl(config, transport)
-        manifest = build_index(
-            tmp_path / name / "urls.txt", transport, limits, tmp_path / name / "idx",
-            created_at="fixed",
-        )
-        files = ["urls.txt", "idx/docs.tsv", "idx/postings.tsv", "idx/manifest.json"]
         runs.append({
-            "bytes": {f: (tmp_path / name / f).read_bytes() for f in files},
+            "bytes": written,
             "crawl": (report.pages_fetched, report.ontologies_found, report.errors,
                       report.status_histogram),
             "skips": manifest.skip_counts,
@@ -748,12 +740,8 @@ def test_live_crawl_politeness_gaps_seen_at_the_server(tmp_path, loopback, monke
             return super().fetch(url, max_body_bytes, issued_at_ms)
 
     monkeypatch.setenv("http_proxy", loopback(ArrivalLoggingProxy))
-    config = CrawlConfig(
-        seed_urls=(Url.parse(truth.root_url),),
-        max_pages=11,
-        worker_count=4,
-        politeness_ms=100,
-        output_path=str(tmp_path / "urls.txt"),
+    config = crawl_config(
+        tmp_path, [truth.root_url], max_pages=11, worker_count=4, politeness_ms=100
     )
     crawl(config, GrantLoggingTransport(5.0))
     pages_per_host = Counter(Url.parse(page).host for page in truth.page_depths)

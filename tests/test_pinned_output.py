@@ -17,10 +17,8 @@ import json
 
 import pytest
 
-from onto_seeker.crawler import CrawlConfig, crawl
+from conftest import run_pipeline
 from onto_seeker.harness import CorpusTransport, SiteSpec, make_synthetic_site
-from onto_seeker.indexer import IndexLimits, build_index
-from onto_seeker.netfetch import Url
 
 CREATED_AT = "2020-01-01T00:00:00Z"
 
@@ -78,20 +76,9 @@ def test_generated_site_is_pinned(site):
 @pytest.mark.parametrize("workers", [1, 4])
 def test_crawl_and_index_bytes_are_pinned(tmp_path, site, workers):
     name, (corpus, truth) = site
-    transport = CorpusTransport(corpus, sleep_latency=False)
-    config = CrawlConfig(
-        seed_urls=(Url.parse(truth.root_url),),
-        max_pages=SPECS[name].page_count,
-        worker_count=workers,
-        politeness_ms=0,
-        output_path=str(tmp_path / "urls.txt"),
+    _report, _manifest, written = run_pipeline(
+        tmp_path, CorpusTransport(corpus, sleep_latency=False), truth.root_url,
+        created_at=CREATED_AT, max_pages=SPECS[name].page_count, worker_count=workers,
     )
-    crawl(config, transport)
-    build_index(
-        tmp_path / "urls.txt", transport, IndexLimits(politeness_ms=0), tmp_path / "idx",
-        created_at=CREATED_AT,
-    )
-    paths = {"urls.txt": tmp_path / "urls.txt"}
-    paths |= {f: tmp_path / "idx" / f for f in ("docs.tsv", "postings.tsv", "manifest.json")}
-    digests = {f: hashlib.sha256(path.read_bytes()).hexdigest() for f, path in paths.items()}
+    digests = {f: hashlib.sha256(data).hexdigest() for f, data in written.items()}
     assert digests == DIGESTS[name]

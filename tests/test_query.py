@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import make_index
+from conftest import make_index, make_summary
 from onto_seeker.harness import scan_oracle
 from onto_seeker.query import (
     CLASS_PATH_MIN_ROW_LENGTH,
@@ -22,18 +22,7 @@ from onto_seeker.query import (
     parse_query,
     search,
 )
-from onto_seeker.rdf import OntologySummary, tokenize
-
-
-def _summary(url, classes=(), properties=(), relations=()):
-    return OntologySummary(
-        url=url,
-        classes=frozenset(classes),
-        properties=frozenset(properties),
-        relations=frozenset(relations),
-        triple_count=1,
-        byte_size=1,
-    )
+from onto_seeker.rdf import tokenize
 
 
 class TestParseQuery:
@@ -74,7 +63,7 @@ class TestParseQuery:
 
 class TestSearch:
     def test_class_name_match(self):
-        index = make_index([_summary("http://h.test/a.owl", classes={"Person"})])
+        index = make_index([make_summary("http://h.test/a.owl", classes={"Person"})])
         results = search(index, parse_query("Person"), top_k=10)
         assert len(results) == 1
         assert results[0].url == "http://h.test/a.owl"
@@ -82,19 +71,19 @@ class TestSearch:
         assert results[0].score == pytest.approx(3.0)
 
     def test_hand_built_empty_query_raises(self):
-        index = make_index([_summary("http://h.test/a.owl", classes={"Person"})])
+        index = make_index([make_summary("http://h.test/a.owl", classes={"Person"})])
         with pytest.raises(EmptyQuery):
             search(index, Query(()), top_k=10)
 
     def test_unmatched_token_returns_nothing(self):
-        index = make_index([_summary("http://h.test/a.owl", classes={"Person"})])
+        index = make_index([make_summary("http://h.test/a.owl", classes={"Person"})])
         assert search(index, parse_query("zzzz"), top_k=10) == []
 
     def test_tie_broken_by_url(self):
         index = make_index(
             [
-                _summary("http://h.test/b.owl", classes={"Person"}),
-                _summary("http://h.test/a.owl", classes={"Person"}),
+                make_summary("http://h.test/b.owl", classes={"Person"}),
+                make_summary("http://h.test/a.owl", classes={"Person"}),
             ]
         )
         results = search(index, parse_query("person"), top_k=10)
@@ -103,9 +92,9 @@ class TestSearch:
     def test_field_weights_order_results(self):
         index = make_index(
             [
-                _summary("http://h.test/rel.owl", relations={"part"}),
-                _summary("http://h.test/cls.owl", classes={"Part"}),
-                _summary("http://h.test/prop.owl", properties={"part"}),
+                make_summary("http://h.test/rel.owl", relations={"part"}),
+                make_summary("http://h.test/cls.owl", classes={"Part"}),
+                make_summary("http://h.test/prop.owl", properties={"part"}),
             ]
         )
         results = search(index, parse_query("part"), top_k=10)
@@ -118,20 +107,20 @@ class TestSearch:
 
     def test_tf_increases_score_logarithmically(self):
         index = make_index(
-            [_summary("http://h.test/a.owl", classes={"PartOne", "PartTwo", "PartThree"})]
+            [make_summary("http://h.test/a.owl", classes={"PartOne", "PartTwo", "PartThree"})]
         )
         results = search(index, parse_query("part"), top_k=10)
         assert results[0].score == pytest.approx(3.0 * (1.0 + math.log(3)))
 
     def test_top_k_caps_results(self):
         index = make_index(
-            [_summary(f"http://h.test/{i}.owl", classes={"Person"}) for i in range(5)]
+            [make_summary(f"http://h.test/{i}.owl", classes={"Person"}) for i in range(5)]
         )
         assert len(search(index, parse_query("person"), top_k=2)) == 2
 
     def test_scores_strictly_positive(self):
         index = make_index(
-            [_summary(f"http://h.test/{i}.owl", classes={"Person"}, relations={"knows"})
+            [make_summary(f"http://h.test/{i}.owl", classes={"Person"}, relations={"knows"})
              for i in range(4)]
         )
         for result in search(index, parse_query("person knows"), top_k=10):
@@ -140,8 +129,8 @@ class TestSearch:
     def test_or_semantics_by_default(self):
         index = make_index(
             [
-                _summary("http://h.test/a.owl", classes={"Person"}),
-                _summary("http://h.test/b.owl", classes={"Robot"}),
+                make_summary("http://h.test/a.owl", classes={"Person"}),
+                make_summary("http://h.test/b.owl", classes={"Robot"}),
             ]
         )
         assert len(search(index, parse_query("person robot"), top_k=10)) == 2
@@ -149,16 +138,16 @@ class TestSearch:
     def test_match_all_requires_every_token(self):
         index = make_index(
             [
-                _summary("http://h.test/a.owl", classes={"Person"}, relations={"robot"}),
-                _summary("http://h.test/b.owl", classes={"Robot"}),
+                make_summary("http://h.test/a.owl", classes={"Person"}, relations={"robot"}),
+                make_summary("http://h.test/b.owl", classes={"Robot"}),
             ]
         )
         results = search(index, parse_query("person robot"), top_k=10, match_all=True)
         assert [r.url for r in results] == ["http://h.test/a.owl"]
 
     def test_monotonic_under_unrelated_addition(self):
-        base = [_summary("http://h.test/a.owl", classes={"Person"})]
-        added = base + [_summary("http://h.test/z.owl", classes={"Unrelated"})]
+        base = [make_summary("http://h.test/a.owl", classes={"Person"})]
+        added = base + [make_summary("http://h.test/z.owl", classes={"Unrelated"})]
         query = parse_query("person")
         before = search(make_index(base), query, top_k=10)
         after = search(make_index(added), query, top_k=10)
@@ -166,7 +155,7 @@ class TestSearch:
 
     def test_exact_match_guarantee_small(self):
         summaries = [
-            _summary(
+            make_summary(
                 f"http://h.test/o{i}.owl",
                 classes={"AgentOfOrganization"},
                 properties={"hasPart"},
@@ -185,7 +174,7 @@ class TestSearch:
 
 class TestExplain:
     def test_single_hit_breakdown(self):
-        index = make_index([_summary("http://h.test/a.owl", classes={"Person"})])
+        index = make_index([make_summary("http://h.test/a.owl", classes={"Person"})])
         contributions = explain(index, parse_query("person"), "http://h.test/a.owl")
         assert len(contributions) == 1
         c = contributions[0]
@@ -194,7 +183,7 @@ class TestExplain:
 
     def test_contributions_sum_to_search_score(self):
         summaries = [
-            _summary(
+            make_summary(
                 "http://h.test/a.owl",
                 classes={"PartOfOrganization", "Part"},
                 properties={"hasPart"},
@@ -212,9 +201,9 @@ class TestExplain:
 
     def test_contributions_sum_to_search_score_in_a_key_of_several_tf_rows(self):
         summaries = [
-            _summary("http://h.test/a.owl", classes={"Part", "SparePart", "PartOfOrganization"}),
-            _summary("http://h.test/b.owl", classes={"Part"}, properties={"hasPart"}),
-            _summary("http://h.test/c.owl", classes={"Part", "BodyPart"}, relations={"partOf"}),
+            make_summary("http://h.test/a.owl", classes={"Part", "SparePart", "PartOfOrganization"}),
+            make_summary("http://h.test/b.owl", classes={"Part"}, properties={"hasPart"}),
+            make_summary("http://h.test/c.owl", classes={"Part", "BodyPart"}, relations={"partOf"}),
         ]
         index = make_index(summaries)
         assert index.posting_lists["part", "class"].rows == [(1, [1]), (2, [2]), (3, [0])]
@@ -236,23 +225,23 @@ class TestExplain:
         "url", ["HTTP://H.Test:80/a.owl", "http://h.test/a.owl#top", " http://h.test/a.owl"]
     )
     def test_url_in_any_spelling(self, url):
-        index = make_index([_summary("http://h.test/a.owl", classes={"Person"})])
+        index = make_index([make_summary("http://h.test/a.owl", classes={"Person"})])
         query = parse_query("person")
         assert explain(index, query, url) == explain(index, query, "http://h.test/a.owl")
 
     def test_unknown_url(self):
-        index = make_index([_summary("http://h.test/a.owl", classes={"Person"})])
+        index = make_index([make_summary("http://h.test/a.owl", classes={"Person"})])
         with pytest.raises(UnknownUrl):
             explain(index, parse_query("person"), "http://h.test/other.owl")
 
     @pytest.mark.parametrize("url", ["https://h.test/a.owl", "http://[x", "h.test/a.owl"])
     def test_url_that_does_not_parse_or_differs_is_unknown(self, url):
-        index = make_index([_summary("http://h.test/a.owl", classes={"Person"})])
+        index = make_index([make_summary("http://h.test/a.owl", classes={"Person"})])
         with pytest.raises(UnknownUrl):
             explain(index, parse_query("person"), url)
 
     def test_format_explain_lines(self):
-        index = make_index([_summary("http://h.test/a.owl", classes={"Person"})])
+        index = make_index([make_summary("http://h.test/a.owl", classes={"Person"})])
         lines = format_explain(explain(index, parse_query("person"), "http://h.test/a.owl"))
         assert lines[0] == "person class tf=1 contrib=3.000000"
         assert lines[-1] == "total 3.000000"
@@ -260,13 +249,13 @@ class TestExplain:
 
 class TestFormatResults:
     def test_line_shape(self):
-        index = make_index([_summary("http://h.test/a.owl", classes={"Person"})])
+        index = make_index([make_summary("http://h.test/a.owl", classes={"Person"})])
         [line] = format_results(search(index, parse_query("person"), top_k=1))
         assert line == "1\t3.000000\thttp://h.test/a.owl"
 
     def test_machine_mode_appends_matched_detail(self):
         index = make_index(
-            [_summary("http://h.test/a.owl", classes={"Person"}, relations={"person"})]
+            [make_summary("http://h.test/a.owl", classes={"Person"}, relations={"person"})]
         )
         [line] = format_results(search(index, parse_query("person"), top_k=1), machine=True)
         rank, score, url, detail = line.split("\t")
@@ -299,7 +288,7 @@ def _single_class_corpora(draw):
             max_size=4,
         )
     )
-    summaries = [_summary(f"http://h.test/o{i}.owl", classes={w}) for i, w in enumerate(words)]
+    summaries = [make_summary(f"http://h.test/o{i}.owl", classes={w}) for i, w in enumerate(words)]
     return summaries, words
 
 
@@ -310,7 +299,7 @@ def _tied_corpora(draw):
     picks = draw(st.lists(st.sampled_from(profiles), min_size=n, max_size=n))
     # URL names are a permutation of the doc ids, so URL order is not id order.
     names = draw(st.permutations(range(n)))
-    summaries = [_summary(f"http://h.test/o{name}.owl", **p) for name, p in zip(names, picks)]
+    summaries = [make_summary(f"http://h.test/o{name}.owl", **p) for name, p in zip(names, picks)]
     words = draw(
         st.lists(
             st.sampled_from(["part", "wheel", "has", "robot", "arm", "one", "knows", "zzz"]),
@@ -361,10 +350,10 @@ def _oracle_at_the_cut(summaries, query, top_k, match_all):
 
 @given(st.one_of(_single_class_corpora(), _tied_corpora()), st.booleans())
 @example(  # match_all with a token no document has
-    ([_summary("http://h.test/o0.owl", classes={"PartOne"})], ["part", "zzz"]), True
+    ([make_summary("http://h.test/o0.owl", classes={"PartOne"})], ["part", "zzz"]), True
 )
 @example(  # every candidate tied at the cut
-    ([_summary(f"http://h.test/o{i}.owl", classes={"Wheel"}) for i in (2, 0, 1)], ["wheel"]),
+    ([make_summary(f"http://h.test/o{i}.owl", classes={"Wheel"}) for i in (2, 0, 1)], ["wheel"]),
     False,
 )
 def test_both_scorers_keep_the_oracles_candidates_bitwise(corpus, match_all):
@@ -384,8 +373,8 @@ def test_class_path_merges_two_folds_that_reach_one_score():
     # folds 2.0 (property) + 2.0 (property); both reach 4.0, and the merged
     # class then takes one shared row: both must reach 7.0.
     summaries = [
-        _summary("http://h.test/a.owl", classes={"Alpha", "Gamma"}, relations={"beta"}),
-        _summary("http://h.test/b.owl", classes={"Gamma"}, properties={"alpha", "beta"}),
+        make_summary("http://h.test/a.owl", classes={"Alpha", "Gamma"}, relations={"beta"}),
+        make_summary("http://h.test/b.owl", classes={"Gamma"}, properties={"alpha", "beta"}),
     ]
     index = make_index(summaries)
     query = parse_query("alpha beta gamma")
@@ -399,7 +388,7 @@ def test_class_path_merges_two_folds_that_reach_one_score():
 def test_search_scores_long_rows_by_class_and_short_rows_by_posting():
     # 200 docs: the "part" and "wheel" rows hold 40-133 doc ids, "rare" one.
     summaries = [
-        _summary(
+        make_summary(
             f"http://h.test/o{(i * 7) % 200}.owl",
             classes={"Part", "SparePart" if i % 3 == 0 else "Part", "Rare" if i == 5 else "Part"},
             properties={"hasWheel"} if i % 2 else (),
@@ -420,3 +409,14 @@ def test_search_scores_long_rows_by_class_and_short_rows_by_posting():
     narrow = parse_query("rare")
     assert search(index, narrow, top_k=10) == scan_oracle(summaries, narrow, top_k=10)
     assert index.posting_lists["rare", "class"].bitmaps is None
+
+
+# README's threshold written out, not imported, so a change to the constant shows.
+@pytest.mark.parametrize("doc_count, by_class", [(64, True), (63, False)])
+def test_a_row_of_64_doc_ids_is_scored_by_class_and_63_by_posting(doc_count, by_class):
+    summaries = [make_summary(f"http://h.test/o{i}.owl", {"Part"}) for i in range(doc_count)]
+    index = make_index(summaries)
+    assert [len(ids) for _tf, ids in index.posting_lists["part", "class"].rows] == [doc_count]
+    query = parse_query("part")
+    assert search(index, query, top_k=10) == scan_oracle(summaries, query, top_k=10)
+    assert (index.posting_lists["part", "class"].bitmaps is not None) == by_class

@@ -8,10 +8,9 @@ from __future__ import annotations
 
 import pytest
 
-from onto_seeker.crawler import CrawlConfig, crawl
+from conftest import run_pipeline
 from onto_seeker.harness import Corpus, CorpusEntry, CorpusTransport, scan_oracle
-from onto_seeker.indexer import IndexLimits, build_index, read_index
-from onto_seeker.netfetch import Url
+from onto_seeker.indexer import read_index
 from onto_seeker.query import parse_query, search
 from onto_seeker.rdf import (
     OWL_NS,
@@ -82,21 +81,10 @@ def test_class_iris_resolve_by_rfc_3986():
 
 @pytest.mark.parametrize("workers", [1, 4])
 def test_crawl_index_query(tmp_path, workers):
-    corpus = _corpus()
-    transport = CorpusTransport(corpus)
-    config = CrawlConfig(
-        seed_urls=(Url.parse(PAGE),),
-        max_pages=10,
-        worker_count=workers,
-        politeness_ms=0,
-        output_path=str(tmp_path / "urls.txt"),
+    _report, manifest, written = run_pipeline(
+        tmp_path, CorpusTransport(_corpus()), PAGE, max_pages=10, worker_count=workers
     )
-    crawl(config, transport)
-    assert (tmp_path / "urls.txt").read_bytes() == f"{X_OWL}\n{Y_OWL}\n".encode()
-
-    manifest = build_index(
-        tmp_path / "urls.txt", transport, IndexLimits(politeness_ms=0), tmp_path / "idx"
-    )
+    assert written["urls.txt"] == f"{X_OWL}\n{Y_OWL}\n".encode()
     assert manifest.doc_count == 2
     index = read_index(tmp_path / "idx")
     summaries = [
