@@ -10,11 +10,15 @@ fetch never reads a redirect's body, checks its one deadline (start +
 ``timeout_s``) before each hop and between body reads, sends no cookies or
 ``.netrc`` credentials, takes proxies as :func:`urllib.request.getproxies` and
 ``proxy_bypass`` read them (no CIDR ranges), and checks TLS against the system
-trust store (``SSL_CERT_FILE``).
+trust store (``SSL_CERT_FILE``). Only a built :class:`LiveTransport` imports
+``urllib.request``, and only a pool imports ``concurrent.futures``, so the
+query path loads neither.
 
 :func:`fetch_in_order` fetches a queue of URLs through the politeness gate
-and hands the results back in the order the URLs were taken from the queue:
-on the calling thread for one worker, on a pool of threads for more.
+and hands the results back in the order the URLs were taken from the queue.
+One worker fetches on the calling thread, in that order. More fetch on a
+pool: each free worker gets the not-yet-issued URL whose host's politeness
+slot comes first, the oldest on a tie.
 """
 
 from __future__ import annotations
@@ -26,11 +30,9 @@ import threading
 import time
 from collections import deque
 from collections.abc import Iterator
-from concurrent import futures
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Protocol, TypeVar
 from urllib.parse import quote, unquote
-from urllib.request import getproxies, proxy_bypass
 
 from . import __version__
 from .errors import OntoSeekerError
@@ -53,8 +55,9 @@ MAX_REDIRECTS = 5
 REDIRECT_STATUSES = frozenset((301, 302, 303, 307, 308))
 
 # URLs fetch_in_order may have taken per worker and not yet handed back.
-# Results go back in issue order, so one slow fetch holds back the rest;
-# this much lookahead keeps the other workers fetching meanwhile.
+# Results go back in the order taken, so one slow fetch holds back the rest;
+# this much lookahead keeps the other workers fetching meanwhile, and gives
+# a free worker URLs on other hosts to choose from while one host is busy.
 LOOKAHEAD_PER_WORKER = 32
 
 
@@ -228,22 +231,27 @@ class PolitenessGate:
             self._last_grant[key] = grant
         return grant - now_ms
 
+    def next_slot(self, host: str) -> float:
+        """The earliest time in ms acquire_slot could grant ``host``, without
+        reserving it: -inf for a host never granted."""
+        prev = self._last_grant.get(host if self.per_host else "")
+        return -math.inf if prev is None else prev + self.politeness_ms
+
 
 def polite_fetch(
-    transport: Transport, gate: PolitenessGate, url: Url, max_body_bytes: int
+    transport: Transport, url: Url, max_body_bytes: int, grant_ms: float
 ) -> FetchResponse | FetchError:
-    """Acquire a slot for url's host, sleep it off, then fetch; a FetchError
-    is returned, not raised.
+    """Sleep until ``grant_ms``, the slot the gate granted url's host, then
+    fetch; a FetchError is returned, not raised.
 
-    The scheduled grant time is forwarded to the transport so corpus request
-    logs record scheduler time rather than wall-clock jitter.
+    The grant time is forwarded to the transport so corpus request logs
+    record scheduler time rather than wall-clock jitter.
     """
-    now = monotonic_ms()
-    wait = gate.acquire_slot(url.host, now)
+    wait = grant_ms - monotonic_ms()
     if wait > 0:
         time.sleep(wait / 1000.0)
     try:
-        return transport.fetch(url, max_body_bytes, issued_at_ms=now + wait)
+        return transport.fetch(url, max_body_bytes, issued_at_ms=grant_ms)
     except FetchError as exc:
         return exc
 
@@ -263,32 +271,67 @@ def fetch_in_order(
 
     The caller may append to ``pending`` between results; the loop takes the
     new entries in turn, and ends once ``pending`` is empty and every fetch is
-    handed back. One worker fetches on the calling thread, one URL per result.
-    More run ``workers`` pool threads that only fetch, with at most
-    ``LOOKAHEAD_PER_WORKER * workers`` URLs taken and not yet handed back, so
-    at most that many less one finished responses wait behind a slow fetch.
-    Close the generator (``contextlib.closing``) to stop the pool early.
+    handed back. One worker fetches on the calling thread, one URL per result,
+    in the order taken. More run ``workers`` pool threads that only fetch,
+    with at most ``LOOKAHEAD_PER_WORKER * workers`` URLs taken and not yet
+    handed back, so at most that many less one finished responses wait behind
+    a slow fetch. Each time a worker is free, the calling thread gives it the
+    taken URL not yet issued whose host's slot comes first (the oldest on a
+    tie, so with politeness 0 or one global clock the issue order is the
+    order taken) and reserves that slot then. Either way every fetch sleeps
+    off its slot in :func:`polite_fetch`. Close the generator
+    (``contextlib.closing``) to stop the pool early.
     """
     if workers == 1:
         while pending:
             url, tag = pending.popleft()
-            yield url, tag, polite_fetch(transport, gate, url, max_body_bytes)
+            now = monotonic_ms()
+            grant = now + gate.acquire_slot(url.host, now)
+            yield url, tag, polite_fetch(transport, url, max_body_bytes, grant)
         return
+    from concurrent.futures import ThreadPoolExecutor  # only a pool needs it
+
     window = LOOKAHEAD_PER_WORKER * workers
-    in_flight = deque()  # (url, tag, future), oldest first
-    pool = futures.ThreadPoolExecutor(workers)
+    taken = deque()  # [url, tag, future or None until issued], oldest first
+    unissued = []  # the entries of taken with no future yet, oldest first
+    free = threading.Semaphore(workers)  # a fetch that ends releases its worker
+    pool = ThreadPoolExecutor(workers)
     try:
         while True:
-            while pending and len(in_flight) < window:
-                url, tag = pending.popleft()
-                fetch = pool.submit(polite_fetch, transport, gate, url, max_body_bytes)
-                in_flight.append((url, tag, fetch))
-            if not in_flight:
+            while pending and len(taken) < window:
+                entry = [*pending.popleft(), None]
+                taken.append(entry)
+                unissued.append(entry)
+            if not taken:
                 return
-            url, tag, fetch = in_flight.popleft()
+            # Issue while a worker is free; while the head is not back, wait for one.
+            while unissued and free.acquire(blocking=not _ended(taken[0][2])):
+                now = monotonic_ms()
+                entry = unissued.pop(_first_slot(gate, unissued, now))
+                grant = now + gate.acquire_slot(entry[0].host, now)
+                entry[2] = pool.submit(polite_fetch, transport, entry[0], max_body_bytes, grant)
+                entry[2].add_done_callback(lambda _fetch: free.release())
+            url, tag, fetch = taken.popleft()
             yield url, tag, fetch.result()
     finally:
         pool.shutdown(cancel_futures=True)
+
+
+def _ended(fetch) -> bool:
+    return fetch is not None and fetch.done()
+
+
+def _first_slot(gate: PolitenessGate, unissued: list, now_ms: float) -> int:
+    """The position in ``unissued`` of the entry whose host's next slot comes
+    first, a slot already open counting as ``now_ms``; the oldest on a tie."""
+    best, best_slot = 0, math.inf
+    for i, (url, _tag, _fetch) in enumerate(unissued):
+        slot = gate.next_slot(url.host)
+        if slot <= now_ms:
+            return i
+        if slot < best_slot:
+            best, best_slot = i, slot
+    return best
 
 
 class LiveTransport:
@@ -299,7 +342,8 @@ class LiveTransport:
     """
 
     def __init__(self, timeout_s: float = DEFAULT_TIMEOUT_S):
-        import urllib3  # only the live transport needs it
+        import urllib3  # only the live transport needs these
+        from urllib.request import getproxies, proxy_bypass
 
         if not 0 < timeout_s < math.inf:
             raise ValueError(f"timeout_s must be a finite number > 0, not {timeout_s}")
@@ -309,6 +353,7 @@ class LiveTransport:
         headers.update(urllib3.util.make_headers(accept_encoding=True))
         # Ten idle connections per pool, not one, so ten workers can share a host or proxy.
         self._direct = urllib3.PoolManager(headers=headers, maxsize=10)
+        self._proxy_bypass = proxy_bypass
         self._proxied = {}
         proxies = getproxies()
         for scheme in SUPPORTED_SCHEMES:
@@ -333,7 +378,7 @@ class LiveTransport:
         if time.monotonic() > deadline:
             raise Timeout(f"{url}: not fetched within {self.timeout_s} s")
         manager = self._proxied.get(url.scheme)
-        if manager is None or proxy_bypass(f"{url.host}:{url.port}"):
+        if manager is None or self._proxy_bypass(f"{url.host}:{url.port}"):
             manager = self._direct
         body = bytearray()
         try:

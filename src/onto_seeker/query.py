@@ -232,14 +232,12 @@ def _scores_by_class(token_lists: _Lists, top_k: int, match_all: bool) -> dict[i
 
 
 def _doc_ids(docs: int) -> list[int]:
-    """The doc ids of a bitmap, descending."""
-    digits = format(docs, "b")  # digit i is bit top - i
-    top = len(digits) - 1
+    """The doc ids of a bitmap, descending: the top set bit, cleared in turn."""
     ids = []
-    at = digits.find("1")
-    while at >= 0:
-        ids.append(top - at)
-        at = digits.find("1", at + 1)
+    while docs:
+        top = docs.bit_length() - 1
+        ids.append(top)
+        docs ^= 1 << top
     return ids
 
 

@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import base64
 import gzip
+import math
 import socket
+import sys
 import threading
 import time
 import tracemalloc
@@ -396,6 +398,15 @@ class TestPolitenessGate:
         gate = PolitenessGate(0)
         assert [gate.acquire_slot("h", now_ms=5.0) for _ in range(10)] == [0] * 10
 
+    @pytest.mark.parametrize("per_host, other_host_slot", [(True, -math.inf), (False, 1300.0)])
+    def test_next_slot_peeks_without_reserving(self, per_host, other_host_slot):
+        gate = PolitenessGate(300, per_host=per_host)
+        assert gate.next_slot("h") == -math.inf
+        gate.acquire_slot("h", now_ms=1000.0)
+        assert gate.next_slot("h") == gate.next_slot("h") == 1300.0
+        assert gate.next_slot("g") == other_host_slot
+        assert gate.acquire_slot("h", now_ms=1000.0) == 300
+
     @given(
         st.lists(
             st.tuples(st.sampled_from(["h1", "h2", "h3"]), st.integers(0, 50)),
@@ -410,8 +421,10 @@ class TestPolitenessGate:
         grants: dict[str, list[float]] = {}
         for host, jitter in calls:
             now += jitter
+            slot = gate.next_slot(host)
             wait = gate.acquire_slot(host, now_ms=now)
             assert wait >= 0
+            assert now + wait == max(now, slot)
             grants.setdefault(host, []).append(now + wait)
         for times in grants.values():
             for earlier, later in zip(times, times[1:]):
@@ -445,6 +458,20 @@ def _numbered_corpus(count: int, latency_ms: int = 0) -> Corpus:
     return corpus
 
 
+_CLUSTERED = ("a0", "a1", "a2", "a3", "b0", "b1", "b2", "b3")
+
+
+def _clustered_queue() -> tuple[deque, Corpus]:
+    """Four URLs on host a, then four on host b, each tagged with its name."""
+    corpus = Corpus()
+    pending = deque()
+    for tag in _CLUSTERED:
+        url = f"http://{tag[0]}.test/{tag[1]}"
+        corpus.add(url, CorpusEntry(200, "text/html", tag.encode()))
+        pending.append((Url.parse(url), tag))
+    return pending, corpus
+
+
 class TestFetchInOrder:
     @pytest.mark.parametrize("workers", [1, 3])
     def test_results_come_back_in_the_order_taken(self, workers):
@@ -465,6 +492,51 @@ class TestFetchInOrder:
         odd = list(range(1, 40, 2))
         assert tags[: len(odd) + 1] == [*odd, "absent"]
         assert tags[len(odd) + 1 :] == [tag + 1 for tag in odd if tag + 1 < 40]
+
+    @pytest.mark.parametrize(
+        "politeness, per_host, issue_order",
+        [
+            (0, True, _CLUSTERED),  # every slot is open: the order taken
+            (5, False, _CLUSTERED),  # one clock for all hosts: the order taken
+            # Taken in order, the second worker would sleep through host a's
+            # slots while host b sat idle; instead b's URLs fill a's gaps.
+            (50, True, ("a0", "b0", "a1", "b1", "a2", "b2", "a3", "b3")),
+        ],
+    )
+    def test_a_free_worker_takes_the_url_whose_host_slot_comes_first(
+        self, politeness, per_host, issue_order
+    ):
+        pending, corpus = _clustered_queue()
+        gate = PolitenessGate(politeness, per_host=per_host)
+        results = fetch_in_order(CorpusTransport(corpus), gate, pending, 1024, 2)
+        assert [tag for _url, tag, _resp in results] == [*_CLUSTERED]
+        issued = dict(corpus.request_log)
+        grants = [issued[f"http://{tag[0]}.test/{tag[1]}"] for tag in issue_order]
+        assert grants == sorted(grants)
+
+    def test_more_workers_than_cores_keep_the_order_and_every_gap(self):
+        # The calling thread reserves slots and issues while pool threads end
+        # fetches and free their workers; switching threads every few
+        # microseconds interleaves the two as often as it can.
+        corpus = _numbered_corpus(300)
+        pending = deque((Url.parse(f"http://h{i % 3}.test/{i}"), i) for i in range(300))
+        tags = []
+        run = threading.Thread(target=lambda: tags.extend(
+            tag for _url, tag, _resp in
+            fetch_in_order(CorpusTransport(corpus), PolitenessGate(1), pending, 1024, 8)
+        ))
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            run.start()
+            run.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not run.is_alive()
+        assert tags == list(range(300))
+        for times in corpus.per_host_issue_times().values():
+            assert len(times) == 100
+            assert all(b - a >= 1 - 1e-6 for a, b in zip(times, times[1:]))
 
     def test_one_worker_fetches_on_the_calling_thread(self):
         transport = ThreadRecorder(CorpusTransport(_numbered_corpus(10)))

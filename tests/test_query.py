@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given
@@ -23,6 +27,8 @@ from onto_seeker.query import (
     search,
 )
 from onto_seeker.rdf import tokenize
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestParseQuery:
@@ -420,3 +426,18 @@ def test_a_row_of_64_doc_ids_is_scored_by_class_and_63_by_posting(doc_count, by_
     query = parse_query("part")
     assert search(index, query, top_k=10) == scan_oracle(summaries, query, top_k=10)
     assert (index.posting_lists["part", "class"].bitmaps is not None) == by_class
+
+
+def test_importing_query_loads_no_network_stack():
+    """The live transport's urllib.request (with http.client, ssl and email)
+    and the fetch pool's concurrent.futures stay unloaded. The child keeps
+    the inherited PYTHONPATH behind src/, so a line-coverage run records it."""
+    network = ("urllib.request", "http.client", "ssl", "email", "concurrent.futures")
+    code = f"import sys, onto_seeker.query; print([m for m in {network!r} if m in sys.modules])"
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
