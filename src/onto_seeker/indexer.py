@@ -6,12 +6,14 @@ skip accounting and the fixed scoring weights, checked on load), ``docs.tsv``
 (token, field, tf), holding the ascending comma list of the doc ids with
 that tf; rows sorted by token, field rank, tf). A build gives each URL-list
 line one outcome, its summary or its skip reason, and fetches through
-``netfetch.fetch_in_order`` with one worker, one URL at a time on the calling
-thread, taking the list's hosts in turn. Doc ids follow input order, so doc
-ids and the on-disk bytes are reproducible and do not depend on the fetch
-order. The build hands ``write_index`` one flat row per posting, which it
-groups by tf; the reader keeps those rows as stored, one ``PostingList`` of
-(tf, ascending doc ids) rows per (token, field).
+``netfetch.fetch_in_order`` with one worker per host of the list (at most
+``MAX_FETCH_WORKERS``), taking the list's hosts in turn, while the calling
+thread parses each response in the order taken. Doc ids follow input order,
+so doc ids and the on-disk bytes are reproducible and do not depend on the
+fetch order or the worker count. The build hands ``write_index`` one flat
+row per posting, which it groups by tf; the reader keeps those rows as
+stored, one ``PostingList`` of (tf, ascending doc ids) rows per (token,
+field).
 """
 
 from __future__ import annotations
@@ -71,6 +73,11 @@ SKIP_REASONS = (
 MANIFEST_FILE = "manifest.json"
 DOCS_FILE = "docs.tsv"
 POSTINGS_FILE = "postings.tsv"
+
+# A build fetches with one worker per host of its list, at most this many.
+# Each worker lets up to LOOKAHEAD_PER_WORKER finished bodies wait behind a
+# slow one, so at most 4 × 32 − 1 = 127 bodies are held, as in a 4-worker crawl.
+MAX_FETCH_WORKERS = 4
 
 # Each column of a data file as (name, the pattern its text must fully match,
 # what that pattern stands for). Numbers are ASCII digits with no leading
@@ -321,15 +328,20 @@ def build_index(
     Each line gets one outcome, its summary or its skip reason; the docs, the
     skip counts and the input line count are read off that list, so doc_count
     + skips == input lines by construction. The lines ``read_url_list``
-    queues are fetched in its host turns, so one host's politeness wait
-    overlaps the other hosts' fetches. Doc ids and the bytes written follow
-    file order, whatever the fetch order.
+    queues are fetched in its host turns by one worker per host, at most
+    ``MAX_FETCH_WORKERS``, so one host's politeness wait and fetch overlap
+    the other hosts' fetches; a one-host list is fetched on the calling
+    thread. Each response is parsed on the calling thread, in the order
+    taken. Doc ids and the bytes written follow file order, whatever the
+    fetch order.
     """
     outcomes, pending = read_url_list(url_list_path)
     gate = PolitenessGate(limits.politeness_ms)
-    fetched = fetch_in_order(transport, gate, pending, limits.max_ontology_bytes + 1, 1)
-    for url, lineno, resp in fetched:
-        outcomes[lineno] = _summarise(str(url), resp, limits)
+    workers = min(len({url.host for url, _lineno in pending}), MAX_FETCH_WORKERS) or 1
+    fetched = fetch_in_order(transport, gate, pending, limits.max_ontology_bytes + 1, workers)
+    with contextlib.closing(fetched):  # a parse that raises still stops the pool
+        for url, lineno, resp in fetched:
+            outcomes[lineno] = _summarise(str(url), resp, limits)
 
     reason_counts = Counter(outcome for outcome in outcomes if isinstance(outcome, str))
     docs, postings = index_summaries([o for o in outcomes if isinstance(o, OntologySummary)])

@@ -11,18 +11,19 @@ fetch never reads a redirect's body, checks its one deadline (start +
 ``.netrc`` credentials, takes proxies as :func:`urllib.request.getproxies` and
 ``proxy_bypass`` read them (no CIDR ranges), and checks TLS against the system
 trust store (``SSL_CERT_FILE``). Only a built :class:`LiveTransport` imports
-``urllib.request``, and only a pool imports ``concurrent.futures``, so the
-query path loads neither.
+``urllib.request``, so the query path does not load it.
 
 :func:`fetch_in_order` fetches a queue of URLs through the politeness gate
 and hands the results back in the order the URLs were taken from the queue.
-One worker fetches on the calling thread, in that order. More fetch on a
-pool: each free worker gets the not-yet-issued URL whose host's politeness
-slot comes first, the oldest on a tie.
+One worker fetches on the calling thread, in that order. More fetch on that
+many plain threads, which take jobs from one queue and put each ended fetch
+on another: each free worker gets the not-yet-issued URL whose host's
+politeness slot comes first, the oldest on a tie.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import re
@@ -31,6 +32,7 @@ import time
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from queue import Empty, SimpleQueue
 from typing import Callable, NamedTuple, Protocol, TypeVar
 from urllib.parse import quote, unquote
 
@@ -279,8 +281,11 @@ def fetch_in_order(
     taken URL not yet issued whose host's slot comes first (the oldest on a
     tie, so with politeness 0 or one global clock the issue order is the
     order taken) and reserves that slot then. Either way every fetch sleeps
-    off its slot in :func:`polite_fetch`. Close the generator
-    (``contextlib.closing``) to stop the pool early.
+    off its slot in :func:`polite_fetch`. An exception other than a
+    FetchError raised inside a pool fetch is raised again here, when that
+    URL's turn comes. Close the generator (``contextlib.closing``) to stop
+    the pool early: fetches not yet started are dropped, and every pool
+    thread has ended when the close returns.
     """
     if workers == 1:
         while pending:
@@ -289,13 +294,20 @@ def fetch_in_order(
             grant = now + gate.acquire_slot(url.host, now)
             yield url, tag, polite_fetch(transport, url, max_body_bytes, grant)
         return
-    from concurrent.futures import ThreadPoolExecutor  # only a pool needs it
-
     window = LOOKAHEAD_PER_WORKER * workers
-    taken = deque()  # [url, tag, future or None until issued], oldest first
-    unissued = []  # the entries of taken with no future yet, oldest first
-    free = threading.Semaphore(workers)  # a fetch that ends releases its worker
-    pool = ThreadPoolExecutor(workers)
+    taken = deque()  # [url, tag, result or None until it ends], oldest first
+    unissued = []  # the entries of taken not yet given to a worker, oldest first
+    jobs, ended = SimpleQueue(), SimpleQueue()
+    # Daemon threads, so a loop never closed cannot keep the process alive.
+    threads = [
+        threading.Thread(
+            target=_fetch_jobs, args=(jobs, ended, transport, max_body_bytes), daemon=True
+        )
+        for _ in range(workers)
+    ]
+    for thread in threads:
+        thread.start()
+    idle = workers
     try:
         while True:
             while pending and len(taken) < window:
@@ -304,28 +316,54 @@ def fetch_in_order(
                 unissued.append(entry)
             if not taken:
                 return
-            # Issue while a worker is free; while the head is not back, wait for one.
-            while unissued and free.acquire(blocking=not _ended(taken[0][2])):
-                now = monotonic_ms()
-                entry = unissued.pop(_first_slot(gate, unissued, now))
-                grant = now + gate.acquire_slot(entry[0].host, now)
-                entry[2] = pool.submit(polite_fetch, transport, entry[0], max_body_bytes, grant)
-                entry[2].add_done_callback(lambda _fetch: free.release())
-            url, tag, fetch = taken.popleft()
-            yield url, tag, fetch.result()
+            # Give each free worker a URL, and take back the fetches that
+            # ended; wait for one only while the head is not back.
+            while True:
+                while idle and unissued:
+                    now = monotonic_ms()
+                    entry = unissued.pop(_first_slot(gate, unissued, now))
+                    grant = now + gate.acquire_slot(entry[0].host, now)
+                    jobs.put((entry, grant))
+                    idle -= 1
+                if taken[0][2] is not None and ended.empty():
+                    break
+                done, result = ended.get()
+                done[2] = result
+                idle += 1
+            url, tag, result = taken.popleft()
+            if isinstance(result, BaseException) and not isinstance(result, FetchError):
+                raise result  # raised inside the fetch, as the transport raised it
+            yield url, tag, result
     finally:
-        pool.shutdown(cancel_futures=True)
+        with contextlib.suppress(Empty):  # jobs no worker has started are dropped
+            while True:
+                jobs.get_nowait()
+        for _ in threads:
+            jobs.put(None)
+        for thread in threads:
+            thread.join()
 
 
-def _ended(fetch) -> bool:
-    return fetch is not None and fetch.done()
+def _fetch_jobs(
+    jobs: SimpleQueue, ended: SimpleQueue, transport: Transport, max_body_bytes: int
+) -> None:
+    """A pool thread: fetch each ``(entry, grant)`` job until a None, and put
+    ``(entry, result)`` on ``ended``: the response, the FetchError, or any
+    other exception the fetch raised."""
+    while (job := jobs.get()) is not None:
+        entry, grant = job
+        try:
+            result = polite_fetch(transport, entry[0], max_body_bytes, grant)
+        except BaseException as exc:  # handed to the calling thread, which raises it
+            result = exc
+        ended.put((entry, result))
 
 
 def _first_slot(gate: PolitenessGate, unissued: list, now_ms: float) -> int:
     """The position in ``unissued`` of the entry whose host's next slot comes
     first, a slot already open counting as ``now_ms``; the oldest on a tie."""
     best, best_slot = 0, math.inf
-    for i, (url, _tag, _fetch) in enumerate(unissued):
+    for i, (url, _tag, _result) in enumerate(unissued):
         slot = gate.next_slot(url.host)
         if slot <= now_ms:
             return i

@@ -19,7 +19,7 @@ from conftest import (
     run_pipeline,
     urljoin_url,
 )
-from onto_seeker import crawler
+from onto_seeker import crawler, indexer
 from onto_seeker.crawler import (
     HTML_PAGE,
     ONTOLOGY_CANDIDATE,
@@ -41,6 +41,7 @@ from onto_seeker.harness import (
     SiteSpec,
     make_synthetic_site,
 )
+from onto_seeker.indexer import IndexLimits
 from onto_seeker.netfetch import (
     LOOKAHEAD_PER_WORKER,
     ConnectionFailed,
@@ -741,11 +742,32 @@ def small_site():
 
 
 class TestFetchThreads:
-    def test_one_worker_crawl_and_index_fetch_on_the_calling_thread(self, tmp_path, small_site):
+    def test_one_worker_crawl_fetches_on_the_calling_thread(self, tmp_path, small_site):
         corpus, truth = small_site
         transport = ThreadRecorder(CorpusTransport(corpus, sleep_latency=False))
-        pages = run_pipeline(tmp_path, transport, truth.root_url)[0].pages_fetched
-        assert len(transport.threads) > pages > 1
+        pages = crawl(crawl_config(tmp_path, [truth.root_url]), transport).pages_fetched
+        assert len(transport.threads) == pages > 1
+        assert set(transport.threads) == {threading.current_thread()}
+
+    def test_a_two_host_index_fetches_on_pool_threads_only(self, tmp_path, small_site):
+        corpus, truth = small_site
+        transport = ThreadRecorder(CorpusTransport(corpus, sleep_latency=False))
+        report, manifest, written = run_pipeline(tmp_path, transport, truth.root_url)
+        lines = written["urls.txt"].decode().splitlines()
+        assert len({Url.parse(line).host for line in lines}) == 2
+        index_threads = set(transport.threads[report.pages_fetched :])
+        assert len(transport.threads) == report.pages_fetched + manifest.input_line_count
+        assert 1 <= len(index_threads) <= 2
+        assert threading.current_thread() not in index_threads
+        assert not any(thread.is_alive() for thread in index_threads)
+
+    def test_a_one_host_index_fetches_on_the_calling_thread(self, tmp_path):
+        site = SiteSpec(seed=5, page_count=40, ontology_count=10, host_count=1)
+        corpus, truth = make_synthetic_site(site)
+        transport = ThreadRecorder(CorpusTransport(corpus, sleep_latency=False))
+        report, manifest, _written = run_pipeline(tmp_path, transport, truth.root_url)
+        assert len(transport.threads) == report.pages_fetched + manifest.input_line_count
+        assert manifest.input_line_count > 1
         assert set(transport.threads) == {threading.current_thread()}
 
     def test_a_crawl_that_fails_mid_loop_leaves_no_pool_thread(self, tmp_path, small_site, monkeypatch):
@@ -762,6 +784,27 @@ class TestFetchThreads:
         with pytest.raises(RuntimeError, match="scan failed") as failure:
             crawl(config, transport)
         # The pool is gone while the traceback, and with it the crawl's frame, lives on.
+        assert failure.traceback
+        assert transport.threads and threading.current_thread() not in transport.threads
+        assert not any(thread.is_alive() for thread in transport.threads)
+
+    def test_an_index_build_that_fails_mid_loop_leaves_no_pool_thread(
+        self, tmp_path, small_site, monkeypatch
+    ):
+        corpus, truth = small_site
+        crawl(crawl_config(tmp_path, [truth.root_url]), CorpusTransport(corpus))
+        transport = ThreadRecorder(CorpusTransport(corpus))
+        summarise = indexer._summarise
+
+        def summarise_then_fail(*args):
+            if len(transport.threads) > 3:
+                raise RuntimeError("parse failed")
+            return summarise(*args)
+
+        monkeypatch.setattr(indexer, "_summarise", summarise_then_fail)
+        limits = IndexLimits(politeness_ms=0)
+        with pytest.raises(RuntimeError, match="parse failed") as failure:
+            indexer.build_index(tmp_path / "urls.txt", transport, limits, tmp_path / "idx")
         assert failure.traceback
         assert transport.threads and threading.current_thread() not in transport.threads
         assert not any(thread.is_alive() for thread in transport.threads)

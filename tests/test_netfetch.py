@@ -40,7 +40,7 @@ from onto_seeker.harness import (
     SiteSpec,
     make_synthetic_site,
 )
-from onto_seeker.indexer import IndexLimits
+from onto_seeker.indexer import MAX_FETCH_WORKERS, IndexLimits, build_index
 from onto_seeker.netfetch import (
     _LINE_BREAKS,
     ConnectionFailed,
@@ -472,6 +472,39 @@ def _clustered_queue() -> tuple[deque, Corpus]:
     return pending, corpus
 
 
+def _run_joined(loop, timeout_s: float = 60):
+    """Run ``loop()`` on a helper thread joined with a timeout, so a hang
+    fails the test instead of stalling it: (that thread, what loop returned
+    or raised)."""
+    out = []
+
+    def run():
+        try:
+            out.append(loop())
+        except BaseException as exc:  # handed to the test thread
+            out.append(exc)
+
+    helper = threading.Thread(target=run, daemon=True)  # a hung one cannot block exit
+    helper.start()
+    helper.join(timeout=timeout_s)
+    assert not helper.is_alive()
+    return helper, out[0]
+
+
+class _FailsOnUrl(ThreadRecorder):
+    """Raises RuntimeError, which is no FetchError, when asked for ``path``."""
+
+    def __init__(self, inner, path: str):
+        super().__init__(inner)
+        self.path = path
+
+    def fetch(self, url, max_body_bytes, issued_at_ms=None):
+        if url.path == self.path:
+            self.threads.append(threading.current_thread())
+            raise RuntimeError(f"{url} failed")
+        return super().fetch(url, max_body_bytes, issued_at_ms=issued_at_ms)
+
+
 class TestFetchInOrder:
     @pytest.mark.parametrize("workers", [1, 3])
     def test_results_come_back_in_the_order_taken(self, workers):
@@ -556,6 +589,62 @@ class TestFetchInOrder:
         assert transport.threads and threading.current_thread() not in transport.threads
         assert not any(thread.is_alive() for thread in transport.threads)
         assert len(transport.threads) < 200  # the fetches not yet started were cancelled
+
+    def test_an_exception_raised_in_a_pool_fetch_is_raised_on_the_calling_thread(self):
+        transport = _FailsOnUrl(CorpusTransport(_numbered_corpus(40, latency_ms=1)), "/4")
+        pending = deque((Url.parse(f"http://h{i % 3}.test/{i}"), i) for i in range(40))
+        tags = []
+
+        def loop():
+            results = fetch_in_order(transport, PolitenessGate(0), pending, 1024, 2)
+            tags.extend(tag for _url, tag, _resp in results)
+
+        caller, failure = _run_joined(loop)
+        assert isinstance(failure, RuntimeError) and str(failure) == "http://h1.test/4 failed"
+        assert tags == [0, 1, 2, 3]  # raised at the fifth URL's turn, as its result
+        assert transport.threads and caller not in transport.threads
+        assert not any(thread.is_alive() for thread in transport.threads)
+
+    def test_no_fetch_starts_after_a_closed_loop_returns(self):
+        # One host 20 ms apart: when URL 3 is handed back, the other worker
+        # is sleeping off URL 4's slot, and would log its request after the
+        # close if the close did not wait for it.
+        corpus = Corpus()
+        for i in range(20):
+            corpus.add(f"http://h.test/{i}", CorpusEntry(200, "text/html", b"%d" % i))
+        transport = ThreadRecorder(CorpusTransport(corpus))
+        pending = deque((Url.parse(f"http://h.test/{i}"), i) for i in range(20))
+
+        def loop():
+            results = fetch_in_order(transport, PolitenessGate(20), pending, 1024, 2)
+            with closing(results):
+                for _url, tag, _resp in results:
+                    if tag == 3:
+                        break
+            return len(corpus.request_log)
+
+        _caller, logged = _run_joined(loop)
+        time.sleep(0.05)
+        assert len(corpus.request_log) == logged < 20
+        assert transport.threads and not any(thread.is_alive() for thread in transport.threads)
+
+    def test_an_index_build_over_six_hosts_fetches_on_at_most_four_threads(self, tmp_path):
+        turtle = b"@prefix owl: <http://www.w3.org/2002/07/owl#> .\n<#C> a owl:Class ."
+        corpus = Corpus()
+        urls = [f"http://h{i % 6}.test/{i}.ttl" for i in range(60)]
+        for url in urls:
+            corpus.add(url, CorpusEntry(200, "text/turtle", turtle, latency_ms=1))
+        url_list = tmp_path / "urls.txt"
+        url_list.write_text("".join(f"{url}\n" for url in urls))
+        transport = ThreadRecorder(CorpusTransport(corpus))
+        limits = IndexLimits(politeness_ms=0)
+        caller, manifest = _run_joined(
+            lambda: build_index(url_list, transport, limits, tmp_path / "idx")
+        )
+        assert manifest.doc_count == len(transport.threads) == 60
+        assert 1 < len(set(transport.threads)) <= MAX_FETCH_WORKERS == 4
+        assert caller not in transport.threads
+        assert not any(thread.is_alive() for thread in transport.threads)
 
 
 def _corpus_with(url: str, entry: CorpusEntry) -> CorpusTransport:
