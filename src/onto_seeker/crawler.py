@@ -3,7 +3,15 @@
 Ontology candidates (``.rdf``/``.owl`` links) are recorded without being
 fetched; the indexer downloads them later. The fetch budget is therefore
 spent on HTML pages only. Links are found by one regex scan that reads every
-page as the html.parser of Python 3.13.13 does, on every supported Python.
+page as the html.parser of Python 3.13.13 does, on every supported Python; it
+steps over text and over tags that hold no link and start no raw text in one
+regex call per run, not one loop turn per tag.
+
+An href that starts with a scheme or a "/" resolves alike from every page of
+one origin (scheme, host and port of the page's final URL), so a crawl
+resolves each such href once per origin and leaves out its repeats: each
+gave a rejection, or a Url that the crawl has already seen, so the URL file
+and the report are the same as if every repeat were resolved.
 
 Pages are fetched in breadth-first order through ``netfetch.fetch_in_order``,
 which hands each fetch back in issue order; the crawl thread scans each page
@@ -15,7 +23,7 @@ from __future__ import annotations
 
 import os
 import re
-from collections import deque
+from collections import defaultdict, deque
 from contextlib import closing, suppress
 from dataclasses import dataclass
 from html import unescape
@@ -136,19 +144,36 @@ def classify_url(url: Url, content_type: str | None = None) -> str:
     return OTHER
 
 
-# The scan follows html.parser 3.13.13. _MARKUP matches once per "<": an end
-# tag with no attributes (nothing to read, and the commonest markup), any
-# other tag up to its first attribute, a comment opener, a CDATA section, a
-# bogus comment ("<!doctype", "<?", "</" + non-letter) or a "<" in text.
+# The start tags the scan reads: each link tag with the attribute that holds
+# its target, and each element whose content is text up to where its pattern
+# matches (the end of the page for plaintext).
+_LINK_ATTR = {"a": "href", "link": "href", "frame": "src", "iframe": "src"}
+_RAW_TEXT_END = {
+    tag: re.compile(rf"</{tag}(?=[\t\n\r\f />])", re.IGNORECASE | re.ASCII)
+    for tag in ("script", "style", "xmp", "iframe", "noembed", "noframes", "title", "textarea")
+} | {"plaintext": re.compile(r"\Z")}
+
+# The scan follows html.parser 3.13.13. _MARKUP first steps over a run of
+# markup that holds no link and starts no raw text, in one possessive pass:
+# text, end tags with no attributes, and start tags with no attributes whose
+# name is neither a link nor a raw-text tag (<li>, </a>, <ul>). Its exclusion
+# is case-insensitive in Unicode's sense, so every name that str.lower() maps
+# to one of those tags stays out of the run ("İ", "ı" and "ſ" are kept out
+# too, and are read one at a time as before). Then it matches once per "<":
+# any other tag up to its first attribute, a comment opener, a CDATA section,
+# a bogus comment ("<!doctype", "<?", "</" + non-letter) or a "<" in text.
 # _ATTR is attrfind_tolerant: one match per attribute walks a tag as
 # locatetagend does. A construct left open at the end of the page drops the
 # rest of it. The runs of space and "/" between attributes stop lazily before
 # a "/>" (html.parser's (?:[ \t\n\r\f]|/(?!>))*): a repeated group would keep
 # a backtracking entry per character, hundreds of MiB for a 4 MiB tag.
 _MARKUP = re.compile(
-    r"""<(?:/[a-zA-Z][^\t\n\r\f />]*[\t\n\r\f /]*>
-     |(/?)([a-zA-Z][^\t\n\r\f />]*)[\t\n\r\f /]*?(?=/?>|[^\t\n\r\f /]|\Z)(/?>)?
-     |(!--)|!\[CDATA\[(?:.*?\]\]>)?|[!?/][^>]*>?|)""",
+    r"""(?:[^<]++
+     |</[a-zA-Z][^\t\n\r\f />]*+[\t\n\r\f /]*+>
+     |<(?!(?i:%s)[\t\n\r\f />])[a-zA-Z][^\t\n\r\f />]*+[\t\n\r\f /]*+>)*+
+    <(?:(/?)([a-zA-Z][^\t\n\r\f />]*)[\t\n\r\f /]*?(?=/?>|[^\t\n\r\f /]|\Z)(/?>)?
+     |(!--)|!\[CDATA\[(?:.*?\]\]>)?|[!?/][^>]*>?|)"""
+    % "|".join(sorted(_LINK_ATTR.keys() | _RAW_TEXT_END.keys())),
     re.VERBOSE | re.DOTALL,
 )
 _ATTR = re.compile(
@@ -160,14 +185,12 @@ _ATTR = re.compile(
 _ATTR_CHARREF = re.compile(r"&(#([0-9]+)|#[xX][0-9a-fA-F]+|[a-zA-Z][a-zA-Z0-9]*)[;=]?")
 _COMMENT_CLOSE = re.compile(r"--!?>")
 _COMMENT_ABRUPT_CLOSE = re.compile(r"-?>")
-# The start tags the scan reads: each link tag with the attribute that holds
-# its target, and each element whose content is text up to where its pattern
-# matches (the end of the page for plaintext).
-_LINK_ATTR = {"a": "href", "link": "href", "frame": "src", "iframe": "src"}
-_RAW_TEXT_END = {
-    tag: re.compile(rf"</{tag}(?=[\t\n\r\f />])", re.IGNORECASE | re.ASCII)
-    for tag in ("script", "style", "xmp", "iframe", "noembed", "noframes", "title", "textarea")
-} | {"plaintext": re.compile(r"\Z")}
+
+
+# An href whose target does not depend on the page's path or query: one that
+# starts with a scheme (_clean keeps it in place) or with "/" (an absolute or
+# network path).
+_PAGE_INDEPENDENT = re.compile(r"[a-zA-Z][a-zA-Z0-9+.-]*:|/")
 
 
 def _decode_charref(match: re.Match) -> str:
@@ -185,7 +208,7 @@ def _link_refs(text: str) -> list[str]:
     refs: list[str] = []
     pos = 0
     comments_close = True  # false once no "--!?>" is left, so "<!-->" * n scans in linear time
-    while (markup := _MARKUP.search(text, pos)) is not None:
+    while (markup := _MARKUP.match(text, pos)) is not None:
         pos = markup.end()
         end_slash, name, closed, comment = markup.groups()
         if name is None:
@@ -197,7 +220,7 @@ def _link_refs(text: str) -> list[str]:
                     if close is None:
                         break
                 pos = close.end()
-            elif text[pos - 1] != ">" and pos - markup.start() > 1:
+            elif text[pos - 1] not in "<>":  # not a "<" in text, and left open
                 break
             continue
         tag = name.lower()
@@ -228,16 +251,24 @@ def _link_refs(text: str) -> list[str]:
     return refs
 
 
-def extract_links(html: bytes, base: Url) -> list[Url]:
+def extract_links(html: bytes, base: Url, resolved: set[str] | None = None) -> list[Url]:
     """Return normalized link targets in document order, de-duplicated.
 
     The hrefs are those the link scan of Python 3.13.13's html.parser finds,
     on every Python. Unsupported schemes and unparseable hrefs are dropped
-    silently.
+    silently. ``resolved``, if given, holds the hrefs that start with a scheme
+    or a "/" already resolved against ``base``'s scheme, host and port: such
+    an href resolves alike from every page there, so one in the set is left
+    out, and one resolved here is added.
     """
     text = html.decode("utf-8", errors="replace")
     out: dict[Url, None] = {}
     for ref in _link_refs(text):
+        if resolved is not None:
+            if ref in resolved:
+                continue
+            if _PAGE_INDEPENDENT.match(ref):
+                resolved.add(ref)
         try:
             url = normalize_url(base, ref)
         except OntoSeekerError:
@@ -267,15 +298,18 @@ def write_url_list(urls: set[Url] | set[str], path: str | Path) -> int:
     return len(lines)
 
 
-def _scan(resp: FetchResponse) -> tuple[Url | None, list[Url]]:
-    """(ontology URL, page links) of a fetched page."""
+def _scan(
+    resp: FetchResponse, resolved: defaultdict[tuple[str, str, int], set[str]]
+) -> tuple[Url | None, list[Url]]:
+    """(ontology URL, page links) of a fetched page; the links leave out the
+    page-independent hrefs ``resolved`` holds for the page's origin."""
     if resp.status == 200:
         kind = classify_url(resp.final_url, resp.content_type)
         if kind == ONTOLOGY_CANDIDATE:
             # Fetched as a presumed page but served with an RDF media type.
             return resp.final_url, []
         if kind == HTML_PAGE:
-            return None, extract_links(resp.body, resp.final_url)
+            return None, extract_links(resp.body, resp.final_url, resolved[resp.final_url[:3]])
     return None, []
 
 
@@ -293,6 +327,9 @@ def crawl(config: CrawlConfig, transport: Transport) -> CrawlReport:
     gate = PolitenessGate(config.politeness_ms, per_host=config.per_host_politeness)
     frontier: deque[tuple[Url, int]] = deque()  # (url, depth), fetched in order
     seen: set[Url] = set()
+    # Per origin, the page-independent hrefs resolved so far. Each gave a
+    # rejection or a Url that admit put in seen, so a repeat is skipped.
+    resolved: defaultdict[tuple[str, str, int], set[str]] = defaultdict(set)
     found: set[Url] = set()
     seeds = set(config.seed_urls)
     seeds_failed: set[Url] = set()
@@ -327,7 +364,7 @@ def crawl(config: CrawlConfig, transport: Transport) -> CrawlReport:
                     seeds_failed.add(url)
                 continue
             status_histogram[resp.status] = status_histogram.get(resp.status, 0) + 1
-            ontology, links = _scan(resp)
+            ontology, links = _scan(resp, resolved)
             if ontology is not None:
                 seen.add(ontology)
                 found.add(ontology)

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import sys
 import tempfile
 import threading
 import tracemalloc
+from collections import deque
 from html.parser import HTMLParser
 from pathlib import Path
 
@@ -45,6 +47,7 @@ from onto_seeker.indexer import IndexLimits
 from onto_seeker.netfetch import (
     LOOKAHEAD_PER_WORKER,
     ConnectionFailed,
+    FetchError,
     Url,
     normalize_url,
 )
@@ -321,6 +324,89 @@ class TestLinkScan:
         tracemalloc.start()
         try:
             assert _link_refs(page) == []
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    # Each entry holds the hrefs that the html.parser of Python 3.13.13 finds
+    # on a page where the scan steps over inert markup: attribute-less tags
+    # next to the constructs the scan reads one at a time, and names that
+    # lower() maps to a link or raw-text tag in mixed case. KELVIN SIGN
+    # lowers to "k"; U+0130 lowers to "i" and a combining dot, and U+0131
+    # and U+017F to themselves, so the tags they spell are neither links
+    # nor raw text.
+    @pytest.mark.parametrize(
+        "html,refs",
+        [
+            ('<li><!-- <a href="/in.html"> --></li><a href="/out.html">', ["/out.html"]),
+            ('<ul><!--></ul><a href="/out.html">', ["/out.html"]),
+            ('<li><!--><a href="/in.html">--></li><a href="/out.html">', ["/out.html"]),
+            ('<li><![CDATA[ <a href="/in.html"> ]]></li><a href="/out.html">', ["/out.html"]),
+            ('<ul><![CDATA[ <a href="/in.html">', []),
+            ('<li></a "x><a href="/out.html"></li>', ["/out.html"]),
+            ('</li "x><li><a href="/out.html">', ["/out.html"]),
+            ('<ul><title><a href="/in.html"></title></ul><a href="/out.html">', ["/out.html"]),
+            ('<li><title>x</TITLE ></li><a href="/out.html">', ["/out.html"]),
+            ('<li><script / ><a href="/x.html"></script></li>', []),
+            ('<ul><script></ul><a href="/in.html"></script><a href="/out.html">', ["/out.html"]),
+            ('<li><textarea><a href="/in.html"></textarea ><a href="/out.html">', ["/out.html"]),
+            ('<li><plaintext><a href="/in.html">', []),
+            ('<xmp><li></xmp><a href="/x.html">', ["/x.html"]),
+            ('<LiNk href="/l.owl"><lINK HREF=/m.owl>', ["/l.owl", "/m.owl"]),
+            ('<ScRipt><a href="/in.html"></sCRIPT><a href="/out.html">', ["/out.html"]),
+            ('<TiTlE><a href="/in.html"></tItLe><a href="/out.html">', ["/out.html"]),
+            ('<ifrAme src=/f.html><a href="/in.html"></IFRAME><a href="/out.html">',
+             ["/f.html", "/out.html"]),
+            ('<A><a href="/x.html"></A>', ["/x.html"]),
+            ('<lin\u212a href="/k.owl"><lin\u212a><a href="/x.html">', ["/k.owl", "/x.html"]),
+            ('<\u017fcript><a href="/x.html"></\u017fcript>', ["/x.html"]),
+            ('<l\u0130nk href="/x.owl"><l\u0131nk href="/y.owl">', []),
+            ('<\u0131frame src=/f.html><a href="/x.html">', ["/x.html"]),
+            ('<li/><li / ><br/><a href="/x.html">', ["/x.html"]),
+            ('<li\t>\n<ul\n/>\n<a href="/x.html">', ["/x.html"]),
+            ('<li x><a href="/x.html">', ["/x.html"]),
+            ('<li/x><a href="/x.html">', ["/x.html"]),
+            ('<a<b><a href="/x.html">', ["/x.html"]),
+            ('<li>1 < 2<a href="/x.html">', ["/x.html"]),
+            ('<li><<a href="/x.html">', ["/x.html"]),
+            ('<li><?php x ?><a href="/x.html">', ["/x.html"]),
+            ('<li><!doctype><a href="/x.html">', ["/x.html"]),
+            ('<li></><a href="/x.html">', ["/x.html"]),
+        ],
+    )
+    def test_reads_inert_markup_beside_each_construct_as_html_parser_3_13_13(self, html, refs):
+        assert _scan(html.encode()) == refs
+
+    def test_no_name_of_a_link_or_raw_text_tag_is_skipped_as_inert(self):
+        # A skipped <script> would have its content read as markup, and a
+        # skipped <a href=...> would lose its link. Every code point that
+        # str.lower() maps to a letter of such a name, in place of that
+        # letter, leaves the tag to be read; as this page has one "<", a
+        # skip over the tag leaves _MARKUP no match.
+        names = [*crawler._LINK_ATTR, *crawler._RAW_TEXT_END]
+        letters = set("".join(names))
+        folds = [char for char in map(chr, range(sys.maxunicode + 1)) if char.lower() in letters]
+        assert "\u212a" in folds and len(folds) == 2 * len(letters) + 1
+        spellings = {name.upper() for name in names} | {
+            name[:i] + char + name[i + 1 :]
+            for name in names
+            for i, letter in enumerate(name)
+            for char in folds
+            if char.lower() == letter
+        }
+        ends = (">", "/>", " >", "\t/ >")
+        tags = [f"<{name}{end}" for name in sorted(spellings) for end in ends]
+        assert [tag for tag in tags if crawler._MARKUP.match(tag) is None] == []
+
+    def test_a_long_run_of_inert_markup_scans_in_bounded_memory(self):
+        # 10**5 inert tags around a 4 MiB text run: the skip is one
+        # possessive pass, which keeps no backtracking entry per tag.
+        run = "<li>x</li>" * 25_000 + "t" * (4 << 20) + "<ul></ul>" * 25_000
+        page = run + '<a href="/x.html">'
+        tracemalloc.start()
+        try:
+            assert _link_refs(page) == ["/x.html"]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -699,6 +785,175 @@ class TestCrawl:
             crawl_config(tmp_path, ["http://h.test/"], max_body_bytes=max_body_bytes)
 
 
+def _reference_crawl(config: CrawlConfig, transport) -> tuple[str, tuple]:
+    """crawl's breadth-first rule with no depth limit, one page at a time,
+    each page's links from extract_links without the crawl's set: the URL
+    file's text and (pages_fetched, ontologies_found, status_histogram,
+    errors)."""
+    frontier: deque[Url] = deque()
+    seen: set[Url] = set()
+    found: set[Url] = set()
+    histogram: dict[int, int] = {}
+    admitted = errors = 0
+
+    def admit(url: Url) -> None:
+        nonlocal admitted
+        if url in seen:
+            return
+        seen.add(url)
+        kind = classify_url(url)
+        if kind == ONTOLOGY_CANDIDATE:
+            found.add(url)
+        elif kind == HTML_PAGE and admitted < config.max_pages:
+            admitted += 1
+            frontier.append(url)
+
+    for seed in config.seed_urls:
+        admit(seed)
+    while frontier:
+        try:
+            resp = transport.fetch(frontier.popleft(), config.max_body_bytes)
+        except FetchError:
+            errors += 1
+            continue
+        histogram[resp.status] = histogram.get(resp.status, 0) + 1
+        kind = classify_url(resp.final_url, resp.content_type) if resp.status == 200 else OTHER
+        if kind == ONTOLOGY_CANDIDATE:
+            seen.add(resp.final_url)
+            found.add(resp.final_url)
+        elif kind == HTML_PAGE:
+            for child in extract_links(resp.body, resp.final_url):
+                admit(child)
+    lines = "".join(f"{url}\n" for url in sorted(map(str, found)))
+    return lines, (admitted, len(found), dict(sorted(histogram.items())), errors)
+
+
+def _crawl_result(config: CrawlConfig, transport) -> tuple[str, tuple]:
+    report = crawl(config, transport)
+    lines = Path(config.output_path).read_text(encoding="utf-8")
+    return lines, (report.pages_fetched, report.ontologies_found, report.status_histogram,
+                   report.errors)
+
+
+# Every page repeats its page-independent hrefs: mailto: and javascript:,
+# an absolute URL spelled in two cases, a root-relative href with and
+# without spaces, and one root-relative href on four origins (two of them
+# one host on two ports, one reached by a redirect from another origin).
+# A page reached by a redirect is not in the crawl's seen set, so its own
+# "#top" fetches it once more, in the crawl and the reference alike.
+_SHARED = (
+    '<li><a href="/shared.owl">s</a><a href="mailto:team@a.test">m</a>'
+    '<a href="javascript:void(0)">j</a><a href=" /spaced.owl ">s</a><a href="/spaced.owl">s</a>'
+    '<a href="HTTP://A.TEST/x.owl">x</a><a href="http://a.test/x.owl">x</a><a href="#top">t</a></li>'
+)
+
+
+def _origins_corpus() -> Corpus:
+    corpus = Corpus()
+    corpus.add("http://a.test/", _page(
+        _SHARED + '<a href="/p.html">p</a><a href="/moved.html">r</a>'
+        '<a href="https://a.test/">s</a><a href="http://b.test/">b</a><a href="/moved2.html">r</a>'
+    ))
+    corpus.add("http://a.test/p.html", _page(_SHARED + '<a href="/p.owl">o</a>'))
+    corpus.add(
+        "http://a.test/moved.html", CorpusEntry(301, None, b"", location="http://b.test:8080/d/")
+    )
+    corpus.add("http://b.test:8080/d/", _page(
+        _SHARED + '<a href="/p.html">p</a><a href="q.html">q</a>'
+    ))
+    corpus.add("http://b.test:8080/p.html", _page(_SHARED + '<a href="/b8080.owl">o</a>'))
+    corpus.add("http://b.test:8080/d/q.html", _page(_SHARED + '<a href="/p.html">p</a>'))
+    corpus.add("https://a.test/", _page(_SHARED + '<a href="/p.html">p</a>'))
+    corpus.add("https://a.test/p.html", _page(_SHARED + '<a href="/https.owl">o</a>'))
+    corpus.add("http://b.test/", _page(_SHARED + '<a href="/p.html">p</a>'))
+    corpus.add("http://b.test/p.html", _page(
+        _SHARED + '<a href="/b80.owl">o</a><a href="x.owl">x</a>'
+    ))
+    # A second redirect lands on an origin whose "#top" and "/p.html" were
+    # resolved already; its relative href names another URL than the same
+    # href on http://b.test/p.html.
+    corpus.add(
+        "http://a.test/moved2.html", CorpusEntry(302, None, b"", location="http://b.test/r/r.html")
+    )
+    corpus.add("http://b.test/r/r.html", _page(_SHARED + '<a href="x.owl">x</a>'))
+    return corpus
+
+
+class TestResolvedHrefs:
+    """The crawl resolves each page-independent href once per origin, and
+    its URL file and report equal those of a loop that resolves them all."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_each_origin_resolves_its_root_relative_hrefs(self, tmp_path, workers):
+        corpus = _origins_corpus()
+        config = crawl_config(tmp_path, ["http://a.test/"], worker_count=workers)
+        result = _crawl_result(config, CorpusTransport(corpus))
+        assert result == _reference_crawl(config, CorpusTransport(corpus))
+        origins = ("http://a.test", "http://b.test", "http://b.test:8080", "https://a.test")
+        own = zip(origins, ("p", "b80", "b8080", "https"))
+        assert sorted(result[0].splitlines()) == sorted(
+            [f"{origin}/{name}.owl" for origin in origins for name in ("shared", "spaced")]
+            + [f"{origin}/{name}.owl" for origin, name in own]
+            + ["http://a.test/x.owl", "http://b.test/x.owl", "http://b.test/r/x.owl"]
+        )
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_budget_that_ends_mid_page_admits_as_the_reference(self, tmp_path, workers):
+        corpus = _origins_corpus()
+        for max_pages in range(1, 13):
+            folder = tmp_path / str(max_pages)
+            folder.mkdir()
+            config = crawl_config(folder, ["http://a.test/"], max_pages=max_pages,
+                                  worker_count=workers)
+            assert _crawl_result(config, CorpusTransport(corpus)) == _reference_crawl(
+                config, CorpusTransport(corpus)
+            )
+
+    def test_skipped_hrefs_are_not_resolved_again(self, tmp_path, monkeypatch):
+        corpus = _origins_corpus()
+        calls = []
+
+        def counted(base, href):
+            calls.append((base[:3], href))
+            return normalize_url(base, href)
+
+        monkeypatch.setattr(crawler, "normalize_url", counted)
+        crawl(crawl_config(tmp_path, ["http://a.test/"]), CorpusTransport(corpus))
+        page_independent = [
+            call for call in calls
+            if call[1].lower().startswith(("/", "mailto:", "javascript:", "http"))
+        ]
+        # Six of _SHARED's hrefs on each of four origins, and twelve more.
+        assert len(page_independent) == len(set(page_independent)) == 4 * 6 + 12
+        assert (("http", "b.test", 8080), "/p.html") in calls
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_drawn_sites_with_mutant_pages_crawl_as_the_reference(self, data):
+        pages = data.draw(st.integers(1, 20))
+        spec = SiteSpec(
+            seed=data.draw(st.integers(0, 1000)),
+            page_count=pages,
+            ontology_count=data.draw(st.integers(0, pages)),
+            host_count=data.draw(st.integers(1, 3)),
+        )
+        corpus, truth = make_synthetic_site(spec)
+        html = sorted(
+            key for key, entry in corpus.entries.items() if entry.content_type == "text/html"
+        )
+        for key in data.draw(st.sets(st.sampled_from(html), max_size=4)):
+            entry = corpus.entries[key]
+            corpus.add(key, CorpusEntry(200, entry.content_type, data.draw(mutants(entry.body))))
+        max_pages = data.draw(st.integers(1, pages + 1))
+        with tempfile.TemporaryDirectory() as tmp:
+            for workers in (1, 2):
+                config = crawl_config(
+                    Path(tmp), [truth.root_url], max_pages=max_pages, worker_count=workers
+                )
+                transport = CorpusTransport(corpus, sleep_latency=False)
+                assert _crawl_result(config, transport) == _reference_crawl(config, transport)
+
+
 class TestCrawlReport:
     def test_machine_lines_echo_config(self, tmp_path):
         config = crawl_config(
@@ -774,10 +1029,10 @@ class TestFetchThreads:
         corpus, truth = small_site
         transport = ThreadRecorder(CorpusTransport(corpus))
 
-        def scan_then_fail(html, base):
+        def scan_then_fail(html, base, resolved):
             if len(transport.threads) > 3:
                 raise RuntimeError("scan failed")
-            return extract_links(html, base)
+            return extract_links(html, base, resolved)
 
         monkeypatch.setattr(crawler, "extract_links", scan_then_fail)
         config = crawl_config(tmp_path, [truth.root_url], worker_count=2)
