@@ -364,9 +364,9 @@ def crawl(config: CrawlConfig, transport: Transport) -> CrawlReport:
                     seeds_failed.add(url)
                 continue
             status_histogram[resp.status] = status_histogram.get(resp.status, 0) + 1
+            seen.add(resp.final_url)  # a redirect's target is not fetched again
             ontology, links = _scan(resp, resolved)
             if ontology is not None:
-                seen.add(ontology)
                 found.add(ontology)
             for child in links:
                 admit(child, depth + 1)

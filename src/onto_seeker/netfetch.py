@@ -16,14 +16,14 @@ trust store (``SSL_CERT_FILE``). Only a built :class:`LiveTransport` imports
 :func:`fetch_in_order` fetches a queue of URLs through the politeness gate
 and hands the results back in the order the URLs were taken from the queue.
 One worker fetches on the calling thread, in that order. More fetch on that
-many plain threads, which take jobs from one queue and put each ended fetch
-on another: each free worker gets the not-yet-issued URL whose host's
-politeness slot comes first, the oldest on a tie.
+many plain threads: under the loop's one lock, each free worker takes the
+not-yet-issued URL whose host's politeness slot comes first, the oldest on
+a tie, and wakes the calling thread only when it ends the fetch that thread
+waits for.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 import os
 import re
@@ -32,7 +32,6 @@ import time
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from queue import Empty, SimpleQueue
 from typing import Callable, NamedTuple, Protocol, TypeVar
 from urllib.parse import quote, unquote
 
@@ -277,10 +276,11 @@ def fetch_in_order(
     in the order taken. More run ``workers`` pool threads that only fetch,
     with at most ``LOOKAHEAD_PER_WORKER * workers`` URLs taken and not yet
     handed back, so at most that many less one finished responses wait behind
-    a slow fetch. Each time a worker is free, the calling thread gives it the
-    taken URL not yet issued whose host's slot comes first (the oldest on a
-    tie, so with politeness 0 or one global clock the issue order is the
-    order taken) and reserves that slot then. Either way every fetch sleeps
+    a slow fetch. Each free worker takes, under the loop's lock, the taken
+    URL not yet issued whose host's slot comes first (the oldest on a tie,
+    so with politeness 0 or one global clock the issue order is the order
+    taken) and reserves that slot then; the calling thread waits only while
+    the oldest taken URL is not fetched. Either way every fetch sleeps
     off its slot in :func:`polite_fetch`. An exception other than a
     FetchError raised inside a pool fetch is raised again here, when that
     URL's turn comes. Close the generator (``contextlib.closing``) to stop
@@ -296,67 +296,60 @@ def fetch_in_order(
         return
     window = LOOKAHEAD_PER_WORKER * workers
     taken = deque()  # [url, tag, result or None until it ends], oldest first
-    unissued = []  # the entries of taken not yet given to a worker, oldest first
-    jobs, ended = SimpleQueue(), SimpleQueue()
+    unissued = []  # the entries of taken no worker has started, oldest first
+    lock = threading.Lock()
+    wanted, ended = threading.Condition(lock), threading.Condition(lock)
+    closed = False
+
+    def work() -> None:
+        """A pool thread: take the URL whose host's slot comes first, reserve
+        that slot and fetch it, until the loop is closed. The result, or any
+        other exception the fetch raised, goes into the URL's entry."""
+        with lock:
+            while not closed:
+                if not unissued:
+                    wanted.wait()
+                    continue
+                now = monotonic_ms()
+                entry = unissued.pop(_first_slot(gate, unissued, now))
+                grant = now + gate.acquire_slot(entry[0].host, now)
+                lock.release()
+                try:
+                    result = polite_fetch(transport, entry[0], max_body_bytes, grant)
+                except BaseException as exc:  # raised again on the calling thread
+                    result = exc
+                lock.acquire()
+                entry[2] = result
+                if entry is taken[0]:
+                    ended.notify()
+
     # Daemon threads, so a loop never closed cannot keep the process alive.
-    threads = [
-        threading.Thread(
-            target=_fetch_jobs, args=(jobs, ended, transport, max_body_bytes), daemon=True
-        )
-        for _ in range(workers)
-    ]
+    threads = [threading.Thread(target=work, daemon=True) for _ in range(workers)]
     for thread in threads:
         thread.start()
-    idle = workers
     try:
         while True:
-            while pending and len(taken) < window:
-                entry = [*pending.popleft(), None]
-                taken.append(entry)
-                unissued.append(entry)
-            if not taken:
-                return
-            # Give each free worker a URL, and take back the fetches that
-            # ended; wait for one only while the head is not back.
-            while True:
-                while idle and unissued:
-                    now = monotonic_ms()
-                    entry = unissued.pop(_first_slot(gate, unissued, now))
-                    grant = now + gate.acquire_slot(entry[0].host, now)
-                    jobs.put((entry, grant))
-                    idle -= 1
-                if taken[0][2] is not None and ended.empty():
-                    break
-                done, result = ended.get()
-                done[2] = result
-                idle += 1
-            url, tag, result = taken.popleft()
+            with lock:
+                added = min(len(pending), window - len(taken))
+                for _ in range(added):
+                    entry = [*pending.popleft(), None]
+                    taken.append(entry)
+                    unissued.append(entry)
+                wanted.notify(added)
+                if not taken:
+                    return
+                while taken[0][2] is None:
+                    ended.wait()
+                url, tag, result = taken.popleft()
             if isinstance(result, BaseException) and not isinstance(result, FetchError):
                 raise result  # raised inside the fetch, as the transport raised it
             yield url, tag, result
     finally:
-        with contextlib.suppress(Empty):  # jobs no worker has started are dropped
-            while True:
-                jobs.get_nowait()
-        for _ in threads:
-            jobs.put(None)
+        with lock:  # URLs no worker has started are dropped
+            closed = True
+            wanted.notify_all()
         for thread in threads:
             thread.join()
-
-
-def _fetch_jobs(
-    jobs: SimpleQueue, ended: SimpleQueue, transport: Transport, max_body_bytes: int
-) -> None:
-    """A pool thread: fetch each ``(entry, grant)`` job until a None, and put
-    ``(entry, result)`` on ``ended``: the response, the FetchError, or any
-    other exception the fetch raised."""
-    while (job := jobs.get()) is not None:
-        entry, grant = job
-        try:
-            result = polite_fetch(transport, entry[0], max_body_bytes, grant)
-        except BaseException as exc:  # handed to the calling thread, which raises it
-            result = exc
-        ended.put((entry, result))
 
 
 def _first_slot(gate: PolitenessGate, unissued: list, now_ms: float) -> int:

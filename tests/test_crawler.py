@@ -817,6 +817,7 @@ def _reference_crawl(config: CrawlConfig, transport) -> tuple[str, tuple]:
             errors += 1
             continue
         histogram[resp.status] = histogram.get(resp.status, 0) + 1
+        seen.add(resp.final_url)
         kind = classify_url(resp.final_url, resp.content_type) if resp.status == 200 else OTHER
         if kind == ONTOLOGY_CANDIDATE:
             seen.add(resp.final_url)
@@ -839,8 +840,8 @@ def _crawl_result(config: CrawlConfig, transport) -> tuple[str, tuple]:
 # an absolute URL spelled in two cases, a root-relative href with and
 # without spaces, and one root-relative href on four origins (two of them
 # one host on two ports, one reached by a redirect from another origin).
-# A page reached by a redirect is not in the crawl's seen set, so its own
-# "#top" fetches it once more, in the crawl and the reference alike.
+# A page reached by a redirect is in the crawl's seen set once fetched, so
+# its own "#top" does not fetch it again.
 _SHARED = (
     '<li><a href="/shared.owl">s</a><a href="mailto:team@a.test">m</a>'
     '<a href="javascript:void(0)">j</a><a href=" /spaced.owl ">s</a><a href="/spaced.owl">s</a>'
@@ -908,6 +909,22 @@ class TestResolvedHrefs:
             assert _crawl_result(config, CorpusTransport(corpus)) == _reference_crawl(
                 config, CorpusTransport(corpus)
             )
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_each_page_is_fetched_once_however_it_is_reached(self, tmp_path, workers):
+        corpus = _origins_corpus()
+        transport = CorpusTransport(corpus)
+        landed = []
+
+        class Landings:
+            def fetch(self, url, max_body_bytes, issued_at_ms=None):
+                resp = transport.fetch(url, max_body_bytes, issued_at_ms=issued_at_ms)
+                landed.append(str(resp.final_url))
+                return resp
+
+        crawl(crawl_config(tmp_path, ["http://a.test/"], worker_count=workers), Landings())
+        pages = [key for key, entry in corpus.entries.items() if entry.status == 200]
+        assert sorted(landed) == sorted(pages)
 
     def test_skipped_hrefs_are_not_resolved_again(self, tmp_path, monkeypatch):
         corpus = _origins_corpus()

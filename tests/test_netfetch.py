@@ -43,6 +43,7 @@ from onto_seeker.harness import (
 from onto_seeker.indexer import MAX_FETCH_WORKERS, IndexLimits, build_index
 from onto_seeker.netfetch import (
     _LINE_BREAKS,
+    LOOKAHEAD_PER_WORKER,
     ConnectionFailed,
     FetchResponse,
     LiveTransport,
@@ -548,9 +549,10 @@ class TestFetchInOrder:
         assert grants == sorted(grants)
 
     def test_more_workers_than_cores_keep_the_order_and_every_gap(self):
-        # The calling thread reserves slots and issues while pool threads end
-        # fetches and free their workers; switching threads every few
-        # microseconds interleaves the two as often as it can.
+        # Pool threads take URLs and reserve their slots under the loop's
+        # lock while others end fetches and the calling thread refills the
+        # window; switching threads every few microseconds interleaves them
+        # as often as it can.
         corpus = _numbered_corpus(300)
         pending = deque((Url.parse(f"http://h{i % 3}.test/{i}"), i) for i in range(300))
         tags = []
@@ -570,6 +572,30 @@ class TestFetchInOrder:
         for times in corpus.per_host_issue_times().values():
             assert len(times) == 100
             assert all(b - a >= 1 - 1e-6 for a, b in zip(times, times[1:]))
+
+    def test_workers_fetch_through_the_window_while_the_consumer_is_busy(self):
+        corpus = _numbered_corpus(100)
+        pending = deque((Url.parse(f"http://h{i % 3}.test/{i}"), i) for i in range(100))
+        window = LOOKAHEAD_PER_WORKER * 2
+
+        def loop():
+            tags, logged = [], []
+            for _url, tag, _resp in fetch_in_order(
+                CorpusTransport(corpus), PolitenessGate(0), pending, 1024, 2
+            ):
+                if tag == 0:  # the consumer stays on the first result
+                    deadline = time.monotonic() + 5
+                    while len(corpus.request_log) < window and time.monotonic() < deadline:
+                        time.sleep(0.001)
+                    logged.append(len(corpus.request_log))
+                    time.sleep(0.05)
+                    logged.append(len(corpus.request_log))
+                tags.append(tag)
+            return tags, logged
+
+        _caller, (tags, logged) = _run_joined(loop)
+        assert logged == [window, window]  # the whole window, and not one URL past it
+        assert tags == list(range(100))
 
     def test_one_worker_fetches_on_the_calling_thread(self):
         transport = ThreadRecorder(CorpusTransport(_numbered_corpus(10)))
